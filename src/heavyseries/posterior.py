@@ -565,10 +565,7 @@ def credible_band(summary, basis, m=256, level=0.95):
         m = basis.frame.signal_length
         grid = basis_mod.grid(basis, m)
         center = basis_mod.synthesize(summary.means, basis, m)
-        d = summary.draws.shape[1]
-        curves = np.empty((d, m))
-        for i in range(d):
-            curves[i] = basis_mod.synthesize(summary.draws[:, i], basis, m)
+        curves = basis_mod.synthesize(summary.draws.T, basis, m)
     else:
         grid = basis_mod.grid(basis, m)
         k = np.arange(1, summary.draws.shape[0] + 1)

@@ -11,6 +11,19 @@ j = -1, 0, ..., J0-1 (with 2^max(j,0) entries each, in natural order) and
 detail levels run j = J0, ..., J-1 with 0 <= k < 2^j.  The flat index of
 (j, k) is 0 for j = -1 and 2^j + k otherwise, a bijection onto
 {0, ..., 2^J - 1}.
+
+Both directions work on polyphase components: a level of n samples is
+viewed as a (half, 2) array whose columns are the even and odd samples, so
+filter tap m touches the parity-(m % 2) column shifted cyclically by m // 2.
+Each tap is then two contiguous slice-and-add operations, and interleaving
+the columns back into samples is a free reshape.  The taps are applied in
+ascending order, so every output element is summed in a fixed order.
+
+Stacks of signals along the last axis are transformed through all levels
+in blocks of _BLOCK_ROWS rows, which bounds the temporaries to one block.
+analyze and synthesize return a fresh C-ordered array whatever the order of
+their input, so reductions along the last axis of the result sum in the
+same order for C- and F-ordered stacks.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, ShapeError
+
+# Rows of a stack transformed together through all levels.  Large enough
+# that per-tap numpy overhead is amortized, small enough that the working
+# set stays in cache and a stack of draws needs no full-size temporaries.
+_BLOCK_ROWS = 128
 
 # Low-pass filters, unit L2 norm, sum sqrt(2).  "daubechies-N" is the
 # N-tap extremal-phase filter; "symmlet-8" the 16-tap least-asymmetric
@@ -132,30 +150,44 @@ def level_slice(j):
     return slice(2**j, 2 ** (j + 1))
 
 
+def _wrapped(s, half):
+    """Slice pairs (shifted, source) of a cyclic shift by s on half entries.
+
+    Position k of a length-half axis pairs with position (k + s) mod half;
+    the pairs split into two contiguous runs, so the shift needs no index
+    array.
+    """
+    return ((slice(s, half), slice(0, half - s)),
+            (slice(0, s), slice(half - s, half)))
+
+
 def _dwt_step(a, lo, hi):
-    # a has shape (..., n); transforms along the last axis
-    n = a.shape[-1]
-    half = n // 2
+    # a has shape (rows, n); tap m reads sample 2k + m (mod n), which is
+    # entry (k + m//2) mod half of the parity-(m % 2) sample plane
+    half = a.shape[-1] // 2
+    planes = a.reshape(a.shape[:-1] + (half, 2))
     approx = np.zeros(a.shape[:-1] + (half,))
     detail = np.zeros_like(approx)
     for m, (l, h) in enumerate(zip(lo, hi)):
-        idx = (2 * np.arange(half) + m) % n
-        approx += l * a[..., idx]
-        detail += h * a[..., idx]
+        plane = planes[..., m % 2]
+        for shifted, source in _wrapped((m // 2) % half, half):
+            approx[..., source] += l * plane[..., shifted]
+            detail[..., source] += h * plane[..., shifted]
     return approx, detail
 
 
 def _idwt_step(approx, detail, lo, hi):
+    # tap m adds into sample 2k + m (mod n), which is entry
+    # (k + m//2) mod half of the parity-(m % 2) plane of the output; the
+    # planes interleave by a reshape
     half = approx.shape[-1]
-    n = 2 * half
-    a = np.zeros(approx.shape[:-1] + (n,))
+    a = np.zeros(approx.shape + (2,))
     for m, (l, h) in enumerate(zip(lo, hi)):
-        # for fixed m the positions 2k+m mod n are pairwise distinct, so
-        # buffered fancy-index addition is safe (and much faster than
-        # np.add.at)
-        idx = (2 * np.arange(half) + m) % n
-        a[..., idx] += l * approx + h * detail
-    return a
+        term = l * approx + h * detail
+        plane = a[..., m % 2]
+        for shifted, source in _wrapped((m // 2) % half, half):
+            plane[..., shifted] += term[..., source]
+    return a.reshape(approx.shape[:-1] + (2 * half,))
 
 
 def _check_last_axis(values, frame, what):
@@ -165,34 +197,55 @@ def _check_last_axis(values, frame, what):
         )
 
 
+def _by_row_blocks(transform, values, frame, what):
+    """Apply transform(rows, frame) to blocks of _BLOCK_ROWS rows.
+
+    values is a single signal or a stack along the last axis; the result is
+    a fresh C-ordered array of the same shape whatever the input's order.
+    """
+    values = np.asarray(values, dtype=float)
+    _check_last_axis(values, frame, what)
+    result = np.empty(values.shape)
+    rows = values.reshape(-1, frame.signal_length)
+    out = result.reshape(rows.shape)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        out[block] = transform(np.ascontiguousarray(rows[block]), frame)
+    return result
+
+
+def _analyze_rows(a, frame):
+    lo = frame.lowpass
+    hi = highpass(lo)
+    coeffs = np.empty_like(a)
+    for j in range(frame.levels - 1, frame.coarse_level - 1, -1):
+        a, d = _dwt_step(a, lo, hi)
+        coeffs[:, level_slice(j)] = d
+    coeffs[:, : 2**frame.coarse_level] = a
+    return coeffs
+
+
+def _synthesize_rows(coefficients, frame):
+    lo = frame.lowpass
+    hi = highpass(lo)
+    a = coefficients[:, : 2**frame.coarse_level]
+    for j in range(frame.coarse_level, frame.levels):
+        a = _idwt_step(a, coefficients[:, level_slice(j)], lo, hi)
+    return a
+
+
 def analyze(samples, frame):
     """Forward periodized transform into the packed (j, k) layout.
 
     Accepts a single signal or a stack of signals along the last axis.
     """
-    samples = np.asarray(samples, dtype=float)
-    _check_last_axis(samples, frame, "samples")
-    lo = frame.lowpass
-    hi = highpass(lo)
-    coeffs = np.empty_like(samples)
-    a = samples
-    for j in range(frame.levels - 1, frame.coarse_level - 1, -1):
-        a, d = _dwt_step(a, lo, hi)
-        coeffs[..., level_slice(j)] = d
-    coeffs[..., : 2**frame.coarse_level] = a
-    return coeffs
+    return _by_row_blocks(_analyze_rows, samples, frame, "samples")
 
 
 def synthesize(coefficients, frame):
     """Inverse of analyze."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    _check_last_axis(coefficients, frame, "coefficients")
-    lo = frame.lowpass
-    hi = highpass(lo)
-    a = coefficients[..., : 2**frame.coarse_level].copy()
-    for j in range(frame.coarse_level, frame.levels):
-        a = _idwt_step(a, coefficients[..., level_slice(j)], lo, hi)
-    return a
+    return _by_row_blocks(_synthesize_rows, coefficients, frame,
+                          "coefficients")
 
 
 def level_norm(coefficients, j, p):

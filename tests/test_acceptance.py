@@ -28,6 +28,8 @@ from heavyseries.priors import (
 )
 from tests.conftest import brute_force_mean_var
 
+pytestmark = pytest.mark.acceptance
+
 
 def _test_points(count=200, seed=20240817):
     gen = np.random.default_rng(seed)

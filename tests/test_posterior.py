@@ -346,6 +346,28 @@ def test_band_level_one_is_full_envelope():
     assert np.all(full["lower"] <= part["lower"] + 1e-12)
 
 
+def test_band_wavelet_matches_per_draw_synthesis():
+    from heavyseries import basis, wavelets
+
+    frame = wavelets.WaveletFrame("symmlet-8", 256, 3)
+    wavelet_basis = basis.wavelet_basis(frame)
+    gen = np.random.default_rng(2)
+    draws = gen.normal(size=(256, 300)) / np.arange(1.0, 257.0)[:, None]
+    summary = PosteriorSummary(draws.mean(axis=1), draws.var(axis=1), {},
+                               "metropolis", draws=draws)
+    band = credible_band(summary, wavelet_basis, level=0.9)
+    # reference: the band from one synthesize call per draw
+    center = basis.synthesize(summary.means, wavelet_basis, 256)
+    curves = np.array([basis.synthesize(draws[:, i], wavelet_basis, 256)
+                       for i in range(draws.shape[1])])
+    dist = np.mean((curves - center[None, :]) ** 2, axis=1)
+    kept = curves[np.argsort(dist)[: math.ceil(0.9 * len(dist))]]
+    assert np.array_equal(band["grid"], basis.grid(wavelet_basis, 256))
+    assert np.array_equal(band["center"], center)
+    assert np.array_equal(band["lower"], kept.min(axis=0))
+    assert np.array_equal(band["upper"], kept.max(axis=0))
+
+
 # -- serialization -----------------------------------------------------------
 
 

@@ -86,6 +86,75 @@ def test_batch_matches_single():
         assert np.array_equal(back[i], wavelets.synthesize(batch[i], frame))
 
 
+def _fancy_index_dwt_step(a, lo, hi):
+    # reference: one modular gather per tap
+    n = a.shape[-1]
+    half = n // 2
+    approx = np.zeros(a.shape[:-1] + (half,))
+    detail = np.zeros_like(approx)
+    for m, (l, h) in enumerate(zip(lo, hi)):
+        idx = (2 * np.arange(half) + m) % n
+        approx += l * a[..., idx]
+        detail += h * a[..., idx]
+    return approx, detail
+
+
+def _fancy_index_idwt_step(approx, detail, lo, hi):
+    # reference: one modular scatter per tap
+    half = approx.shape[-1]
+    n = 2 * half
+    a = np.zeros(approx.shape[:-1] + (n,))
+    for m, (l, h) in enumerate(zip(lo, hi)):
+        idx = (2 * np.arange(half) + m) % n
+        a[..., idx] += l * approx + h * detail
+    return a
+
+
+def _reference_analyze(samples, frame):
+    lo = frame.lowpass
+    hi = wavelets.highpass(lo)
+    coeffs = np.empty(samples.shape)
+    a = samples
+    for j in range(frame.levels - 1, frame.coarse_level - 1, -1):
+        a, d = _fancy_index_dwt_step(a, lo, hi)
+        coeffs[..., wavelets.level_slice(j)] = d
+    coeffs[..., : 2**frame.coarse_level] = a
+    return coeffs
+
+
+def _reference_synthesize(coefficients, frame):
+    lo = frame.lowpass
+    hi = wavelets.highpass(lo)
+    a = coefficients[..., : 2**frame.coarse_level].copy()
+    for j in range(frame.coarse_level, frame.levels):
+        a = _fancy_index_idwt_step(
+            a, coefficients[..., wavelets.level_slice(j)], lo, hi)
+    return a
+
+
+@pytest.mark.parametrize("name", sorted(wavelets.FILTERS))
+@pytest.mark.parametrize("coarse", [0, 3, 5])
+def test_polyphase_matches_fancy_index_reference(name, coarse):
+    # coarse level 0 has half = 1 at the first level, below every filter's
+    # half-length, so the cyclic shifts wrap several times
+    frame = wavelets.WaveletFrame(name, 64, coarse)
+    gen = np.random.default_rng(4)
+    rows = 2 * wavelets._BLOCK_ROWS + 3
+    single = gen.normal(size=64)
+    stack = gen.normal(size=(rows, 64))
+    inputs = [single, stack, np.asfortranarray(stack),
+              gen.normal(size=(3, 50, 64))]
+    for x in inputs:
+        for transform, reference in (
+            (wavelets.analyze, _reference_analyze),
+            (wavelets.synthesize, _reference_synthesize),
+        ):
+            out = transform(x, frame)
+            assert out.flags.c_contiguous
+            assert out.shape == x.shape
+            assert np.array_equal(out, reference(x, frame))
+
+
 def test_flat_index_bijection():
     frame = wavelets.WaveletFrame("haar", 64, 3)
     seen = set()
