@@ -190,8 +190,12 @@ def _p_label(p):
 
 
 def _single_index_cell(args):
-    """One (replication, n) cell of a single-index experiment: returns
-    {prior: {p': error}} plus optional band widths."""
+    """One (replication, n) cell of a single-index experiment.
+
+    Returns ({prior: {p': error}}, {prior: band width}, {prior: band}); the
+    two band dicts are empty unless bands are wanted.  The experiment keeps
+    replication 0's bands for the figures, so no fit is repeated for them.
+    """
     (truth_name, truncation, n, prior_names, p_primes, rep_seed, tol,
      want_bands, draws, burn_in) = args
     truth = signals.make_truth(truth_name, K=truncation)
@@ -199,6 +203,7 @@ def _single_index_cell(args):
     f0 = model.padded_coefficients(truth, truncation)
     out = {}
     widths = {}
+    bands = {}
     for name in prior_names:
         prior = make_prior(name, n=n)
         summary = posterior.fit_posterior(data, prior, method="quadrature",
@@ -209,9 +214,9 @@ def _single_index_cell(args):
             msum = posterior.fit_posterior(data, prior, method="metropolis",
                                            draws=draws, burn_in=burn_in,
                                            seed=rep_seed)
-            band = posterior.credible_band(msum, truth.basis)
-            widths[name] = posterior.band_width(band)
-    return out, widths
+            bands[name] = posterior.credible_band(msum, truth.basis)
+            widths[name] = posterior.band_width(bands[name])
+    return out, widths, bands
 
 
 def _wavelet_cell(args):
@@ -236,15 +241,16 @@ def _wavelet_cell(args):
                                               tol=tol, seed=rep_seed)
             draw_mat = None
             if want_contraction:
-                msum = posterior.fit_posterior(
+                draw_mat = posterior.fit_posterior(
                     data, prior, method="metropolis", draws=draws,
-                    burn_in=burn_in, seed=rep_seed)
-                draw_mat = msum.draws
+                    burn_in=burn_in, seed=rep_seed).draws
         mean_err[name] = {p: metrics.lp_error(summary.means, f0, p, wav_basis)
                           for p in p_primes}
         if want_contraction and draw_mat is not None:
             contraction[name] = metrics.contraction_errors(
                 draw_mat, f0, p_primes, wav_basis)
+        # free this prior's draw stack before the next prior's fit
+        del summary, draw_mat
     if want_sureshrink:
         est = thresholding.hybrid_sureshrink(data.observations, frame, n)
         mean_err["sureshrink"] = {p: metrics.lp_error(est, f0, p, wav_basis)
@@ -304,17 +310,8 @@ def _single_index_experiment(config, truth_name):
                 wvals = [res[1][name] for res in results]
                 wm, wse = _aggregate(wvals)
                 band_widths.append((name, n, wm, wse, R))
-        if config.include_bands:
-            # envelope of the first replication, for the figures
-            truth = signals.make_truth(truth_name, K=config.truncation)
-            data = model.simulate(truth, n, config.truncation,
-                                  seed=_rep_seed(config.seed, 0))
-            for name in config.priors:
-                prior = make_prior(name, n=n)
-                msum = posterior.fit_posterior(
-                    data, prior, method="metropolis", draws=config.draws,
-                    burn_in=config.burn_in, seed=_rep_seed(config.seed, 0))
-                bands[(name, n)] = posterior.credible_band(msum, truth.basis)
+                # envelope of the first replication, for the figures
+                bands[(name, n)] = results[0][2][name]
     for (name, p), pairs in per_n_error.items():
         if len(pairs) >= 2:
             ns, errs = zip(*pairs)

@@ -257,32 +257,55 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices):
     what lets the chain cross between them, with the usual Hastings
     correction.  Each coordinate consumes its own counter-based stream,
     so results do not depend on how coordinates are grouped into blocks.
+
+    Everything that depends only on a chain's random stream is computed
+    up front, one chain at a time, into (step, chain) arrays: the normal
+    increments, log(u_acc), the jump and big-step masks and the
+    independence proposals.  Each step then reads contiguous rows.  The
+    kept draws are written as (draw, chain) and returned transposed, as a
+    (chain, draw) view.
     """
     xs = np.asarray(xs, dtype=float)
     k = len(xs)
     total = draws + burn_in
-    z = np.empty((k, total))
-    u_acc = np.empty((k, total))
-    u_mix = np.empty((k, total))
-    u_jump = np.empty((k, total))
+    sig_log = np.asarray(log_scales, dtype=float)
+    sig = np.exp(sig_log)
+    like_sd = 1.0 / math.sqrt(n)
+    z = np.empty((total, k))
+    log_u_acc = np.empty((total, k))
+    jump = np.empty((total, k), dtype=bool)
+    big_step = np.empty((total, k), dtype=bool)
+    ind = np.empty((total, k))
     cur = np.empty(k)
     for ci, idx in enumerate(indices):
         gen = rng.coord_generator(seed, rng.STREAM_CHAIN, idx)
         cur[ci] = gen.uniform(-2.0, 2.0)
-        z[ci] = gen.standard_normal(total)
-        u_acc[ci] = gen.random(total)
-        u_mix[ci] = gen.random(total)
-        u_jump[ci] = gen.random(total)
+        zc = gen.standard_normal(total)
+        z[:, ci] = zc
+        log_u_acc[:, ci] = np.log(gen.random(total))
+        um = gen.random(total)
+        jump[:, ci] = um < _JUMP_PROB
+        big_step[:, ci] = um < _JUMP_PROB + _BIG_STEP_PROB
+        # u_jump picks the component; rescaled it is uniform again and
+        # drives the Cauchy inverse CDF; the Gaussian reuses the normal
+        uj = gen.random(total)
+        cauchy = sig[ci] * np.tan(math.pi * (2.0 * uj - 0.5))
+        ind[:, ci] = np.where(uj < 0.5, cauchy, xs[ci] + like_sd * zc)
 
     # per-coordinate prior scales differ, so inline the target
-    sig_log = np.asarray(log_scales, dtype=float)
+    horseshoe = isinstance(tail, HorseshoeTail)
 
     def target(theta):
         lp = -0.5 * n * (xs - theta) ** 2
         ax = np.abs(theta)
-        out = np.empty(k)
         zero = ax == 0.0
-        if isinstance(tail, HorseshoeTail):
+        if not zero.any():
+            u = np.log(ax) - sig_log
+            if horseshoe:
+                return lp + tail.log_density_fast_log_abs(u)
+            return lp + tail.log_density_log_abs(u)
+        out = np.empty(k)
+        if horseshoe:
             out[zero] = np.inf
             if np.any(~zero):
                 out[~zero] = tail.log_density_fast_log_abs(
@@ -295,10 +318,8 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices):
                     np.log(ax[~zero]) - sig_log[~zero])
         return lp + out
 
-    step = np.maximum(np.exp(sig_log), 0.5 / math.sqrt(n))
+    step = np.maximum(sig, 0.5 / math.sqrt(n))
     big = np.maximum(1.0, np.abs(xs))
-    sig = np.exp(sig_log)
-    like_sd = 1.0 / math.sqrt(n)
 
     def log_envelope(theta):
         # equal-weight mixture: Cauchy(0, sigma) and N(x, 1/sqrt(n))
@@ -309,40 +330,33 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices):
 
     cur_lp = target(cur)
     cur_lq = log_envelope(cur)
-    out = np.empty((k, draws))
+    out = np.empty((draws, k))
     window_acc = np.zeros(k)
     kept = np.zeros(k)
-    for t in range(total):
-        um = u_mix[:, t]
-        jump = um < _JUMP_PROB
-        sd = np.where(um < _JUMP_PROB + _BIG_STEP_PROB, big, step)
-        walk = cur + sd * z[:, t]
-        # u_jump picks the component; rescaled it is uniform again and
-        # drives the Cauchy inverse CDF; the Gaussian reuses the normal
-        uj = u_jump[:, t]
-        cauchy = sig * np.tan(math.pi * (2.0 * uj - 0.5))
-        ind = np.where(uj < 0.5, cauchy, xs + like_sd * z[:, t])
-        prop = np.where(jump, ind, walk)
-        lp = target(prop)
-        lq = log_envelope(prop)
-        ratio = lp - cur_lp + np.where(jump, cur_lq - lq, 0.0)
-        with np.errstate(invalid="ignore"):
-            accept = np.log(u_acc[:, t]) < ratio
-        accept &= np.isfinite(ratio) | (ratio == np.inf)
-        cur = np.where(accept, prop, cur)
-        cur_lp = np.where(accept, lp, cur_lp)
-        cur_lq = np.where(accept, lq, cur_lq)
-        if t < burn_in:
-            window_acc += accept
-            if (t + 1) % _ADAPT_EVERY == 0:
-                rate = window_acc / _ADAPT_EVERY
-                step = step * np.where(
-                    rate > 0.5, 1.6, np.where(rate < 0.3, 1.0 / 1.6, 1.0))
-                window_acc[:] = 0.0
-        else:
-            kept += accept
-            out[:, t - burn_in] = cur
-    return out, kept / draws
+    with np.errstate(invalid="ignore"):
+        for t in range(total):
+            jt = jump[t]
+            sd = np.where(big_step[t], big, step)
+            prop = np.where(jt, ind[t], cur + sd * z[t])
+            lp = target(prop)
+            lq = log_envelope(prop)
+            ratio = lp - cur_lp + np.where(jt, cur_lq - lq, 0.0)
+            # NaN and -inf ratios compare False: never accepted
+            accept = log_u_acc[t] < ratio
+            cur = np.where(accept, prop, cur)
+            cur_lp = np.where(accept, lp, cur_lp)
+            cur_lq = np.where(accept, lq, cur_lq)
+            if t < burn_in:
+                window_acc += accept
+                if (t + 1) % _ADAPT_EVERY == 0:
+                    rate = window_acc / _ADAPT_EVERY
+                    step = step * np.where(
+                        rate > 0.5, 1.6, np.where(rate < 0.3, 1.0 / 1.6, 1.0))
+                    window_acc[:] = 0.0
+            else:
+                kept += accept
+                out[t - burn_in] = cur
+    return out.T, kept / draws
 
 
 def metropolis_sample(post, draws=4000, burn_in=2000, seed=0, index=0):
@@ -352,7 +366,7 @@ def metropolis_sample(post, draws=4000, burn_in=2000, seed=0, index=0):
     samples, acc = _metropolis_block(
         np.array([post.observation]), post.noise_precision,
         np.array([post.log_scale]), post.tail, draws, burn_in, seed, [index])
-    return samples[0], float(acc[0])
+    return np.ascontiguousarray(samples[0]), float(acc[0])
 
 
 # --------------------------------------------------------------------------

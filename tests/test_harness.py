@@ -117,6 +117,46 @@ def test_parallel_matches_serial(tmp_path):
     assert a == b
 
 
+def test_parallel_bands_match_serial_and_refit(tmp_path):
+    from dataclasses import replace
+
+    from heavyseries import model, posterior, signals
+
+    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
+    cfg = ExperimentConfig(
+        experiment="sobolev", priors=("cauchy-ot", "student3-ot"),
+        ns=(200.0, 2000.0), replications=2, seed=3, out_dir=out_a,
+        truncation=30, include_bands=True, draws=200, burn_in=200)
+    result = run_experiment(cfg)
+    run_experiment(replace(cfg, out_dir=out_b, parallel=2))
+    names = sorted(f for f in os.listdir(out_a)
+                   if f.startswith(("bands_", "plot_bands_")))
+    assert len(names) == 2 * len(cfg.priors) * len(cfg.ns)
+    assert sorted(f for f in os.listdir(out_b)
+                  if f.startswith(("bands_", "plot_bands_"))) == names
+    for fname in names + ["band_widths.csv"]:
+        with open(os.path.join(out_a, fname), "rb") as fh:
+            a = fh.read()
+        with open(os.path.join(out_b, fname), "rb") as fh:
+            b = fh.read()
+        assert a == b, fname
+    # the figure band is replication 0's band: a fresh Metropolis refit of
+    # that replication gives the same arrays
+    seed0 = harness._rep_seed(cfg.seed, 0)
+    truth = signals.make_truth("sobolev-cos", K=cfg.truncation)
+    for n in cfg.ns:
+        data = model.simulate(truth, n, cfg.truncation, seed=seed0)
+        for name in cfg.priors:
+            msum = posterior.fit_posterior(
+                data, make_prior(name, n=n), method="metropolis",
+                draws=cfg.draws, burn_in=cfg.burn_in, seed=seed0)
+            refit = posterior.credible_band(msum, truth.basis)
+            band = result.bands[(name, n)]
+            assert band.keys() == refit.keys()
+            for key in refit:
+                assert np.array_equal(band[key], refit[key]), (name, n, key)
+
+
 def test_seed_changes_output(tmp_path):
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     run_experiment(_small_config(out_a, seed=0))

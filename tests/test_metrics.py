@@ -59,6 +59,26 @@ def test_contraction_errors_match_single():
         assert multi[p] == metrics.contraction_error(draws, truth, p, b)
 
 
+def test_contraction_norms_blocked_bit_identical():
+    # a draw count that is not a multiple of the row block
+    frame = wavelets.WaveletFrame("symmlet-8", 256, 3)
+    b = basis.wavelet_basis(frame)
+    rows = 2 * metrics._NORM_BLOCK_ROWS + 37
+    gen = np.random.default_rng(4)
+    draws = gen.standard_cauchy(size=(256, rows))
+    truth = gen.normal(size=256)
+    ps = [1.0, 1.5, 3.0, 6.0, math.inf]
+    values = wavelets.synthesize(draws.T - truth[None, :], frame)
+    errors = metrics.contraction_errors(draws, truth, ps, b)
+    for p in ps:
+        if math.isinf(p):
+            whole = np.max(np.abs(values), axis=1)
+        else:
+            whole = np.mean(np.abs(values) ** p, axis=1) ** (1.0 / p)
+        assert np.array_equal(metrics._row_norms(values, p), whole)
+        assert errors[p] == float(whole.mean())
+
+
 def test_contraction_at_least_mean_error():
     # Jensen: mean over draws of ||f - f0|| >= ||mean(f) - f0||
     b = basis.cosine_basis()

@@ -212,6 +212,169 @@ def test_metropolis_chunk_invariance():
     assert np.array_equal(a.draws, b.draws)
 
 
+# -- Metropolis oracle: the (chain, step) sampler it replaced ---------------
+
+
+def _reference_metropolis_block(xs, n, log_scales, tail, draws, burn_in,
+                                seed, indices):
+    """The sampler as it was before its random inputs were laid out by
+    step: four (chain, step) arrays, proposals built inside the step loop.
+    Kept verbatim as the bit-for-bit oracle for `_metropolis_block`."""
+    from heavyseries import rng
+    from heavyseries.priors import HorseshoeTail
+
+    xs = np.asarray(xs, dtype=float)
+    k = len(xs)
+    total = draws + burn_in
+    z = np.empty((k, total))
+    u_acc = np.empty((k, total))
+    u_mix = np.empty((k, total))
+    u_jump = np.empty((k, total))
+    cur = np.empty(k)
+    for ci, idx in enumerate(indices):
+        gen = rng.coord_generator(seed, rng.STREAM_CHAIN, idx)
+        cur[ci] = gen.uniform(-2.0, 2.0)
+        z[ci] = gen.standard_normal(total)
+        u_acc[ci] = gen.random(total)
+        u_mix[ci] = gen.random(total)
+        u_jump[ci] = gen.random(total)
+    sig_log = np.asarray(log_scales, dtype=float)
+
+    def target(theta):
+        lp = -0.5 * n * (xs - theta) ** 2
+        ax = np.abs(theta)
+        out = np.empty(k)
+        zero = ax == 0.0
+        if isinstance(tail, HorseshoeTail):
+            out[zero] = np.inf
+            if np.any(~zero):
+                out[~zero] = tail.log_density_fast_log_abs(
+                    np.log(ax[~zero]) - sig_log[~zero])
+        else:
+            if np.any(zero):
+                out[zero] = tail.log_density(0.0)
+            if np.any(~zero):
+                out[~zero] = tail.log_density_log_abs(
+                    np.log(ax[~zero]) - sig_log[~zero])
+        return lp + out
+
+    step = np.maximum(np.exp(sig_log), 0.5 / math.sqrt(n))
+    big = np.maximum(1.0, np.abs(xs))
+    sig = np.exp(sig_log)
+    like_sd = 1.0 / math.sqrt(n)
+
+    def log_envelope(theta):
+        lc = -np.log(math.pi * sig * (1.0 + (theta / sig) ** 2))
+        ln = (-0.5 * ((theta - xs) / like_sd) ** 2
+              - math.log(like_sd) - 0.5 * math.log(2.0 * math.pi))
+        return np.logaddexp(lc, ln) + math.log(0.5)
+
+    cur_lp = target(cur)
+    cur_lq = log_envelope(cur)
+    out = np.empty((k, draws))
+    window_acc = np.zeros(k)
+    kept = np.zeros(k)
+    for t in range(total):
+        um = u_mix[:, t]
+        jump = um < posterior._JUMP_PROB
+        sd = np.where(um < posterior._JUMP_PROB + posterior._BIG_STEP_PROB,
+                      big, step)
+        walk = cur + sd * z[:, t]
+        uj = u_jump[:, t]
+        cauchy = sig * np.tan(math.pi * (2.0 * uj - 0.5))
+        ind = np.where(uj < 0.5, cauchy, xs + like_sd * z[:, t])
+        prop = np.where(jump, ind, walk)
+        lp = target(prop)
+        lq = log_envelope(prop)
+        ratio = lp - cur_lp + np.where(jump, cur_lq - lq, 0.0)
+        with np.errstate(invalid="ignore"):
+            accept = np.log(u_acc[:, t]) < ratio
+        accept &= np.isfinite(ratio) | (ratio == np.inf)
+        cur = np.where(accept, prop, cur)
+        cur_lp = np.where(accept, lp, cur_lp)
+        cur_lq = np.where(accept, lq, cur_lq)
+        if t < burn_in:
+            window_acc += accept
+            if (t + 1) % posterior._ADAPT_EVERY == 0:
+                rate = window_acc / posterior._ADAPT_EVERY
+                step = step * np.where(
+                    rate > 0.5, 1.6, np.where(rate < 0.3, 1.0 / 1.6, 1.0))
+                window_acc[:] = 0.0
+        else:
+            kept += accept
+            out[:, t - burn_in] = cur
+    return out, kept / draws
+
+
+def _chain_inputs(k, seed):
+    """Observations and log prior scales for k chains: spread-out signals,
+    scales from 1 down to far below the noise level, and every fourth
+    scale the smallest subnormal, so that Cauchy independence proposals
+    round to exactly theta = 0 while the envelope there stays finite."""
+    gen = np.random.default_rng(seed)
+    xs = gen.normal(0.0, 2.0, size=k)
+    log_scales = gen.uniform(-12.0, 0.0, size=k)
+    log_scales[::4] = math.log(5e-324)
+    return xs, log_scales
+
+
+# subnormal scales overflow theta / sigma in the envelope; that is expected
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE, GAUSSIAN],
+                         ids=lambda t: t.name)
+@pytest.mark.parametrize("chains", [1, 200])
+def test_metropolis_block_matches_reference(tail, chains):
+    xs, log_scales = _chain_inputs(chains, seed=chains)
+    if chains == 1:  # the lone chain gets an ordinary scale
+        log_scales[0] = -3.0
+    indices = np.arange(chains) * 3 + 5
+    args = (xs, 1e3, log_scales, tail, 150, 150, 7, indices)
+    draws, acc = posterior._metropolis_block(*args)
+    ref_draws, ref_acc = _reference_metropolis_block(*args)
+    assert np.array_equal(draws, ref_draws)
+    assert np.array_equal(acc, ref_acc)
+
+
+def _reference_fit_draws(data, prior, draws, burn_in, seed, chunk=1024):
+    log_s, active, stream_idx = posterior._coordinate_layout(data, prior)
+    draw_mat = np.zeros((data.truncation, draws))
+    acc = np.zeros(data.truncation)
+    act_idx = np.flatnonzero(active)
+    for start in range(0, len(act_idx), chunk):
+        sel = act_idx[start:start + chunk]
+        draw_mat[sel], acc[sel] = _reference_metropolis_block(
+            data.observations[sel], data.noise_precision, log_s[sel],
+            prior.tail, draws, burn_in, seed, stream_idx[sel])
+    return draw_mat, acc[active]
+
+
+@pytest.mark.parametrize("K,prior", [
+    (1100, PriorSpec(CAUCHY, OTScaling(0.5))),  # two chunks of chains
+    (30, PriorSpec(HORSESHOE, ConstantTruncatedScaling(1e-3, 12))),
+], ids=["two-chunks", "truncated"])
+def test_fit_metropolis_matches_reference(K, prior):
+    truth = signals.truth_sobolev_cos(K)
+    data = model.simulate(truth, 1e3, K, seed=4)
+    summary = fit_posterior(data, prior, method="metropolis", draws=60,
+                            burn_in=100, seed=9)
+    ref_draws, ref_acc = _reference_fit_draws(data, prior, 60, 100, 9)
+    assert np.array_equal(summary.draws, ref_draws)
+    assert summary.diagnostics["acceptance_mean"] == float(ref_acc.mean())
+    assert summary.diagnostics["acceptance_min"] == float(ref_acc.min())
+
+
+def test_metropolis_sample_returns_contiguous_draws():
+    p = _post(1.5, 100.0, 0.1, CAUCHY)
+    draws, acc = metropolis_sample(p, draws=120, burn_in=80, seed=5,
+                                   index=3)
+    ref_draws, ref_acc = _reference_metropolis_block(
+        [1.5], 100.0, [math.log(0.1)], CAUCHY, 120, 80, 5, [3])
+    assert draws.ndim == 1 and draws.flags.c_contiguous
+    assert np.array_equal(draws, ref_draws[0])
+    assert acc == float(ref_acc[0])
+
+
 def test_conjugate_method_matches_closed_form():
     truth, data = _sim(K=15)
     prior = PriorSpec(GAUSSIAN, OTScaling(0.5), baseline=True)
