@@ -439,7 +439,17 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
             if not active[i]:
                 continue
             p = UnivariatePosterior(x[i], n, log_s[i], prior.tail)
-            m, v, _, qs = quadrature_mean_var(p, tol=tol, quantiles=_QLEVELS)
+            try:
+                m, v, _, qs = quadrature_mean_var(p, tol=tol,
+                                                  quantiles=_QLEVELS)
+            except ConvergenceError as exc:
+                xi, ni, li = float(x[i]), float(n), float(log_s[i])
+                raise ConvergenceError(
+                    f"{exc} at coordinate {i} (x={xi!r}, n={ni!r}, "
+                    f"log_sigma={li!r}, tail={prior.tail.name})",
+                    achieved=exc.achieved, index=i, observation=xi,
+                    noise_precision=ni, log_scale=li,
+                    tail=prior.tail.name) from exc
             means[i], variances[i] = m, v
             for q in _QLEVELS:
                 quantiles[q][i] = qs[q]

@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from heavyseries import cli
+from heavyseries import cli, posterior
+from heavyseries.errors import ConvergenceError
 
 
 def _run(capsys, *argv):
@@ -123,3 +124,31 @@ def test_unknown_experiment_argparse_exit():
     with pytest.raises(SystemExit) as exc:
         cli.main(["experiment", "nope"])
     assert exc.value.code == 2
+
+
+def test_fit_convergence_error_names_coordinate(tmp_path, capsys,
+                                                monkeypatch):
+    real = posterior.quadrature_mean_var
+    calls = []
+
+    def failing(post, **kwargs):
+        calls.append(post)
+        if len(calls) == 4:  # coordinate index 3
+            raise ConvergenceError("quadrature did not reach tol=1e-06",
+                                   achieved=3e-5)
+        return real(post, **kwargs)
+
+    monkeypatch.setattr(posterior, "quadrature_mean_var", failing)
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"truth": "sobolev-cos", "truncation": 8,
+                               "n": 1000, "prior": "cauchy-ot"}))
+    code, _, err = _run(capsys, "fit", "--config", str(cfg),
+                        "--out", str(tmp_path / "fit.csv"))
+    assert code == 3
+    post = calls[3]
+    assert "convergence error" in err
+    assert "at coordinate 3 " in err
+    assert f"x={float(post.observation)!r}" in err
+    assert "n=1000.0" in err
+    assert f"log_sigma={float(post.log_scale)!r}" in err
+    assert "tail=cauchy" in err

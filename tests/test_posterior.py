@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavyseries import model, posterior, signals
-from heavyseries.errors import InvalidParameterError, StateError
+from heavyseries.errors import ConvergenceError, InvalidParameterError, StateError
 from heavyseries.posterior import (
     PosteriorSummary,
     UnivariatePosterior,
@@ -189,6 +189,32 @@ def test_fit_posterior_zero_data():
     prior = PriorSpec(CAUCHY, OTScaling(0.5))
     summary = fit_posterior(data, prior, method="quadrature")
     assert np.array_equal(summary.means, np.zeros(10))
+
+
+def test_convergence_error_names_coordinate(monkeypatch):
+    truth, data = _sim(K=10)
+    prior = PriorSpec(CAUCHY, OTScaling(0.5))
+    real = posterior.quadrature_mean_var
+
+    def failing(post, **kwargs):
+        # as at the refinement cap, for coordinate 6 only
+        if post.observation == data.observations[6]:
+            raise ConvergenceError("quadrature did not reach tol=1e-06",
+                                   achieved=3e-5)
+        return real(post, **kwargs)
+
+    monkeypatch.setattr(posterior, "quadrature_mean_var", failing)
+    with pytest.raises(ConvergenceError) as info:
+        fit_posterior(data, prior, method="quadrature")
+    exc = info.value
+    assert exc.index == 6
+    assert exc.observation == data.observations[6]
+    assert exc.noise_precision == data.noise_precision
+    assert exc.log_scale == prior.scaling.log_scale(7)
+    assert exc.tail == "cauchy"
+    assert exc.achieved == 3e-5
+    assert "at coordinate 6 " in str(exc)
+    assert f"x={float(data.observations[6])!r}" in str(exc)
 
 
 def test_truncated_coordinates_exactly_zero():

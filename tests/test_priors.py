@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,11 +112,38 @@ def test_horseshoe_near_zero_log_pole():
             > HORSESHOE.log_density_log_abs(-300.0))
 
 
+def _mp_log_horseshoe(u):
+    # log[(2 pi^3)^{-1/2} e^z E1(z)], z = e^{2u}/2, at 50 digits
+    with mpmath.workdps(50):
+        z = mpmath.exp(2 * mpmath.mpf(u)) / 2
+        return float(mpmath.log(mpmath.exp(z) * mpmath.e1(z))
+                     - mpmath.log(2 * mpmath.pi**3) / 2)
+
+
+def test_horseshoe_closed_form_matches_mpmath():
+    # the three branches meet at log z = -700 and z = 700, z = e^{2u}/2
+    us = list(np.linspace(-400.0, 400.0, 201))
+    for log_z in (-700.0, math.log(700.0)):
+        seam = (log_z + math.log(2.0)) / 2.0
+        us += [np.nextafter(seam, -np.inf), seam, np.nextafter(seam, np.inf)]
+    got = HORSESHOE.log_density_log_abs(np.array(us))
+    for u, g in zip(us, got):
+        assert abs(g - _mp_log_horseshoe(u)) <= 1e-12, u
+        assert HORSESHOE.log_density_log_abs(u) == g  # scalar path
+
+
+def test_horseshoe_spline_interpolates_closed_form_at_knots():
+    spline = HORSESHOE._ensure_spline()
+    knots = spline.x[:-1]  # the last knot is evaluated off the end interval
+    assert np.array_equal(spline(knots), HORSESHOE.log_density_log_abs(knots))
+
+
 def test_horseshoe_spline_matches_exact():
-    u = np.linspace(-79.5, 79.5, 401)
+    # dense grid whose points fall between the knots (spacing 0.005)
+    u = np.linspace(-79.99, 79.99, 400_003)
     fast = HORSESHOE.log_density_fast_log_abs(u)
     exact = HORSESHOE.log_density_log_abs(u)
-    assert np.max(np.abs(fast - exact)) < 1e-9
+    assert np.max(np.abs(fast - exact)) < 1e-11
 
 
 def test_horseshoe_pole_rejected():
