@@ -107,6 +107,10 @@ class ExperimentConfig:
             raise InvalidParameterError(f"unknown experiment {self.experiment!r}")
         if self.replications < 1:
             raise InvalidParameterError("replications must be >= 1")
+        if self.draws < 1:
+            raise InvalidParameterError("draws must be >= 1")
+        if self.burn_in < 0:
+            raise InvalidParameterError("burn_in must be >= 0")
         if len(self.ns) > 1 and np.any(np.diff(np.asarray(self.ns)) <= 0):
             raise InvalidParameterError("n grid must be strictly increasing")
         for p in self.p_primes:
@@ -190,32 +194,41 @@ def _p_label(p):
 
 
 def _single_index_cell(args):
-    """One (replication, n) cell of a single-index experiment.
+    """One replication of a single-index experiment, across all n.
 
-    Returns ({prior: {p': error}}, {prior: band width}, {prior: band}); the
-    two band dicts are empty unless bands are wanted.  The experiment keeps
-    replication 0's bands for the figures, so no fit is repeated for them.
+    Returns ({(prior, n): {p': error}}, {(prior, n): band width},
+    {(prior, n): band}); the two band dicts are empty unless bands are
+    wanted.  The experiment keeps replication 0's bands for the figures,
+    so no fit is repeated for them.  Each prior's Metropolis fits for all
+    n run as one sampler call.
     """
-    (truth_name, truncation, n, prior_names, p_primes, rep_seed, tol,
+    (truth_name, truncation, ns, prior_names, p_primes, rep_seed, tol,
      want_bands, draws, burn_in) = args
     truth = signals.make_truth(truth_name, K=truncation)
-    data = model.simulate(truth, n, truncation, seed=rep_seed)
+    datas = [model.simulate(truth, n, truncation, seed=rep_seed) for n in ns]
     f0 = model.padded_coefficients(truth, truncation)
     out = {}
+    for n, data in zip(ns, datas):
+        for name in prior_names:
+            summary = posterior.fit_posterior(data, make_prior(name, n=n),
+                                              method="quadrature", tol=tol,
+                                              seed=rep_seed)
+            out[(name, n)] = {p: metrics.lp_error(summary.means, f0, p,
+                                                  truth.basis)
+                              for p in p_primes}
     widths = {}
     bands = {}
-    for name in prior_names:
-        prior = make_prior(name, n=n)
-        summary = posterior.fit_posterior(data, prior, method="quadrature",
-                                          tol=tol, seed=rep_seed)
-        out[name] = {p: metrics.lp_error(summary.means, f0, p, truth.basis)
-                     for p in p_primes}
-        if want_bands:
-            msum = posterior.fit_posterior(data, prior, method="metropolis",
-                                           draws=draws, burn_in=burn_in,
-                                           seed=rep_seed)
-            bands[name] = posterior.credible_band(msum, truth.basis)
-            widths[name] = posterior.band_width(bands[name])
+    if want_bands:
+        for name in prior_names:
+            fits = posterior.fit_metropolis(
+                [(data, make_prior(name, n=n)) for n, data in zip(ns, datas)],
+                draws=draws, burn_in=burn_in, seed=rep_seed)
+            prior_bands = [posterior.credible_band(msum, truth.basis)
+                           for msum in fits]
+            del fits  # free this prior's draws before the next prior's fit
+            for n, band in zip(ns, prior_bands):
+                bands[(name, n)] = band
+                widths[(name, n)] = posterior.band_width(band)
     return out, widths, bands
 
 
@@ -292,26 +305,26 @@ def _single_index_experiment(config, truth_name):
     bands = {}
     band_widths = []
     per_n_error = {}
+    work = [(truth_name, config.truncation, config.ns, config.priors,
+             config.p_primes, _rep_seed(config.seed, rep),
+             config.quadrature_tol, config.include_bands, config.draws,
+             config.burn_in)
+            for rep in range(R)]
+    results = _map(work, _single_index_cell, config.parallel)
     for n in config.ns:
-        work = [(truth_name, config.truncation, n, config.priors,
-                 config.p_primes, _rep_seed(config.seed, rep),
-                 config.quadrature_tol, config.include_bands, config.draws,
-                 config.burn_in)
-                for rep in range(R)]
-        results = _map(work, _single_index_cell, config.parallel)
         for name in config.priors:
             for p in config.p_primes:
-                vals = [res[0][name][p] for res in results]
+                vals = [res[0][(name, n)][p] for res in results]
                 m, se = _aggregate(vals)
                 records.append(ErrorRecord(config.experiment, name, truth_name,
                                            n, p, MEAN_ESTIMATE, m, se, R))
                 per_n_error.setdefault((name, p), []).append((n, m))
             if config.include_bands:
-                wvals = [res[1][name] for res in results]
+                wvals = [res[1][(name, n)] for res in results]
                 wm, wse = _aggregate(wvals)
                 band_widths.append((name, n, wm, wse, R))
                 # envelope of the first replication, for the figures
-                bands[(name, n)] = results[0][2][name]
+                bands[(name, n)] = results[0][2][(name, n)]
     for (name, p), pairs in per_n_error.items():
         if len(pairs) >= 2:
             ns, errs = zip(*pairs)

@@ -246,7 +246,15 @@ _BIG_STEP_PROB = 0.2
 _JUMP_PROB = 0.2
 
 
-def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices):
+def _check_chain_lengths(draws, burn_in):
+    if draws < 1:
+        raise InvalidParameterError("draws must be >= 1")
+    if burn_in < 0:
+        raise InvalidParameterError("burn_in must be >= 0")
+
+
+def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
+                      out=None):
     """Vectorized Metropolis chains, one per coordinate.
 
     The kernel mixes three proposals: an adaptive random-walk step, an
@@ -255,48 +263,67 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices):
     observation).  When sigma << 1/sqrt(n) << |x| the posterior has
     well-separated modes near 0 and near x; the independence component is
     what lets the chain cross between them, with the usual Hastings
-    correction.  Each coordinate consumes its own counter-based stream,
-    so results do not depend on how coordinates are grouped into blocks.
+    correction.  Each chain consumes the counter-based stream of its
+    index, so results do not depend on how chains are grouped into
+    blocks.  `n` is one noise precision for all chains or one per chain.
 
-    Everything that depends only on a chain's random stream is computed
-    up front, one chain at a time, into (step, chain) arrays: the normal
-    increments, log(u_acc), the jump and big-step masks and the
-    independence proposals.  Each step then reads contiguous rows.  The
-    kept draws are written as (draw, chain) and returned transposed, as a
-    (chain, draw) view.
+    Chains with the same stream index share its random inputs, which are
+    generated once per distinct index, up front, into (step, stream)
+    arrays: one noise array holding the normal increment, or the Cauchy
+    tangent on steps that propose from the Cauchy component (a step never
+    uses both), log(u_acc), and the jump, big-step and Cauchy-component
+    masks.  For each adaptation window of `_ADAPT_EVERY` steps the rows
+    are gathered by stream index into (step, chain) arrays, from which the
+    independence proposals and the scaled walk increments of the whole
+    window are formed.  Kept draws are written as (chain, draw) into
+    `out`, or into a new array when `out` is None.
     """
     xs = np.asarray(xs, dtype=float)
     k = len(xs)
     total = draws + burn_in
     sig_log = np.asarray(log_scales, dtype=float)
     sig = np.exp(sig_log)
-    like_sd = 1.0 / math.sqrt(n)
-    z = np.empty((total, k))
-    log_u_acc = np.empty((total, k))
-    jump = np.empty((total, k), dtype=bool)
-    big_step = np.empty((total, k), dtype=bool)
-    ind = np.empty((total, k))
-    cur = np.empty(k)
-    for ci, idx in enumerate(indices):
+    # per-chain constants in scalar arithmetic, as for a single chain
+    n = np.broadcast_to(np.asarray(n, dtype=float), (k,))
+    neg_half_n = -0.5 * n
+    like_sd = np.array([1.0 / math.sqrt(v) for v in n])
+    log_like_sd = np.array([math.log(v) for v in like_sd])
+    min_step = np.array([0.5 / math.sqrt(v) for v in n])
+
+    # distinct streams in order of first use: all-distinct indices map to
+    # themselves, and their rows need no gather
+    position = {}
+    stream_of = np.array([position.setdefault(int(idx), len(position))
+                          for idx in indices], dtype=np.intp)
+    m = len(position)
+    cols = slice(None) if m == k else stream_of
+    start = np.empty(m)
+    noise = np.empty((total, m))
+    log_u_acc = np.empty((total, m))
+    jump = np.empty((total, m), dtype=bool)
+    big_step = np.empty((total, m), dtype=bool)
+    cauchy = np.empty((total, m), dtype=bool)
+    for si, idx in enumerate(position):
         gen = rng.coord_generator(seed, rng.STREAM_CHAIN, idx)
-        cur[ci] = gen.uniform(-2.0, 2.0)
+        start[si] = gen.uniform(-2.0, 2.0)
         zc = gen.standard_normal(total)
-        z[:, ci] = zc
-        log_u_acc[:, ci] = np.log(gen.random(total))
+        log_u_acc[:, si] = np.log(gen.random(total))
         um = gen.random(total)
-        jump[:, ci] = um < _JUMP_PROB
-        big_step[:, ci] = um < _JUMP_PROB + _BIG_STEP_PROB
+        jc = um < _JUMP_PROB
+        jump[:, si] = jc
+        big_step[:, si] = um < _JUMP_PROB + _BIG_STEP_PROB
         # u_jump picks the component; rescaled it is uniform again and
         # drives the Cauchy inverse CDF; the Gaussian reuses the normal
         uj = gen.random(total)
-        cauchy = sig[ci] * np.tan(math.pi * (2.0 * uj - 0.5))
-        ind[:, ci] = np.where(uj < 0.5, cauchy, xs[ci] + like_sd * zc)
+        cc = jc & (uj < 0.5)
+        cauchy[:, si] = cc
+        noise[:, si] = np.where(cc, np.tan(math.pi * (2.0 * uj - 0.5)), zc)
 
     # per-coordinate prior scales differ, so inline the target
     horseshoe = isinstance(tail, HorseshoeTail)
 
     def target(theta):
-        lp = -0.5 * n * (xs - theta) ** 2
+        lp = neg_half_n * (xs - theta) ** 2
         ax = np.abs(theta)
         zero = ax == 0.0
         if not zero.any():
@@ -318,55 +345,72 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices):
                     np.log(ax[~zero]) - sig_log[~zero])
         return lp + out
 
-    step = np.maximum(sig, 0.5 / math.sqrt(n))
+    step = np.maximum(sig, min_step)
     big = np.maximum(1.0, np.abs(xs))
 
     def log_envelope(theta):
         # equal-weight mixture: Cauchy(0, sigma) and N(x, 1/sqrt(n))
         lc = -np.log(math.pi * sig * (1.0 + (theta / sig) ** 2))
         ln = (-0.5 * ((theta - xs) / like_sd) ** 2
-              - math.log(like_sd) - 0.5 * math.log(2.0 * math.pi))
+              - log_like_sd - 0.5 * math.log(2.0 * math.pi))
         return np.logaddexp(lc, ln) + math.log(0.5)
 
+    cur = start[stream_of]
     cur_lp = target(cur)
     cur_lq = log_envelope(cur)
-    out = np.empty((draws, k))
+    if out is None:
+        out = np.empty((k, draws))
+    kept_rows = np.empty((_ADAPT_EVERY, k))
     window_acc = np.zeros(k)
     kept = np.zeros(k)
+    # one batch per adaptation window, so the step size is fixed within a
+    # batch; batches never straddle the end of burn-in
+    batches = [(t0, min(t0 + _ADAPT_EVERY, burn_in))
+               for t0 in range(0, burn_in, _ADAPT_EVERY)]
+    batches += [(t0, min(t0 + _ADAPT_EVERY, total))
+                for t0 in range(burn_in, total, _ADAPT_EVERY)]
     with np.errstate(invalid="ignore"):
-        for t in range(total):
-            jt = jump[t]
-            sd = np.where(big_step[t], big, step)
-            prop = np.where(jt, ind[t], cur + sd * z[t])
-            lp = target(prop)
-            lq = log_envelope(prop)
-            ratio = lp - cur_lp + np.where(jt, cur_lq - lq, 0.0)
-            # NaN and -inf ratios compare False: never accepted
-            accept = log_u_acc[t] < ratio
-            cur = np.where(accept, prop, cur)
-            cur_lp = np.where(accept, lp, cur_lp)
-            cur_lq = np.where(accept, lq, cur_lq)
-            if t < burn_in:
-                window_acc += accept
-                if (t + 1) % _ADAPT_EVERY == 0:
-                    rate = window_acc / _ADAPT_EVERY
-                    step = step * np.where(
-                        rate > 0.5, 1.6, np.where(rate < 0.3, 1.0 / 1.6, 1.0))
-                    window_acc[:] = 0.0
-            else:
-                kept += accept
-                out[t - burn_in] = cur
-    return out.T, kept / draws
+        for t0, t1 in batches:
+            # the proposals' chain-state-free parts, for the whole batch
+            w = noise[t0:t1, cols]
+            ind = np.where(cauchy[t0:t1, cols], sig * w, xs + like_sd * w)
+            walk = np.where(big_step[t0:t1, cols], big, step) * w
+            jump_b = jump[t0:t1, cols]
+            log_u_b = log_u_acc[t0:t1, cols]
+            burning = t0 < burn_in
+            for b in range(t1 - t0):
+                jt = jump_b[b]
+                prop = np.where(jt, ind[b], cur + walk[b])
+                lp = target(prop)
+                lq = log_envelope(prop)
+                ratio = lp - cur_lp + np.where(jt, cur_lq - lq, 0.0)
+                # NaN and -inf ratios compare False: never accepted
+                accept = log_u_b[b] < ratio
+                cur = np.where(accept, prop, cur)
+                cur_lp = np.where(accept, lp, cur_lp)
+                cur_lq = np.where(accept, lq, cur_lq)
+                if burning:
+                    window_acc += accept
+                else:
+                    kept += accept
+                    kept_rows[b] = cur
+            if not burning:
+                out[:, t0 - burn_in:t1 - burn_in] = kept_rows[:t1 - t0].T
+            elif t1 % _ADAPT_EVERY == 0:
+                rate = window_acc / _ADAPT_EVERY
+                step = step * np.where(
+                    rate > 0.5, 1.6, np.where(rate < 0.3, 1.0 / 1.6, 1.0))
+                window_acc[:] = 0.0
+    return out, kept / draws
 
 
 def metropolis_sample(post, draws=4000, burn_in=2000, seed=0, index=0):
     """Random-walk Metropolis draws from one univariate posterior."""
-    if draws < 1:
-        raise InvalidParameterError("draws must be >= 1")
+    _check_chain_lengths(draws, burn_in)
     samples, acc = _metropolis_block(
         np.array([post.observation]), post.noise_precision,
         np.array([post.log_scale]), post.tail, draws, burn_in, seed, [index])
-    return np.ascontiguousarray(samples[0]), float(acc[0])
+    return samples[0], float(acc[0])
 
 
 # --------------------------------------------------------------------------
@@ -424,6 +468,9 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
     variance 0 and constant-zero draws.  Output is independent of
     coordinate evaluation order.
     """
+    if method == "metropolis":
+        return fit_metropolis([(data, prior)], draws=draws, burn_in=burn_in,
+                              seed=seed, chunk=chunk)[0]
     log_s, active, stream_idx = _coordinate_layout(data, prior)
     K = data.truncation
     x = data.observations
@@ -469,28 +516,75 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
                 if active[i] and sd[i] > 0:
                     gen = rng.coord_generator(seed, rng.STREAM_CHAIN, stream_idx[i])
                     draw_mat[i] = means[i] + sd[i] * gen.standard_normal(draws)
-    elif method == "metropolis":
-        draw_mat = np.zeros((K, draws))
-        acc = np.zeros(K)
-        act_idx = np.flatnonzero(active)
-        for start in range(0, len(act_idx), chunk):
-            sel = act_idx[start:start + chunk]
-            block, a = _metropolis_block(
-                x[sel], n, log_s[sel], prior.tail, draws, burn_in, seed,
-                stream_idx[sel])
-            draw_mat[sel] = block
-            acc[sel] = a
-        means = draw_mat.mean(axis=1)
-        variances = draw_mat.var(axis=1)
-        for q in _QLEVELS:
-            quantiles[q] = np.quantile(draw_mat, q, axis=1)
-        diagnostics["acceptance_mean"] = float(acc[active].mean()) if active.any() else 0.0
-        diagnostics["acceptance_min"] = float(acc[active].min()) if active.any() else 0.0
     else:
         raise InvalidParameterError(f"unknown method {method!r}")
     return PosteriorSummary(means=means, variances=variances,
                             quantiles=quantiles, method=method,
                             diagnostics=diagnostics, draws=draw_mat)
+
+
+def _draw_moments(draw_mat):
+    """Per-row means, variances and `_QLEVELS` quantiles of draws."""
+    qs = np.quantile(draw_mat, _QLEVELS, axis=1)
+    return draw_mat.mean(axis=1), draw_mat.var(axis=1), dict(zip(_QLEVELS, qs))
+
+
+def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0, chunk=1024):
+    """Metropolis summaries for several (data, prior) pairs in one sampler.
+
+    The priors must share a tail; data sets and scalings may differ.  The
+    active coordinates of all pairs run as blocks of at most `chunk`
+    chains, and each summary equals `fit_posterior(data, prior,
+    method="metropolis", ...)` for its pair alone.  The summaries' draws
+    are row views of one matrix, which stays alive while any of them does.
+    """
+    _check_chain_lengths(draws, burn_in)
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    tail = pairs[0][1].tail
+    if any(type(prior.tail) is not type(tail) or vars(prior.tail) != vars(tail)
+           for _, prior in pairs):
+        raise InvalidParameterError("fit_metropolis needs priors with one tail")
+    layouts = [_coordinate_layout(data, prior) for data, prior in pairs]
+    bounds = np.cumsum([0] + [data.truncation for data, _ in pairs])
+    rows, xs, ns, log_s, streams = [], [], [], [], []
+    for (data, _), (ls, active, stream_idx), lo in zip(pairs, layouts, bounds):
+        act = np.flatnonzero(active)
+        rows.append(lo + act)
+        xs.append(data.observations[act])
+        ns.append(np.full(len(act), data.noise_precision))
+        log_s.append(ls[act])
+        streams.append(stream_idx[act])
+    rows, xs, ns, log_s, streams = map(np.concatenate,
+                                       (rows, xs, ns, log_s, streams))
+    draw_mat = np.zeros((bounds[-1], draws))
+    acc = np.zeros(bounds[-1])
+    for first in range(0, len(rows), chunk):
+        sel = slice(first, first + chunk)
+        r = rows[sel]
+        # contiguous rows are sampled in place
+        direct = r[-1] - r[0] + 1 == len(r)
+        block, acc[r] = _metropolis_block(
+            xs[sel], ns[sel], log_s[sel], tail, draws, burn_in, seed,
+            streams[sel], out=draw_mat[r[0]:r[-1] + 1] if direct else None)
+        if not direct:
+            draw_mat[r] = block
+        del block  # before the next block allocates its own
+    summaries = []
+    for (_, active, _), lo, hi in zip(layouts, bounds[:-1], bounds[1:]):
+        mat = draw_mat[lo:hi]
+        means, variances, quantiles = _draw_moments(mat)
+        a = acc[lo:hi][active]
+        diagnostics = {
+            "method": "metropolis",
+            "acceptance_mean": float(a.mean()) if a.size else 0.0,
+            "acceptance_min": float(a.min()) if a.size else 0.0,
+        }
+        summaries.append(PosteriorSummary(
+            means=means, variances=variances, quantiles=quantiles,
+            method="metropolis", diagnostics=diagnostics, draws=mat))
+    return summaries
 
 
 # --------------------------------------------------------------------------
@@ -519,6 +613,7 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0,
     """
     if not data.double_indexed:
         raise ShapeError("hierarchical Gaussian baseline needs wavelet data")
+    _check_chain_lengths(draws, burn_in)
     K = data.truncation
     x = data.observations
     n = data.noise_precision
@@ -557,9 +652,7 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0,
             post_sd = np.sqrt(s2 / (1.0 + n * s2))
             out[:, t - burn_in] = x * shrink + post_sd * gen.standard_normal(K)
             hyper[t - burn_in] = (math.exp(u), alpha)
-    means = out.mean(axis=1)
-    variances = out.var(axis=1)
-    quantiles = {q: np.quantile(out, q, axis=1) for q in _QLEVELS}
+    means, variances, quantiles = _draw_moments(out)
     diag = {
         "method": "gibbs",
         "acceptance_hyper": accepted / draws,

@@ -56,18 +56,25 @@ def _batch_se(draws, b):
 def test_posterior_oracle_equivalence():
     pts = _test_points()
     mdraws = 8000
+    # one sampler block per tail; chain i runs on stream i, exactly as
+    # metropolis_sample(post, seed=7, index=i) would
+    chain_draws = {}
+    for tail in dict.fromkeys(p[0] for p in pts):
+        idx = [i for i, p in enumerate(pts) if p[0] is tail]
+        block, _ = posterior._metropolis_block(
+            [pts[i][2] for i in idx], [pts[i][3] for i in idx],
+            [math.log(pts[i][1]) for i in idx], tail, mdraws, 2000, 7, idx)
+        chain_draws.update(zip(idx, block))
     for i, (tail, sigma, x, n) in enumerate(pts):
         post = posterior.UnivariatePosterior(x, n, math.log(sigma), tail)
         qm, qv, _ = posterior.quadrature_mean_var(post, tol=1e-8)
         om, _ = brute_force_mean_var(x, n, sigma, tail)
         assert abs(qm - om) <= 1e-6 * max(abs(om), 1e-3), (tail.name, sigma,
                                                            x, n, qm, om)
-        draws, _ = posterior.metropolis_sample(post, draws=mdraws,
-                                               burn_in=2000, seed=7, index=i)
+        draws = chain_draws[i]
         # the sd/sqrt(N) floor guards against batch means collapsing when
         # one mode holds nearly all the mass and the chain never leaves it
-        se = max(_batch_se(np.asarray(draws), 200),
-                 math.sqrt(max(qv, 0.0) / mdraws))
+        se = max(_batch_se(draws, 200), math.sqrt(max(qv, 0.0) / mdraws))
         assert abs(draws.mean() - qm) <= 3.0 * se + 1e-9, (tail.name, sigma,
                                                            x, n)
 

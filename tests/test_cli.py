@@ -115,6 +115,23 @@ def test_experiment_bad_key_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cmd,setting", [
+    ("experiment", {"draws": 0}),
+    ("experiment", {"burn_in": -5}),
+    ("fit", {"method": "metropolis", "truncation": 8, "draws": 0}),
+    ("fit", {"method": "metropolis", "truncation": 8, "burn_in": -5}),
+], ids=["experiment-draws", "experiment-burn-in", "fit-draws",
+        "fit-burn-in"])
+def test_invalid_chain_length_exit_code(tmp_path, capsys, cmd, setting):
+    cfg = tmp_path / "e.json"
+    cfg.write_text(json.dumps(setting))
+    argv = [cmd, "sobolev"] if cmd == "experiment" else [cmd]
+    code, _, err = _run(capsys, *argv, "--config", str(cfg),
+                        "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "error: " in err and "must be" in err
+
+
 def test_report_missing_directory(capsys):
     code, _, _ = _run(capsys, "report", "--out", "/nonexistent-dir")
     assert code == 2

@@ -42,6 +42,10 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         ExperimentConfig("sobolev", ns=(1e4, 1e3))
     with pytest.raises(InvalidParameterError):
+        ExperimentConfig("sobolev", draws=0)
+    with pytest.raises(InvalidParameterError):
+        ExperimentConfig("sobolev", burn_in=-5)
+    with pytest.raises(InvalidParameterError):
         config_from_dict({"experiment": "sobolev", "bogus_key": 1})
 
 

@@ -362,6 +362,57 @@ def test_metropolis_block_matches_reference(tail, chains):
     assert np.array_equal(acc, ref_acc)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE, GAUSSIAN],
+                         ids=lambda t: t.name)
+@pytest.mark.parametrize("supply_out", [False, True], ids=["new", "out"])
+def test_merged_block_matches_per_n_reference(tail, supply_out):
+    # one block over three noise precisions; every group reuses the same
+    # stream indices, and two chains within a group share one as well
+    ns = (1.0, 1e3, 1e6)
+    xs, log_scales = _chain_inputs(40, seed=11)
+    indices = np.arange(40) * 3 + 5
+    indices[7] = indices[2]
+    k = 3 * len(xs)
+    args = (np.tile(xs, 3), np.repeat(ns, len(xs)), np.tile(log_scales, 3),
+            tail, 120, 130, 7, np.tile(indices, 3))
+    if supply_out:
+        parent = np.full((k + 2, 120), np.nan)
+        out = parent[1:k + 1]
+        draws, acc = posterior._metropolis_block(*args, out=out)
+        assert draws is out
+        assert np.all(np.isnan(parent[[0, -1]]))
+    else:
+        draws, acc = posterior._metropolis_block(*args)
+    for g, n in enumerate(ns):
+        rows = slice(g * len(xs), (g + 1) * len(xs))
+        ref_draws, ref_acc = _reference_metropolis_block(
+            xs, n, log_scales, tail, 120, 130, 7, indices)
+        assert np.array_equal(draws[rows], ref_draws), n
+        assert np.array_equal(acc[rows], ref_acc), n
+
+
+def test_shared_streams_cut_block_memory():
+    import tracemalloc
+
+    gen = np.random.default_rng(12)
+    xs = gen.normal(0.0, 2.0, size=600)
+    log_scales = gen.uniform(-12.0, 0.0, size=600)
+    ns = np.repeat([1.0, 1e3, 1e6], 200)
+    peaks = []
+    for indices in (np.tile(np.arange(200), 3), np.arange(600)):
+        tracemalloc.start()
+        try:
+            posterior._metropolis_block(xs, ns, log_scales, STUDENT3, 600,
+                                        600, 3, indices)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the random inputs are stored once per distinct stream
+    assert peaks[0] < 0.7 * peaks[1]
+
+
 def _reference_fit_draws(data, prior, draws, burn_in, seed, chunk=1024):
     log_s, active, stream_idx = posterior._coordinate_layout(data, prior)
     draw_mat = np.zeros((data.truncation, draws))
@@ -388,6 +439,75 @@ def test_fit_metropolis_matches_reference(K, prior):
     assert np.array_equal(summary.draws, ref_draws)
     assert summary.diagnostics["acceptance_mean"] == float(ref_acc.mean())
     assert summary.diagnostics["acceptance_min"] == float(ref_acc.min())
+
+
+def _assert_same_summary(a, b):
+    assert np.array_equal(a.draws, b.draws)
+    assert np.array_equal(a.means, b.means)
+    assert np.array_equal(a.variances, b.variances)
+    assert a.quantiles.keys() == b.quantiles.keys()
+    for q in a.quantiles:
+        assert np.array_equal(a.quantiles[q], b.quantiles[q]), q
+    assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("chunk", [7, 1024])
+def test_fit_metropolis_matches_separate_fits(chunk):
+    truth = signals.truth_sobolev_cos(30)
+    pairs = [
+        (model.simulate(truth, 1e3, 30, seed=4), PriorSpec(HORSESHOE,
+                                                          OTScaling(0.5))),
+        (model.simulate(truth, 1e4, 30, seed=4),
+         PriorSpec(HORSESHOE, ConstantTruncatedScaling(1e-3, 12))),
+        (model.simulate(truth, 1e5, 30, seed=5), PriorSpec(HORSESHOE,
+                                                          OTScaling(0.5))),
+    ]
+    fits = posterior.fit_metropolis(pairs, draws=60, burn_in=100, seed=9,
+                                    chunk=chunk)
+    assert len(fits) == len(pairs)
+    for fit, (data, prior) in zip(fits, pairs):
+        alone = fit_posterior(data, prior, method="metropolis", draws=60,
+                              burn_in=100, seed=9)
+        _assert_same_summary(fit, alone)
+    assert np.all(fits[1].draws[12:] == 0.0)
+
+
+def test_fit_metropolis_rejects_mixed_tails():
+    _, data = _sim(K=5)
+    with pytest.raises(InvalidParameterError):
+        posterior.fit_metropolis([(data, PriorSpec(CAUCHY, OTScaling(0.5))),
+                                  (data, PriorSpec(STUDENT3, OTScaling(0.5)))],
+                                 draws=10, burn_in=10)
+
+
+def test_invalid_chain_lengths_rejected():
+    _, data = _sim(K=5)
+    prior = PriorSpec(CAUCHY, OTScaling(0.5))
+    p = _post(1.0, 10.0, 0.1, CAUCHY)
+    _, wavelet_data = _wavelet_data()
+    for draws, burn_in in [(0, 10), (10, -5)]:
+        with pytest.raises(InvalidParameterError):
+            fit_posterior(data, prior, method="metropolis", draws=draws,
+                          burn_in=burn_in)
+        with pytest.raises(InvalidParameterError):
+            posterior.fit_metropolis([(data, prior)], draws=draws,
+                                     burn_in=burn_in)
+        with pytest.raises(InvalidParameterError):
+            metropolis_sample(p, draws=draws, burn_in=burn_in)
+        with pytest.raises(InvalidParameterError):
+            gibbs_hierarchical_gaussian(wavelet_data, draws=draws,
+                                        burn_in=burn_in)
+
+
+@pytest.mark.parametrize("shape", [(200, 4000), (7, 13)])
+def test_draw_moments_quantiles_match_per_level_calls(shape):
+    draws = np.random.default_rng(6).standard_cauchy(size=shape)
+    means, variances, quantiles = posterior._draw_moments(draws)
+    assert tuple(quantiles) == posterior._QLEVELS
+    for q in posterior._QLEVELS:
+        assert np.array_equal(quantiles[q], np.quantile(draws, q, axis=1)), q
+    assert np.array_equal(means, draws.mean(axis=1))
+    assert np.array_equal(variances, draws.var(axis=1))
 
 
 def test_metropolis_sample_returns_contiguous_draws():
