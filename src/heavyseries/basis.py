@@ -62,6 +62,17 @@ def evaluate(basis, k, t):
     raise InvalidParameterError("evaluate applies to single-indexed bases")
 
 
+def design(basis, t, count):
+    """Matrix of phi_k(t_i), rows i over t, columns k = 1..count, for the
+    single-indexed bases."""
+    k = np.arange(1, count + 1)
+    if basis.kind == COSINE:
+        return np.sqrt(2.0) * np.cos(np.pi * np.outer(t, k - 0.5))
+    if basis.kind == SINE:
+        return np.sqrt(2.0) * np.sin(np.pi * np.outer(t, k))
+    raise InvalidParameterError("design applies to single-indexed bases")
+
+
 def grid(basis, m):
     """Evaluation grid with m points.
 
@@ -87,13 +98,7 @@ def synthesize(coefficients, basis, m):
                 f"wavelet basis requires m == {frame.signal_length}, got {m}"
             )
         return wavelets.synthesize(coefficients, frame)
-    t = grid(basis, m)
-    k = np.arange(1, len(coefficients) + 1)
-    if basis.kind == COSINE:
-        design = np.sqrt(2.0) * np.cos(np.pi * np.outer(t, k - 0.5))
-    else:
-        design = np.sqrt(2.0) * np.sin(np.pi * np.outer(t, k))
-    return design @ coefficients
+    return design(basis, grid(basis, m), len(coefficients)) @ coefficients
 
 
 def analyze_samples(samples, basis):

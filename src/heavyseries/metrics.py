@@ -79,12 +79,8 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
 
                 values = wavelets.synthesize(diff, basis.frame)
             else:
-                grid = basis_mod.grid(basis, m)
-                k = np.arange(1, draws.shape[0] + 1)
-                if basis.kind == basis_mod.COSINE:
-                    design = np.sqrt(2.0) * np.cos(np.pi * np.outer(grid, k - 0.5))
-                else:
-                    design = np.sqrt(2.0) * np.sin(np.pi * np.outer(grid, k))
+                design = basis_mod.design(basis, basis_mod.grid(basis, m),
+                                          draws.shape[0])
                 values = diff @ design.T
         out[p_prime] = float(_row_norms(values, p_prime).mean())
     return out

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from . import rng
+from . import rng, wavelets
 from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
 from .priors import (
     ConstantTruncatedScaling,
@@ -98,6 +98,17 @@ def _tail_quantile(tail, eps):
 
 _LIKE_OFFSETS = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0])
 _WINDOW = 12.0
+# 2^-m for the geometric refinement toward 0; w * _HALVE_W[m - 1] is the
+# same product as w * 2.0**-m
+_HALVE_W = np.ldexp(1.0, -np.arange(1, 85))
+_HALVE_SIGMA = np.ldexp(1.0, -np.arange(0, 45))
+_ZERO = np.zeros(1)
+# Past this prior window the likelihood alone confines the posterior for
+# every representable n (12/sqrt(n) < 6e162), and two edges still sum to a
+# finite panel midpoint.
+_WINDOW_MAX = 1e300
+# squares of magnitudes below this stay below 1e308
+_SQUARE_MAX = 1e154
 
 
 def _panel_edges(post, eps):
@@ -107,44 +118,38 @@ def _panel_edges(post, eps):
     sigma = math.exp(min(post.log_scale, 700.0))
     w = _WINDOW / math.sqrt(n)
     lo, hi = x - w, x + w
-    T = sigma * _tail_quantile(post.tail, eps)
+    T = min(sigma * _tail_quantile(post.tail, eps), _WINDOW_MAX)
     a = min(lo, -T)
     b = max(hi, T)
-    edges = set()
-    for c in _LIKE_OFFSETS:
-        edges.add(x - c / math.sqrt(n))
-        edges.add(x + c / math.sqrt(n))
-    if isinstance(post.tail, GaussianTail) and sigma > 0:
+    offsets = _LIKE_OFFSETS / math.sqrt(n)
+    pieces = [x - offsets, x + offsets]
+    if isinstance(post.tail, GaussianTail) and 0.0 < sigma < _SQUARE_MAX:
         # the conjugate posterior concentrates at the shrunk observation,
-        # which can fall between the likelihood and prior windows
+        # which can fall between the likelihood and prior windows; past
+        # the bound it is the likelihood, whose edges are already in
         m0 = x * n * sigma**2 / (1.0 + n * sigma**2)
         sd0 = sigma / math.sqrt(1.0 + n * sigma**2)
-        for c in _LIKE_OFFSETS:
-            edges.add(m0 - c * sd0)
-            edges.add(m0 + c * sd0)
+        pieces += [m0 - _LIKE_OFFSETS * sd0, m0 + _LIKE_OFFSETS * sd0]
     # geometric refinement toward 0: resolves the prior-scale kink at
     # |theta| ~ sigma and the horseshoe log pole
     if a < 0.0 < b:
-        edges.add(0.0)
-        scales = [w * 2.0**-m for m in range(1, 85)]
+        pieces += [_ZERO, w * _HALVE_W, -(w * _HALVE_W)]
         if 0.0 < sigma < w:
-            scales += [sigma * 2.0**-m for m in range(0, 45)]
-        for s in scales:
-            if -s > a:
-                edges.add(-s)
-            if s < b:
-                edges.add(s)
-    # octave panels out to the prior window boundary
-    m = 1
-    while w * 2.0**m < max(abs(a), abs(b)):
-        for s in (-w * 2.0**m, w * 2.0**m):
-            if a < s < b:
-                edges.add(s)
-        m += 1
-    edges.add(a)
-    edges.add(b)
-    arr = np.array(sorted(e for e in edges if a <= e <= b))
-    return arr
+            pieces += [sigma * _HALVE_SIGMA, -(sigma * _HALVE_SIGMA)]
+    # octave panels out to the prior window boundary: w * 2^m (exact) for
+    # every m with w * 2^m < max(|a|, |b|), plus at most one more past it,
+    # which the window mask keeps only where it repeats a or b
+    top = max(abs(a), abs(b))
+    m_max = math.frexp(top)[1] - math.frexp(w)[1]
+    octaves = np.ldexp(w, np.arange(1, m_max + 1))
+    pieces += [-octaves, octaves, np.array([a, b])]
+    edges = np.concatenate(pieces)
+    edges = edges[(edges >= a) & (edges <= b)]
+    # sorted by argsort, not np.sort or np.unique: credible bands run
+    # argsort's code anyway, while np.sort's adds about 0.2 MB of resident
+    # library code to a run that never sorts otherwise
+    edges = edges[np.argsort(edges)]
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
 
 
 def _moments_on_edges(post, edges, order):
@@ -160,7 +165,17 @@ def _moments_on_edges(post, edges, order):
     g = wts * np.exp(logf - m)
     z = g.sum()
     mean = float(np.dot(nodes, g) / z)
-    var = float(np.dot((nodes - mean) ** 2, g) / z)
+    # nodes ascend, so the end nodes bound every squared deviation
+    if max(nodes[-1] - mean, mean - nodes[0]) < _SQUARE_MAX:
+        var = float(np.dot((nodes - mean) ** 2, g) / z)
+    else:
+        # far nodes carry no weight, but their squared deviation would
+        # overflow and inf * 0 is NaN
+        held = g > 0.0
+        var = float(np.dot((nodes[held] - mean) ** 2, g[held]) / z)
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise ConvergenceError("posterior moments not representable",
+                               achieved=None)
     log_norm = m + math.log(z)
     return mean, var, log_norm, nodes, g / z
 
@@ -168,11 +183,10 @@ def _moments_on_edges(post, edges, order):
 def _split_edges(edges, factor):
     if factor <= 1:
         return edges
-    out = [edges[0]]
-    for left, right in zip(edges[:-1], edges[1:]):
-        step = (right - left) / factor
-        out.extend(left + step * (i + 1) for i in range(factor))
-    return np.array(out)
+    left = edges[:-1]
+    step = (edges[1:] - left) / factor
+    inner = left[:, None] + step[:, None] * np.arange(1.0, factor + 1)
+    return np.concatenate((edges[:1], inner.ravel()))
 
 
 def quadrature_mean_var(post, tol=1e-8, max_refine=4, quantiles=None):
@@ -452,9 +466,8 @@ def _coordinate_layout(data, prior):
     else:
         if not data.double_indexed:
             raise ShapeError("level-indexed prior applied to single-index data")
-        levels = np.floor(np.log2(np.maximum(np.arange(K), 1))).astype(int)
-        levels[0] = -1
-        log_s = np.asarray(prior.scaling.log_scale(levels), dtype=float)
+        log_s = np.asarray(prior.scaling.log_scale(wavelets.flat_levels(K)),
+                           dtype=float)
         active = np.ones(K, dtype=bool)
         stream_idx = np.arange(K)
     return log_s, active, stream_idx
@@ -617,8 +630,7 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0,
     K = data.truncation
     x = data.observations
     n = data.noise_precision
-    levels = np.floor(np.log2(np.maximum(np.arange(K), 1))).astype(int)
-    levels[0] = -1
+    levels = wavelets.flat_levels(K)
     gen = rng.coord_generator(seed, rng.STREAM_GIBBS, 0)
     u, v = 0.0, 0.0  # tau = 1, alpha = 1
     cur_lp = _gibbs_log_marginal(x, n, levels, u, v)
@@ -685,11 +697,7 @@ def credible_band(summary, basis, m=256, level=0.95):
         curves = basis_mod.synthesize(summary.draws.T, basis, m)
     else:
         grid = basis_mod.grid(basis, m)
-        k = np.arange(1, summary.draws.shape[0] + 1)
-        if basis.kind == basis_mod.COSINE:
-            design = np.sqrt(2.0) * np.cos(np.pi * np.outer(grid, k - 0.5))
-        else:
-            design = np.sqrt(2.0) * np.sin(np.pi * np.outer(grid, k))
+        design = basis_mod.design(basis, grid, summary.draws.shape[0])
         center = design @ summary.means
         curves = (design @ summary.draws).T
     dist = np.mean((curves - center[None, :]) ** 2, axis=1)

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import CubicSpline
 
-from . import rng
+from . import rng, wavelets
 from .errors import InvalidParameterError
 
 LOG_TWO = math.log(2.0)
@@ -73,8 +73,10 @@ class TailFamily:
         underflow the double range.
         """
         u = np.asarray(log_abs_x, dtype=float)
-        out = np.empty_like(u)
         big = u > 150.0
+        if not big.any():
+            return self.log_density(np.exp(u))
+        out = np.empty_like(u)
         out[big] = self.log_density_large(u[big])
         out[~big] = self.log_density(np.exp(u[~big]))
         return out
@@ -161,9 +163,12 @@ class HorseshoeTail(TailFamily):
     z = t^2/2, with a logarithmic pole at 0 (h(t) ~ (2 pi^3)^{-1/2}
     (-2 log t + log 2 - gamma)) and Cauchy-like tails (h(t) ~ 4K/t^2).
     `log_density_log_abs` evaluates it to about 1e-13 absolute in log h.
-    The sampler path uses a cached cubic spline over log|t| on [-80, 80],
-    built lazily from the closed form; it reproduces the closed form at
-    its knots and is within 1e-12 of it between them.
+    The posterior engine (quadrature and Metropolis) uses a cached cubic
+    spline over log|t| on [-80, 80] instead, built lazily from the closed
+    form at knots 0.005 apart; it reproduces the closed form at its knots
+    and is within 1e-12 of it between them.  scipy's CubicSpline computes
+    its coefficients once; each evaluation finds its interval by direct
+    indexing of the uniform knots, bit-identical to scipy's search.
     """
 
     name = "horseshoe"
@@ -247,7 +252,8 @@ class HorseshoeTail(TailFamily):
         if cls._spline is None:
             lo, hi = cls._SPLINE_RANGE
             u = np.linspace(lo, hi, int((hi - lo) / 0.005) + 1)
-            cls._spline = CubicSpline(u, cls().log_density_log_abs(u))
+            cubic = CubicSpline(u, cls().log_density_log_abs(u))
+            cls._spline = _UniformKnotSpline(cubic.x, cubic.c)
         return cls._spline
 
     def log_density_fast_log_abs(self, log_abs_x):
@@ -256,11 +262,43 @@ class HorseshoeTail(TailFamily):
         u = np.atleast_1d(np.asarray(log_abs_x, dtype=float))
         lo, hi = self._SPLINE_RANGE
         inside = (u >= lo) & (u <= hi)
-        out = np.empty_like(u)
-        out[inside] = spline(u[inside])
-        if np.any(~inside):
+        if inside.all():
+            out = spline(u)
+        else:
+            out = np.empty_like(u)
+            out[inside] = spline(u[inside])
             out[~inside] = self.log_density_log_abs(u[~inside])
         return out if np.ndim(log_abs_x) else float(out[0])
+
+
+class _UniformKnotSpline:
+    """Piecewise cubic on equally spaced knots x, coefficients c as in
+    scipy's PPoly (c[k, i] multiplies (u - x[i])^(3-k)), for u in
+    [x[0], x[-1]].
+
+    The interval comes from the knot spacing, ⌊(u - x[0]) / h⌋, clipped
+    and then corrected by one comparison each way against the stored
+    knots, so x[i] <= u < x[i+1] with the last interval closed, as PPoly
+    finds it by search.  The cubic is summed in PPoly's order, so values
+    are bit-identical to PPoly's on the same x and c.
+    """
+
+    def __init__(self, x, c):
+        self.x = x
+        self.c = c
+        self._inv_h = (len(x) - 1) / (x[-1] - x[0])
+
+    def __call__(self, u):
+        x, c = self.x, self.c
+        last = len(x) - 2
+        i = ((u - x[0]) * self._inv_h).astype(np.intp)
+        np.clip(i, 0, last, out=i)
+        i -= u < x[i]
+        i += u >= x[i + 1]
+        np.minimum(i, last, out=i)
+        s = u - x[i]
+        ss = s * s
+        return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * ss + c[0, i] * (ss * s)
 
 
 STUDENT3 = StudentTail(3.0)
@@ -554,9 +592,7 @@ def sample_prior(spec, count, seed):
         log_s = spec.scaling.log_scale(idx)
         active = spec.scaling.active(idx)
     else:
-        levels = np.floor(np.log2(np.maximum(np.arange(count), 1))).astype(int)
-        levels[0] = -1
-        log_s = spec.scaling.log_scale(levels)
+        log_s = spec.scaling.log_scale(wavelets.flat_levels(count))
         active = np.ones(count, dtype=bool)
     zeta = np.empty(count)
     for pos in range(count):

@@ -143,6 +143,13 @@ def flat_index(j, k):
     return 2**j + k
 
 
+def flat_levels(count):
+    """Level j of each of the flat positions 0, ..., count - 1."""
+    levels = np.floor(np.log2(np.maximum(np.arange(count), 1))).astype(int)
+    levels[0] = -1
+    return levels
+
+
 def level_slice(j):
     """Slice of level j in the packed layout."""
     if j == -1:

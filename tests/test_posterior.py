@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,136 @@ def test_mean_between_zero_and_observation(x, n, log10_sigma):
     mean, _, _ = quadrature_mean_var(
         _post(x, n, 10.0**log10_sigma, STUDENT3), tol=1e-8)
     assert -1e-9 <= mean <= x + 1e-9
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
+                         ids=lambda t: t.name)
+@pytest.mark.parametrize("log_sigma", [340.0, 360.0, 600.0, 700.0, 750.0])
+def test_extreme_prior_scale_gives_likelihood_answer(tail, log_sigma):
+    # a prior this wide is flat across the likelihood N(1, 1/1000), so the
+    # posterior is the likelihood's; far panels must not turn its variance
+    # into NaN (inf * 0) nor overflow while building
+    mean, var, _, qs = quadrature_mean_var(
+        UnivariatePosterior(1.0, 1e3, log_sigma, tail), tol=1e-6,
+        quantiles=(0.05, 0.5, 0.95))
+    assert mean == pytest.approx(1.0, abs=1e-5)
+    assert var == pytest.approx(1e-3, rel=1e-5)
+    assert all(math.isfinite(q) for q in qs.values())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
+                         ids=lambda t: t.name)
+def test_unrepresentable_moments_raise(tail):
+    # variance about 1/n = 1e300: the weighted squared deviations overflow
+    with pytest.raises(ConvergenceError, match="moments not representable"):
+        quadrature_mean_var(UnivariatePosterior(1.0, 1e-300, 300.0, tail),
+                            tol=1e-6)
+
+
+# -- quadrature oracle: the panel builders it replaced -----------------------
+
+
+def _reference_panel_edges(post, eps):
+    """The panel builder as it was before it was assembled from arrays:
+    a set of Python floats.  Kept verbatim as the oracle for
+    `_panel_edges`."""
+    from heavyseries.priors import GaussianTail
+
+    x = post.observation
+    n = post.noise_precision
+    sigma = math.exp(min(post.log_scale, 700.0))
+    w = posterior._WINDOW / math.sqrt(n)
+    lo, hi = x - w, x + w
+    T = sigma * posterior._tail_quantile(post.tail, eps)
+    a = min(lo, -T)
+    b = max(hi, T)
+    edges = set()
+    for c in posterior._LIKE_OFFSETS:
+        edges.add(x - c / math.sqrt(n))
+        edges.add(x + c / math.sqrt(n))
+    if isinstance(post.tail, GaussianTail) and sigma > 0:
+        m0 = x * n * sigma**2 / (1.0 + n * sigma**2)
+        sd0 = sigma / math.sqrt(1.0 + n * sigma**2)
+        for c in posterior._LIKE_OFFSETS:
+            edges.add(m0 - c * sd0)
+            edges.add(m0 + c * sd0)
+    if a < 0.0 < b:
+        edges.add(0.0)
+        scales = [w * 2.0**-m for m in range(1, 85)]
+        if 0.0 < sigma < w:
+            scales += [sigma * 2.0**-m for m in range(0, 45)]
+        for s in scales:
+            if -s > a:
+                edges.add(-s)
+            if s < b:
+                edges.add(s)
+    m = 1
+    while w * 2.0**m < max(abs(a), abs(b)):
+        for s in (-w * 2.0**m, w * 2.0**m):
+            if a < s < b:
+                edges.add(s)
+        m += 1
+    edges.add(a)
+    edges.add(b)
+    return np.array(sorted(e for e in edges if a <= e <= b))
+
+
+def _reference_split_edges(edges, factor):
+    """The generator-based panel splitter `_split_edges` replaced."""
+    if factor <= 1:
+        return edges
+    out = [edges[0]]
+    for left, right in zip(edges[:-1], edges[1:]):
+        step = (right - left) / factor
+        out.extend(left + step * (i + 1) for i in range(factor))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
+                         ids=lambda t: t.name)
+def test_panel_edges_match_reference(tail):
+    # np.array_equal compares values: where the set and the sort keep a
+    # different one of 0.0 and -0.0, no node, weight or split edge differs
+    for x in (0.0, -0.0, -2.5, 1.0, 1e6):
+        for log_sigma in (-math.inf, -700.0, -20.0, math.log(1e-3), 0.0,
+                          30.0):
+            for n in (1e-2, 1.0, 1e3, 1e8):
+                post = UnivariatePosterior(x, n, log_sigma, tail)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    edges = posterior._panel_edges(post, 1e-8)
+                ref = _reference_panel_edges(post, 1e-8)
+                assert np.array_equal(edges, ref), (x, log_sigma, n)
+                for factor in range(1, 17):
+                    assert np.array_equal(
+                        posterior._split_edges(edges, factor),
+                        _reference_split_edges(ref, factor)), factor
+
+
+def test_quadrature_matches_reference_panels(monkeypatch):
+    posts = [_post(x, n, sigma, tail)
+             for tail in (CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN)
+             for x, n, sigma in [(0.0, 10.0, 0.1), (-1.3, 1e3, 0.05),
+                                 (5.0, 1e4, 1e-6), (0.02, 1e8, 1e-3)]]
+    levels = (0.05, 0.5, 0.95)
+    got = [quadrature_mean_var(p, tol=1e-8, quantiles=levels) for p in posts]
+    _, data = _sim(K=30)
+    truncated = PriorSpec(HORSESHOE, ConstantTruncatedScaling(1e-3, 12))
+    fit = fit_posterior(data, truncated, method="quadrature")
+    monkeypatch.setattr(posterior, "_panel_edges", _reference_panel_edges)
+    monkeypatch.setattr(posterior, "_split_edges", _reference_split_edges)
+    for p, (mean, var, log_norm, qs) in zip(posts, got):
+        r_mean, r_var, r_log_norm, r_qs = quadrature_mean_var(
+            p, tol=1e-8, quantiles=levels)
+        assert np.array_equal([mean, var, log_norm, *qs.values()],
+                              [r_mean, r_var, r_log_norm, *r_qs.values()])
+    ref = fit_posterior(data, truncated, method="quadrature")
+    assert np.array_equal(fit.means, ref.means)
+    assert np.array_equal(fit.variances, ref.variances)
+    for q in levels:
+        assert np.array_equal(fit.quantiles[q], ref.quantiles[q])
 
 
 # -- Metropolis --------------------------------------------------------------

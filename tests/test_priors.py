@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
+from scipy.interpolate import CubicSpline
 
 from heavyseries import priors
 from heavyseries.errors import InvalidParameterError
@@ -144,6 +145,21 @@ def test_horseshoe_spline_matches_exact():
     fast = HORSESHOE.log_density_fast_log_abs(u)
     exact = HORSESHOE.log_density_log_abs(u)
     assert np.max(np.abs(fast - exact)) < 1e-11
+
+
+def test_horseshoe_spline_lookup_matches_cubic_spline():
+    # the direct interval lookup against scipy's search: every knot, one
+    # ulp either side of each, both ends, and random points in between
+    spline = HORSESHOE._ensure_spline()
+    x = spline.x
+    ref = CubicSpline(x, HORSESHOE.log_density_log_abs(x))
+    u = np.concatenate([
+        x,
+        np.nextafter(x[1:], -np.inf),
+        np.nextafter(x[:-1], np.inf),
+        np.random.default_rng(0).uniform(x[0], x[-1], 2_900_000),
+    ])
+    assert np.array_equal(spline(u), ref(u))
 
 
 def test_horseshoe_pole_rejected():
