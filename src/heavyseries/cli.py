@@ -110,18 +110,12 @@ def _cmd_fit(args):
     if truth.basis.double_indexed:
         K = truth.basis.frame.signal_length
     data = model.simulate(truth, n, K, seed=seed)
-    prior_name = cfg.get("prior", "cauchy-ot")
-    method = cfg.get("method", "quadrature")
-    if prior_name == "gaussian-hierarchical":
-        summary = posterior.gibbs_hierarchical_gaussian(
-            data, draws=int(cfg.get("draws", 4000)),
-            burn_in=int(cfg.get("burn_in", 2000)), seed=seed)
-    else:
-        prior = harness.make_prior(prior_name, n=n)
-        summary = posterior.fit_posterior(
-            data, prior, method=method, draws=int(cfg.get("draws", 4000)),
-            burn_in=int(cfg.get("burn_in", 2000)), seed=seed,
-            tol=float(cfg.get("quadrature_tol", 1e-6)))
+    prior = harness.make_prior(cfg.get("prior", "cauchy-ot"), n=n)
+    summary = posterior.fit_posterior(
+        data, prior, method=cfg.get("method", "quadrature"),
+        draws=int(cfg.get("draws", 4000)),
+        burn_in=int(cfg.get("burn_in", 2000)), seed=seed,
+        tol=float(cfg.get("quadrature_tol", 1e-6)))
     text = posterior.summary_to_csv(summary, data.double_indexed)
     text += "# " + posterior.diagnostics_text(summary).replace("\n", "\n# ").rstrip("# ")
     _write(args.out, text)

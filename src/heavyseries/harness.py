@@ -9,24 +9,29 @@ Experiments
                   across alpha, showing the undersmoothing penalty
   inhomogeneous   benchmark quartet at SNR 7, heavy wavelet prior vs the
                   hierarchical Gaussian baseline vs hybrid SureShrink,
-                  L_p' errors for several p'
+                  L_p' errors and contraction errors for several p'
   sparse-besov    near-least-favorable single-level truths, truth i paired
                   with noise precision 10^{i+1}; rate elbow across p'
-  custom          everything taken from the supplied config
+  custom          everything taken from the supplied config: any number of
+                  truths, each run over every n
+
+Every experiment runs one protocol: truth groups x replications as work
+units (`_cell`), each simulating its truth at the group's n values and
+fitting every prior there; the driver averages over replications and fits
+log-log slopes wherever a series has two or more n.
 
 All outputs are flat CSV/SVG files and fully determined by the config and
-seed: reruns are byte-identical.
+seed: reruns are byte-identical, serial or parallel.
 """
 
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import basis as basis_mod
 from . import metrics, model, posterior, signals, svgplot, thresholding, wavelets
 from .errors import InvalidParameterError
 from .priors import (
@@ -99,8 +104,7 @@ class ExperimentConfig:
     include_sureshrink: Optional[bool] = None
     include_bands: Optional[bool] = None
     parallel: int = 1
-    truths: tuple = ()  # custom experiments
-    extra: dict = field(default_factory=dict)
+    truths: tuple = ()
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -134,13 +138,16 @@ def config_from_dict(d):
 
 
 _DEFAULTS = {
-    "sobolev": dict(priors=("student3-ot", "cauchy-ot", "horseshoe-ot",
+    "sobolev": dict(truths=("sobolev-cos",),
+                    priors=("student3-ot", "cauchy-ot", "horseshoe-ot",
                             "truncated-hs"),
                     ns=(1e3, 1e4, 1e5), p_primes=(2.0,), include_bands=True),
-    "undersmoothing": dict(priors=("student3-ht-0.75", "student3-ht-1.25",
+    "undersmoothing": dict(truths=("sobolev-sine",),
+                           priors=("student3-ht-0.75", "student3-ht-1.25",
                                    "student3-ht-1.75", "student3-ht-2.75"),
                            ns=(2e2, 2e3, 2e4), p_primes=(2.0,)),
-    "inhomogeneous": dict(priors=("cauchy-wavelet-ot", "gaussian-hierarchical"),
+    "inhomogeneous": dict(truths=signals.QUARTET,
+                          priors=("cauchy-wavelet-ot", "gaussian-hierarchical"),
                           ns=(1.0,),
                           p_primes=(1.0, 2.0, 3.0, 4.0, 6.0, math.inf),
                           include_sureshrink=True, include_contraction=True),
@@ -154,11 +161,8 @@ _DEFAULTS = {
 def resolve_config(config):
     """Fill in experiment-specific defaults for unset list fields."""
     d = _DEFAULTS.get(config.experiment, {})
-    updates = {}
-    if not config.priors and "priors" in d:
-        updates["priors"] = d["priors"]
-    if not config.ns and "ns" in d:
-        updates["ns"] = d["ns"]
+    updates = {key: d[key] for key in ("truths", "priors", "ns")
+               if not getattr(config, key) and key in d}
     if config.p_primes == (2.0,) and "p_primes" in d:
         updates["p_primes"] = d["p_primes"]
     for flag in ("include_sureshrink", "include_contraction", "include_bands"):
@@ -189,86 +193,106 @@ def _p_label(p):
 
 
 # --------------------------------------------------------------------------
-# Replication work units (top-level functions so process pools can run them)
+# Truth groups and the replication work unit (top-level, so process
+# pools can run it)
 # --------------------------------------------------------------------------
 
+# WaveletFrame arguments of each truth; None for the single-index truths
+_FRAMES = {"sobolev-cos": None, "sobolev-sine": None,
+           "least-favorable": ("symmlet-8", 2048, 2),
+           **dict.fromkeys(signals.QUARTET, ("symmlet-8", 2048, 5))}
 
-def _single_index_cell(args):
-    """One replication of a single-index experiment, across all n.
 
-    Returns ({(prior, n): {p': error}}, {(prior, n): band width},
-    {(prior, n): band}); the two band dicts are empty unless bands are
-    wanted.  The experiment keeps replication 0's bands for the figures,
-    so no fit is repeated for them.  Each prior's Metropolis fits for all
-    n run as one sampler call.
+class _Group(NamedTuple):
+    """One truth, run over its own n values."""
+
+    label: str  # the truth column of errors.csv; slopes.csv takes `truth`
+    truth: str
+    kwargs: dict  # for signals.make_truth, besides the frame or K
+    frame: Optional[tuple]
+    ns: tuple
+
+
+def _groups(config):
+    """The experiment's truth groups, checked against its other fields."""
+    if config.experiment == "sparse-besov":
+        if config.truths:
+            raise InvalidParameterError("sparse-besov takes no truths: it "
+                                        "pairs block i with the i-th n")
+        groups = [_Group(f"least-favorable-{i}", "least-favorable",
+                         {"block_index": i, "seed": config.seed},
+                         _FRAMES["least-favorable"], (n,))
+                  for i, n in enumerate(config.ns, start=1)]
+    elif not config.truths or not config.priors or not config.ns:
+        raise InvalidParameterError(
+            "custom experiments must set truths, priors and ns")
+    else:
+        unknown = set(config.truths) - set(_FRAMES)
+        if unknown:
+            raise InvalidParameterError(f"unknown truths {sorted(unknown)}")
+        lf = {"block_index": 1, "seed": config.seed}
+        groups = [_Group(name, name, lf if name == "least-favorable" else {},
+                         _FRAMES[name], config.ns) for name in config.truths]
+    if config.include_sureshrink and any(g.frame is None for g in groups):
+        raise InvalidParameterError("SureShrink needs wavelet truths")
+    band_ns = [n for g in groups for n in g.ns]
+    if config.include_bands and len(set(band_ns)) < len(band_ns):
+        raise InvalidParameterError("bands are written per (prior, n): "
+                                    "truths with bands need distinct n")
+    return groups
+
+
+def _cell(args):
+    """One replication of one truth group, across the group's n values.
+
+    Returns ({(name, n): {p': error}}, {(prior, n): {p': contraction
+    error}}, {(prior, n): band}), where name is a prior or "sureshrink";
+    the last two are empty unless wanted.  Each n is simulated once.  A
+    prior's fits come from `fit_posterior`; bands and contraction errors
+    take their fits' draws where those carry any (the Gibbs baseline), and
+    otherwise one `fit_metropolis` call across all n.
     """
-    (truth_name, truncation, ns, prior_names, p_primes, rep_seed, tol,
-     want_bands, draws, burn_in) = args
-    truth = signals.make_truth(truth_name, K=truncation)
-    datas = [model.simulate(truth, n, truncation, seed=rep_seed) for n in ns]
-    f0 = model.padded_coefficients(truth, truncation)
-    out = {}
-    for n, data in zip(ns, datas):
-        for name in prior_names:
-            summary = posterior.fit_posterior(data, make_prior(name, n=n),
-                                              method="quadrature", tol=tol,
-                                              seed=rep_seed)
-            out[(name, n)] = {p: metrics.lp_error(summary.means, f0, p,
-                                                  truth.basis)
-                              for p in p_primes}
-    widths = {}
-    bands = {}
-    if want_bands:
-        for name in prior_names:
-            fits = posterior.fit_metropolis(
-                [(data, make_prior(name, n=n)) for n, data in zip(ns, datas)],
-                draws=draws, burn_in=burn_in, seed=rep_seed)
-            prior_bands = [posterior.credible_band(msum, truth.basis)
-                           for msum in fits]
-            del fits  # free this prior's draws before the next prior's fit
-            for n, band in zip(ns, prior_bands):
-                bands[(name, n)] = band
-                widths[(name, n)] = posterior.band_width(band)
-    return out, widths, bands
-
-
-def _wavelet_cell(args):
-    """One (truth, replication) cell of a wavelet experiment."""
-    (truth_name, truth_kwargs, frame_args, n, prior_names, p_primes, rep_seed,
-     tol, want_contraction, want_sureshrink, draws, burn_in) = args
-    frame = wavelets.WaveletFrame(*frame_args)
-    truth = signals.make_truth(truth_name, frame=frame, **truth_kwargs)
-    data = model.simulate(truth, n, frame.signal_length, seed=rep_seed)
-    f0 = truth.coefficients
-    wav_basis = truth.basis
-    mean_err = {}
-    contraction = {}
-    for name in prior_names:
-        prior = make_prior(name, n=n)
-        if isinstance(prior.tail, GaussianTail):
-            summary = posterior.gibbs_hierarchical_gaussian(
-                data, draws=draws, burn_in=burn_in, seed=rep_seed)
-            draw_mat = summary.draws
-        else:
-            summary = posterior.fit_posterior(data, prior, method="quadrature",
-                                              tol=tol, seed=rep_seed)
-            draw_mat = None
-            if want_contraction:
-                draw_mat = posterior.fit_posterior(
-                    data, prior, method="metropolis", draws=draws,
-                    burn_in=burn_in, seed=rep_seed).draws
-        mean_err[name] = {p: metrics.lp_error(summary.means, f0, p, wav_basis)
-                          for p in p_primes}
-        if want_contraction and draw_mat is not None:
-            contraction[name] = metrics.contraction_errors(
-                draw_mat, f0, p_primes, wav_basis)
-        # free this prior's draw stack before the next prior's fit
-        del summary, draw_mat
-    if want_sureshrink:
-        est = thresholding.hybrid_sureshrink(data.observations, frame, n)
-        mean_err["sureshrink"] = {p: metrics.lp_error(est, f0, p, wav_basis)
-                                  for p in p_primes}
-    return mean_err, contraction
+    config, group, rep = args
+    seed = _rep_seed(config.seed, rep)
+    frame = None if group.frame is None else wavelets.WaveletFrame(*group.frame)
+    K = config.truncation if frame is None else frame.signal_length
+    where = {"K": K} if frame is None else {"frame": frame}
+    truth = signals.make_truth(group.truth, **group.kwargs, **where)
+    datas = [model.simulate(truth, n, K, seed=seed) for n in group.ns]
+    f0 = model.padded_coefficients(truth, K)
+    errors, contraction, bands = {}, {}, {}
+    for name in config.priors:
+        pairs = [(data, make_prior(name, n=n))
+                 for n, data in zip(group.ns, datas)]
+        fits = [posterior.fit_posterior(data, prior, draws=config.draws,
+                                        burn_in=config.burn_in, seed=seed,
+                                        tol=config.quadrature_tol)
+                for data, prior in pairs]
+        for n, fit in zip(group.ns, fits):
+            errors[(name, n)] = {p: metrics.lp_error(fit.means, f0, p,
+                                                     truth.basis)
+                                 for p in config.p_primes}
+        if config.include_bands or config.include_contraction:
+            if fits[0].draws is None:
+                fits = posterior.fit_metropolis(pairs, draws=config.draws,
+                                                burn_in=config.burn_in,
+                                                seed=seed)
+            for n, fit in zip(group.ns, fits):
+                if config.include_bands:
+                    bands[(name, n)] = posterior.credible_band(fit,
+                                                               truth.basis)
+                if config.include_contraction:
+                    contraction[(name, n)] = metrics.contraction_errors(
+                        fit.draws, f0, config.p_primes, truth.basis)
+        # free this prior's draws before the next prior's fit
+        del fits, fit
+    if config.include_sureshrink:
+        for n, data in zip(group.ns, datas):
+            est = thresholding.hybrid_sureshrink(data.observations, frame, n)
+            errors[("sureshrink", n)] = {p: metrics.lp_error(est, f0, p,
+                                                             truth.basis)
+                                         for p in config.p_primes}
+    return errors, contraction, bands
 
 
 def _map(work, fn, parallel):
@@ -279,7 +303,7 @@ def _map(work, fn, parallel):
 
 
 # --------------------------------------------------------------------------
-# Experiment drivers
+# Experiment driver
 # --------------------------------------------------------------------------
 
 
@@ -296,158 +320,55 @@ class ExperimentResult:
     slopes: list  # (prior, truth, p', error_type, slope, intercept)
     bands: dict = field(default_factory=dict)  # (prior, n) -> band dict
     band_widths: list = field(default_factory=list)
-
-
-def _single_index_experiment(config, truth_name):
-    R = config.replications
-    records = []
-    slopes = []
-    bands = {}
-    band_widths = []
-    per_n_error = {}
-    work = [(truth_name, config.truncation, config.ns, config.priors,
-             config.p_primes, _rep_seed(config.seed, rep),
-             config.quadrature_tol, config.include_bands, config.draws,
-             config.burn_in)
-            for rep in range(R)]
-    results = _map(work, _single_index_cell, config.parallel)
-    for n in config.ns:
-        for name in config.priors:
-            for p in config.p_primes:
-                vals = [res[0][(name, n)][p] for res in results]
-                m, se = _aggregate(vals)
-                records.append(ErrorRecord(config.experiment, name, truth_name,
-                                           n, p, MEAN_ESTIMATE, m, se, R))
-                per_n_error.setdefault((name, p), []).append((n, m))
-            if config.include_bands:
-                wvals = [res[1][(name, n)] for res in results]
-                wm, wse = _aggregate(wvals)
-                band_widths.append((name, n, wm, wse, R))
-                # envelope of the first replication, for the figures
-                bands[(name, n)] = results[0][2][(name, n)]
-    for (name, p), pairs in per_n_error.items():
-        if len(pairs) >= 2:
-            ns, errs = zip(*pairs)
-            slope, intercept = metrics.slope_fit(ns, errs)
-            slopes.append((name, truth_name, p, MEAN_ESTIMATE, slope, intercept))
-    return ExperimentResult(config, records, slopes, bands, band_widths)
-
-
-_QUARTET_FRAME = ("symmlet-8", 2048, 5)
-_SPARSE_FRAME = ("symmlet-8", 2048, 2)
-
-
-def _inhomogeneous_experiment(config):
-    R = config.replications
-    records = []
-    n = config.ns[0]
-    truth_names = config.truths or signals.QUARTET
-    for truth_name in truth_names:
-        work = [(truth_name, {}, _QUARTET_FRAME, n, config.priors,
-                 config.p_primes, _rep_seed(config.seed, rep),
-                 config.quadrature_tol, config.include_contraction,
-                 config.include_sureshrink, config.draws, config.burn_in)
-                for rep in range(R)]
-        results = _map(work, _wavelet_cell, config.parallel)
-        prior_names = list(config.priors)
-        if config.include_sureshrink:
-            prior_names.append("sureshrink")
-        for name in prior_names:
-            for p in config.p_primes:
-                m, se = _aggregate([res[0][name][p] for res in results])
-                records.append(ErrorRecord(config.experiment, name, truth_name,
-                                           n, p, MEAN_ESTIMATE, m, se, R))
-                if config.include_contraction and name in results[0][1]:
-                    cm, cse = _aggregate([res[1][name][p] for res in results])
-                    records.append(ErrorRecord(config.experiment, name,
-                                               truth_name, n, p, CONTRACTION,
-                                               cm, cse, R))
-    return ExperimentResult(config, records, [])
-
-
-def _sparse_besov_experiment(config):
-    R = config.replications
-    records = []
-    per_p_error = {}
-    for i, n in enumerate(config.ns, start=1):
-        truth_name = "least-favorable"
-        work = [(truth_name, {"block_index": i, "seed": config.seed},
-                 _SPARSE_FRAME, n, config.priors, config.p_primes,
-                 _rep_seed(config.seed, rep), config.quadrature_tol, False,
-                 config.include_sureshrink, config.draws, config.burn_in)
-                for rep in range(R)]
-        results = _map(work, _wavelet_cell, config.parallel)
-        prior_names = list(config.priors)
-        if config.include_sureshrink:
-            prior_names.append("sureshrink")
-        for name in prior_names:
-            for p in config.p_primes:
-                m, se = _aggregate([res[0][name][p] for res in results])
-                records.append(ErrorRecord(config.experiment, name,
-                                           f"least-favorable-{i}", n, p,
-                                           MEAN_ESTIMATE, m, se, R))
-                per_p_error.setdefault((name, p), []).append((n, m))
-    slopes = []
-    for (name, p), pairs in per_p_error.items():
-        if len(pairs) >= 2:
-            ns, errs = zip(*pairs)
-            slope, intercept = metrics.slope_fit(ns, errs)
-            slopes.append((name, "least-favorable", p, MEAN_ESTIMATE, slope,
-                           intercept))
-    return ExperimentResult(config, records, slopes)
-
-
-def _custom_experiment(config):
-    truth_names = config.truths
-    if not truth_names or not config.priors or not config.ns:
-        raise InvalidParameterError(
-            "custom experiments must set truths, priors and ns")
-    wavelet_truths = set(signals.QUARTET) | {"least-favorable"}
-    if all(t in wavelet_truths for t in truth_names):
-        records = []
-        for truth_name in truth_names:
-            for n in config.ns:
-                kwargs = {"block_index": 1, "seed": config.seed} \
-                    if truth_name == "least-favorable" else {}
-                work = [(truth_name, kwargs, _QUARTET_FRAME, n, config.priors,
-                         config.p_primes, _rep_seed(config.seed, rep),
-                         config.quadrature_tol, config.include_contraction,
-                         config.include_sureshrink, config.draws,
-                         config.burn_in)
-                        for rep in range(config.replications)]
-                results = _map(work, _wavelet_cell, config.parallel)
-                prior_names = list(config.priors)
-                if config.include_sureshrink:
-                    prior_names.append("sureshrink")
-                for name in prior_names:
-                    for p in config.p_primes:
-                        m, se = _aggregate([r[0][name][p] for r in results])
-                        records.append(ErrorRecord(
-                            config.experiment, name, truth_name, n, p,
-                            MEAN_ESTIMATE, m, se, config.replications))
-        return ExperimentResult(config, records, [])
-    if all(t in ("sobolev-cos", "sobolev-sine") for t in truth_names):
-        if len(truth_names) != 1:
-            raise InvalidParameterError(
-                "custom single-index experiments take one truth")
-        return _single_index_experiment(config, truth_names[0])
-    raise InvalidParameterError("custom truths must be all-wavelet or one "
-                                "single-index truth")
+    # (prior, truth name, p') -> [(n, mean error)]: the slopes' points
+    series: dict = field(default_factory=dict)
 
 
 def run_experiment(config):
-    """Run an experiment and write its output files; returns the result."""
+    """Run an experiment and write its output files; returns the result.
+
+    Every (truth group, replication) pair is one work unit.  Errors are
+    averaged over replications per (truth, n, prior or "sureshrink", p'),
+    and slopes are fitted wherever a (prior, truth name, p') series has two
+    or more n; the sparse-besov groups share the name least-favorable.
+    """
     config = resolve_config(config)
-    if config.experiment == "sobolev":
-        result = _single_index_experiment(config, "sobolev-cos")
-    elif config.experiment == "undersmoothing":
-        result = _single_index_experiment(config, "sobolev-sine")
-    elif config.experiment == "inhomogeneous":
-        result = _inhomogeneous_experiment(config)
-    elif config.experiment == "sparse-besov":
-        result = _sparse_besov_experiment(config)
-    else:
-        result = _custom_experiment(config)
+    groups = _groups(config)
+    R = config.replications
+    results = _map([(config, g, rep) for g in groups for rep in range(R)],
+                   _cell, config.parallel)
+    names = list(config.priors)
+    if config.include_sureshrink:
+        names.append("sureshrink")
+    result = ExperimentResult(config, [], [])
+    for gi, g in enumerate(groups):
+        reps = results[gi * R:(gi + 1) * R]
+        for n in g.ns:
+            for name in names:
+                key = (name, n)
+                for p in config.p_primes:
+                    m, se = _aggregate([r[0][key][p] for r in reps])
+                    result.records.append(ErrorRecord(
+                        config.experiment, name, g.label, n, p, MEAN_ESTIMATE,
+                        m, se, R))
+                    result.series.setdefault((name, g.truth, p),
+                                             []).append((n, m))
+                    if key in reps[0][1]:
+                        cm, cse = _aggregate([r[1][key][p] for r in reps])
+                        result.records.append(ErrorRecord(
+                            config.experiment, name, g.label, n, p,
+                            CONTRACTION, cm, cse, R))
+                if key in reps[0][2]:
+                    wm, wse = _aggregate([posterior.band_width(r[2][key])
+                                          for r in reps])
+                    result.band_widths.append((name, n, wm, wse, R))
+                    # replication 0's band, for the figures
+                    result.bands[key] = reps[0][2][key]
+    for (name, label, p), pairs in result.series.items():
+        if len(pairs) >= 2:
+            slope, intercept = metrics.slope_fit(*zip(*pairs))
+            result.slopes.append((name, label, p, MEAN_ESTIMATE, slope,
+                                  intercept))
     write_outputs(result)
     return result
 
@@ -495,18 +416,15 @@ def _error_plot(result):
     chart = svgplot.LineChart(
         title=f"{config.experiment}: replication-averaged errors",
         xlabel="n", ylabel="error", logx=True, logy=True)
-    series = {}
-    for r in result.records:
-        if r.error_type != MEAN_ESTIMATE:
-            continue
-        key = (r.prior, r.p_prime)
-        series.setdefault(key, []).append((r.n, r.mean))
-    for (name, p), pts in sorted(series.items()):
+    several_truths = len({label for _, label, _ in result.series}) > 1
+    for (name, label, p), pts in sorted(result.series.items()):
         pts = sorted(pts)
         if len(pts) < 2:
             continue
-        label = name if len(config.p_primes) == 1 else f"{name} p'={_p_label(p)}"
-        chart.add_series([x for x, _ in pts], [y for _, y in pts], label)
+        text = f"{name} {label}" if several_truths else name
+        if len(config.p_primes) > 1:
+            text += f" p'={_p_label(p)}"
+        chart.add_series([x for x, _ in pts], [y for _, y in pts], text)
     return chart.render()
 
 
@@ -537,8 +455,7 @@ def write_outputs(result):
             fh.write(band_csv(band, prior, n))
         with open(os.path.join(out, f"plot_{stem}.svg"), "w") as fh:
             fh.write(_band_plot(result, prior, n))
-    plottable = {r.n for r in result.records if r.error_type == MEAN_ESTIMATE}
-    if len(plottable) >= 2:
+    if any(len(pts) >= 2 for pts in result.series.values()):
         with open(os.path.join(out, f"plot_{config.experiment}_errors.svg"),
                   "w") as fh:
             fh.write(_error_plot(result))

@@ -105,11 +105,6 @@ def _row_norms(values, p_prime):
     return norms
 
 
-def contraction_error(draws, truth_coeffs, p_prime, basis, m=DEFAULT_GRID):
-    """Single-norm convenience wrapper around contraction_errors."""
-    return contraction_errors(draws, truth_coeffs, [p_prime], basis, m)[p_prime]
-
-
 def slope_fit(ns, errors):
     """Least-squares slope of log(error) against log(n).
 

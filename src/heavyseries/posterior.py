@@ -26,14 +26,7 @@ from scipy import special
 
 from . import rng, wavelets
 from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
-from .priors import (
-    ConstantTruncatedScaling,
-    GaussianHierarchicalScaling,
-    GaussianTail,
-    HorseshoeTail,
-    PriorSpec,
-    StudentTail,
-)
+from .priors import GaussianHierarchicalScaling, GaussianTail, HorseshoeTail
 
 _GL_CACHE = {}
 
@@ -62,31 +55,33 @@ class UnivariatePosterior:
             raise InvalidParameterError("log_scale must be finite or -inf")
 
 
-def _log_prior(theta, log_scale, tail):
-    """log [h(theta/sigma)/sigma], safely for any magnitude ratio."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty_like(theta)
+def _log_tail(theta, log_scale, tail):
+    """log h(theta/sigma), safely for any magnitude ratio; sigma =
+    exp(log_scale) is one scale or one per element of theta."""
+    horseshoe = isinstance(tail, HorseshoeTail)
+    density = (tail.log_density_fast_log_abs if horseshoe
+               else tail.log_density_log_abs)
     ax = np.abs(theta)
     zero = ax == 0.0
-    if np.any(zero):
-        if isinstance(tail, HorseshoeTail):
-            out[zero] = np.inf  # integrable pole; panel nodes avoid 0
-        else:
-            out[zero] = tail.log_density(0.0)
-    if np.any(~zero):
-        u = np.log(ax[~zero]) - log_scale
-        if isinstance(tail, HorseshoeTail):
-            out[~zero] = tail.log_density_fast_log_abs(u)
-        else:
-            out[~zero] = tail.log_density_log_abs(u)
-    return out - log_scale
+    if not zero.any():
+        return density(np.log(ax) - log_scale)
+    out = np.empty(ax.shape)
+    # the horseshoe pole is integrable; quadrature nodes avoid it
+    out[zero] = np.inf if horseshoe else tail.log_density(0.0)
+    rest = ~zero
+    if rest.any():
+        if np.ndim(log_scale):
+            log_scale = log_scale[rest]
+        out[rest] = density(np.log(ax[rest]) - log_scale)
+    return out
 
 
 def _log_posterior_unnorm(theta, post):
     x = post.observation
     n = post.noise_precision
     theta = np.asarray(theta, dtype=float)
-    return -0.5 * n * (x - theta) ** 2 + _log_prior(theta, post.log_scale, post.tail)
+    log_prior = _log_tail(theta, post.log_scale, post.tail) - post.log_scale
+    return -0.5 * n * (x - theta) ** 2 + log_prior
 
 
 def _tail_quantile(tail, eps):
@@ -158,21 +153,26 @@ def _moments_on_edges(post, edges, order):
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
     wts = (half[:, None] * gl_w[None, :]).ravel()
-    logf = _log_posterior_unnorm(nodes, post)
-    m = np.max(logf)
-    if not np.isfinite(m):
-        raise ConvergenceError("posterior mass not representable", achieved=None)
-    g = wts * np.exp(logf - m)
-    z = g.sum()
-    mean = float(np.dot(nodes, g) / z)
-    # nodes ascend, so the end nodes bound every squared deviation
-    if max(nodes[-1] - mean, mean - nodes[0]) < _SQUARE_MAX:
-        var = float(np.dot((nodes - mean) ** 2, g) / z)
-    else:
-        # far nodes carry no weight, but their squared deviation would
-        # overflow and inf * 0 is NaN
-        held = g > 0.0
-        var = float(np.dot((nodes[held] - mean) ** 2, g[held]) / z)
+    # at extreme scales far nodes overflow the likelihood term to a log
+    # density of -inf, its correct limit, and unrepresentable moments
+    # overflow their dot products; those raise ConvergenceError below
+    with np.errstate(over="ignore"):
+        logf = _log_posterior_unnorm(nodes, post)
+        m = np.max(logf)
+        if not np.isfinite(m):
+            raise ConvergenceError("posterior mass not representable",
+                                   achieved=None)
+        g = wts * np.exp(logf - m)
+        z = g.sum()
+        mean = float(np.dot(nodes, g) / z)
+        # nodes ascend, so the end nodes bound every squared deviation
+        if max(nodes[-1] - mean, mean - nodes[0]) < _SQUARE_MAX:
+            var = float(np.dot((nodes - mean) ** 2, g) / z)
+        else:
+            # far nodes carry no weight, but their squared deviation would
+            # overflow and inf * 0 is NaN
+            held = g > 0.0
+            var = float(np.dot((nodes[held] - mean) ** 2, g[held]) / z)
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise ConvergenceError("posterior moments not representable",
                                achieved=None)
@@ -333,31 +333,9 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
         cauchy[:, si] = cc
         noise[:, si] = np.where(cc, np.tan(math.pi * (2.0 * uj - 0.5)), zc)
 
-    # per-coordinate prior scales differ, so inline the target
-    horseshoe = isinstance(tail, HorseshoeTail)
-
     def target(theta):
-        lp = neg_half_n * (xs - theta) ** 2
-        ax = np.abs(theta)
-        zero = ax == 0.0
-        if not zero.any():
-            u = np.log(ax) - sig_log
-            if horseshoe:
-                return lp + tail.log_density_fast_log_abs(u)
-            return lp + tail.log_density_log_abs(u)
-        out = np.empty(k)
-        if horseshoe:
-            out[zero] = np.inf
-            if np.any(~zero):
-                out[~zero] = tail.log_density_fast_log_abs(
-                    np.log(ax[~zero]) - sig_log[~zero])
-        else:
-            if np.any(zero):
-                out[zero] = tail.log_density(0.0)
-            if np.any(~zero):
-                out[~zero] = tail.log_density_log_abs(
-                    np.log(ax[~zero]) - sig_log[~zero])
-        return lp + out
+        # the prior's -log sigma is constant per chain: it cancels in ratios
+        return neg_half_n * (xs - theta) ** 2 + _log_tail(theta, sig_log, tail)
 
     step = np.maximum(sig, min_step)
     big = np.maximum(1.0, np.abs(xs))
@@ -479,8 +457,13 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
 
     Coordinates deactivated by a truncated scaling rule get mean 0,
     variance 0 and constant-zero draws.  Output is independent of
-    coordinate evaluation order.
+    coordinate evaluation order.  A hierarchical Gaussian prior carries
+    hyperpriors on (tau, alpha), which only the Gibbs sampler fits, so it
+    goes to `gibbs_hierarchical_gaussian` whatever `method` says.
     """
+    if isinstance(prior.scaling, GaussianHierarchicalScaling):
+        return gibbs_hierarchical_gaussian(data, draws=draws, burn_in=burn_in,
+                                           seed=seed)
     if method == "metropolis":
         return fit_metropolis([(data, prior)], draws=draws, burn_in=burn_in,
                               seed=seed, chunk=chunk)[0]

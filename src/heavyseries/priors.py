@@ -395,13 +395,6 @@ class OTScaling(ScalingRule):
     def log_scale(self, k):
         return -np.log(_check_single_index(k)) ** (1.0 + self.nu)
 
-    def log_scale_real(self, x):
-        """Real-argument variant for analytic checks, x >= 1."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 1):
-            raise InvalidParameterError("real-argument OT scaling needs x >= 1")
-        return -np.log(x) ** (1.0 + self.nu)
-
     def config(self):
         return {"scaling": "ot", "nu": self.nu}
 
@@ -494,11 +487,6 @@ class GaussianHierarchicalScaling(ScalingRule):
     def config(self):
         return {"scaling": "gaussian-hierarchical", "tau": self.tau,
                 "alpha": self.alpha}
-
-
-def scaling_value(rule, idx):
-    """sigma at index idx (k >= 1, or level j >= -1 for level rules)."""
-    return np.exp(rule.log_scale(idx))
 
 
 # --------------------------------------------------------------------------

@@ -47,8 +47,3 @@ def coord_normal(seed, stream, indices):
     for pos, idx in enumerate(indices):
         out[pos] = coord_generator(seed, stream, idx).standard_normal()
     return out
-
-
-def coord_normal_block(seed, stream, index, size):
-    """A block of standard normals from a single coordinate's stream."""
-    return coord_generator(seed, stream, index).standard_normal(size)

@@ -125,8 +125,3 @@ def besov_norm(coefficients, s, p, q):
     if math.isinf(q):
         return float(np.max(terms))
     return float(np.sum(terms**q) ** (1.0 / q))
-
-
-def sobolev_ball_radius(coefficients, beta):
-    """Smallest radius R with f in the Sobolev(beta) ball of radius R."""
-    return sobolev_norm(coefficients, beta)

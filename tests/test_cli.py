@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from heavyseries import cli, posterior
+from heavyseries import cli, model, posterior
 from heavyseries.errors import ConvergenceError
 
 
@@ -169,3 +169,33 @@ def test_fit_convergence_error_names_coordinate(tmp_path, capsys,
     assert "n=1000.0" in err
     assert f"log_sigma={float(post.log_scale)!r}" in err
     assert "tail=cauchy" in err
+
+
+def test_fit_hierarchical_gaussian_prints_gibbs_summary(tmp_path, capsys):
+    settings = {"truth": "heavisine", "signal_length": 256,
+                "coarse_level": 4, "n": 4.0, "prior": "gaussian-hierarchical",
+                "draws": 30, "burn_in": 20}
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps(settings))
+    code, out, _ = _run(capsys, "fit", "--config", str(cfg), "--seed", "5")
+    assert code == 0
+    data = model.simulate(cli._make_truth(settings), 4.0, 256, seed=5)
+    ref = posterior.gibbs_hierarchical_gaussian(data, draws=30, burn_in=20,
+                                                seed=5)
+    csv = posterior.summary_to_csv(ref, double_indexed=True)
+    assert out.startswith(csv)
+    assert out[len(csv):].splitlines() == [
+        "# " + line for line in
+        posterior.diagnostics_text(ref).splitlines()]
+    assert "# method = gibbs" in out
+
+
+def test_experiment_rejects_removed_and_invalid_settings(tmp_path, capsys):
+    for settings, message in [({"extra": {}}, "unknown config keys"),
+                              ({"include_sureshrink": True}, "SureShrink")]:
+        cfg = tmp_path / "e.json"
+        cfg.write_text(json.dumps(settings))
+        code, _, err = _run(capsys, "experiment", "sobolev", "--config",
+                            str(cfg), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert message in err

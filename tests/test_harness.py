@@ -220,3 +220,167 @@ def test_errors_csv_format():
     assert lines[0].startswith("experiment,prior,truth,n,p_prime")
     assert "cauchy-ot" in lines[1]
     assert "0.25" in lines[1]
+
+
+# -- one driver for every experiment -----------------------------------------
+
+_TINY = {
+    "sobolev": dict(ns=(200.0, 2000.0), truncation=20, draws=50, burn_in=50),
+    "undersmoothing": dict(ns=(200.0, 2000.0), truncation=20),
+    "inhomogeneous": dict(truths=("bumps",), draws=20, burn_in=20),
+    "sparse-besov": dict(ns=(1e2, 1e3), p_primes=(2.0, math.inf)),
+}
+
+
+def _files(directory):
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
+@pytest.mark.parametrize("experiment", sorted(_TINY))
+def test_parallel_outputs_match_serial(tmp_path, experiment):
+    from dataclasses import replace
+
+    serial, parallel = str(tmp_path / "serial"), str(tmp_path / "parallel")
+    cfg = ExperimentConfig(experiment, replications=2, seed=1,
+                           out_dir=serial, **_TINY[experiment])
+    run_experiment(cfg)
+    run_experiment(replace(cfg, out_dir=parallel, parallel=2))
+    a, b = _files(serial), _files(parallel)
+    assert "errors.csv" in a
+    assert a.keys() == b.keys()
+    for name in a:
+        assert a[name] == b[name], name
+
+
+def _wavelet_config(tmp_path, experiment, **fields):
+    base = dict(priors=("cauchy-wavelet-ot",), ns=(1.0,), replications=1,
+                draws=20, burn_in=20, include_sureshrink=False,
+                include_contraction=False, out_dir=str(tmp_path / experiment))
+    base.update(fields)
+    return ExperimentConfig(experiment, **base)
+
+
+@pytest.mark.parametrize("experiment,fields", [
+    ("custom", dict(truths=("bumps",))),
+    ("sparse-besov", dict(ns=(1e2,))),
+    ("sobolev", dict(priors=("cauchy-ot",), ns=(1e3,), truncation=20,
+                     include_bands=False)),
+], ids=["custom-wavelet", "sparse-besov", "single-index"])
+def test_contraction_errors_are_honoured(tmp_path, experiment, fields):
+    cfg = _wavelet_config(tmp_path, experiment, include_contraction=True,
+                          p_primes=(2.0, math.inf), **fields)
+    result = run_experiment(cfg)
+    kinds = [(r.error_type, r.p_prime) for r in result.records]
+    assert kinds == [(harness.MEAN_ESTIMATE, 2.0), (harness.CONTRACTION, 2.0),
+                     (harness.MEAN_ESTIMATE, math.inf),
+                     (harness.CONTRACTION, math.inf)]
+    # Jensen: the mean draw's distance never exceeds the mean distance
+    assert result.records[1].mean >= result.records[0].mean
+
+
+def test_bands_on_wavelet_truth(tmp_path):
+    cfg = _wavelet_config(tmp_path, "inhomogeneous", truths=("bumps",),
+                          priors=("cauchy-wavelet-ot",
+                                  "gaussian-hierarchical"),
+                          include_bands=True)
+    result = run_experiment(cfg)
+    assert [row[0] for row in result.band_widths] == list(cfg.priors)
+    for name in cfg.priors:
+        band = result.bands[(name, 1.0)]
+        assert len(band["grid"]) == 2048
+        assert np.all(band["lower"] <= band["upper"])
+        assert os.path.exists(os.path.join(cfg.out_dir,
+                                           f"bands_{name}_1.csv"))
+
+
+def test_inhomogeneous_runs_every_n(tmp_path):
+    cfg = _wavelet_config(tmp_path, "inhomogeneous", truths=("bumps",),
+                          ns=(1.0, 4.0), p_primes=(4.0,))
+    result = run_experiment(cfg)
+    assert [r.n for r in result.records] == [1.0, 4.0]
+    assert [s[:3] for s in result.slopes] == [("cauchy-wavelet-ot", "bumps",
+                                               4.0)]
+    assert os.path.exists(os.path.join(cfg.out_dir,
+                                       "plot_inhomogeneous_errors.svg"))
+
+
+def test_single_index_experiments_take_truths(tmp_path):
+    fields = dict(priors=("cauchy-ot",), ns=(200.0, 2000.0), replications=2,
+                  truncation=20, include_bands=False)
+    both = run_experiment(ExperimentConfig(
+        "sobolev", truths=("sobolev-sine", "sobolev-cos"),
+        out_dir=str(tmp_path / "both"), **fields))
+    default = run_experiment(ExperimentConfig(
+        "sobolev", out_dir=str(tmp_path / "default"), **fields))
+    cos = run_experiment(ExperimentConfig(
+        "undersmoothing", truths=("sobolev-cos",),
+        out_dir=str(tmp_path / "cos"), **fields))
+    assert [r.truth for r in both.records] == (["sobolev-sine"] * 2
+                                               + ["sobolev-cos"] * 2)
+    assert [s[1] for s in both.slopes] == ["sobolev-sine", "sobolev-cos"]
+
+    def means(result, truth):
+        return [r.mean for r in result.records if r.truth == truth]
+
+    assert means(both, "sobolev-cos") == means(default, "sobolev-cos")
+    assert means(cos, "sobolev-cos") == means(default, "sobolev-cos")
+    assert means(both, "sobolev-sine") != means(both, "sobolev-cos")
+
+
+def test_custom_several_single_index_truths(tmp_path):
+    cfg = ExperimentConfig(
+        "custom", priors=("student3-ht-1.75",), ns=(100.0, 1000.0),
+        replications=1, truncation=20, out_dir=str(tmp_path / "c"),
+        truths=("sobolev-cos", "sobolev-sine"))
+    result = run_experiment(cfg)
+    assert [(r.truth, r.n) for r in result.records] == [
+        ("sobolev-cos", 100.0), ("sobolev-cos", 1000.0),
+        ("sobolev-sine", 100.0), ("sobolev-sine", 1000.0)]
+    assert len(result.slopes) == 2
+
+
+def test_custom_least_favorable_matches_sparse_besov(tmp_path):
+    # both build block 1 on the same frame and draw the same streams
+    custom = run_experiment(_wavelet_config(
+        tmp_path, "custom", truths=("least-favorable",), ns=(1e2,), seed=4,
+        p_primes=(2.0, 4.0)))
+    sparse = run_experiment(_wavelet_config(
+        tmp_path, "sparse-besov", ns=(1e2,), seed=4, p_primes=(2.0, 4.0)))
+    assert [r.truth for r in sparse.records] == ["least-favorable-1"] * 2
+    assert [r.mean for r in custom.records] == [r.mean for r in sparse.records]
+
+
+def test_truth_group_validation(tmp_path):
+    from heavyseries.errors import ShapeError
+
+    out = str(tmp_path / "v")
+    small = dict(ns=(1e3,), truncation=20, replications=1, out_dir=out)
+    # SureShrink thresholds wavelet coefficients only
+    for cfg in (ExperimentConfig("sobolev", include_sureshrink=True, **small),
+                ExperimentConfig("custom", truths=("sobolev-cos",),
+                                 priors=("cauchy-ot",),
+                                 include_sureshrink=True, **small)):
+        with pytest.raises(InvalidParameterError, match="SureShrink"):
+            run_experiment(cfg)
+    with pytest.raises(InvalidParameterError, match="unknown truth"):
+        run_experiment(ExperimentConfig("custom", truths=("bump",),
+                                        priors=("cauchy-ot",), **small))
+    with pytest.raises(InvalidParameterError, match="takes no truths"):
+        run_experiment(ExperimentConfig("sparse-besov", truths=("bumps",),
+                                        out_dir=out))
+    # band files are named by (prior, n) only
+    with pytest.raises(InvalidParameterError, match="distinct n"):
+        run_experiment(ExperimentConfig(
+            "custom", truths=("sobolev-cos", "sobolev-sine"),
+            priors=("cauchy-ot",), include_bands=True, **small))
+    # a prior whose index mode does not match the truth
+    with pytest.raises(ShapeError):
+        run_experiment(ExperimentConfig("custom", truths=("sobolev-cos",),
+                                        priors=("cauchy-wavelet-ot",),
+                                        **small))
+    with pytest.raises(InvalidParameterError, match="unknown config keys"):
+        config_from_dict({"experiment": "sobolev", "extra": {}})

@@ -56,7 +56,7 @@ def test_contraction_errors_match_single():
     ps = [1.0, 2.0, 4.0, math.inf]
     multi = metrics.contraction_errors(draws, truth, ps, b)
     for p in ps:
-        assert multi[p] == metrics.contraction_error(draws, truth, p, b)
+        assert multi[p] == metrics.contraction_errors(draws, truth, [p], b)[p]
 
 
 def test_contraction_norms_blocked_bit_identical():
@@ -85,7 +85,7 @@ def test_contraction_at_least_mean_error():
     gen = np.random.default_rng(3)
     draws = gen.normal(size=(10, 100))
     truth = gen.normal(size=10)
-    ce = metrics.contraction_error(draws, truth, 2, b)
+    ce = metrics.contraction_errors(draws, truth, [2], b)[2]
     me = metrics.lp_error(draws.mean(axis=1), truth, 2, b)
     assert ce >= me - 1e-12
 
@@ -94,7 +94,7 @@ def test_contraction_degenerate_draws():
     b = basis.cosine_basis()
     truth = np.array([1.0, -1.0])
     draws = np.tile(truth[:, None], (1, 7))
-    assert metrics.contraction_error(draws, truth, 2, b) == 0.0
+    assert metrics.contraction_errors(draws, truth, [2], b)[2] == 0.0
 
 
 def test_slope_fit_exact_power_law():

@@ -121,7 +121,7 @@ def test_mean_between_zero_and_observation(x, n, log10_sigma):
     assert -1e-9 <= mean <= x + 1e-9
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
                          ids=lambda t: t.name)
 @pytest.mark.parametrize("log_sigma", [340.0, 360.0, 600.0, 700.0, 750.0])
@@ -137,7 +137,7 @@ def test_extreme_prior_scale_gives_likelihood_answer(tail, log_sigma):
     assert all(math.isfinite(q) for q in qs.values())
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
                          ids=lambda t: t.name)
 def test_unrepresentable_moments_raise(tail):
@@ -725,6 +725,23 @@ def test_gibbs_deterministic():
     a = gibbs_hierarchical_gaussian(data, draws=50, burn_in=50, seed=1)
     b = gibbs_hierarchical_gaussian(data, draws=50, burn_in=50, seed=1)
     assert np.array_equal(a.draws, b.draws)
+
+
+@pytest.mark.parametrize("method", ["quadrature", "metropolis", "conjugate"])
+def test_fit_posterior_sends_hierarchical_gaussian_to_gibbs(method):
+    from heavyseries.harness import make_prior
+
+    _, data = _wavelet_data(seed=2)
+    fit = fit_posterior(data, make_prior("gaussian-hierarchical"),
+                        method=method, draws=30, burn_in=20, seed=3)
+    ref = gibbs_hierarchical_gaussian(data, draws=30, burn_in=20, seed=3)
+    assert fit.method == "gibbs"
+    assert fit.diagnostics == ref.diagnostics
+    assert np.array_equal(fit.draws, ref.draws)
+    assert np.array_equal(fit.means, ref.means)
+    assert np.array_equal(fit.variances, ref.variances)
+    for q in posterior._QLEVELS:
+        assert np.array_equal(fit.quantiles[q], ref.quantiles[q])
 
 
 def test_gibbs_rejects_single_index_data():

@@ -25,7 +25,6 @@ from heavyseries.priors import (
     horseshoe_sandwich_bounds,
     prior_from_config,
     sample_prior,
-    scaling_value,
 )
 
 # Horseshoe reference values from an independent numerical integration of
@@ -259,27 +258,27 @@ def test_ot_scaling_values():
     k = np.array([1, 2, 10, 1000])
     expect = -np.log(k.astype(float)) ** 1.5
     assert np.allclose(rule.log_scale(k), expect, atol=1e-14)
-    assert rule.log_scale_real(np.e) == pytest.approx(-1.0)
+    assert rule.log_scale(np.e) == pytest.approx(-1.0)
 
 
 def test_ht_scaling_values():
     rule = HTScaling(1.25)
-    assert scaling_value(rule, 4) == pytest.approx(4.0 ** -1.75)
+    assert rule.scale(4) == pytest.approx(4.0 ** -1.75)
 
 
 def test_truncated_scaling():
     rule = ConstantTruncatedScaling(0.01, 5)
-    assert scaling_value(rule, 5) == pytest.approx(0.01)
-    assert scaling_value(rule, 6) == 0.0
+    assert rule.scale(5) == pytest.approx(0.01)
+    assert rule.scale(6) == 0.0
     assert rule.active(np.array([4, 5, 6])).tolist() == [True, True, False]
 
 
 def test_level_scalings():
     wot = WaveletOTScaling(0.5)
-    assert scaling_value(wot, 4) == pytest.approx(2.0 ** -8.0)
-    assert scaling_value(wot, -1) == scaling_value(wot, 0) == 1.0
+    assert wot.scale(4) == pytest.approx(2.0 ** -8.0)
+    assert wot.scale(-1) == wot.scale(0) == 1.0
     gh = GaussianHierarchicalScaling(2.0, 1.0)
-    assert scaling_value(gh, 3) == pytest.approx(2.0 * 2.0 ** -4.5)
+    assert gh.scale(3) == pytest.approx(2.0 * 2.0 ** -4.5)
 
 
 def test_scaling_monotone_and_ot_eventually_below_ht():
@@ -339,7 +338,7 @@ def test_sample_prior_structure():
     # multiplicative structure: same zeta draws, different scaling
     unit = PriorSpec(STUDENT3, ConstantTruncatedScaling(1.0, 10**9))
     z = sample_prior(unit, 50, seed=0)
-    sig = scaling_value(OTScaling(1.0), np.arange(1, 51))
+    sig = OTScaling(1.0).scale(np.arange(1, 51))
     assert np.allclose(a, sig * z, atol=1e-14)
 
 

@@ -30,9 +30,3 @@ def test_coord_normal_order_independent():
 def test_mix_spreads_nearby_indices():
     keys = {int(rng._mix(1, i)) for i in range(1000)}
     assert len(keys) == 1000
-
-
-def test_coord_normal_block_matches_generator():
-    block = rng.coord_normal_block(3, rng.STREAM_PRIOR, 11, 5)
-    ref = rng.coord_generator(3, rng.STREAM_PRIOR, 11).standard_normal(5)
-    assert np.array_equal(block, ref)

@@ -79,7 +79,6 @@ def test_sobolev_norm():
     beta = 1.0
     expect = math.sqrt(1.0 + 4.0 * 0.25 + 9.0 * 0.0625)
     assert spaces.sobolev_norm(f, beta) == pytest.approx(expect, abs=1e-14)
-    assert spaces.sobolev_ball_radius(f, beta) == spaces.sobolev_norm(f, beta)
 
 
 def test_besov_norm_single_level():
