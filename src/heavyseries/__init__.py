@@ -14,7 +14,7 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .harness import ExperimentConfig, ErrorRecord, make_prior, run_experiment
+from .harness import ExperimentConfig, ErrorRecord, run_experiment
 from .model import SequenceData, TrueSignal, simulate
 from .posterior import (
     PosteriorSummary,
@@ -32,6 +32,7 @@ from .priors import (
     PriorSpec,
     horseshoe_log_density,
     horseshoe_sandwich_bounds,
+    make_prior,
     sample_prior,
 )
 from .signals import make_truth

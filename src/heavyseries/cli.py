@@ -19,7 +19,8 @@ import math
 import os
 import sys
 
-from . import harness, metrics, model, posterior, signals, spaces, wavelets
+from . import (basis, harness, metrics, model, posterior, priors, signals,
+               spaces, wavelets)
 from .errors import ConvergenceError, HeavySeriesError, InvalidParameterError
 
 EXIT_OK = 0
@@ -85,36 +86,34 @@ def _make_truth(cfg):
 # --------------------------------------------------------------------------
 
 
-def _cmd_simulate(args):
+def _simulated_data(args):
+    """(config, data) of the simulate and fit subcommands."""
     cfg = _merged_config(args)
     if args.seed is not None:
         cfg["seed"] = args.seed
     truth = _make_truth(cfg)
-    n = float(cfg.get("n", 100.0))
     K = int(cfg.get("truncation", len(truth.coefficients)))
     if truth.basis.double_indexed:
         K = truth.basis.frame.signal_length
-    data = model.simulate(truth, n, K, seed=int(cfg.get("seed", 0)))
+    data = model.simulate(truth, float(cfg.get("n", 100.0)), K,
+                          seed=int(cfg.get("seed", 0)))
+    return cfg, data
+
+
+def _cmd_simulate(args):
+    _, data = _simulated_data(args)
     _write(args.out, model.data_to_csv(data))
     return EXIT_OK
 
 
 def _cmd_fit(args):
-    cfg = _merged_config(args)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    seed = int(cfg.get("seed", 0))
-    truth = _make_truth(cfg)
-    n = float(cfg.get("n", 100.0))
-    K = int(cfg.get("truncation", len(truth.coefficients)))
-    if truth.basis.double_indexed:
-        K = truth.basis.frame.signal_length
-    data = model.simulate(truth, n, K, seed=seed)
-    prior = harness.make_prior(cfg.get("prior", "cauchy-ot"), n=n)
+    cfg, data = _simulated_data(args)
+    prior = priors.make_prior(cfg.get("prior", "cauchy-ot"),
+                              n=data.noise_precision)
     summary = posterior.fit_posterior(
         data, prior, method=cfg.get("method", "quadrature"),
         draws=int(cfg.get("draws", 4000)),
-        burn_in=int(cfg.get("burn_in", 2000)), seed=seed,
+        burn_in=int(cfg.get("burn_in", 2000)), seed=data.seed,
         tol=float(cfg.get("quadrature_tol", 1e-6)))
     text = posterior.summary_to_csv(summary, data.double_indexed)
     text += "# " + posterior.diagnostics_text(summary).replace("\n", "\n# ").rstrip("# ")
@@ -163,7 +162,7 @@ def _cmd_signals(args):
         default_m = (truth.basis.frame.signal_length
                      if truth.basis.double_indexed else metrics.DEFAULT_GRID)
         m = int(cfg.get("grid_points", default_m))
-        values = model.synthesize(truth.coefficients, truth.basis, m)
+        values = basis.synthesize(truth.coefficients, truth.basis, m)
         rows = [f"# truth={cfg.get('truth', 'sobolev-cos')} kind=samples",
                 "t,value"]
         for i, v in enumerate(values):

@@ -34,19 +34,7 @@ import numpy as np
 
 from . import metrics, model, posterior, signals, svgplot, thresholding, wavelets
 from .errors import InvalidParameterError
-from .priors import (
-    CAUCHY,
-    HORSESHOE,
-    ConstantTruncatedScaling,
-    GaussianHierarchicalScaling,
-    GaussianTail,
-    HTScaling,
-    OTScaling,
-    PriorSpec,
-    StudentTail,
-    WaveletOTScaling,
-    prior_from_config,
-)
+from .priors import make_prior
 
 EXPERIMENTS = ("sobolev", "undersmoothing", "inhomogeneous", "sparse-besov",
                "custom")
@@ -61,37 +49,12 @@ def _rep_seed(seed, rep):
     return seed + _REP_SEED_STRIDE * rep
 
 
-def make_prior(name, n=None):
-    """Named prior presets; n-dependent presets need the noise precision."""
-    if name == "student3-ot":
-        return PriorSpec(StudentTail(3.0), OTScaling(0.5), label=name)
-    if name == "cauchy-ot":
-        return PriorSpec(CAUCHY, OTScaling(0.5), label=name)
-    if name == "horseshoe-ot":
-        return PriorSpec(HORSESHOE, OTScaling(0.5), label=name)
-    if name == "truncated-hs":
-        if n is None:
-            raise InvalidParameterError("truncated-hs needs the precision n")
-        k_trunc = max(1, int(round(n)))
-        return PriorSpec(HORSESHOE, ConstantTruncatedScaling(1.0 / n, k_trunc),
-                         label=name)
-    if name.startswith("student3-ht-"):
-        alpha = float(name.rsplit("-", 1)[1])
-        return PriorSpec(StudentTail(3.0), HTScaling(alpha), label=name)
-    if name == "cauchy-wavelet-ot":
-        return PriorSpec(CAUCHY, WaveletOTScaling(0.5), "double", label=name)
-    if name == "gaussian-hierarchical":
-        return PriorSpec(GaussianTail(), GaussianHierarchicalScaling(),
-                         "double", label=name)
-    raise InvalidParameterError(f"unknown prior preset {name!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
     priors: tuple = ()
     ns: tuple = ()
-    p_primes: tuple = (2.0,)
+    p_primes: tuple = ()
     replications: int = 20
     seed: int = 0
     out_dir: str = "results"
@@ -163,8 +126,8 @@ def resolve_config(config):
     d = _DEFAULTS.get(config.experiment, {})
     updates = {key: d[key] for key in ("truths", "priors", "ns")
                if not getattr(config, key) and key in d}
-    if config.p_primes == (2.0,) and "p_primes" in d:
-        updates["p_primes"] = d["p_primes"]
+    if not config.p_primes:
+        updates["p_primes"] = d.get("p_primes", (2.0,))
     for flag in ("include_sureshrink", "include_contraction", "include_bands"):
         if getattr(config, flag) is None:
             updates[flag] = bool(d.get(flag, False))

@@ -8,12 +8,11 @@ simulated data set is a pure function of (truth, n, K, seed).
 """
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import basis as basis_mod
 from . import rng
 from .basis import BasisDescriptor
 from .errors import InvalidParameterError, ShapeError
@@ -87,11 +86,6 @@ def simulate(truth, noise_precision, truncation, seed):
         basis=truth.basis,
         seed=seed,
     )
-
-
-def synthesize(signal, basis, m):
-    """Function values of a coefficient sequence on an m-point grid."""
-    return basis_mod.synthesize(signal, basis, m)
 
 
 # --- CSV serialization ----------------------------------------------------

@@ -26,7 +26,7 @@ from scipy import special
 
 from . import rng, wavelets
 from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
-from .priors import GaussianHierarchicalScaling, GaussianTail, HorseshoeTail
+from .priors import GaussianHierarchicalScaling, GaussianTail
 
 _GL_CACHE = {}
 
@@ -55,32 +55,12 @@ class UnivariatePosterior:
             raise InvalidParameterError("log_scale must be finite or -inf")
 
 
-def _log_tail(theta, log_scale, tail):
-    """log h(theta/sigma), safely for any magnitude ratio; sigma =
-    exp(log_scale) is one scale or one per element of theta."""
-    horseshoe = isinstance(tail, HorseshoeTail)
-    density = (tail.log_density_fast_log_abs if horseshoe
-               else tail.log_density_log_abs)
-    ax = np.abs(theta)
-    zero = ax == 0.0
-    if not zero.any():
-        return density(np.log(ax) - log_scale)
-    out = np.empty(ax.shape)
-    # the horseshoe pole is integrable; quadrature nodes avoid it
-    out[zero] = np.inf if horseshoe else tail.log_density(0.0)
-    rest = ~zero
-    if rest.any():
-        if np.ndim(log_scale):
-            log_scale = log_scale[rest]
-        out[rest] = density(np.log(ax[rest]) - log_scale)
-    return out
-
-
 def _log_posterior_unnorm(theta, post):
     x = post.observation
     n = post.noise_precision
     theta = np.asarray(theta, dtype=float)
-    log_prior = _log_tail(theta, post.log_scale, post.tail) - post.log_scale
+    log_prior = (post.tail.log_density_scaled(theta, post.log_scale)
+                 - post.log_scale)
     return -0.5 * n * (x - theta) ** 2 + log_prior
 
 
@@ -335,7 +315,8 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
 
     def target(theta):
         # the prior's -log sigma is constant per chain: it cancels in ratios
-        return neg_half_n * (xs - theta) ** 2 + _log_tail(theta, sig_log, tail)
+        return (neg_half_n * (xs - theta) ** 2
+                + tail.log_density_scaled(theta, sig_log))
 
     step = np.maximum(sig, min_step)
     big = np.maximum(1.0, np.abs(xs))

@@ -1,4 +1,5 @@
-"""Tail families, scaling rules and assembled series priors.
+"""Tail families, scaling rules, assembled series priors and their named
+presets.
 
 A series prior draws coefficient k as f_k = sigma_k * zeta_k with zeta
 i.i.d. from a symmetric tail density h.  Heavy families certify the three
@@ -25,7 +26,7 @@ with K = (2 pi)^{-3/2}.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -44,7 +45,8 @@ _HS_K = (2.0 * math.pi) ** -1.5  # sandwich constant
 
 
 class TailFamily:
-    """Base class; subclasses provide log_density, tail_mass, sampling."""
+    """Base class; subclasses provide log_density, log_density_log_abs,
+    tail_mass and sampling."""
 
     name = "abstract"
     is_heavy = False
@@ -62,24 +64,37 @@ class TailFamily:
     def sample(self, generator, size):
         raise NotImplementedError
 
-    def log_density_large(self, log_abs_x):
-        """log h at |x| = exp(log_abs_x) for arguments too large to form."""
+    def log_density_log_abs(self, log_abs_x):
+        """log h at |x| = exp(log_abs_x), exact for any real log_abs_x,
+        where |x| itself may overflow or underflow the double range."""
         raise NotImplementedError
 
-    def log_density_log_abs(self, log_abs_x):
-        """log h at |x| = exp(log_abs_x), safe for any real log_abs_x.
+    def log_density_scaled(self, theta, log_scale):
+        """log h(theta / sigma), safely for any magnitude ratio; sigma =
+        exp(log_scale) is one scale or one per element of theta.
 
-        Used by the posterior engine where |theta|/sigma can overflow or
-        underflow the double range.
+        The posterior engine's one entry point (quadrature and
+        Metropolis).  Exact zeros take log h(0) from
+        log_density_log_abs(-inf): +inf at the horseshoe's integrable
+        pole, which quadrature nodes avoid.
         """
-        u = np.asarray(log_abs_x, dtype=float)
-        big = u > 150.0
-        if not big.any():
-            return self.log_density(np.exp(u))
-        out = np.empty_like(u)
-        out[big] = self.log_density_large(u[big])
-        out[~big] = self.log_density(np.exp(u[~big]))
+        ax = np.abs(theta)
+        zero = ax == 0.0
+        if not zero.any():
+            return self._engine_log_abs(np.log(ax) - log_scale)
+        out = np.empty(ax.shape)
+        out[zero] = self.log_density_log_abs(-np.inf)
+        rest = ~zero
+        if rest.any():
+            if np.ndim(log_scale):
+                log_scale = log_scale[rest]
+            out[rest] = self._engine_log_abs(np.log(ax[rest]) - log_scale)
         return out
+
+    def _engine_log_abs(self, log_abs_x):
+        # what log_density_scaled evaluates at nonzero theta; a tail may
+        # put a faster approximation of log_density_log_abs here
+        return self.log_density_log_abs(log_abs_x)
 
     def __repr__(self):
         return f"<tail {self.name}>"
@@ -109,10 +124,18 @@ class StudentTail(TailFamily):
         x = np.asarray(x, dtype=float)
         return self._log_norm - 0.5 * (self.df + 1) * np.log1p(x * x / self.df)
 
-    def log_density_large(self, log_abs_x):
-        return self._log_norm - (self.df + 1) * (
-            np.asarray(log_abs_x) - 0.5 * math.log(self.df)
-        )
+    def log_density_log_abs(self, log_abs_x):
+        u = np.asarray(log_abs_x, dtype=float)
+        # past |x| = e^150, log1p(x^2/df) is log(x^2/df) to double
+        # precision, and further out x * x overflows
+        big = u > 150.0
+        if not big.any():
+            return self.log_density(np.exp(u))
+        out = np.empty_like(u)
+        out[big] = self._log_norm - (self.df + 1) * (
+            u[big] - 0.5 * math.log(self.df))
+        out[~big] = self.log_density(np.exp(u[~big]))
+        return out
 
     def tail_mass(self, x):
         x = np.asarray(x, dtype=float)
@@ -140,10 +163,6 @@ class GaussianTail(TailFamily):
         x = np.asarray(x, dtype=float)
         return -0.5 * x * x - 0.5 * math.log(2 * math.pi)
 
-    def log_density_large(self, log_abs_x):
-        out = np.full_like(np.asarray(log_abs_x, dtype=float), -np.inf)
-        return out
-
     def log_density_log_abs(self, log_abs_x):
         u = np.asarray(log_abs_x, dtype=float)
         expo = np.where(u < 154.0, 2.0 * u, 308.0 * math.log(10.0))
@@ -163,7 +182,7 @@ class HorseshoeTail(TailFamily):
     z = t^2/2, with a logarithmic pole at 0 (h(t) ~ (2 pi^3)^{-1/2}
     (-2 log t + log 2 - gamma)) and Cauchy-like tails (h(t) ~ 4K/t^2).
     `log_density_log_abs` evaluates it to about 1e-13 absolute in log h.
-    The posterior engine (quadrature and Metropolis) uses a cached cubic
+    The posterior engine (`log_density_scaled`) uses a cached cubic
     spline over log|t| on [-80, 80] instead, built lazily from the closed
     form at knots 0.005 apart; it reproduces the closed form at its knots
     and is within 1e-12 of it between them.  scipy's CubicSpline computes
@@ -256,8 +275,8 @@ class HorseshoeTail(TailFamily):
             cls._spline = _UniformKnotSpline(cubic.x, cubic.c)
         return cls._spline
 
-    def log_density_fast_log_abs(self, log_abs_x):
-        """Spline-backed variant of log_density_log_abs."""
+    def _engine_log_abs(self, log_abs_x):
+        # the spline inside its range, the closed form outside
         spline = self._ensure_spline()
         u = np.atleast_1d(np.asarray(log_abs_x, dtype=float))
         lo, hi = self._SPLINE_RANGE
@@ -335,14 +354,6 @@ def horseshoe_sandwich_bounds(t, tau):
     lower = _HS_K / tau * np.log1p(4.0 * r)
     upper = 2.0 * _HS_K / tau * np.log1p(2.0 * r)
     return lower, upper
-
-
-def tail_mass(family, x):
-    """Upper tail mass int_x^inf h for x >= 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise InvalidParameterError("tail_mass is defined for x >= 0")
-    return family.tail_mass(x)
 
 
 # --------------------------------------------------------------------------
@@ -524,9 +535,6 @@ class PriorSpec:
                 self, "label", f"{self.tail.name}-{self.scaling.kind}"
             )
 
-    def log_scales(self, indices):
-        return self.scaling.log_scale(indices)
-
     def config(self):
         cfg = {"tail": self.tail.name, "index_mode": self.index_mode}
         if isinstance(self.tail, StudentTail) and self.tail.df != 1.0:
@@ -565,6 +573,41 @@ def prior_from_config(cfg):
         raise InvalidParameterError(f"unknown scaling {kind!r}")
     index_mode = cfg.get("index_mode", SINGLE)
     return PriorSpec(tail, scaling, index_mode, baseline=bool(cfg.get("baseline")))
+
+
+_STUDENT3 = {"tail": "student-3", "df": 3.0}
+_PRESETS = {
+    "student3-ot": {**_STUDENT3, "scaling": "ot", "nu": 0.5},
+    "cauchy-ot": {"tail": "cauchy", "scaling": "ot", "nu": 0.5},
+    "horseshoe-ot": {"tail": "horseshoe", "scaling": "ot", "nu": 0.5},
+    "cauchy-wavelet-ot": {"tail": "cauchy", "index_mode": DOUBLE,
+                          "scaling": "wavelet-ot", "nu": 0.5},
+    "gaussian-hierarchical": {"tail": "gaussian", "index_mode": DOUBLE,
+                              "scaling": "gaussian-hierarchical",
+                              "tau": 1.0, "alpha": 1.0},
+}
+
+
+def make_prior(name, n=None):
+    """The PriorSpec of a named preset, labelled with the preset's name.
+
+    Each preset is a prior_from_config config.  truncated-hs (the
+    horseshoe at tau = 1/n, truncated at k = n) needs the noise precision
+    n; student3-ht-<alpha> takes alpha from its name.
+    """
+    if name in _PRESETS:
+        cfg = _PRESETS[name]
+    elif name == "truncated-hs":
+        if n is None:
+            raise InvalidParameterError("truncated-hs needs the precision n")
+        cfg = {"tail": "horseshoe", "scaling": "constant-truncated",
+               "tau": 1.0 / n, "truncation": max(1, int(round(n)))}
+    elif name.startswith("student3-ht-"):
+        cfg = {**_STUDENT3, "scaling": "ht",
+               "alpha": float(name.rsplit("-", 1)[1])}
+    else:
+        raise InvalidParameterError(f"unknown prior preset {name!r}")
+    return replace(prior_from_config(cfg), label=name)
 
 
 def sample_prior(spec, count, seed):

@@ -125,9 +125,6 @@ class WaveletFrame:
     def detail_levels(self):
         return range(self.coarse_level, self.levels)
 
-    def pseudo_levels(self):
-        return range(-1, self.coarse_level)
-
     def all_levels(self):
         return range(-1, self.levels)
 

@@ -10,11 +10,15 @@ from heavyseries.harness import (
     ErrorRecord,
     ExperimentConfig,
     config_from_dict,
-    make_prior,
     resolve_config,
     run_experiment,
 )
-from heavyseries.priors import GaussianTail, HorseshoeTail, StudentTail
+from heavyseries.priors import (
+    GaussianTail,
+    HorseshoeTail,
+    StudentTail,
+    make_prior,
+)
 
 
 def test_make_prior_presets():
@@ -65,6 +69,12 @@ def test_resolve_config_defaults():
     assert cfg2.include_bands is False
     cfg3 = resolve_config(ExperimentConfig("inhomogeneous"))
     assert cfg3.include_sureshrink and cfg3.include_contraction
+    assert cfg3.p_primes == (1.0, 2.0, 3.0, 4.0, 6.0, math.inf)
+    assert cfg.p_primes == (2.0,)
+    assert resolve_config(ExperimentConfig("custom")).p_primes == (2.0,)
+    # an explicit p' = 2 is a value, not "unset"
+    cfg4 = resolve_config(ExperimentConfig("inhomogeneous", p_primes=(2.0,)))
+    assert cfg4.p_primes == (2.0,)
 
 
 def test_error_record_rejects_negative():
@@ -306,6 +316,15 @@ def test_inhomogeneous_runs_every_n(tmp_path):
                                                4.0)]
     assert os.path.exists(os.path.join(cfg.out_dir,
                                        "plot_inhomogeneous_errors.svg"))
+
+
+def test_inhomogeneous_keeps_explicit_p_prime_two(tmp_path):
+    cfg = _wavelet_config(tmp_path, "inhomogeneous", truths=("bumps",),
+                          p_primes=(2.0,))
+    run_experiment(cfg)
+    with open(os.path.join(cfg.out_dir, "errors.csv")) as fh:
+        rows = fh.read().splitlines()[1:]
+    assert rows and {row.split(",")[4] for row in rows} == {"2"}
 
 
 def test_single_index_experiments_take_truths(tmp_path):

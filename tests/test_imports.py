@@ -1,0 +1,37 @@
+"""Every name a heavyseries module imports is used in that module.
+
+`__init__.py` is left out: its imports are the package's public names.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+_PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "heavyseries"
+_MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source):
+    """(line, name) of each imported name that no expression reads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                name = alias.asname or alias.name.partition(".")[0]
+                imported.append((alias.lineno, name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_unused_import_check_finds_unused_names():
+    source = ("import os\nimport a.b\nfrom x import y as z, w\n"
+              "def f():\n    from . import q\n    return a.b(w)\n")
+    assert _unused_imports(source) == [(1, "os"), (3, "z"), (5, "q")]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []

@@ -369,6 +369,86 @@ def test_metropolis_chunk_invariance():
     assert np.array_equal(a.draws, b.draws)
 
 
+# -- the engine's log-prior kernel: the dispatching one it replaced ---------
+
+
+def _reference_student_log_abs(tail, log_abs_x):
+    """TailFamily.log_density_log_abs with StudentTail.log_density_large,
+    as they were before the large-argument branch moved into
+    StudentTail.log_density_log_abs."""
+    u = np.asarray(log_abs_x, dtype=float)
+    big = u > 150.0
+    if not big.any():
+        return tail.log_density(np.exp(u))
+    out = np.empty_like(u)
+    out[big] = tail._log_norm - (tail.df + 1) * (
+        np.asarray(u[big]) - 0.5 * math.log(tail.df)
+    )
+    out[~big] = tail.log_density(np.exp(u[~big]))
+    return out
+
+
+def _reference_log_tail(theta, log_scale, tail):
+    """posterior._log_tail as it was before each tail had its own
+    `log_density_scaled`: it picked the horseshoe's spline by type and
+    gave exact zeros a value per tail.  Kept verbatim, with the horseshoe
+    spline path under its new name, as the bit-for-bit oracle."""
+    from heavyseries.priors import HorseshoeTail, StudentTail
+
+    horseshoe = isinstance(tail, HorseshoeTail)
+    if horseshoe:
+        density = tail._engine_log_abs
+    elif isinstance(tail, StudentTail):
+        def density(u):
+            return _reference_student_log_abs(tail, u)
+    else:
+        density = tail.log_density_log_abs
+    ax = np.abs(theta)
+    zero = ax == 0.0
+    if not zero.any():
+        return density(np.log(ax) - log_scale)
+    out = np.empty(ax.shape)
+    # the horseshoe pole is integrable; quadrature nodes avoid it
+    out[zero] = np.inf if horseshoe else tail.log_density(0.0)
+    rest = ~zero
+    if rest.any():
+        if np.ndim(log_scale):
+            log_scale = log_scale[rest]
+        out[rest] = density(np.log(ax[rest]) - log_scale)
+    return out
+
+
+@pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, GAUSSIAN, HORSESHOE],
+                         ids=lambda tail: tail.name)
+def test_log_density_scaled_matches_reference(tail):
+    gen = np.random.default_rng(17)
+    # exact zeros among magnitudes from subnormal to near overflow, so
+    # log|theta| - log_scale crosses every branch: the Student large
+    # argument (> 150), the horseshoe spline range [-80, 80] and beyond
+    theta = np.concatenate([
+        [0.0, -0.0, 5e-324, -1e-300, 1e-160, 1.0, -2.5, 1e150, -1e300,
+         1.7e308],
+        gen.standard_cauchy(300) * 10.0 ** gen.uniform(-300, 300, 300)])
+    theta[10::9] = 0.0
+    per_element = gen.uniform(-745.0, 709.0, theta.size)
+    nonzero = theta != 0.0
+    cases = [(theta, ls) for ls in (0.0, -3.0, -744.0, 300.0, 709.0)]
+    cases += [
+        (theta, per_element),
+        (theta[nonzero], per_element[nonzero]),
+        (theta[nonzero], -3.0),
+        (np.zeros(4), per_element[:4]),
+        (np.zeros(4), -2.0),
+        (np.asarray(0.0), -2.0),
+        (np.asarray(3.0), -2.0),
+    ]
+    for th, ls in cases:
+        got = tail.log_density_scaled(th, ls)
+        ref = _reference_log_tail(th, ls, tail)
+        assert np.array_equal(got, ref), (th, ls)
+        assert np.shape(got) == np.shape(ref)
+
+
 # -- Metropolis oracle: the (chain, step) sampler it replaced ---------------
 
 
@@ -405,7 +485,7 @@ def _reference_metropolis_block(xs, n, log_scales, tail, draws, burn_in,
         if isinstance(tail, HorseshoeTail):
             out[zero] = np.inf
             if np.any(~zero):
-                out[~zero] = tail.log_density_fast_log_abs(
+                out[~zero] = tail._engine_log_abs(
                     np.log(ax[~zero]) - sig_log[~zero])
         else:
             if np.any(zero):
@@ -729,7 +809,7 @@ def test_gibbs_deterministic():
 
 @pytest.mark.parametrize("method", ["quadrature", "metropolis", "conjugate"])
 def test_fit_posterior_sends_hierarchical_gaussian_to_gibbs(method):
-    from heavyseries.harness import make_prior
+    from heavyseries.priors import make_prior
 
     _, data = _wavelet_data(seed=2)
     fit = fit_posterior(data, make_prior("gaussian-hierarchical"),

@@ -23,6 +23,7 @@ from heavyseries.priors import (
     WaveletOTScaling,
     horseshoe_log_density,
     horseshoe_sandwich_bounds,
+    make_prior,
     prior_from_config,
     sample_prior,
 )
@@ -141,7 +142,7 @@ def test_horseshoe_spline_interpolates_closed_form_at_knots():
 def test_horseshoe_spline_matches_exact():
     # dense grid whose points fall between the knots (spacing 0.005)
     u = np.linspace(-79.99, 79.99, 400_003)
-    fast = HORSESHOE.log_density_fast_log_abs(u)
+    fast = HORSESHOE._engine_log_abs(u)
     exact = HORSESHOE.log_density_log_abs(u)
     assert np.max(np.abs(fast - exact)) < 1e-11
 
@@ -317,6 +318,27 @@ def test_prior_spec_validation():
     assert spec.label == "gaussian-ot"
 
 
+# The presets as they were built from prior classes before they became
+# prior_from_config configs: (name, n) -> PriorSpec
+_PRESET_REFERENCES = {
+    ("student3-ot", None): PriorSpec(StudentTail(3.0), OTScaling(0.5)),
+    ("cauchy-ot", None): PriorSpec(CAUCHY, OTScaling(0.5)),
+    ("horseshoe-ot", None): PriorSpec(HORSESHOE, OTScaling(0.5)),
+    ("truncated-hs", 1e3): PriorSpec(
+        HORSESHOE, ConstantTruncatedScaling(1.0 / 1e3, 1000)),
+    ("truncated-hs", 0.3): PriorSpec(
+        HORSESHOE, ConstantTruncatedScaling(1.0 / 0.3, 1)),
+    ("truncated-hs", 2.5e4 + 0.5): PriorSpec(
+        HORSESHOE, ConstantTruncatedScaling(1.0 / (2.5e4 + 0.5), 25000)),
+    ("student3-ht-1.25", None): PriorSpec(StudentTail(3.0), HTScaling(1.25)),
+    ("student3-ht-2.75", None): PriorSpec(StudentTail(3.0), HTScaling(2.75)),
+    ("cauchy-wavelet-ot", None): PriorSpec(CAUCHY, WaveletOTScaling(0.5),
+                                           "double"),
+    ("gaussian-hierarchical", None): PriorSpec(
+        GAUSSIAN, GaussianHierarchicalScaling(), "double"),
+}
+
+
 def test_config_round_trip():
     specs = [
         PriorSpec(STUDENT3, OTScaling(0.5)),
@@ -325,9 +347,17 @@ def test_config_round_trip():
         PriorSpec(CAUCHY, WaveletOTScaling(0.5), "double"),
         PriorSpec(GAUSSIAN, GaussianHierarchicalScaling(), "double"),
     ]
+    specs += [make_prior(name, n) for name, n in _PRESET_REFERENCES]
     for spec in specs:
         back = prior_from_config(spec.config())
         assert back.config() == spec.config()
+    for (name, n), ref in _PRESET_REFERENCES.items():
+        spec = make_prior(name, n)
+        assert spec.label == name
+        assert spec.config() == ref.config()
+        assert spec.scaling == ref.scaling
+        assert type(spec.tail) is type(ref.tail)
+        assert vars(spec.tail) == vars(ref.tail)
 
 
 def test_sample_prior_structure():
