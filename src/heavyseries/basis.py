@@ -8,8 +8,12 @@ coefficients are the orthonormal DWT of the function values on the dyadic
 grid, so the per-coefficient noise scale equals the per-sample noise scale.
 Grid-normalized function norms of a coefficient vector c are then
 ||c||_2 / sqrt(m) for p = 2 (exact, by orthonormality).
+
+`synthesize` and `parseval_scale` are the one map from coefficients to
+function values and norms; callers never branch on the basis kind.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,24 +57,25 @@ def wavelet_basis(frame):
 
 
 def evaluate(basis, k, t):
-    """phi_k(t) for the single-indexed bases, k >= 1."""
+    """phi_k(t) for the single-indexed bases, k >= 1; k and t broadcast."""
     t = np.asarray(t, dtype=float)
     if basis.kind == COSINE:
-        return np.sqrt(2.0) * np.cos(np.pi * (k - 0.5) * t)
+        return np.sqrt(2.0) * np.cos(np.pi * (t * (k - 0.5)))
     if basis.kind == SINE:
-        return np.sqrt(2.0) * np.sin(np.pi * k * t)
+        return np.sqrt(2.0) * np.sin(np.pi * (t * k))
     raise InvalidParameterError("evaluate applies to single-indexed bases")
 
 
 def design(basis, t, count):
     """Matrix of phi_k(t_i), rows i over t, columns k = 1..count, for the
     single-indexed bases."""
-    k = np.arange(1, count + 1)
-    if basis.kind == COSINE:
-        return np.sqrt(2.0) * np.cos(np.pi * np.outer(t, k - 0.5))
-    if basis.kind == SINE:
-        return np.sqrt(2.0) * np.sin(np.pi * np.outer(t, k))
-    raise InvalidParameterError("design applies to single-indexed bases")
+    return evaluate(basis, np.arange(1, count + 1),
+                    np.asarray(t, dtype=float)[:, None])
+
+
+def grid_size(basis, m):
+    """Number of grid points: a wavelet frame's signal length, else m."""
+    return basis.frame.signal_length if basis.kind == WAVELET else m
 
 
 def grid(basis, m):
@@ -88,8 +93,20 @@ def grid(basis, m):
     return np.linspace(0.0, 1.0, m)
 
 
+def parseval_scale(basis):
+    """Divisor taking a coefficient l2 norm to its function's L2 norm:
+    sqrt(m) for a wavelet frame of m samples, 1 for cosine/sine."""
+    if basis.kind == WAVELET:
+        return math.sqrt(basis.frame.signal_length)
+    return 1.0
+
+
 def synthesize(coefficients, basis, m):
-    """Sampled function values sum_k f_k phi_k(t_i) on the grid."""
+    """Sampled function values sum_k f_k phi_k(t_i) on the m-point grid,
+    of one coefficient vector or of each row of a stack.  A cosine/sine
+    stack comes back as the transpose of design @ stack.T: a C-ordered
+    result takes OpenBLAS's transposed path, touching stack-sized buffers.
+    """
     coefficients = np.asarray(coefficients, dtype=float)
     if basis.kind == WAVELET:
         frame = basis.frame
@@ -98,7 +115,8 @@ def synthesize(coefficients, basis, m):
                 f"wavelet basis requires m == {frame.signal_length}, got {m}"
             )
         return wavelets.synthesize(coefficients, frame)
-    return design(basis, grid(basis, m), len(coefficients)) @ coefficients
+    return (design(basis, grid(basis, m), coefficients.shape[-1])
+            @ coefficients.T).T
 
 
 def analyze_samples(samples, basis):

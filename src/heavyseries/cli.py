@@ -6,9 +6,11 @@ Subcommands
   rates       tabulate minimax exponents for (s, p, q, p') combinations
   signals     emit a truth as coefficient and/or sample CSV
   experiment  run a named experiment end to end, write its output files
-  report      summarize the errors.csv of a finished experiment directory
+  report      print the slopes a finished experiment fitted
 
-Configs are JSON files; command-line flags override config values.  Exit
+Configs are JSON files; command-line flags override config values.
+simulate, fit and signals share one set of config keys and reject any
+other key, as experiment does.  Exit
 codes: 0 on success, 2 on configuration errors, 3 when the numerical
 posterior fails to converge.
 """
@@ -38,10 +40,23 @@ def _load_config(path):
         raise InvalidParameterError(f"config {path!r} is not valid JSON: {exc}")
 
 
-def _merged_config(args, defaults=None):
-    cfg = dict(defaults or {})
-    if getattr(args, "config", None):
-        cfg.update(_load_config(args.config))
+def _merged_config(args):
+    return dict(_load_config(args.config)) if args.config else {}
+
+
+# Config keys the simulate, fit and signals subcommands read.  They share
+# one set, so a config written for one of them is valid for the others.
+_DATA_KEYS = frozenset({
+    "truth", "truncation", "filter_name", "signal_length", "coarse_level",
+    "block_index", "truth_seed", "amplitude", "snr", "n", "seed", "prior",
+    "method", "draws", "burn_in", "quadrature_tol", "emit", "grid_points"})
+
+
+def _data_config(args):
+    cfg = _merged_config(args)
+    bad = set(cfg) - _DATA_KEYS
+    if bad:
+        raise InvalidParameterError(f"unknown config keys: {sorted(bad)}")
     return cfg
 
 
@@ -56,21 +71,19 @@ def _write(path, text):
         fh.write(text)
 
 
-def _make_frame(cfg):
-    return wavelets.WaveletFrame(
-        cfg.get("filter_name", "symmlet-8"),
-        int(cfg.get("signal_length", 2048)),
-        int(cfg.get("coarse_level", 5)),
-    )
-
-
 def _make_truth(cfg):
+    """The config's truth; frame settings default to the truth's own."""
     name = cfg.get("truth", "sobolev-cos")
+    default = signals.default_frame(name)
+    if default is None:
+        return signals.make_truth(name, K=int(cfg.get("truncation", 200)))
+    filter_name, signal_length, coarse_level = default
+    frame = wavelets.WaveletFrame(
+        cfg.get("filter_name", filter_name),
+        int(cfg.get("signal_length", signal_length)),
+        int(cfg.get("coarse_level", coarse_level)),
+    )
     kwargs = {}
-    if name in ("sobolev-cos", "sobolev-sine"):
-        kwargs["K"] = int(cfg.get("truncation", 200))
-        return signals.make_truth(name, **kwargs)
-    frame = _make_frame(cfg)
     if name == "least-favorable":
         kwargs["block_index"] = int(cfg.get("block_index", 1))
         kwargs["seed"] = int(cfg.get("truth_seed", 0))
@@ -88,14 +101,12 @@ def _make_truth(cfg):
 
 def _simulated_data(args):
     """(config, data) of the simulate and fit subcommands."""
-    cfg = _merged_config(args)
+    cfg = _data_config(args)
     if args.seed is not None:
         cfg["seed"] = args.seed
     truth = _make_truth(cfg)
-    K = int(cfg.get("truncation", len(truth.coefficients)))
-    if truth.basis.double_indexed:
-        K = truth.basis.frame.signal_length
-    data = model.simulate(truth, float(cfg.get("n", 100.0)), K,
+    data = model.simulate(truth, float(cfg.get("n", 100.0)),
+                          len(truth.coefficients),
                           seed=int(cfg.get("seed", 0)))
     return cfg, data
 
@@ -121,12 +132,6 @@ def _cmd_fit(args):
     return EXIT_OK
 
 
-def _parse_float(v):
-    if v in ("inf", "Infinity"):
-        return math.inf
-    return float(v)
-
-
 def _cmd_rates(args):
     cfg = _merged_config(args)
     combos = cfg.get("rates")
@@ -139,9 +144,9 @@ def _cmd_rates(args):
                    "p_prime": args.p_prime}]
     lines = ["s,p,q,p_prime,eta,s_eff,r,zone"]
     for c in combos:
-        spec = spaces.resolve_rate(
-            _parse_float(c["s"]), _parse_float(c["p"]),
-            _parse_float(c["p_prime"]), q=_parse_float(c.get("q", math.inf)))
+        spec = spaces.resolve_rate(float(c["s"]), float(c["p"]),
+                                   float(c["p_prime"]),
+                                   q=float(c.get("q", math.inf)))
         lines.append(f"{spec.s!r},{spec.p!r},{spec.q!r},{spec.p_prime!r},"
                      f"{spec.eta!r},{spec.s_eff!r},{spec.exponent!r},"
                      f"{spec.zone}")
@@ -150,30 +155,29 @@ def _cmd_rates(args):
 
 
 def _cmd_signals(args):
-    cfg = _merged_config(args)
+    cfg = _data_config(args)
     truth = _make_truth(cfg)
+    name = cfg.get("truth", "sobolev-cos")
     what = cfg.get("emit", args.emit)
     out = []
     if what in ("coefficients", "both"):
         out.append(model.coefficients_to_csv(
             truth.coefficients, truth.basis.double_indexed,
-            header=f"truth={cfg.get('truth', 'sobolev-cos')} kind=coefficients"))
+            header=f"truth={name} kind=coefficients"))
     if what in ("samples", "both"):
-        default_m = (truth.basis.frame.signal_length
-                     if truth.basis.double_indexed else metrics.DEFAULT_GRID)
-        m = int(cfg.get("grid_points", default_m))
+        m = int(cfg.get("grid_points",
+                        basis.grid_size(truth.basis, metrics.DEFAULT_GRID)))
         values = basis.synthesize(truth.coefficients, truth.basis, m)
-        rows = [f"# truth={cfg.get('truth', 'sobolev-cos')} kind=samples",
-                "t,value"]
-        for i, v in enumerate(values):
-            rows.append(f"{(i + 1) / len(values)!r},{float(v)!r}")
+        rows = [f"# truth={name} kind=samples", "t,value"]
+        for t, v in zip(basis.grid(truth.basis, m), values):
+            rows.append(f"{float(t)!r},{float(v)!r}")
         out.append("\n".join(rows) + "\n")
     _write(args.out, "".join(out))
     return EXIT_OK
 
 
 def _cmd_experiment(args):
-    cfg = _merged_config(args, {"experiment": args.id})
+    cfg = _merged_config(args)
     cfg["experiment"] = args.id
     if args.seed is not None:
         cfg["seed"] = args.seed
@@ -189,25 +193,18 @@ def _cmd_experiment(args):
 
 
 def _cmd_report(args):
-    path = os.path.join(args.out or "results", "errors.csv")
-    try:
+    """Print the slopes.csv rows of an experiment, without the experiment
+    and intercept columns; with one n per series there are none."""
+    out_dir = args.out or "results"
+    if not os.path.isfile(os.path.join(out_dir, "errors.csv")):
+        raise InvalidParameterError(
+            f"{out_dir!r} holds no finished experiment (no errors.csv)")
+    out = ["prior,truth,p_prime,error_type,slope"]
+    path = os.path.join(out_dir, "slopes.csv")
+    if os.path.exists(path):
         with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise InvalidParameterError(f"cannot read {path!r}: {exc}")
-    header = lines[0].split(",")
-    rows = [dict(zip(header, line.split(","))) for line in lines[1:] if line]
-    by_key = {}
-    for r in rows:
-        key = (r["prior"], r["truth"], r["p_prime"], r["error_type"])
-        by_key.setdefault(key, []).append((float(r["n"]), float(r["mean"])))
-    out = ["prior,truth,p_prime,error_type,n_points,slope"]
-    for (prior, truth, p, etype), pairs in sorted(by_key.items()):
-        pairs.sort()
-        slope = ""
-        if len(pairs) >= 2 and all(e > 0 for _, e in pairs):
-            slope = repr(metrics.slope_fit(*zip(*pairs))[0])
-        out.append(f"{prior},{truth},{p},{etype},{len(pairs)},{slope}")
+            out += [",".join(line.split(",")[1:6])
+                    for line in fh.read().splitlines()[1:]]
     _write(None, "\n".join(out) + "\n")
     return EXIT_OK
 

@@ -16,8 +16,9 @@ Experiments
                   truths, each run over every n
 
 Every experiment runs one protocol: truth groups x replications as work
-units (`_cell`), each simulating its truth at the group's n values and
-fitting every prior there; the driver averages over replications and fits
+units (`_cell`), each building its truth on the frame the `signals`
+catalogue gives it, simulating it at the group's n values and fitting
+every prior there; the driver averages over replications and fits
 log-log slopes wherever a series has two or more n.
 
 All outputs are flat CSV/SVG files and fully determined by the config and
@@ -32,7 +33,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import metrics, model, posterior, signals, svgplot, thresholding, wavelets
+from . import metrics, model, posterior, signals, svgplot, thresholding
 from .errors import InvalidParameterError
 from .priors import make_prior
 
@@ -95,8 +96,7 @@ def config_from_dict(d):
         if key in d:
             d[key] = tuple(d[key])
     if "p_primes" in d:
-        d["p_primes"] = tuple(math.inf if p in ("inf", "Infinity") else float(p)
-                              for p in d["p_primes"])
+        d["p_primes"] = tuple(float(p) for p in d["p_primes"])
     return ExperimentConfig(**d)
 
 
@@ -160,20 +160,22 @@ def _p_label(p):
 # pools can run it)
 # --------------------------------------------------------------------------
 
-# WaveletFrame arguments of each truth; None for the single-index truths
-_FRAMES = {"sobolev-cos": None, "sobolev-sine": None,
-           "least-favorable": ("symmlet-8", 2048, 2),
-           **dict.fromkeys(signals.QUARTET, ("symmlet-8", 2048, 5))}
-
-
 class _Group(NamedTuple):
     """One truth, run over its own n values."""
 
     label: str  # the truth column of errors.csv; slopes.csv takes `truth`
     truth: str
-    kwargs: dict  # for signals.make_truth, besides the frame or K
-    frame: Optional[tuple]
+    kwargs: dict  # for signals.make_truth
     ns: tuple
+
+
+def _truth_kwargs(name, config):
+    """make_truth arguments of a truth in config.truths."""
+    if signals.default_frame(name) is None:
+        return {"K": config.truncation}
+    if name == "least-favorable":
+        return {"block_index": 1, "seed": config.seed}
+    return {}
 
 
 def _groups(config):
@@ -183,20 +185,16 @@ def _groups(config):
             raise InvalidParameterError("sparse-besov takes no truths: it "
                                         "pairs block i with the i-th n")
         groups = [_Group(f"least-favorable-{i}", "least-favorable",
-                         {"block_index": i, "seed": config.seed},
-                         _FRAMES["least-favorable"], (n,))
+                         {"block_index": i, "seed": config.seed}, (n,))
                   for i, n in enumerate(config.ns, start=1)]
     elif not config.truths or not config.priors or not config.ns:
         raise InvalidParameterError(
             "custom experiments must set truths, priors and ns")
     else:
-        unknown = set(config.truths) - set(_FRAMES)
-        if unknown:
-            raise InvalidParameterError(f"unknown truths {sorted(unknown)}")
-        lf = {"block_index": 1, "seed": config.seed}
-        groups = [_Group(name, name, lf if name == "least-favorable" else {},
-                         _FRAMES[name], config.ns) for name in config.truths]
-    if config.include_sureshrink and any(g.frame is None for g in groups):
+        groups = [_Group(name, name, _truth_kwargs(name, config), config.ns)
+                  for name in config.truths]
+    if config.include_sureshrink and any(
+            signals.default_frame(g.truth) is None for g in groups):
         raise InvalidParameterError("SureShrink needs wavelet truths")
     band_ns = [n for g in groups for n in g.ns]
     if config.include_bands and len(set(band_ns)) < len(band_ns):
@@ -217,12 +215,9 @@ def _cell(args):
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)
-    frame = None if group.frame is None else wavelets.WaveletFrame(*group.frame)
-    K = config.truncation if frame is None else frame.signal_length
-    where = {"K": K} if frame is None else {"frame": frame}
-    truth = signals.make_truth(group.truth, **group.kwargs, **where)
-    datas = [model.simulate(truth, n, K, seed=seed) for n in group.ns]
-    f0 = model.padded_coefficients(truth, K)
+    truth = signals.make_truth(group.truth, **group.kwargs)
+    f0 = truth.coefficients
+    datas = [model.simulate(truth, n, len(f0), seed=seed) for n in group.ns]
     errors, contraction, bands = {}, {}, {}
     for name in config.priors:
         pairs = [(data, make_prior(name, n=n))
@@ -251,7 +246,8 @@ def _cell(args):
         del fits, fit
     if config.include_sureshrink:
         for n, data in zip(group.ns, datas):
-            est = thresholding.hybrid_sureshrink(data.observations, frame, n)
+            est = thresholding.hybrid_sureshrink(data.observations,
+                                                 truth.basis.frame, n)
             errors[("sureshrink", n)] = {p: metrics.lp_error(est, f0, p,
                                                              truth.basis)
                                          for p in config.p_primes}

@@ -31,10 +31,9 @@ def grid_norm(values, p_prime):
 def lp_error(estimate, truth_coeffs, p_prime, basis, m=DEFAULT_GRID):
     """L_{p'} distance between two coefficient sequences as functions.
 
-    p' = 2 uses Parseval in coefficient space; other p' synthesize both
-    sequences to the grid.  For wavelet bases the coefficient norm is
-    divided by sqrt(m) to express the sample-domain convention as a
-    function norm.
+    p' = 2 uses Parseval in coefficient space; other p' synthesize the
+    difference to the grid.  For wavelet bases the grid is the frame's
+    own; m sets it for cosine/sine.
     """
     estimate = np.asarray(estimate, dtype=float)
     truth_coeffs = np.asarray(truth_coeffs, dtype=float)
@@ -42,12 +41,8 @@ def lp_error(estimate, truth_coeffs, p_prime, basis, m=DEFAULT_GRID):
         raise ShapeError("estimate and truth must have the same shape")
     diff = estimate - truth_coeffs
     if p_prime == 2:
-        nrm = float(np.linalg.norm(diff))
-        if basis.kind == basis_mod.WAVELET:
-            nrm /= math.sqrt(basis.frame.signal_length)
-        return nrm
-    if basis.kind == basis_mod.WAVELET:
-        m = basis.frame.signal_length
+        return float(np.linalg.norm(diff)) / basis_mod.parseval_scale(basis)
+    m = basis_mod.grid_size(basis, m)
     return grid_norm(basis_mod.synthesize(diff, basis, m), p_prime)
 
 
@@ -68,20 +63,12 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
     values = None
     for p_prime in p_primes:
         if p_prime == 2:
-            norms = np.linalg.norm(diff, axis=1)
-            if basis.kind == basis_mod.WAVELET:
-                norms = norms / math.sqrt(basis.frame.signal_length)
-            out[p_prime] = float(norms.mean())
+            scale = basis_mod.parseval_scale(basis)
+            out[p_prime] = float((np.linalg.norm(diff, axis=1) / scale).mean())
             continue
         if values is None:
-            if basis.kind == basis_mod.WAVELET:
-                from . import wavelets
-
-                values = wavelets.synthesize(diff, basis.frame)
-            else:
-                design = basis_mod.design(basis, basis_mod.grid(basis, m),
-                                          draws.shape[0])
-                values = diff @ design.T
+            values = basis_mod.synthesize(diff, basis,
+                                          basis_mod.grid_size(basis, m))
         out[p_prime] = float(_row_norms(values, p_prime).mean())
     return out
 
@@ -90,13 +77,13 @@ def _row_norms(values, p_prime):
     """Grid L_{p'} norm of each row of a 2-D stack.
 
     Reduces fixed blocks of rows into a preallocated result, so the
-    temporaries are block-sized rather than stack-sized; each row is still
-    reduced along the same contiguous axis, so the norms are bit-identical
-    to the whole-stack expression.
+    temporaries are block-sized rather than stack-sized; each block is
+    made C-ordered, so every row is reduced along a contiguous axis and the
+    norms are bit-identical to the whole-stack expression on a C stack.
     """
     norms = np.empty(len(values))
     for start in range(0, len(values), _NORM_BLOCK_ROWS):
-        block = np.abs(values[start:start + _NORM_BLOCK_ROWS])
+        block = np.abs(values[start:start + _NORM_BLOCK_ROWS], order="C")
         rows = slice(start, start + len(block))
         if math.isinf(p_prime):
             norms[rows] = np.max(block, axis=1)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import rng
+from . import rng, wavelets
 from .basis import BasisDescriptor
 from .errors import InvalidParameterError, ShapeError
 
@@ -95,29 +95,18 @@ def simulate(truth, noise_precision, truncation, seed):
 _SENTINEL_SINGLE = -2
 
 
-def _index_rows(length, double_indexed):
-    if not double_indexed:
-        return [(_SENTINEL_SINGLE, k) for k in range(1, length + 1)]
-    rows = [(-1, 0)]
-    j = 0
-    while len(rows) < length:
-        rows.extend((j, k) for k in range(2**j))
-        j += 1
-    return rows[:length]
+def index_rows(length, double_indexed):
+    """(index_j, index_k) of each of length CSV rows."""
+    if double_indexed:
+        return wavelets.flat_keys(length)
+    return [(_SENTINEL_SINGLE, k) for k in range(1, length + 1)]
 
 
 def data_to_csv(data):
-    buf = io.StringIO()
-    buf.write(
-        f"# n={data.noise_precision!r} K={data.truncation} seed={data.seed}"
-        f" basis={data.basis.kind}\n"
-    )
-    buf.write("index_j,index_k,value\n")
-    for (j, k), v in zip(
-        _index_rows(len(data.observations), data.double_indexed), data.observations
-    ):
-        buf.write(f"{j},{k},{float(v)!r}\n")
-    return buf.getvalue()
+    return coefficients_to_csv(
+        data.observations, data.double_indexed,
+        header=f"n={data.noise_precision!r} K={data.truncation} "
+               f"seed={data.seed} basis={data.basis.kind}")
 
 
 def coefficients_to_csv(values, double_indexed, header=""):
@@ -125,7 +114,7 @@ def coefficients_to_csv(values, double_indexed, header=""):
     if header:
         buf.write(f"# {header}\n")
     buf.write("index_j,index_k,value\n")
-    for (j, k), v in zip(_index_rows(len(values), double_indexed), values):
+    for (j, k), v in zip(index_rows(len(values), double_indexed), values):
         buf.write(f"{j},{k},{float(v)!r}\n")
     return buf.getvalue()
 

@@ -24,8 +24,10 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
+from . import basis as basis_mod
 from . import rng, wavelets
 from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
+from .model import index_rows
 from .priors import GaussianHierarchicalScaling, GaussianTail
 
 _GL_CACHE = {}
@@ -647,23 +649,15 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0,
 
 def credible_band(summary, basis, m=256, level=0.95):
     """Pointwise envelope of the level-fraction of draws closest in L2 to
-    the posterior mean curve, on an m-point grid."""
-    from . import basis as basis_mod  # local import avoids a cycle
-
+    the posterior mean curve, on an m-point grid (a wavelet frame's own)."""
     if summary.draws is None:
         raise StateError("summary carries no draws")
     if not 0.0 < level <= 1.0:
         raise InvalidParameterError("level must be in (0, 1]")
-    if basis.kind == basis_mod.WAVELET:
-        m = basis.frame.signal_length
-        grid = basis_mod.grid(basis, m)
-        center = basis_mod.synthesize(summary.means, basis, m)
-        curves = basis_mod.synthesize(summary.draws.T, basis, m)
-    else:
-        grid = basis_mod.grid(basis, m)
-        design = basis_mod.design(basis, grid, summary.draws.shape[0])
-        center = design @ summary.means
-        curves = (design @ summary.draws).T
+    m = basis_mod.grid_size(basis, m)
+    grid = basis_mod.grid(basis, m)
+    center = basis_mod.synthesize(summary.means, basis, m)
+    curves = basis_mod.synthesize(summary.draws.T, basis, m)
     dist = np.mean((curves - center[None, :]) ** 2, axis=1)
     keep = math.ceil(level * len(dist))
     sel = np.argsort(dist)[:keep]
@@ -687,11 +681,9 @@ def band_width(band):
 
 
 def summary_to_csv(summary, double_indexed=False):
-    from .model import _index_rows
-
     buf = io.StringIO()
     buf.write("index_j,index_k,mean,var,q05,q50,q95\n")
-    rows = _index_rows(len(summary.means), double_indexed)
+    rows = index_rows(len(summary.means), double_indexed)
     for i, (j, k) in enumerate(rows):
         buf.write(
             f"{j},{k},{float(summary.means[i])!r},{float(summary.variances[i])!r},"

@@ -374,9 +374,6 @@ class ScalingRule:
     def log_scale(self, idx):
         raise NotImplementedError
 
-    def scale(self, idx):
-        return np.exp(self.log_scale(idx))
-
     def active(self, idx):
         """False where the rule forces the coefficient to exactly 0."""
         return np.ones(np.shape(idx), dtype=bool) if np.ndim(idx) else True

@@ -120,9 +120,7 @@ def truth_least_favorable(block_index, frame=None, amplitude=20.0, seed=0):
     if block_index < 1:
         raise InvalidParameterError("block_index must be >= 1")
     if frame is None:
-        # coarse level 2 keeps every occupied level (2, 4, 6, 8) a
-        # genuine detail level
-        frame = wavelets.WaveletFrame(coarse_level=2)
+        frame = wavelets.WaveletFrame(*FRAMES["least-favorable"])
     j = 2 * block_index
     if 2 ** (j + 1) > frame.signal_length or j < frame.coarse_level:
         raise InvalidParameterError(
@@ -139,20 +137,39 @@ def truth_least_favorable(block_index, frame=None, amplitude=20.0, seed=0):
                        "radius": amplitude, "level": j})
 
 
+# -- the catalogue -----------------------------------------------------------
+
+# Default WaveletFrame arguments (filter, signal length, coarse level) of
+# each truth; None marks a single-index truth, which takes a truncation K.
+# Coarse level 2 keeps every level a least-favorable truth occupies (2, 4,
+# 6, 8) a genuine detail level.
+FRAMES = {
+    "sobolev-cos": None,
+    "sobolev-sine": None,
+    **dict.fromkeys(QUARTET, ("symmlet-8", 2048, 5)),
+    "least-favorable": ("symmlet-8", 2048, 2),
+}
+
 _BANK = {
     "sobolev-cos": lambda K=1000, **kw: truth_sobolev_cos(K),
     "sobolev-sine": lambda K=1000, **kw: truth_sobolev_sine(K),
 }
 
 
+def default_frame(name):
+    """The truth's default WaveletFrame arguments, None if single-index."""
+    if name not in FRAMES:
+        raise InvalidParameterError(f"unknown truth {name!r}")
+    return FRAMES[name]
+
+
 def make_truth(name, frame=None, **kwargs):
-    """Look up a truth by name; quartet and Besov truths need a frame."""
-    if name in _BANK:
+    """Look up a truth by name; wavelet truths take their default frame
+    unless one is given."""
+    if default_frame(name) is None:
         return _BANK[name](**kwargs)
-    if name in QUARTET:
-        if frame is None:
-            frame = wavelets.WaveletFrame()
-        return truth_quartet(name, frame, **kwargs)
+    if frame is None:
+        frame = wavelets.WaveletFrame(*FRAMES[name])
     if name == "least-favorable":
         return truth_least_favorable(frame=frame, **kwargs)
-    raise InvalidParameterError(f"unknown truth {name!r}")
+    return truth_quartet(name, frame, **kwargs)

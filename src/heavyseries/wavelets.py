@@ -147,6 +147,12 @@ def flat_levels(count):
     return levels
 
 
+def flat_keys(count):
+    """(j, k) of each of the flat positions 0, ..., count - 1."""
+    return [(j, i - 2**j if j >= 0 else 0)
+            for i, j in enumerate(flat_levels(count).tolist())]
+
+
 def level_slice(j):
     """Slice of level j in the packed layout."""
     if j == -1:

@@ -34,6 +34,26 @@ def test_wavelet_basis_round_trip():
     assert np.max(np.abs(basis.synthesize(c, b, 256) - x)) < 1e-10
 
 
+@pytest.mark.parametrize("b", [
+    basis.cosine_basis(), basis.sine_basis(),
+    basis.wavelet_basis(WaveletFrame("symmlet-8", 64, 3))])
+def test_synthesize_stack_and_parseval_scale(b):
+    m = basis.grid_size(b, 40)
+    stack = np.random.default_rng(1).normal(size=(64, 5)).T  # F-ordered
+    values = basis.synthesize(stack, b, m)
+    assert values.shape == (5, m)
+    for row, coeffs in zip(values, stack):
+        assert np.allclose(row, basis.synthesize(coeffs, b, m), atol=1e-12)
+    # the wavelet frame is orthonormal on its own grid: ||c|| / scale is
+    # the grid-normalized L2 norm of the function
+    if b.double_indexed:
+        assert basis.parseval_scale(b) == 8.0
+        assert np.linalg.norm(stack[0]) / 8.0 == pytest.approx(
+            np.sqrt(np.mean(values[0] ** 2)), rel=1e-12)
+    else:
+        assert basis.parseval_scale(b) == 1.0
+
+
 def test_wavelet_basis_requires_frame_and_matching_m():
     with pytest.raises(InvalidParameterError):
         basis.BasisDescriptor(basis.WAVELET)

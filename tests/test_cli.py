@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from heavyseries import cli, model, posterior
+from heavyseries import basis, cli, model, posterior, signals
 from heavyseries.errors import ConvergenceError
 
 
@@ -57,6 +57,35 @@ def test_signals_samples(tmp_path, capsys):
     assert out.count("\n") >= 64
 
 
+@pytest.mark.parametrize("settings", [
+    {"truth": "sobolev-cos", "grid_points": 5},
+    {"truth": "blocks", "signal_length": 64, "coarse_level": 3},
+], ids=["cosine", "quartet"])
+def test_signals_samples_t_column_is_the_basis_grid(tmp_path, capsys,
+                                                    settings):
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps(settings))
+    code, out, _ = _run(capsys, "signals", "--config", str(cfg),
+                        "--emit", "samples")
+    assert code == 0
+    t = [float(line.split(",")[0]) for line in out.splitlines()[2:]]
+    truth = cli._make_truth(settings)
+    assert t == basis.grid(truth.basis, len(t)).tolist()
+
+
+def test_signals_least_favorable_defaults_to_the_sparse_besov_frame(
+        tmp_path, capsys):
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"truth": "least-favorable"}))
+    code, out, _ = _run(capsys, "signals", "--config", str(cfg),
+                        "--emit", "coefficients")
+    assert code == 0
+    truth = signals.make_truth("least-favorable", block_index=1, seed=0)
+    assert out == model.coefficients_to_csv(
+        truth.coefficients, True,
+        header="truth=least-favorable kind=coefficients")
+
+
 def test_simulate_deterministic(capsys):
     code, a, _ = _run(capsys, "simulate", "--seed", "3")
     code2, b, _ = _run(capsys, "simulate", "--seed", "3")
@@ -106,6 +135,41 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert code == 0
     assert "cauchy-ot" in out
     assert "slope" in out.splitlines()[0]
+
+
+def test_report_prints_the_harness_slopes(tmp_path, capsys):
+    cfg = tmp_path / "e.json"
+    cfg.write_text(json.dumps({"ns": [100.0, 1000.0], "replications": 1,
+                               "p_primes": [2.0, "inf"]}))
+    out_dir = str(tmp_path / "res")
+    code, _, _ = _run(capsys, "experiment", "sparse-besov", "--config",
+                      str(cfg), "--out", out_dir)
+    assert code == 0
+    code, out, _ = _run(capsys, "report", "--out", out_dir)
+    assert code == 0
+    with open(os.path.join(out_dir, "slopes.csv")) as fh:
+        written = [line.split(",") for line in fh.read().splitlines()[1:]]
+    reported = [line.split(",") for line in out.splitlines()[1:]]
+    assert [w[1:5] for w in written] == [
+        [prior, "least-favorable", p, "mean-estimate"]
+        for prior in ("cauchy-wavelet-ot", "sureshrink") for p in ("2", "inf")]
+    # prior,truth,p_prime,error_type,slope of each slopes.csv row
+    assert reported == [w[1:6] for w in written]
+
+
+def test_data_subcommands_reject_unknown_config_keys(tmp_path, capsys):
+    shared = {"truth": "sobolev-cos", "truncation": 8, "n": 1000,
+              "prior": "cauchy-ot", "method": "quadrature", "seed": 1}
+    for cmd in ("simulate", "fit", "signals"):
+        cfg = tmp_path / f"{cmd}.json"
+        cfg.write_text(json.dumps(shared))
+        code, _, _ = _run(capsys, cmd, "--config", str(cfg))
+        assert code == 0
+        cfg.write_text(json.dumps({**shared, "methd": "metropolis"}))
+        code, out, err = _run(capsys, cmd, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unknown config keys: ['methd']" in err
 
 
 def test_experiment_bad_key_exit_code(tmp_path, capsys):

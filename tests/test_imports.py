@@ -1,6 +1,8 @@
-"""Every name a heavyseries module imports is used in that module.
+"""Every name a heavyseries module imports is used in that module, and
+every import sits at module level.
 
-`__init__.py` is left out: its imports are the package's public names.
+`__init__.py` is left out of the unused-name check: its imports are the
+package's public names.
 """
 
 import ast
@@ -9,7 +11,8 @@ import pathlib
 import pytest
 
 _PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "heavyseries"
-_MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+_ALL_MODULES = sorted(_PACKAGE.glob("*.py"))
+_MODULES = [p for p in _ALL_MODULES if p.name != "__init__.py"]
 
 
 def _unused_imports(source):
@@ -35,3 +38,24 @@ def test_unused_import_check_finds_unused_names():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _function_imports(source):
+    """Sorted lines of the import statements inside function bodies."""
+    tree = ast.parse(source)
+    return sorted({inner.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def test_function_import_check_finds_nested_imports():
+    source = ("import os\ndef f():\n    import a\n    def g():\n"
+              "        from . import b\n    return a\n"
+              "class C:\n    def m(self):\n        from x import y\n")
+    assert _function_imports(source) == [3, 5, 9]
+
+
+@pytest.mark.parametrize("path", _ALL_MODULES, ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    assert _function_imports(path.read_text()) == []

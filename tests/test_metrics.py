@@ -76,6 +76,9 @@ def test_contraction_norms_blocked_bit_identical():
         else:
             whole = np.mean(np.abs(values) ** p, axis=1) ** (1.0 / p)
         assert np.array_equal(metrics._row_norms(values, p), whole)
+        # cosine/sine stacks arrive F-ordered; the rows reduce the same way
+        assert np.array_equal(
+            metrics._row_norms(np.asfortranarray(values), p), whole)
         assert errors[p] == float(whole.mean())
 
 

@@ -264,22 +264,22 @@ def test_ot_scaling_values():
 
 def test_ht_scaling_values():
     rule = HTScaling(1.25)
-    assert rule.scale(4) == pytest.approx(4.0 ** -1.75)
+    assert np.exp(rule.log_scale(4)) == pytest.approx(4.0 ** -1.75)
 
 
 def test_truncated_scaling():
     rule = ConstantTruncatedScaling(0.01, 5)
-    assert rule.scale(5) == pytest.approx(0.01)
-    assert rule.scale(6) == 0.0
+    assert np.exp(rule.log_scale(5)) == pytest.approx(0.01)
+    assert np.exp(rule.log_scale(6)) == 0.0
     assert rule.active(np.array([4, 5, 6])).tolist() == [True, True, False]
 
 
 def test_level_scalings():
     wot = WaveletOTScaling(0.5)
-    assert wot.scale(4) == pytest.approx(2.0 ** -8.0)
-    assert wot.scale(-1) == wot.scale(0) == 1.0
+    assert np.exp(wot.log_scale(4)) == pytest.approx(2.0 ** -8.0)
+    assert np.exp(wot.log_scale(-1)) == np.exp(wot.log_scale(0)) == 1.0
     gh = GaussianHierarchicalScaling(2.0, 1.0)
-    assert gh.scale(3) == pytest.approx(2.0 * 2.0 ** -4.5)
+    assert np.exp(gh.log_scale(3)) == pytest.approx(2.0 * 2.0 ** -4.5)
 
 
 def test_scaling_monotone_and_ot_eventually_below_ht():
@@ -368,7 +368,7 @@ def test_sample_prior_structure():
     # multiplicative structure: same zeta draws, different scaling
     unit = PriorSpec(STUDENT3, ConstantTruncatedScaling(1.0, 10**9))
     z = sample_prior(unit, 50, seed=0)
-    sig = OTScaling(1.0).scale(np.arange(1, 51))
+    sig = np.exp(OTScaling(1.0).log_scale(np.arange(1, 51)))
     assert np.allclose(a, sig * z, atol=1e-14)
 
 

@@ -163,6 +163,9 @@ def test_flat_index_bijection():
         for k in range(width):
             seen.add(wavelets.flat_index(j, k))
     assert seen == set(range(64))
+    # flat_keys inverts flat_index position by position
+    assert [wavelets.flat_index(j, k)
+            for j, k in wavelets.flat_keys(64)] == list(range(64))
 
 
 def test_flat_index_rejects_bad_k():
