@@ -85,8 +85,8 @@ def grid(basis, m):
     t_i = (i+1)/m for wavelet frames (matching the convention of the
     embedded test-signal formulas).
     """
+    m = grid_size(basis, m)
     if basis.kind == WAVELET:
-        m = basis.frame.signal_length
         return (np.arange(m) + 1.0) / m
     if m < 2:
         raise InvalidParameterError("grid needs at least 2 points")

@@ -75,23 +75,19 @@ def _make_truth(cfg):
     """The config's truth; frame settings default to the truth's own."""
     name = cfg.get("truth", "sobolev-cos")
     default = signals.default_frame(name)
-    if default is None:
-        return signals.make_truth(name, K=int(cfg.get("truncation", 200)))
-    filter_name, signal_length, coarse_level = default
-    frame = wavelets.WaveletFrame(
-        cfg.get("filter_name", filter_name),
-        int(cfg.get("signal_length", signal_length)),
-        int(cfg.get("coarse_level", coarse_level)),
-    )
-    kwargs = {}
-    if name == "least-favorable":
-        kwargs["block_index"] = int(cfg.get("block_index", 1))
-        kwargs["seed"] = int(cfg.get("truth_seed", 0))
-        if "amplitude" in cfg:
-            kwargs["amplitude"] = float(cfg["amplitude"])
-    elif "snr" in cfg:
-        kwargs["snr"] = float(cfg["snr"])
-    return signals.make_truth(name, frame=frame, **kwargs)
+    frame = None
+    if default is not None:
+        filter_name, signal_length, coarse_level = default
+        frame = wavelets.WaveletFrame(
+            cfg.get("filter_name", filter_name),
+            int(cfg.get("signal_length", signal_length)),
+            int(cfg.get("coarse_level", coarse_level)),
+        )
+    options = {key: float(cfg[key]) for key in ("amplitude", "snr")
+               if key in cfg}
+    return signals.make_truth(name, frame, K=int(cfg.get("truncation", 200)),
+                              block_index=int(cfg.get("block_index", 1)),
+                              seed=int(cfg.get("truth_seed", 0)), **options)
 
 
 # --------------------------------------------------------------------------

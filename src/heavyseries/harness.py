@@ -165,17 +165,8 @@ class _Group(NamedTuple):
 
     label: str  # the truth column of errors.csv; slopes.csv takes `truth`
     truth: str
-    kwargs: dict  # for signals.make_truth
+    block_index: int  # for signals.make_truth; least-favorable reads it
     ns: tuple
-
-
-def _truth_kwargs(name, config):
-    """make_truth arguments of a truth in config.truths."""
-    if signals.default_frame(name) is None:
-        return {"K": config.truncation}
-    if name == "least-favorable":
-        return {"block_index": 1, "seed": config.seed}
-    return {}
 
 
 def _groups(config):
@@ -184,17 +175,17 @@ def _groups(config):
         if config.truths:
             raise InvalidParameterError("sparse-besov takes no truths: it "
                                         "pairs block i with the i-th n")
-        groups = [_Group(f"least-favorable-{i}", "least-favorable",
-                         {"block_index": i, "seed": config.seed}, (n,))
+        groups = [_Group(f"least-favorable-{i}", "least-favorable", i, (n,))
                   for i, n in enumerate(config.ns, start=1)]
     elif not config.truths or not config.priors or not config.ns:
         raise InvalidParameterError(
             "custom experiments must set truths, priors and ns")
     else:
-        groups = [_Group(name, name, _truth_kwargs(name, config), config.ns)
+        groups = [_Group(name, name, 1, config.ns)
                   for name in config.truths]
-    if config.include_sureshrink and any(
-            signals.default_frame(g.truth) is None for g in groups):
+    # default_frame also rejects unknown truth names
+    frames = [signals.default_frame(g.truth) for g in groups]
+    if config.include_sureshrink and None in frames:
         raise InvalidParameterError("SureShrink needs wavelet truths")
     band_ns = [n for g in groups for n in g.ns]
     if config.include_bands and len(set(band_ns)) < len(band_ns):
@@ -215,7 +206,9 @@ def _cell(args):
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)
-    truth = signals.make_truth(group.truth, **group.kwargs)
+    truth = signals.make_truth(group.truth, K=config.truncation,
+                               block_index=group.block_index,
+                               seed=config.seed)
     f0 = truth.coefficients
     datas = [model.simulate(truth, n, len(f0), seed=seed) for n in group.ns]
     errors, contraction, bands = {}, {}, {}
@@ -279,7 +272,8 @@ class ExperimentResult:
     slopes: list  # (prior, truth, p', error_type, slope, intercept)
     bands: dict = field(default_factory=dict)  # (prior, n) -> band dict
     band_widths: list = field(default_factory=list)
-    # (prior, truth name, p') -> [(n, mean error)]: the slopes' points
+    # (prior, truth name, p', error type) -> [(n, mean error)]: the
+    # slopes' points
     series: dict = field(default_factory=dict)
 
 
@@ -288,8 +282,9 @@ def run_experiment(config):
 
     Every (truth group, replication) pair is one work unit.  Errors are
     averaged over replications per (truth, n, prior or "sureshrink", p'),
-    and slopes are fitted wherever a (prior, truth name, p') series has two
-    or more n; the sparse-besov groups share the name least-favorable.
+    and slopes are fitted wherever a (prior, truth name, p', error type)
+    series has two or more n; the sparse-besov groups share the name
+    least-favorable.  Only mean-estimate series are plotted.
     """
     config = resolve_config(config)
     groups = _groups(config)
@@ -310,24 +305,26 @@ def run_experiment(config):
                     result.records.append(ErrorRecord(
                         config.experiment, name, g.label, n, p, MEAN_ESTIMATE,
                         m, se, R))
-                    result.series.setdefault((name, g.truth, p),
-                                             []).append((n, m))
+                    result.series.setdefault(
+                        (name, g.truth, p, MEAN_ESTIMATE), []).append((n, m))
                     if key in reps[0][1]:
                         cm, cse = _aggregate([r[1][key][p] for r in reps])
                         result.records.append(ErrorRecord(
                             config.experiment, name, g.label, n, p,
                             CONTRACTION, cm, cse, R))
+                        result.series.setdefault(
+                            (name, g.truth, p, CONTRACTION),
+                            []).append((n, cm))
                 if key in reps[0][2]:
                     wm, wse = _aggregate([posterior.band_width(r[2][key])
                                           for r in reps])
                     result.band_widths.append((name, n, wm, wse, R))
                     # replication 0's band, for the figures
                     result.bands[key] = reps[0][2][key]
-    for (name, label, p), pairs in result.series.items():
+    for (name, label, p, etype), pairs in result.series.items():
         if len(pairs) >= 2:
             slope, intercept = metrics.slope_fit(*zip(*pairs))
-            result.slopes.append((name, label, p, MEAN_ESTIMATE, slope,
-                                  intercept))
+            result.slopes.append((name, label, p, etype, slope, intercept))
     write_outputs(result)
     return result
 
@@ -375,10 +372,10 @@ def _error_plot(result):
     chart = svgplot.LineChart(
         title=f"{config.experiment}: replication-averaged errors",
         xlabel="n", ylabel="error", logx=True, logy=True)
-    several_truths = len({label for _, label, _ in result.series}) > 1
-    for (name, label, p), pts in sorted(result.series.items()):
+    several_truths = len({key[1] for key in result.series}) > 1
+    for (name, label, p, etype), pts in sorted(result.series.items()):
         pts = sorted(pts)
-        if len(pts) < 2:
+        if etype != MEAN_ESTIMATE or len(pts) < 2:
             continue
         text = f"{name} {label}" if several_truths else name
         if len(config.p_primes) > 1:
@@ -402,9 +399,12 @@ def write_outputs(result):
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, "errors.csv"), "w") as fh:
         fh.write(errors_csv(result.records))
+    slopes_path = os.path.join(out, "slopes.csv")
     if result.slopes:
-        with open(os.path.join(out, "slopes.csv"), "w") as fh:
+        with open(slopes_path, "w") as fh:
             fh.write(slopes_csv(result.slopes, config.experiment))
+    elif os.path.exists(slopes_path):
+        os.remove(slopes_path)  # an earlier run's slopes are not this run's
     if result.band_widths:
         with open(os.path.join(out, "band_widths.csv"), "w") as fh:
             fh.write(band_widths_csv(result.band_widths, config.experiment))

@@ -106,7 +106,7 @@ def _stick_weights(width, gen):
     return units.astype(float) * 2.0 ** (-_STICK_QUANTUM_BITS)
 
 
-def truth_least_favorable(block_index, frame=None, amplitude=20.0, seed=0):
+def truth_least_favorable(block_index=1, frame=None, amplitude=20.0, seed=0):
     """Near-least-favorable truth with all mass on level j = 2 * block_index.
 
     Level-j coefficients are amplitude * 2^{-j} * w_k with stick-breaking
@@ -150,10 +150,8 @@ FRAMES = {
     "least-favorable": ("symmlet-8", 2048, 2),
 }
 
-_BANK = {
-    "sobolev-cos": lambda K=1000, **kw: truth_sobolev_cos(K),
-    "sobolev-sine": lambda K=1000, **kw: truth_sobolev_sine(K),
-}
+_SINGLE_INDEX = {"sobolev-cos": truth_sobolev_cos,
+                 "sobolev-sine": truth_sobolev_sine}
 
 
 def default_frame(name):
@@ -163,13 +161,17 @@ def default_frame(name):
     return FRAMES[name]
 
 
-def make_truth(name, frame=None, **kwargs):
-    """Look up a truth by name; wavelet truths take their default frame
-    unless one is given."""
-    if default_frame(name) is None:
-        return _BANK[name](**kwargs)
+def make_truth(name, frame=None, K=1000, block_index=1, seed=0, **options):
+    """Look up a truth by name.  Each truth uses the arguments it needs (K
+    for single-index truths, block_index and seed for least-favorable) and
+    ignores the others; options (amplitude, snr) go to the truth's builder,
+    which rejects any it does not take.  Wavelet truths take their default
+    frame unless one is given."""
+    default = default_frame(name)
+    if default is None:
+        return _SINGLE_INDEX[name](K, **options)
     if frame is None:
-        frame = wavelets.WaveletFrame(*FRAMES[name])
+        frame = wavelets.WaveletFrame(*default)
     if name == "least-favorable":
-        return truth_least_favorable(frame=frame, **kwargs)
-    return truth_quartet(name, frame, **kwargs)
+        return truth_least_favorable(block_index, frame, seed=seed, **options)
+    return truth_quartet(name, frame, **options)

@@ -156,6 +156,42 @@ def test_report_prints_the_harness_slopes(tmp_path, capsys):
     # prior,truth,p_prime,error_type,slope of each slopes.csv row
     assert reported == [w[1:6] for w in written]
 
+    # contraction errors at two or more n get slopes too
+    cfg.write_text(json.dumps({
+        "truths": ["sobolev-cos"], "priors": ["cauchy-ot"],
+        "ns": [100.0, 1000.0], "p_primes": [2.0, "inf"], "truncation": 10,
+        "draws": 50, "burn_in": 20, "replications": 1,
+        "include_contraction": True}))
+    code, _, _ = _run(capsys, "experiment", "custom", "--config", str(cfg),
+                      "--out", out_dir)
+    assert code == 0
+    code, out, _ = _run(capsys, "report", "--out", out_dir)
+    assert code == 0
+    reported = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[:4] for r in reported] == [
+        ["cauchy-ot", "sobolev-cos", p, etype]
+        for p in ("2", "inf") for etype in ("mean-estimate", "contraction")]
+    with open(os.path.join(out_dir, "slopes.csv")) as fh:
+        assert reported == [line.split(",")[1:6]
+                            for line in fh.read().splitlines()[1:]]
+
+
+def test_report_shows_no_slopes_of_an_earlier_experiment(tmp_path, capsys):
+    out_dir = str(tmp_path / "res")
+    cfg = tmp_path / "e.json"
+    for ns in ([100.0, 1000.0], [100.0]):
+        cfg.write_text(json.dumps({
+            "truths": ["sobolev-cos"], "priors": ["cauchy-ot"], "ns": ns,
+            "truncation": 10, "replications": 1}))
+        code, _, _ = _run(capsys, "experiment", "custom", "--config",
+                          str(cfg), "--out", out_dir)
+        assert code == 0
+    # one n per series fits no slopes, so the two-n run's slopes go
+    assert not os.path.exists(os.path.join(out_dir, "slopes.csv"))
+    code, out, _ = _run(capsys, "report", "--out", out_dir)
+    assert code == 0
+    assert out == "prior,truth,p_prime,error_type,slope\n"
+
 
 def test_data_subcommands_reject_unknown_config_keys(tmp_path, capsys):
     shared = {"truth": "sobolev-cos", "truncation": 8, "n": 1000,
@@ -170,6 +206,19 @@ def test_data_subcommands_reject_unknown_config_keys(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert "unknown config keys: ['methd']" in err
+
+
+def test_signals_rejects_an_option_the_truth_does_not_take(tmp_path, capsys):
+    cfg = tmp_path / "s.json"
+    for settings in ({"truth": "sobolev-cos", "snr": 3},
+                     {"truth": "least-favorable", "snr": 3},
+                     {"truth": "bumps", "signal_length": 256,
+                      "coarse_level": 4, "amplitude": 3}):
+        cfg.write_text(json.dumps(settings))
+        code, out, err = _run(capsys, "signals", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unexpected keyword argument" in err
 
 
 def test_experiment_bad_key_exit_code(tmp_path, capsys):

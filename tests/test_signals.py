@@ -94,3 +94,26 @@ def test_make_truth_dispatch():
     assert len(t2.coefficients) == 2048
     with pytest.raises(InvalidParameterError):
         signals.make_truth("unknown")
+
+
+def test_make_truth_takes_one_argument_set():
+    # each truth uses the arguments it needs and ignores the others
+    shared = dict(K=10, block_index=2, seed=3)
+    for name in ("sobolev-cos", "bumps", "least-favorable"):
+        a = signals.make_truth(name, **shared).coefficients
+        if name == "sobolev-cos":
+            b = signals.truth_sobolev_cos(10).coefficients
+        elif name == "bumps":
+            b = signals.make_truth("bumps").coefficients
+        else:
+            b = signals.truth_least_favorable(2, seed=3).coefficients
+        assert np.array_equal(a, b)
+    assert np.array_equal(
+        signals.make_truth("least-favorable").coefficients,
+        signals.truth_least_favorable().coefficients)
+    # a builder's own options are passed on, and rejected by other truths
+    t = signals.make_truth("least-favorable", amplitude=5.0)
+    assert t.declared_class["radius"] == 5.0
+    for name in ("sobolev-cos", "bumps"):
+        with pytest.raises(TypeError):
+            signals.make_truth(name, amplitude=5.0)
