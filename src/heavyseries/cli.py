@@ -71,12 +71,22 @@ def _write(path, text):
         fh.write(text)
 
 
+_FRAME_KEYS = ("filter_name", "signal_length", "coarse_level")
+
+
 def _make_truth(cfg):
-    """The config's truth; frame settings default to the truth's own."""
+    """The config's truth; frame settings default to the truth's own, and
+    a single-index truth, which has no frame, rejects them."""
     name = cfg.get("truth", "sobolev-cos")
     default = signals.default_frame(name)
     frame = None
-    if default is not None:
+    if default is None:
+        given = [key for key in _FRAME_KEYS if key in cfg]
+        if given:
+            raise InvalidParameterError(
+                f"truth {name!r} is single-index and takes no wavelet frame "
+                f"settings: {given}")
+    else:
         filter_name, signal_length, coarse_level = default
         frame = wavelets.WaveletFrame(
             cfg.get("filter_name", filter_name),
@@ -115,7 +125,9 @@ def _cmd_simulate(args):
 
 def _cmd_fit(args):
     cfg, data = _simulated_data(args)
-    prior = priors.make_prior(cfg.get("prior", "cauchy-ot"),
+    default_prior = ("cauchy-wavelet-ot" if data.double_indexed
+                     else "cauchy-ot")
+    prior = priors.make_prior(cfg.get("prior", default_prior),
                               n=data.noise_precision)
     summary = posterior.fit_posterior(
         data, prior, method=cfg.get("method", "quadrature"),

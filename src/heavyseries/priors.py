@@ -304,20 +304,25 @@ class _UniformKnotSpline:
 
     def __init__(self, x, c):
         self.x = x
-        self.c = c
+        # one array per power: a 1-D gather takes about half the time of
+        # the same gather through c[k, i]
+        self.c = tuple(c)
         self._inv_h = (len(x) - 1) / (x[-1] - x[0])
 
     def __call__(self, u):
-        x, c = self.x, self.c
+        x, (c0, c1, c2, c3) = self.x, self.c
         last = len(x) - 2
         i = ((u - x[0]) * self._inv_h).astype(np.intp)
-        np.clip(i, 0, last, out=i)
+        # np.maximum and np.minimum, not np.clip: same values without
+        # np.clip's Python-level argument handling on every call
+        np.maximum(i, 0, out=i)
+        np.minimum(i, last, out=i)
         i -= u < x[i]
         i += u >= x[i + 1]
         np.minimum(i, last, out=i)
         s = u - x[i]
         ss = s * s
-        return 0.0 + c[3, i] + c[2, i] * s + c[1, i] * ss + c[0, i] * (ss * s)
+        return 0.0 + c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
 
 
 STUDENT3 = StudentTail(3.0)

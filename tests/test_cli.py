@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from heavyseries import basis, cli, model, posterior, signals
+from heavyseries import basis, cli, model, posterior, priors, signals
 from heavyseries.errors import ConvergenceError
 
 
@@ -312,3 +312,35 @@ def test_experiment_rejects_removed_and_invalid_settings(tmp_path, capsys):
                             str(cfg), "--out", str(tmp_path / "out"))
         assert code == 2
         assert message in err
+
+
+@pytest.mark.parametrize("key,value", [("filter_name", "haar"),
+                                       ("signal_length", 256),
+                                       ("coarse_level", 9)])
+def test_frame_keys_rejected_on_single_index_truth(tmp_path, capsys, key,
+                                                   value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"truth": "sobolev-cos", "truncation": 8,
+                               key: value}))
+    for cmd in ("signals", "simulate", "fit"):
+        code, out, err = _run(capsys, cmd, "--config", str(cfg))
+        assert code == 2, cmd
+        assert out == ""
+        assert "single-index" in err and key in err
+
+
+def test_fit_default_prior_follows_the_truth_index_kind(tmp_path, capsys):
+    cfg = tmp_path / "f.json"
+    for settings, name in [({"truth": "least-favorable", "n": 100},
+                            "cauchy-wavelet-ot"),
+                           ({"truth": "sobolev-cos", "truncation": 8,
+                             "n": 100}, "cauchy-ot")]:
+        cfg.write_text(json.dumps(settings))
+        code, out, _ = _run(capsys, "fit", "--config", str(cfg))
+        assert code == 0
+        truth = cli._make_truth(settings)
+        data = model.simulate(truth, 100.0, len(truth.coefficients), seed=0)
+        ref = posterior.fit_posterior(data, priors.make_prior(name, n=100.0),
+                                      tol=1e-6)
+        assert out.startswith(posterior.summary_to_csv(
+            ref, data.double_indexed))

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -141,10 +142,130 @@ def test_extreme_prior_scale_gives_likelihood_answer(tail, log_sigma):
 @pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
                          ids=lambda t: t.name)
 def test_unrepresentable_moments_raise(tail):
-    # variance about 1/n = 1e300: the weighted squared deviations overflow
+    # a prior far wider than the likelihood N(1, 1/n): variance about
+    # 1/n = 1e320, past the largest double
     with pytest.raises(ConvergenceError, match="moments not representable"):
-        quadrature_mean_var(UnivariatePosterior(1.0, 1e-300, 300.0, tail),
+        quadrature_mean_var(UnivariatePosterior(1.0, 1e-320, 400.0, tail),
                             tol=1e-6)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
+                         ids=lambda t: t.name)
+def test_tiny_precision_moments_finite(tail):
+    # likelihood sd 1e150 around x = 1 and a prior of scale e^300, about
+    # 1.9e130: the posterior is nearly the prior cut off at about 1e150,
+    # and its variance (1e260 to 1e280) is representable, although the
+    # panel widths reach 1e150
+    sigma = math.exp(300.0)
+    mean, var, log_norm = quadrature_mean_var(
+        UnivariatePosterior(1.0, 1e-300, 300.0, tail))
+    assert math.isfinite(log_norm)
+    assert 0.0 < var < math.inf
+    assert abs(mean) < 1e-6 * math.sqrt(var)
+    expected = {
+        "gaussian": sigma**2,            # sigma^2 / (1 + n sigma^2)
+        "student-3": 3.0 * sigma**2,     # df / (df - 2) sigma^2
+        # the Cauchy density 1/(pi sigma t^2) against the likelihood
+        "cauchy": sigma * math.sqrt(2.0 / (math.pi * 1e-300)),
+    }
+    if tail.name in expected:
+        assert var == pytest.approx(expected[tail.name], rel=1e-6)
+
+
+_QUANTILE_LEVELS = (0.05, 0.5, 0.95)
+
+
+def _fine_grid_quantiles(post):
+    """Quantiles on the engine's panels split 64 times, one mid-point node
+    per piece carrying its piece's mass, the CDF centred on the nodes.  It
+    shares the panel layout with the engine, not the rule or the horseshoe
+    spline (the tails' exact log_density)."""
+    edges = posterior._split_edges(posterior._panel_edges(post, 1e-8), 64)
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    logf = (-0.5 * post.noise_precision * (post.observation - mid) ** 2
+            + post.tail.log_density(mid / math.exp(post.log_scale)))
+    mass = np.diff(edges) * np.exp(logf - logf.max())
+    mass /= mass.sum()
+    centred = np.cumsum(mass) - mass / 2.0
+    return {q: float(np.interp(q, centred, mid)) for q in _QUANTILE_LEVELS}
+
+
+@pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
+                         ids=lambda t: t.name)
+def test_quantiles_match_fine_grid_oracle(tail):
+    # measured: at most 1.1e-3 posterior sd over these cases (the oracle
+    # itself moves by about 1.5e-5 sd from 64 to 512 pieces per panel);
+    # the node-CDF interpolation it replaced was 1.8e-2 sd off; the bound
+    # leaves a margin of about 3 over the measurement
+    worst = 0.0
+    for x, n, sigma in [(1.5, 1e3, 1e-3), (1.5, 1e3, 0.05), (1.5, 1e3, 1.0),
+                        (0.3, 1e4, 0.01), (-2.0, 100.0, 0.1),
+                        (5.0, 1e4, 1e-6)]:
+        post = _post(x, n, sigma, tail)
+        _, var, _, qs = quadrature_mean_var(post, tol=1e-6,
+                                            quantiles=_QUANTILE_LEVELS)
+        ref = _fine_grid_quantiles(post)
+        worst = max(worst, max(abs(qs[q] - ref[q]) for q in ref)
+                    / math.sqrt(var))
+    assert worst < 3e-3
+
+
+@pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
+                         ids=lambda t: t.name)
+def test_default_coordinate_evaluates_one_pass(tail):
+    # a G7/K15 pass evaluates 15 nodes per panel; a second, confirming
+    # pass over split panels would evaluate at least 30
+    points = []
+    counted = copy.copy(tail)  # the shared tail stays unwrapped
+
+    def log_density_scaled(theta, log_scale):
+        points.append(np.size(theta))
+        return tail.log_density_scaled(theta, log_scale)
+
+    counted.log_density_scaled = log_density_scaled
+    for x, n, sigma in [(0.3, 1e3, 0.05), (0.01, 1e5, 1e-3), (2.0, 1e4, 1.0)]:
+        post = _post(x, n, sigma, counted)
+        panels = len(posterior._panel_edges(post, 1e-8)) - 1
+        points.clear()
+        quadrature_mean_var(post, tol=1e-6, quantiles=_QUANTILE_LEVELS)
+        assert 0 < sum(points) <= 15 * panels, (x, n, sigma)
+
+
+def test_fit_posterior_reports_capped_coordinates(monkeypatch):
+    _, data = _sim(K=10)
+    prior = PriorSpec(CAUCHY, OTScaling(0.5))
+    tol = 1e-6
+    plain = fit_posterior(data, prior, method="quadrature", tol=tol)
+    diag = plain.diagnostics
+    assert diag["quadrature_levels"] == {0: 10}
+    assert diag["quadrature_capped"] == 0
+    assert diag["quadrature_capped_indices"] == []
+    assert 0.0 < diag["quadrature_max_achieved"] <= tol
+    real = posterior._kronrod_pass
+
+    def stalled(post, edges):
+        # coordinates 3 and 7 never get below tol: 3 ends within 10 tol,
+        # accepted at the cap; 7 would end beyond it
+        *moments, achieved = real(post, edges)
+        for i, err in ((3, 5.0 * tol), (7, 20.0 * tol)):
+            if abs(post.observation) == abs(data.observations[i]):
+                achieved = err
+        return (*moments, achieved)
+
+    monkeypatch.setattr(posterior, "_kronrod_pass", stalled)
+    with pytest.raises(ConvergenceError) as info:
+        fit_posterior(data, prior, method="quadrature", tol=tol)
+    assert info.value.index == 7
+    assert info.value.achieved == 20.0 * tol
+    # with coordinate 7 truncated away, 3 is accepted at the cap
+    truncated = PriorSpec(CAUCHY, ConstantTruncatedScaling(0.5, 7))
+    fit = fit_posterior(data, truncated, method="quadrature", tol=tol)
+    diag = fit.diagnostics
+    assert diag["quadrature_levels"] == {0: 6, 4: 1}
+    assert diag["quadrature_capped"] == 1
+    assert diag["quadrature_capped_indices"] == [3]
+    assert diag["quadrature_max_achieved"] == 5.0 * tol
 
 
 # -- quadrature oracle: the panel builders it replaced -----------------------
@@ -567,6 +688,27 @@ def test_metropolis_block_matches_reference(tail, chains):
         log_scales[0] = -3.0
     indices = np.arange(chains) * 3 + 5
     args = (xs, 1e3, log_scales, tail, 150, 150, 7, indices)
+    draws, acc = posterior._metropolis_block(*args)
+    ref_draws, ref_acc = _reference_metropolis_block(*args)
+    assert np.array_equal(draws, ref_draws)
+    assert np.array_equal(acc, ref_acc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE, GAUSSIAN],
+                         ids=lambda t: t.name)
+@pytest.mark.parametrize("jump_prob,big_step_prob", [(0.0, 0.4), (1.0, 0.0)],
+                         ids=["no-chain-jumps", "every-chain-jumps"])
+def test_metropolis_block_matches_reference_at_jump_extremes(
+        monkeypatch, tail, jump_prob, big_step_prob):
+    # the envelope terms are evaluated only for the chains that jump: none
+    # of them, or all of them, at every step
+    monkeypatch.setattr(posterior, "_JUMP_PROB", jump_prob)
+    monkeypatch.setattr(posterior, "_BIG_STEP_PROB", big_step_prob)
+    xs, log_scales = _chain_inputs(60, seed=13)
+    indices = np.arange(60) * 3 + 5
+    args = (xs, 1e3, log_scales, tail, 120, 130, 7, indices)
     draws, acc = posterior._metropolis_block(*args)
     ref_draws, ref_acc = _reference_metropolis_block(*args)
     assert np.array_equal(draws, ref_draws)
