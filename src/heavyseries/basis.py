@@ -118,10 +118,3 @@ def synthesize(coefficients, basis, m):
     return (design(basis, grid(basis, m), coefficients.shape[-1])
             @ coefficients.T).T
 
-
-def analyze_samples(samples, basis):
-    """Wavelet coefficients of sampled function values (wavelet bases only)."""
-    if basis.kind != WAVELET:
-        raise InvalidParameterError("analyze_samples applies to wavelet bases")
-    samples = np.asarray(samples, dtype=float)
-    return wavelets.analyze(samples, basis.frame)

@@ -2,7 +2,7 @@
 
 Subcommands
   simulate    draw a synthetic data set from a named truth, emit CSV
-  fit         simulate (or load) data and fit a posterior, emit summaries
+  fit         simulate data and fit a posterior, emit summaries
   rates       tabulate minimax exponents for (s, p, q, p') combinations
   signals     emit a truth as coefficient and/or sample CSV
   experiment  run a named experiment end to end, write its output files

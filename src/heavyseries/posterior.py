@@ -25,10 +25,11 @@ import numpy as np
 from scipy import special
 
 from . import basis as basis_mod
-from . import rng, wavelets
+from . import rng
 from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
 from .model import index_rows
-from .priors import GaussianHierarchicalScaling, GaussianTail
+from .priors import (GaussianHierarchicalScaling, GaussianTail,
+                     coordinate_index, hierarchical_log_scale)
 
 @dataclass(frozen=True)
 class UnivariatePosterior:
@@ -292,6 +293,8 @@ def conjugate_mean_var(x, n, sigma):
 _ADAPT_EVERY = 50
 _BIG_STEP_PROB = 0.2
 _JUMP_PROB = 0.2
+# most chains one `_metropolis_block` call runs
+_CHUNK = 1024
 
 
 def _check_chain_lengths(draws, burn_in):
@@ -458,15 +461,6 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
     return out, kept / draws
 
 
-def metropolis_sample(post, draws=4000, burn_in=2000, seed=0, index=0):
-    """Random-walk Metropolis draws from one univariate posterior."""
-    _check_chain_lengths(draws, burn_in)
-    samples, acc = _metropolis_block(
-        np.array([post.observation]), post.noise_precision,
-        np.array([post.log_scale]), post.tail, draws, burn_in, seed, [index])
-    return samples[0], float(acc[0])
-
-
 # --------------------------------------------------------------------------
 # Assembled fits
 # --------------------------------------------------------------------------
@@ -492,29 +486,17 @@ _QLEVELS = (0.05, 0.5, 0.95)
 
 
 def _coordinate_layout(data, prior):
-    """(log_scales, active, stream indices) for each coordinate of data."""
-    K = data.truncation
-    if prior.index_mode == "single":
-        if data.double_indexed:
-            raise ShapeError("single-index prior applied to wavelet data")
-        ks = np.arange(1, K + 1)
-        log_s = np.asarray(prior.scaling.log_scale(ks), dtype=float)
-        active = np.asarray(prior.scaling.active(ks), dtype=bool)
-        if active.ndim == 0:
-            active = np.full(K, bool(active))
-        stream_idx = np.arange(K)
-    else:
-        if not data.double_indexed:
-            raise ShapeError("level-indexed prior applied to single-index data")
-        log_s = np.asarray(prior.scaling.log_scale(wavelets.flat_levels(K)),
-                           dtype=float)
-        active = np.ones(K, dtype=bool)
-        stream_idx = np.arange(K)
-    return log_s, active, stream_idx
+    """(log_scales, active) for each coordinate of data; coordinate i
+    runs on random stream i."""
+    if prior.scaling.level_indexed != data.double_indexed:
+        raise ShapeError("single-index prior applied to wavelet data"
+                         if data.double_indexed else
+                         "level-indexed prior applied to single-index data")
+    return prior.coordinate_scales(data.truncation)
 
 
 def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
-                  seed=0, tol=1e-6, chunk=1024):
+                  seed=0, tol=1e-6):
     """Per-coordinate posterior summaries for a full data set.
 
     Coordinates deactivated by a truncated scaling rule get mean 0,
@@ -531,8 +513,8 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
                                            seed=seed)
     if method == "metropolis":
         return fit_metropolis([(data, prior)], draws=draws, burn_in=burn_in,
-                              seed=seed, chunk=chunk)[0]
-    log_s, active, stream_idx = _coordinate_layout(data, prior)
+                              seed=seed)[0]
+    log_s, active = _coordinate_layout(data, prior)
     K = data.truncation
     x = data.observations
     n = data.noise_precision
@@ -572,10 +554,9 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
     elif method == "conjugate":
         if not isinstance(prior.tail, GaussianTail):
             raise InvalidParameterError("conjugate path needs a Gaussian tail")
-        sig = np.where(active, np.exp(log_s), 0.0)
-        shrink = n * sig**2 / (1.0 + n * sig**2)
-        means = np.where(active, x * shrink, 0.0)
-        variances = np.where(active, sig**2 / (1.0 + n * sig**2), 0.0)
+        # inactive coordinates have sigma = 0: variance 0, mean x * 0
+        means, variances = conjugate_mean_var(x, n, np.exp(log_s))
+        means = np.where(active, means, 0.0)
         sd = np.sqrt(variances)
         for q in _QLEVELS:
             quantiles[q] = means + special.ndtri(q) * sd
@@ -583,7 +564,7 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
             draw_mat = np.zeros((K, draws))
             for i in range(K):
                 if active[i] and sd[i] > 0:
-                    gen = rng.coord_generator(seed, rng.STREAM_CHAIN, stream_idx[i])
+                    gen = rng.coord_generator(seed, rng.STREAM_CHAIN, i)
                     draw_mat[i] = means[i] + sd[i] * gen.standard_normal(draws)
     else:
         raise InvalidParameterError(f"unknown method {method!r}")
@@ -611,11 +592,11 @@ def _draw_moments(draw_mat):
     return draw_mat.mean(axis=1), draw_mat.var(axis=1), dict(zip(_QLEVELS, qs))
 
 
-def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0, chunk=1024):
+def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0):
     """Metropolis summaries for several (data, prior) pairs in one sampler.
 
     The priors must share a tail; data sets and scalings may differ.  The
-    active coordinates of all pairs run as blocks of at most `chunk`
+    active coordinates of all pairs run as blocks of at most `_CHUNK`
     chains, and each summary equals `fit_posterior(data, prior,
     method="metropolis", ...)` for its pair alone.  The summaries' draws
     are row views of one matrix, which stays alive while any of them does.
@@ -631,19 +612,19 @@ def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0, chunk=1024):
     layouts = [_coordinate_layout(data, prior) for data, prior in pairs]
     bounds = np.cumsum([0] + [data.truncation for data, _ in pairs])
     rows, xs, ns, log_s, streams = [], [], [], [], []
-    for (data, _), (ls, active, stream_idx), lo in zip(pairs, layouts, bounds):
+    for (data, _), (ls, active), lo in zip(pairs, layouts, bounds):
         act = np.flatnonzero(active)
         rows.append(lo + act)
         xs.append(data.observations[act])
         ns.append(np.full(len(act), data.noise_precision))
         log_s.append(ls[act])
-        streams.append(stream_idx[act])
+        streams.append(act)
     rows, xs, ns, log_s, streams = map(np.concatenate,
                                        (rows, xs, ns, log_s, streams))
     draw_mat = np.zeros((bounds[-1], draws))
     acc = np.zeros(bounds[-1])
-    for first in range(0, len(rows), chunk):
-        sel = slice(first, first + chunk)
+    for first in range(0, len(rows), _CHUNK):
+        sel = slice(first, first + _CHUNK)
         r = rows[sel]
         # contiguous rows are sampled in place
         direct = r[-1] - r[0] + 1 == len(r)
@@ -654,7 +635,7 @@ def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0, chunk=1024):
             draw_mat[r] = block
         del block  # before the next block allocates its own
     summaries = []
-    for (_, active, _), lo, hi in zip(layouts, bounds[:-1], bounds[1:]):
+    for (_, active), lo, hi in zip(layouts, bounds[:-1], bounds[1:]):
         mat = draw_mat[lo:hi]
         means, variances, quantiles = _draw_moments(mat)
         a = acc[lo:hi][active]
@@ -674,10 +655,13 @@ def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0, chunk=1024):
 # --------------------------------------------------------------------------
 
 
+# initial random-walk sd of the (log tau, log alpha) move
+_GIBBS_PROPOSAL_SD = 0.35
+
+
 def _gibbs_log_marginal(x, n, levels, u, v):
     """log p(x | tau, alpha) + log prior on (u, v) = (log tau, log alpha)."""
-    alpha = math.exp(v)
-    log_sig = u - np.maximum(levels, 0) * (0.5 + alpha) * math.log(2.0)
+    log_sig = hierarchical_log_scale(u, math.exp(v), levels)
     var = 1.0 / n + np.exp(2.0 * log_sig)
     loglik = -0.5 * np.sum(np.log(2 * math.pi * var) + x * x / var)
     # tau ~ Inv-Gamma(1,1) in u = log tau; alpha ~ Exp(1) in v = log alpha
@@ -685,8 +669,7 @@ def _gibbs_log_marginal(x, n, levels, u, v):
     return loglik + log_prior
 
 
-def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0,
-                                proposal_sd=0.35):
+def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0):
     """Gibbs sampler for the hierarchical Gaussian wavelet prior.
 
     Alternates exact conjugate coefficient draws given (tau, alpha) with a
@@ -699,7 +682,8 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0,
     K = data.truncation
     x = data.observations
     n = data.noise_precision
-    levels = wavelets.flat_levels(K)
+    # as floats once per fit, so no step's scales cast the levels again
+    levels = coordinate_index(K, level_indexed=True).astype(float)
     gen = rng.coord_generator(seed, rng.STREAM_GIBBS, 0)
     u, v = 0.0, 0.0  # tau = 1, alpha = 1
     cur_lp = _gibbs_log_marginal(x, n, levels, u, v)
@@ -708,7 +692,7 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0,
     hyper = np.empty((draws, 2))
     accepted = 0
     window_acc = 0
-    sd = proposal_sd
+    sd = _GIBBS_PROPOSAL_SD
     for t in range(total):
         pu = u + sd * gen.standard_normal()
         pv = v + sd * gen.standard_normal()
@@ -727,7 +711,7 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0,
             window_acc = 0
         if t >= burn_in:
             alpha = math.exp(v)
-            log_sig = u - np.maximum(levels, 0) * (0.5 + alpha) * math.log(2.0)
+            log_sig = hierarchical_log_scale(u, alpha, levels)
             s2 = np.exp(2.0 * log_sig)
             shrink = n * s2 / (1.0 + n * s2)
             post_sd = np.sqrt(s2 / (1.0 + n * s2))

@@ -26,7 +26,7 @@ with K = (2 pi)^{-3/2}.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -461,6 +461,12 @@ def _level_index(j):
     return np.maximum(np.asarray(j, dtype=float), 0.0)
 
 
+def hierarchical_log_scale(log_tau, alpha, j):
+    """log sigma_j = log tau - j (1/2 + alpha) log 2 of the hierarchical
+    Gaussian prior, with level -1 at the level-0 scale."""
+    return log_tau - _level_index(j) * (0.5 + alpha) * LOG_TWO
+
+
 @dataclass(frozen=True)
 class WaveletOTScaling(ScalingRule):
     """sigma_j = 2^{-j^{1+nu}} shared across k within level j."""
@@ -495,7 +501,7 @@ class GaussianHierarchicalScaling(ScalingRule):
             raise InvalidParameterError("tau and alpha must be > 0")
 
     def log_scale(self, j):
-        return math.log(self.tau) - _level_index(j) * (0.5 + self.alpha) * LOG_TWO
+        return hierarchical_log_scale(math.log(self.tau), self.alpha, j)
 
     def config(self):
         return {"scaling": "gaussian-hierarchical", "tau": self.tau,
@@ -506,25 +512,23 @@ class GaussianHierarchicalScaling(ScalingRule):
 # Assembled prior
 # --------------------------------------------------------------------------
 
-SINGLE = "single"
-DOUBLE = "double"
+def coordinate_index(count, level_indexed):
+    """The index a scaling rule reads at each of `count` flat positions:
+    k = 1..count, or the packed-wavelet level of each position."""
+    if level_indexed:
+        return wavelets.flat_levels(count)
+    return np.arange(1, count + 1)
 
 
 @dataclass(frozen=True)
 class PriorSpec:
     tail: TailFamily
     scaling: ScalingRule
-    index_mode: str = SINGLE
+    _: KW_ONLY
     baseline: bool = False
     label: str = field(default="")
 
     def __post_init__(self):
-        if self.index_mode not in (SINGLE, DOUBLE):
-            raise InvalidParameterError("index_mode must be single or double")
-        if self.scaling.level_indexed != (self.index_mode == DOUBLE):
-            raise InvalidParameterError(
-                "level-indexed scalings require double index mode and vice versa"
-            )
         if not self.tail.is_heavy and not (
             self.baseline
             or isinstance(self.scaling, GaussianHierarchicalScaling)
@@ -537,8 +541,13 @@ class PriorSpec:
                 self, "label", f"{self.tail.name}-{self.scaling.kind}"
             )
 
+    def coordinate_scales(self, count):
+        """(log sigma, active) at each of `count` flat coordinates."""
+        idx = coordinate_index(count, self.scaling.level_indexed)
+        return self.scaling.log_scale(idx), self.scaling.active(idx)
+
     def config(self):
-        cfg = {"tail": self.tail.name, "index_mode": self.index_mode}
+        cfg = {"tail": self.tail.name}
         if isinstance(self.tail, StudentTail) and self.tail.df != 1.0:
             cfg["df"] = self.tail.df
         cfg.update(self.scaling.config())
@@ -573,8 +582,7 @@ def prior_from_config(cfg):
         )
     else:
         raise InvalidParameterError(f"unknown scaling {kind!r}")
-    index_mode = cfg.get("index_mode", SINGLE)
-    return PriorSpec(tail, scaling, index_mode, baseline=bool(cfg.get("baseline")))
+    return PriorSpec(tail, scaling, baseline=bool(cfg.get("baseline")))
 
 
 _STUDENT3 = {"tail": "student-3", "df": 3.0}
@@ -582,9 +590,8 @@ _PRESETS = {
     "student3-ot": {**_STUDENT3, "scaling": "ot", "nu": 0.5},
     "cauchy-ot": {"tail": "cauchy", "scaling": "ot", "nu": 0.5},
     "horseshoe-ot": {"tail": "horseshoe", "scaling": "ot", "nu": 0.5},
-    "cauchy-wavelet-ot": {"tail": "cauchy", "index_mode": DOUBLE,
-                          "scaling": "wavelet-ot", "nu": 0.5},
-    "gaussian-hierarchical": {"tail": "gaussian", "index_mode": DOUBLE,
+    "cauchy-wavelet-ot": {"tail": "cauchy", "scaling": "wavelet-ot", "nu": 0.5},
+    "gaussian-hierarchical": {"tail": "gaussian",
                               "scaling": "gaussian-hierarchical",
                               "tau": 1.0, "alpha": 1.0},
 }
@@ -613,23 +620,14 @@ def make_prior(name, n=None):
 
 
 def sample_prior(spec, count, seed):
-    """Independent coefficient draws f_k = sigma_k zeta_k, k = 1..count.
-
-    Double-indexed specs interpret positions through the packed wavelet
-    layout and use the level scale at each coordinate.
-    """
+    """Independent coefficient draws f_k = sigma_k zeta_k at `count` flat
+    coordinates, with the scales of `spec.coordinate_scales` (the packed
+    wavelet layout's levels for a level-indexed rule)."""
     if count < 1:
         raise InvalidParameterError("count must be >= 1")
-    if spec.index_mode == SINGLE:
-        idx = np.arange(1, count + 1)
-        log_s = spec.scaling.log_scale(idx)
-        active = spec.scaling.active(idx)
-    else:
-        log_s = spec.scaling.log_scale(wavelets.flat_levels(count))
-        active = np.ones(count, dtype=bool)
+    log_s, active = spec.coordinate_scales(count)
     zeta = np.empty(count)
     for pos in range(count):
         gen = rng.coord_generator(seed, rng.STREAM_PRIOR, pos)
         zeta[pos] = spec.tail.sample(gen, 1)[0]
-    out = np.where(active, np.exp(log_s) * zeta, 0.0)
-    return out
+    return np.where(active, np.exp(log_s) * zeta, 0.0)

@@ -56,8 +56,7 @@ def _batch_se(draws, b):
 def test_posterior_oracle_equivalence():
     pts = _test_points()
     mdraws = 8000
-    # one sampler block per tail; chain i runs on stream i, exactly as
-    # metropolis_sample(post, seed=7, index=i) would
+    # one sampler block per tail; chain i runs on stream i
     chain_draws = {}
     for tail in dict.fromkeys(p[0] for p in pts):
         idx = [i for i, p in enumerate(pts) if p[0] is tail]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from heavyseries import basis
+from heavyseries import basis, wavelets
 from heavyseries.errors import InvalidParameterError, ShapeError
 from heavyseries.wavelets import WaveletFrame
 
@@ -30,7 +30,7 @@ def test_wavelet_basis_round_trip():
     frame = WaveletFrame("symmlet-8", 256, 4)
     b = basis.wavelet_basis(frame)
     x = np.random.default_rng(0).normal(size=256)
-    c = basis.analyze_samples(x, b)
+    c = wavelets.analyze(x, frame)
     assert np.max(np.abs(basis.synthesize(c, b, 256) - x)) < 1e-10
 
 

@@ -30,7 +30,7 @@ def test_make_prior_presets():
     assert hs.scaling.k_trunc == 100
     ht = make_prior("student3-ht-1.25")
     assert ht.scaling.alpha == 1.25
-    assert make_prior("cauchy-wavelet-ot").index_mode == "double"
+    assert make_prior("cauchy-wavelet-ot").scaling.level_indexed
     assert isinstance(make_prior("gaussian-hierarchical").tail, GaussianTail)
     with pytest.raises(InvalidParameterError):
         make_prior("truncated-hs")  # needs n

@@ -1,5 +1,5 @@
-"""Every name a heavyseries module imports is used in that module, and
-every import sits at module level.
+"""Every name a heavyseries module imports is used in that module, every
+import sits at module level, and one-owner helpers stay with their owners.
 
 `__init__.py` is left out of the unused-name check: its imports are the
 package's public names.
@@ -59,3 +59,32 @@ def test_function_import_check_finds_nested_imports():
 @pytest.mark.parametrize("path", _ALL_MODULES, ids=lambda p: p.name)
 def test_no_imports_inside_functions(path):
     assert _function_imports(path.read_text()) == []
+
+
+def _referenced_names(source):
+    """Names a module defines, imports, reads or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_referenced_names_finds_every_kind_of_reference():
+    source = ("from x import a\nimport y.b\ndef c():\n    return d + e.f\n")
+    assert _referenced_names(source) >= {"a", "b", "c", "d", "e", "f"}
+
+
+def test_flat_levels_stays_with_priors_and_wavelets():
+    # the flat position -> wavelet level layout is defined in `wavelets`
+    # and mapped to prior scales only by `priors.coordinate_index`
+    users = [p.name for p in _ALL_MODULES
+             if "flat_levels" in _referenced_names(p.read_text())]
+    assert users == ["priors.py", "wavelets.py"]

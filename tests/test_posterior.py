@@ -15,7 +15,6 @@ from heavyseries.posterior import (
     credible_band,
     fit_posterior,
     gibbs_hierarchical_gaussian,
-    metropolis_sample,
     quadrature_mean_var,
 )
 from heavyseries.priors import (
@@ -390,32 +389,33 @@ def _batch_se(draws):
     (0.5, 10.0, 1e-4, HORSESHOE),
 ])
 def test_metropolis_matches_quadrature(x, n, sigma, tail):
-    p = _post(x, n, sigma, tail)
-    qm, qv, _ = quadrature_mean_var(p, tol=1e-9)
-    draws, acc = metropolis_sample(p, draws=4000, burn_in=2000, seed=0)
+    qm, qv, _ = quadrature_mean_var(_post(x, n, sigma, tail), tol=1e-9)
+    (draws,), (acc,) = posterior._metropolis_block(
+        [x], n, [math.log(sigma)], tail, 4000, 2000, 0, [0])
     se = max(_batch_se(draws), math.sqrt(qv / len(draws)))
     assert abs(draws.mean() - qm) < 3.0 * se
     assert 0.0 < acc < 1.0
 
 
 def test_metropolis_conjugate_case():
-    p = _post(1.0, 10.0, 1.0, GAUSSIAN)
     cm, cv = conjugate_mean_var(1.0, 10.0, 1.0)
-    draws, _ = metropolis_sample(p, draws=4000, burn_in=2000, seed=1)
+    (draws,), _ = posterior._metropolis_block(
+        [1.0], 10.0, [0.0], GAUSSIAN, 4000, 2000, 1, [0])
     assert abs(draws.mean() - cm) < 3.0 * _batch_se(draws)
     assert draws.var() == pytest.approx(cv, rel=0.2)
 
 
 def test_metropolis_degenerate_precision():
-    p = _post(2.0, 1e12, 1.0, CAUCHY)
-    draws, _ = metropolis_sample(p, draws=2000, burn_in=2000, seed=2)
+    (draws,), _ = posterior._metropolis_block(
+        [2.0], 1e12, [0.0], CAUCHY, 2000, 2000, 2, [0])
     assert np.max(np.abs(draws - 2.0)) < 1e-4
 
 
 def test_metropolis_deterministic():
-    p = _post(1.0, 10.0, 0.1, CAUCHY)
-    a, _ = metropolis_sample(p, draws=100, burn_in=100, seed=3)
-    b, _ = metropolis_sample(p, draws=100, burn_in=100, seed=3)
+    a, _ = posterior._metropolis_block(
+        [1.0], 10.0, [math.log(0.1)], CAUCHY, 100, 100, 3, [0])
+    b, _ = posterior._metropolis_block(
+        [1.0], 10.0, [math.log(0.1)], CAUCHY, 100, 100, 3, [0])
     assert np.array_equal(a, b)
 
 
@@ -480,13 +480,15 @@ def test_truncated_coordinates_exactly_zero():
     assert np.all(msum.draws[12:] == 0.0)
 
 
-def test_metropolis_chunk_invariance():
+def test_metropolis_chunk_invariance(monkeypatch):
     _, data = _sim(K=20)
     prior = PriorSpec(CAUCHY, OTScaling(0.5))
+    monkeypatch.setattr(posterior, "_CHUNK", 7)
     a = fit_posterior(data, prior, method="metropolis", draws=200,
-                      burn_in=200, seed=0, chunk=7)
+                      burn_in=200, seed=0)
+    monkeypatch.setattr(posterior, "_CHUNK", 1024)
     b = fit_posterior(data, prior, method="metropolis", draws=200,
-                      burn_in=200, seed=0, chunk=1024)
+                      burn_in=200, seed=0)
     assert np.array_equal(a.draws, b.draws)
 
 
@@ -767,7 +769,7 @@ def test_shared_streams_cut_block_memory():
 
 
 def _reference_fit_draws(data, prior, draws, burn_in, seed, chunk=1024):
-    log_s, active, stream_idx = posterior._coordinate_layout(data, prior)
+    log_s, active = posterior._coordinate_layout(data, prior)
     draw_mat = np.zeros((data.truncation, draws))
     acc = np.zeros(data.truncation)
     act_idx = np.flatnonzero(active)
@@ -775,7 +777,7 @@ def _reference_fit_draws(data, prior, draws, burn_in, seed, chunk=1024):
         sel = act_idx[start:start + chunk]
         draw_mat[sel], acc[sel] = _reference_metropolis_block(
             data.observations[sel], data.noise_precision, log_s[sel],
-            prior.tail, draws, burn_in, seed, stream_idx[sel])
+            prior.tail, draws, burn_in, seed, sel)
     return draw_mat, acc[active]
 
 
@@ -805,7 +807,7 @@ def _assert_same_summary(a, b):
 
 
 @pytest.mark.parametrize("chunk", [7, 1024])
-def test_fit_metropolis_matches_separate_fits(chunk):
+def test_fit_metropolis_matches_separate_fits(chunk, monkeypatch):
     truth = signals.truth_sobolev_cos(30)
     pairs = [
         (model.simulate(truth, 1e3, 30, seed=4), PriorSpec(HORSESHOE,
@@ -815,8 +817,8 @@ def test_fit_metropolis_matches_separate_fits(chunk):
         (model.simulate(truth, 1e5, 30, seed=5), PriorSpec(HORSESHOE,
                                                           OTScaling(0.5))),
     ]
-    fits = posterior.fit_metropolis(pairs, draws=60, burn_in=100, seed=9,
-                                    chunk=chunk)
+    monkeypatch.setattr(posterior, "_CHUNK", chunk)
+    fits = posterior.fit_metropolis(pairs, draws=60, burn_in=100, seed=9)
     assert len(fits) == len(pairs)
     for fit, (data, prior) in zip(fits, pairs):
         alone = fit_posterior(data, prior, method="metropolis", draws=60,
@@ -836,7 +838,6 @@ def test_fit_metropolis_rejects_mixed_tails():
 def test_invalid_chain_lengths_rejected():
     _, data = _sim(K=5)
     prior = PriorSpec(CAUCHY, OTScaling(0.5))
-    p = _post(1.0, 10.0, 0.1, CAUCHY)
     _, wavelet_data = _wavelet_data()
     for draws, burn_in in [(0, 10), (10, -5)]:
         with pytest.raises(InvalidParameterError):
@@ -845,8 +846,6 @@ def test_invalid_chain_lengths_rejected():
         with pytest.raises(InvalidParameterError):
             posterior.fit_metropolis([(data, prior)], draws=draws,
                                      burn_in=burn_in)
-        with pytest.raises(InvalidParameterError):
-            metropolis_sample(p, draws=draws, burn_in=burn_in)
         with pytest.raises(InvalidParameterError):
             gibbs_hierarchical_gaussian(wavelet_data, draws=draws,
                                         burn_in=burn_in)
@@ -861,17 +860,6 @@ def test_draw_moments_quantiles_match_per_level_calls(shape):
         assert np.array_equal(quantiles[q], np.quantile(draws, q, axis=1)), q
     assert np.array_equal(means, draws.mean(axis=1))
     assert np.array_equal(variances, draws.var(axis=1))
-
-
-def test_metropolis_sample_returns_contiguous_draws():
-    p = _post(1.5, 100.0, 0.1, CAUCHY)
-    draws, acc = metropolis_sample(p, draws=120, burn_in=80, seed=5,
-                                   index=3)
-    ref_draws, ref_acc = _reference_metropolis_block(
-        [1.5], 100.0, [math.log(0.1)], CAUCHY, 120, 80, 5, [3])
-    assert draws.ndim == 1 and draws.flags.c_contiguous
-    assert np.array_equal(draws, ref_draws[0])
-    assert acc == float(ref_acc[0])
 
 
 def test_conjugate_method_matches_closed_form():

@@ -312,8 +312,6 @@ def test_invalid_scaling_parameters():
 def test_prior_spec_validation():
     with pytest.raises(InvalidParameterError):
         PriorSpec(GAUSSIAN, OTScaling(0.5))  # light tail without baseline
-    with pytest.raises(InvalidParameterError):
-        PriorSpec(CAUCHY, WaveletOTScaling(0.5))  # level rule, single mode
     spec = PriorSpec(GAUSSIAN, OTScaling(0.5), baseline=True)
     assert spec.label == "gaussian-ot"
 
@@ -332,10 +330,9 @@ _PRESET_REFERENCES = {
         HORSESHOE, ConstantTruncatedScaling(1.0 / (2.5e4 + 0.5), 25000)),
     ("student3-ht-1.25", None): PriorSpec(StudentTail(3.0), HTScaling(1.25)),
     ("student3-ht-2.75", None): PriorSpec(StudentTail(3.0), HTScaling(2.75)),
-    ("cauchy-wavelet-ot", None): PriorSpec(CAUCHY, WaveletOTScaling(0.5),
-                                           "double"),
+    ("cauchy-wavelet-ot", None): PriorSpec(CAUCHY, WaveletOTScaling(0.5)),
     ("gaussian-hierarchical", None): PriorSpec(
-        GAUSSIAN, GaussianHierarchicalScaling(), "double"),
+        GAUSSIAN, GaussianHierarchicalScaling()),
 }
 
 
@@ -344,8 +341,8 @@ def test_config_round_trip():
         PriorSpec(STUDENT3, OTScaling(0.5)),
         PriorSpec(CAUCHY, HTScaling(1.75)),
         PriorSpec(priors.HORSESHOE, ConstantTruncatedScaling(1e-3, 1000)),
-        PriorSpec(CAUCHY, WaveletOTScaling(0.5), "double"),
-        PriorSpec(GAUSSIAN, GaussianHierarchicalScaling(), "double"),
+        PriorSpec(CAUCHY, WaveletOTScaling(0.5)),
+        PriorSpec(GAUSSIAN, GaussianHierarchicalScaling()),
     ]
     specs += [make_prior(name, n) for name, n in _PRESET_REFERENCES]
     for spec in specs:
@@ -358,6 +355,51 @@ def test_config_round_trip():
         assert spec.scaling == ref.scaling
         assert type(spec.tail) is type(ref.tail)
         assert vars(spec.tail) == vars(ref.tail)
+
+
+# the index each flat position reads, written out independently of
+# wavelets.flat_levels: position 0 is level -1, position i >= 1 is level
+# floor(log2 i)
+def _expected_index(count, level_indexed):
+    if level_indexed:
+        return np.array([-1] + [i.bit_length() - 1 for i in range(1, count)])
+    return np.arange(1, count + 1)
+
+
+@pytest.mark.parametrize("name,n", list(_PRESET_REFERENCES))
+def test_coordinate_scales_match_the_scaling_rule(name, n):
+    spec = make_prior(name, n)
+    level_indexed = spec.scaling.level_indexed
+    count = 2048 if level_indexed else 200
+    idx = _expected_index(count, level_indexed)
+    assert np.array_equal(priors.coordinate_index(count, level_indexed), idx)
+    log_s, active = spec.coordinate_scales(count)
+    expect_log_s = np.asarray(spec.scaling.log_scale(idx), dtype=float)
+    expect_active = np.asarray(spec.scaling.active(idx), dtype=bool)
+    assert log_s.dtype == float and log_s.shape == (count,)
+    assert log_s.tobytes() == expect_log_s.tobytes()
+    assert active.dtype == bool and active.shape == (count,)
+    assert np.array_equal(active, expect_active)
+
+
+def test_hierarchical_log_scale_is_the_gibbs_expression():
+    # the hierarchical Gaussian scale as the Gibbs sampler wrote it out
+    # before the rule and the sampler shared one expression
+    levels = _expected_index(2048, True)
+    for u, alpha in [(0.0, 1.0), (0.37, 0.658), (-2.5, 3.1), (7.7, 0.01)]:
+        ref = u - np.maximum(levels, 0) * (0.5 + alpha) * math.log(2.0)
+        got = priors.hierarchical_log_scale(u, alpha, levels)
+        assert got.tobytes() == ref.tobytes()
+    rule = GaussianHierarchicalScaling(tau=2.0, alpha=0.75)
+    assert rule.log_scale(levels).tobytes() == priors.hierarchical_log_scale(
+        math.log(2.0), 0.75, levels).tobytes()
+
+
+def test_prior_spec_takes_baseline_and_label_by_keyword():
+    with pytest.raises(TypeError):
+        PriorSpec(CAUCHY, WaveletOTScaling(0.5), "double")
+    with pytest.raises(TypeError):
+        PriorSpec(GAUSSIAN, OTScaling(0.5), True)
 
 
 def test_sample_prior_structure():
