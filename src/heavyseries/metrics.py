@@ -15,16 +15,21 @@ from .errors import InvalidParameterError, ShapeError
 
 DEFAULT_GRID = 2048
 
-# rows of a grid-value stack reduced at a time by contraction_errors
-_NORM_BLOCK_ROWS = 128
+# draws synthesized and reduced at a time by contraction_errors
+_DRAW_BLOCK = 256
+
+
+def _check_p_prime(p_prime):
+    # written so that NaN fails; inf passes
+    if not p_prime >= 1:
+        raise InvalidParameterError(f"p' must be >= 1, got {p_prime!r}")
 
 
 def grid_norm(values, p_prime):
+    _check_p_prime(p_prime)
     values = np.asarray(values, dtype=float)
     if math.isinf(p_prime):
         return float(np.max(np.abs(values)))
-    if p_prime < 1:
-        raise InvalidParameterError("p' must be >= 1")
     return float(np.mean(np.abs(values) ** p_prime) ** (1.0 / p_prime))
 
 
@@ -51,45 +56,45 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
 
     draws has shape (coordinate, draw); measures concentration of the
     whole posterior around the truth rather than point-estimate accuracy.
-    Returns {p': error}; the draws are synthesized to the grid once and
-    reused for every non-Parseval norm.
+    Returns {p': error}.  The draws are handled in blocks of `_DRAW_BLOCK`,
+    so scratch memory does not grow with the draw count: each block's
+    differences are synthesized to the grid once and reused for every
+    non-Parseval norm, and each p' collects one norm per draw, whose mean
+    is the error.  The values equal the whole-stack expression's bit for
+    bit.
     """
     draws = np.asarray(draws, dtype=float)
     truth_coeffs = np.asarray(truth_coeffs, dtype=float)
     if draws.ndim != 2 or draws.shape[0] != len(truth_coeffs):
         raise ShapeError("draws must be (coordinate, draw) matching the truth")
-    diff = draws.T - truth_coeffs[None, :]  # (draw, coordinate)
-    out = {}
-    values = None
     for p_prime in p_primes:
-        if p_prime == 2:
-            scale = basis_mod.parseval_scale(basis)
-            out[p_prime] = float((np.linalg.norm(diff, axis=1) / scale).mean())
-            continue
-        if values is None:
-            values = basis_mod.synthesize(diff, basis,
-                                          basis_mod.grid_size(basis, m))
-        out[p_prime] = float(_row_norms(values, p_prime).mean())
-    return out
-
-
-def _row_norms(values, p_prime):
-    """Grid L_{p'} norm of each row of a 2-D stack.
-
-    Reduces fixed blocks of rows into a preallocated result, so the
-    temporaries are block-sized rather than stack-sized; each block is
-    made C-ordered, so every row is reduced along a contiguous axis and the
-    norms are bit-identical to the whole-stack expression on a C stack.
-    """
-    norms = np.empty(len(values))
-    for start in range(0, len(values), _NORM_BLOCK_ROWS):
-        block = np.abs(values[start:start + _NORM_BLOCK_ROWS], order="C")
-        rows = slice(start, start + len(block))
-        if math.isinf(p_prime):
-            norms[rows] = np.max(block, axis=1)
-        else:
-            norms[rows] = np.mean(block ** p_prime, axis=1) ** (1.0 / p_prime)
-    return norms
+        _check_p_prime(p_prime)
+    count = draws.shape[1]
+    norms = {p_prime: np.empty(count) for p_prime in p_primes}
+    scale = basis_mod.parseval_scale(basis)
+    m = basis_mod.grid_size(basis, m)
+    # a block of one draw would be both C- and F-contiguous, and its norm
+    # would be summed in another order, so a last single draw joins the
+    # block before it
+    starts = list(range(0, max(count - 1, 1), _DRAW_BLOCK)) + [count]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        # (draw, coordinate), laid out like the whole-stack transpose
+        diff = draws[:, lo:hi].T - truth_coeffs[None, :]
+        values = None
+        for p_prime, out in norms.items():
+            if p_prime == 2:
+                out[lo:hi] = np.linalg.norm(diff, axis=1) / scale
+                continue
+            if values is None:
+                # C-ordered, so each row is reduced along a contiguous axis
+                values = np.abs(basis_mod.synthesize(diff, basis, m),
+                                order="C")
+            if math.isinf(p_prime):
+                out[lo:hi] = np.max(values, axis=1)
+            else:
+                out[lo:hi] = (np.mean(values ** p_prime, axis=1)
+                              ** (1.0 / p_prime))
+    return {p_prime: float(out.mean()) for p_prime, out in norms.items()}
 
 
 def slope_fit(ns, errors):

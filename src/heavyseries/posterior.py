@@ -586,10 +586,28 @@ def _quadrature_diagnostics(coords, levels, achieved, tol):
     }
 
 
+# most values one block of a draw or curve stack holds (2 MiB of float64)
+_BLOCK_VALUES = 1 << 18
+
+
 def _draw_moments(draw_mat):
-    """Per-row means, variances and `_QLEVELS` quantiles of draws."""
-    qs = np.quantile(draw_mat, _QLEVELS, axis=1)
-    return draw_mat.mean(axis=1), draw_mat.var(axis=1), dict(zip(_QLEVELS, qs))
+    """Per-row means, variances and `_QLEVELS` quantiles of draws.
+
+    Rows are taken in blocks of at most `_BLOCK_VALUES` values (at least
+    one row), so the copies that `var` and `np.quantile` make do not
+    grow with the stack.  Each row is reduced on its own, so the results
+    equal the whole-stack calls' bit for bit.
+    """
+    rows, count = draw_mat.shape
+    means, variances = np.empty(rows), np.empty(rows)
+    qs = np.empty((len(_QLEVELS), rows))
+    step = max(1, _BLOCK_VALUES // count)
+    for lo in range(0, rows, step):
+        block = draw_mat[lo:lo + step]
+        means[lo:lo + step] = block.mean(axis=1)
+        variances[lo:lo + step] = block.var(axis=1)
+        qs[:, lo:lo + step] = np.quantile(block, _QLEVELS, axis=1)
+    return means, variances, dict(zip(_QLEVELS, qs))
 
 
 def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0):
@@ -748,13 +766,16 @@ def credible_band(summary, basis, m=256, level=0.95):
     dist = np.mean((curves - center[None, :]) ** 2, axis=1)
     keep = math.ceil(level * len(dist))
     sel = np.argsort(dist)[:keep]
-    kept = curves[sel]
-    return {
-        "grid": grid,
-        "center": center,
-        "lower": kept.min(axis=0),
-        "upper": kept.max(axis=0),
-    }
+    # the kept curves' envelope, gathered in blocks: min and max are
+    # exact, so the block order does not change them
+    lower = np.full(m, np.inf)
+    upper = np.full(m, -np.inf)
+    step = max(1, _BLOCK_VALUES // m)
+    for lo in range(0, keep, step):
+        kept = curves[sel[lo:lo + step]]
+        np.minimum(lower, kept.min(axis=0), out=lower)
+        np.maximum(upper, kept.max(axis=0), out=upper)
+    return {"grid": grid, "center": center, "lower": lower, "upper": upper}
 
 
 def band_width(band):

@@ -1,4 +1,5 @@
-"""Shared fixtures and the brute-force posterior oracle.
+"""Shared fixtures: the brute-force posterior oracle and a scratch-memory
+probe.
 
 The oracle integrates the unnormalized posterior density on a fixed,
 deterministic grid with plain trapezoid rule over disjoint segments.  It
@@ -9,6 +10,7 @@ independent of the adaptive quadrature engine it is used to check.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,3 +85,19 @@ def brute_force_mean_var(x, n, sigma, tail, dense=200_000, sparse=1_500):
 @pytest.fixture(scope="session")
 def oracle():
     return brute_force_mean_var
+
+
+def scratch_peak_bytes(fn, *args):
+    """Peak bytes fn(*args) allocates beyond what exists when it starts,
+    as numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def scratch_peak():
+    return scratch_peak_bytes

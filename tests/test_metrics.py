@@ -15,6 +15,19 @@ def test_grid_norm():
         metrics.grid_norm(v, 0.5)
 
 
+@pytest.mark.parametrize("p_prime", [0.5, 0.0, -math.inf, math.nan])
+def test_p_prime_below_one_rejected(p_prime):
+    b = basis.cosine_basis()
+    v = np.array([3.0, -4.0])
+    with pytest.raises(InvalidParameterError):
+        metrics.grid_norm(v, p_prime)
+    with pytest.raises(InvalidParameterError):
+        metrics.lp_error(v, np.zeros(2), p_prime, b)
+    with pytest.raises(InvalidParameterError):
+        metrics.contraction_errors(np.ones((2, 3)), np.zeros(2),
+                                   [2.0, p_prime], b)
+
+
 def test_lp_error_parseval_matches_grid():
     b = basis.cosine_basis()
     gen = np.random.default_rng(0)
@@ -59,27 +72,53 @@ def test_contraction_errors_match_single():
         assert multi[p] == metrics.contraction_errors(draws, truth, [p], b)[p]
 
 
-def test_contraction_norms_blocked_bit_identical():
-    # a draw count that is not a multiple of the row block
-    frame = wavelets.WaveletFrame("symmlet-8", 256, 3)
-    b = basis.wavelet_basis(frame)
-    rows = 2 * metrics._NORM_BLOCK_ROWS + 37
-    gen = np.random.default_rng(4)
-    draws = gen.standard_cauchy(size=(256, rows))
-    truth = gen.normal(size=256)
-    ps = [1.0, 1.5, 3.0, 6.0, math.inf]
-    values = wavelets.synthesize(draws.T - truth[None, :], frame)
-    errors = metrics.contraction_errors(draws, truth, ps, b)
-    for p in ps:
-        if math.isinf(p):
-            whole = np.max(np.abs(values), axis=1)
+def _whole_stack_errors(draws, truth, p_primes, b):
+    # every draw at once; grid values reduced as C-ordered rows
+    diff = draws.T - truth[None, :]
+    values = np.abs(basis.synthesize(
+        diff, b, basis.grid_size(b, metrics.DEFAULT_GRID)), order="C")
+    out = {}
+    for p in p_primes:
+        if p == 2:
+            norms = np.linalg.norm(diff, axis=1) / basis.parseval_scale(b)
+        elif math.isinf(p):
+            norms = np.max(values, axis=1)
         else:
-            whole = np.mean(np.abs(values) ** p, axis=1) ** (1.0 / p)
-        assert np.array_equal(metrics._row_norms(values, p), whole)
-        # cosine/sine stacks arrive F-ordered; the rows reduce the same way
-        assert np.array_equal(
-            metrics._row_norms(np.asfortranarray(values), p), whole)
-        assert errors[p] == float(whole.mean())
+            norms = np.mean(values ** p, axis=1) ** (1.0 / p)
+        out[p] = float(norms.mean())
+    return out
+
+
+def test_contraction_norms_blocked_bit_identical():
+    block = metrics._DRAW_BLOCK
+    ps = [1.0, 1.5, 2.0, 3.0, 6.0, math.inf]
+    frame = wavelets.WaveletFrame("symmlet-8", 256, 3)
+    cases = [(basis.cosine_basis(), 64), (basis.wavelet_basis(frame), 256)]
+    for b, K in cases:
+        for count in (1, block - 1, block, block + 1, 2 * block + 37):
+            gen = np.random.default_rng(count)
+            draws = gen.standard_cauchy(size=(K, count))
+            truth = gen.normal(size=K)
+            errors = metrics.contraction_errors(draws, truth, ps, b)
+            assert errors == _whole_stack_errors(draws, truth, ps, b), (
+                b.kind, count)
+
+
+def test_contraction_scratch_does_not_grow_with_draws(scratch_peak):
+    # Measured on a 2048-coordinate Symmlet-8 stack, five p': 16.9 MB of
+    # scratch at 1000 draws and 17.0 MB at 3000; the whole-stack version
+    # took 49.2 and 147.5 MB.  The bound leaves 10% for the per-draw norms
+    # and allocator noise.
+    frame = wavelets.WaveletFrame("symmlet-8", 2048, 5)
+    b = basis.wavelet_basis(frame)
+    ps = (1.0, 2.0, 3.0, 6.0, math.inf)
+    gen = np.random.default_rng(5)
+    truth = gen.normal(size=2048)
+    peaks = [scratch_peak(metrics.contraction_errors,
+                          gen.standard_cauchy(size=(2048, count)), truth,
+                          ps, b)
+             for count in (1000, 3000)]
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_contraction_at_least_mean_error():

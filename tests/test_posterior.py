@@ -851,7 +851,14 @@ def test_invalid_chain_lengths_rejected():
                                         burn_in=burn_in)
 
 
-@pytest.mark.parametrize("shape", [(200, 4000), (7, 13)])
+def _moment_rows(count):
+    return posterior._BLOCK_VALUES // count
+
+
+# the last two shapes cross `_draw_moments`'s row block
+@pytest.mark.parametrize("shape", [(200, 4000), (7, 13),
+                                   (_moment_rows(13) + 1, 13),
+                                   (2 * _moment_rows(40) + 7, 40)])
 def test_draw_moments_quantiles_match_per_level_calls(shape):
     draws = np.random.default_rng(6).standard_cauchy(size=shape)
     means, variances, quantiles = posterior._draw_moments(draws)
@@ -860,6 +867,17 @@ def test_draw_moments_quantiles_match_per_level_calls(shape):
         assert np.array_equal(quantiles[q], np.quantile(draws, q, axis=1)), q
     assert np.array_equal(means, draws.mean(axis=1))
     assert np.array_equal(variances, draws.var(axis=1))
+
+
+def test_draw_moments_scratch_does_not_grow_with_draws(scratch_peak):
+    # Measured on a 2048-coordinate stack: 2.25 MB of scratch at 1000
+    # draws and 2.22 MB at 3000; the whole-stack calls took 16.7 and
+    # 49.5 MB.  The bound leaves 10% for allocator noise.
+    gen = np.random.default_rng(7)
+    peaks = [scratch_peak(posterior._draw_moments,
+                          gen.standard_cauchy(size=(2048, count)))
+             for count in (1000, 3000)]
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_conjugate_method_matches_closed_form():
@@ -1019,20 +1037,23 @@ def test_band_wavelet_matches_per_draw_synthesis():
     frame = wavelets.WaveletFrame("symmlet-8", 256, 3)
     wavelet_basis = basis.wavelet_basis(frame)
     gen = np.random.default_rng(2)
-    draws = gen.normal(size=(256, 300)) / np.arange(1.0, 257.0)[:, None]
-    summary = PosteriorSummary(draws.mean(axis=1), draws.var(axis=1), {},
-                               "metropolis", draws=draws)
-    band = credible_band(summary, wavelet_basis, level=0.9)
-    # reference: the band from one synthesize call per draw
-    center = basis.synthesize(summary.means, wavelet_basis, 256)
-    curves = np.array([basis.synthesize(draws[:, i], wavelet_basis, 256)
-                       for i in range(draws.shape[1])])
-    dist = np.mean((curves - center[None, :]) ** 2, axis=1)
-    kept = curves[np.argsort(dist)[: math.ceil(0.9 * len(dist))]]
-    assert np.array_equal(band["grid"], basis.grid(wavelet_basis, 256))
-    assert np.array_equal(band["center"], center)
-    assert np.array_equal(band["lower"], kept.min(axis=0))
-    assert np.array_equal(band["upper"], kept.max(axis=0))
+    # the second count keeps curves across more than one envelope block
+    for count in (300, 2 * (posterior._BLOCK_VALUES // 256) + 37):
+        draws = (gen.normal(size=(256, count))
+                 / np.arange(1.0, 257.0)[:, None])
+        summary = PosteriorSummary(draws.mean(axis=1), draws.var(axis=1),
+                                   {}, "metropolis", draws=draws)
+        band = credible_band(summary, wavelet_basis, level=0.9)
+        # reference: the band from one synthesize call per draw
+        center = basis.synthesize(summary.means, wavelet_basis, 256)
+        curves = np.array([basis.synthesize(draws[:, i], wavelet_basis, 256)
+                           for i in range(count)])
+        dist = np.mean((curves - center[None, :]) ** 2, axis=1)
+        kept = curves[np.argsort(dist)[: math.ceil(0.9 * len(dist))]]
+        assert np.array_equal(band["grid"], basis.grid(wavelet_basis, 256))
+        assert np.array_equal(band["center"], center)
+        assert np.array_equal(band["lower"], kept.min(axis=0))
+        assert np.array_equal(band["upper"], kept.max(axis=0))
 
 
 # -- serialization -----------------------------------------------------------
