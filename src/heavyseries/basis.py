@@ -13,6 +13,7 @@ Grid-normalized function norms of a coefficient vector c are then
 function values and norms; callers never branch on the basis kind.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -115,6 +116,15 @@ def synthesize(coefficients, basis, m):
                 f"wavelet basis requires m == {frame.signal_length}, got {m}"
             )
         return wavelets.synthesize(coefficients, frame)
-    return (design(basis, grid(basis, m), coefficients.shape[-1])
+    return (_grid_design(basis, m, coefficients.shape[-1])
             @ coefficients.T).T
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_design(basis, m, count):
+    """`design` on the m-point grid, built once per (basis, m, count) and
+    shared read-only: callers that synthesize a stack in blocks reuse it."""
+    mat = design(basis, grid(basis, m), count)
+    mat.flags.writeable = False
+    return mat
 

@@ -295,6 +295,8 @@ _BIG_STEP_PROB = 0.2
 _JUMP_PROB = 0.2
 # most chains one `_metropolis_block` call runs
 _CHUNK = 1024
+# steps of random inputs `_metropolis_block` makes per refill of its tables
+_REFILL = 500
 
 
 def _check_chain_lengths(draws, burn_in):
@@ -319,17 +321,25 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
     blocks.  `n` is one noise precision for all chains or one per chain.
 
     Chains with the same stream index share its random inputs, which are
-    generated once per distinct index, up front, into (step, stream)
-    arrays: one noise array holding the normal increment, or the Cauchy
-    tangent on steps that propose from the Cauchy component (a step never
-    uses both), log(u_acc), and the jump, big-step and Cauchy-component
-    masks.  For each adaptation window of `_ADAPT_EVERY` steps the rows
-    are gathered by stream index into (step, chain) arrays, from which the
-    scaled walk increments of the whole window are formed, and the
-    independence proposals with their envelope values only where a step
-    jumps.  Within a step the envelope of the current state is evaluated
-    only for the chains that jump.  Kept draws are written as (chain,
-    draw) into `out`, or into a new array when `out` is None.
+    generated once per distinct index, one refill of `_REFILL` steps at a
+    time, into (step, stream) tables: one noise table holding the normal
+    increment, or the Cauchy tangent on steps that propose from the
+    Cauchy component (a step never uses both), log(u_acc), and the jump,
+    big-step and Cauchy-component masks.  A stream's normals and its
+    acceptance, mixture and jump uniforms are four runs of its generator,
+    one after another; each run keeps a generator head (the uniform runs'
+    heads are found by one pass over the stream's normals and an exact
+    skip over the uniform runs) and writes one stream row per refill.
+    Every input is the float the whole-run stream gives it, and scratch
+    memory is O(streams x refill), plus one stream's normals, rather than
+    O(streams x (draws + burn_in)).  For each adaptation window of
+    `_ADAPT_EVERY` steps, cut where a refill ends, the table rows are
+    gathered by stream index into (step, chain) arrays, from which the
+    scaled walk increments of the window are formed, and the independence
+    proposals with their envelope values only where a step jumps.  Within
+    a step the envelope of the current state is evaluated only for the
+    chains that jump.  Kept draws are written as (chain, draw) into
+    `out`, or into a new array when `out` is None.
     """
     xs = np.asarray(xs, dtype=float)
     k = len(xs)
@@ -350,27 +360,50 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
                           for idx in indices], dtype=np.intp)
     m = len(position)
     cols = slice(None) if m == k else stream_of
+    width = min(_REFILL, total)
     start = np.empty(m)
-    noise = np.empty((total, m))
-    log_u_acc = np.empty((total, m))
-    jump = np.empty((total, m), dtype=bool)
-    big_step = np.empty((total, m), dtype=bool)
-    cauchy = np.empty((total, m), dtype=bool)
+    rows = np.empty((m, width))
+    noise = np.empty((width, m))
+    log_u_acc = np.empty((width, m))
+    jump = np.empty((width, m), dtype=bool)
+    big_step = np.empty((width, m), dtype=bool)
+    cauchy = np.empty((width, m), dtype=bool)
+    # one generator head per run of each stream's draws
+    normal_run, acc_run, mix_run, jump_run = [], [], [], []
+    normals = np.empty(total)
     for si, idx in enumerate(position):
         gen = rng.coord_generator(seed, rng.STREAM_CHAIN, idx)
         start[si] = gen.uniform(-2.0, 2.0)
-        zc = gen.standard_normal(total)
-        log_u_acc[:, si] = np.log(gen.random(total))
-        um = gen.random(total)
-        jc = um < _JUMP_PROB
-        jump[:, si] = jc
-        big_step[:, si] = um < _JUMP_PROB + _BIG_STEP_PROB
+        # how many 64-bit outputs the `total` normals take is known only
+        # by drawing them; the uniform runs take `total` each
+        acc_head = rng.skip_ahead(gen, 0)
+        acc_head.standard_normal(out=normals)
+        normal_run.append(gen.standard_normal)
+        acc_run.append(acc_head.random)
+        mix_run.append(rng.skip_ahead(acc_head, total).random)
+        jump_run.append(rng.skip_ahead(acc_head, 2 * total).random)
+
+    def fill(run):
+        # whole stream rows, as (step, stream); the last refill may run
+        # past `total`, unread
+        for draw, row in zip(run, rows):
+            draw(out=row)
+        return rows.T
+
+    def refill():
+        np.copyto(noise, fill(normal_run))
+        fill(acc_run)
+        np.log(rows, out=rows)
+        np.copyto(log_u_acc, rows.T)
+        u_mix = fill(mix_run)
+        np.less(u_mix, _JUMP_PROB, out=jump)
+        np.less(u_mix, _JUMP_PROB + _BIG_STEP_PROB, out=big_step)
         # u_jump picks the component; rescaled it is uniform again and
         # drives the Cauchy inverse CDF; the Gaussian reuses the normal
-        uj = gen.random(total)
-        cc = jc & (uj < 0.5)
-        cauchy[:, si] = cc
-        noise[:, si] = np.where(cc, np.tan(math.pi * (2.0 * uj - 0.5)), zc)
+        u_jump = fill(jump_run)
+        np.less(u_jump, 0.5, out=cauchy)
+        np.logical_and(cauchy, jump, out=cauchy)
+        noise[cauchy] = np.tan(math.pi * (2.0 * u_jump[cauchy] - 0.5))
 
     def target(theta):
         # the prior's -log sigma is constant per chain: it cancels in ratios
@@ -401,20 +434,22 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
     window_acc = np.zeros(k)
     kept = np.zeros(k)
     # one batch per adaptation window, so the step size is fixed within a
-    # batch; batches never straddle the end of burn-in
-    batches = [(t0, min(t0 + _ADAPT_EVERY, burn_in))
-               for t0 in range(0, burn_in, _ADAPT_EVERY)]
-    batches += [(t0, min(t0 + _ADAPT_EVERY, total))
-                for t0 in range(burn_in, total, _ADAPT_EVERY)]
+    # batch; batches never straddle the end of burn-in, nor a refill
+    edges = sorted({*range(0, burn_in, _ADAPT_EVERY),
+                    *range(burn_in, total, _ADAPT_EVERY),
+                    *range(0, total, width), total})
     with np.errstate(invalid="ignore"):
-        for t0, t1 in batches:
+        for t0, t1 in zip(edges[:-1], edges[1:]):
+            if t0 % width == 0:
+                refill()
+            seg = slice(t0 % width, t0 % width + t1 - t0)
             # the proposals' chain-state-free parts, for the whole batch
-            w = noise[t0:t1, cols]
-            walk = np.where(big_step[t0:t1, cols], big, step) * w
-            log_u_b = log_u_acc[t0:t1, cols]
+            w = noise[seg, cols]
+            walk = np.where(big_step[seg, cols], big, step) * w
+            log_u_b = log_u_acc[seg, cols]
             # the jumping (step, chain) pairs, step by step: independence
             # proposals and both envelope terms are needed only there
-            jb, jc = np.nonzero(jump[t0:t1, cols])
+            jb, jc = np.nonzero(jump[seg, cols])
             ends = np.searchsorted(jb, np.arange(t1 - t0 + 1)).tolist()
             chain_j = pair_chain[:len(jc)]
             chain_j[:] = jc
@@ -425,7 +460,7 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
             np.take(like_sd, jc, out=sd_j)
             np.take(log_like_sd, jc, out=log_sd_j)
             wj = w[jb, jc]
-            ind[:] = np.where(cauchy[t0:t1, cols][jb, jc], sig_j * wj,
+            ind[:] = np.where(cauchy[seg, cols][jb, jc], sig_j * wj,
                               xs_j + sd_j * wj)
             ind_lq[:] = log_envelope(ind, sig_j, xs_j, sd_j, log_sd_j)
             del jb, jc, wj

@@ -47,3 +47,38 @@ def coord_normal(seed, stream, indices):
     for pos, idx in enumerate(indices):
         out[pos] = coord_generator(seed, stream, idx).standard_normal()
     return out
+
+
+# 64-bit outputs one Philox counter step makes, held in its buffer
+_PHILOX_WORDS = 4
+
+
+def skip_ahead(gen, count):
+    """A new generator positioned `count` 64-bit outputs past `gen`.
+
+    It continues exactly as `gen` would after `gen.random(count)`, but the
+    skipped outputs are never made: the Philox counter jumps over whole
+    4-word blocks (`Philox.advance`) and at most one block is generated to
+    refill the buffer.  `gen` itself does not move; `count` 0 copies it.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    state = gen.bit_generator.state
+    bit_gen = np.random.Philox(key=state["state"]["key"])
+    held = _PHILOX_WORDS - state["buffer_pos"]
+    if count <= held:
+        state["buffer_pos"] += count
+        bit_gen.state = state
+    else:
+        blocks, rest = divmod(count - held, _PHILOX_WORDS)
+        bit_gen.state = state
+        bit_gen.advance(blocks)
+        bit_gen.random_raw(rest)
+        if state["has_uint32"]:
+            # advancing clears the buffered 32-bit half, which 64-bit
+            # draws never touch
+            moved = bit_gen.state
+            moved["has_uint32"] = 1
+            moved["uinteger"] = state["uinteger"]
+            bit_gen.state = moved
+    return np.random.Generator(bit_gen)

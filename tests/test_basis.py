@@ -54,6 +54,20 @@ def test_synthesize_stack_and_parseval_scale(b):
         assert basis.parseval_scale(b) == 1.0
 
 
+@pytest.mark.parametrize("make", [basis.cosine_basis, basis.sine_basis])
+def test_synthesize_reuses_one_read_only_design(make):
+    b = make()
+    mat = basis._grid_design(b, 33, 7)
+    assert np.array_equal(mat, basis.design(b, basis.grid(b, 33), 7))
+    assert basis._grid_design(make(), 33, 7) is mat
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0.0
+    coeffs = np.random.default_rng(2).normal(size=(3, 7))
+    assert np.array_equal(basis.synthesize(coeffs, b, 33),
+                          (basis.design(b, basis.grid(b, 33), 7)
+                           @ coeffs.T).T)
+
+
 def test_wavelet_basis_requires_frame_and_matching_m():
     with pytest.raises(InvalidParameterError):
         basis.BasisDescriptor(basis.WAVELET)

@@ -678,13 +678,7 @@ def _chain_inputs(k, seed):
     return xs, log_scales
 
 
-# subnormal scales overflow theta / sigma in the envelope; that is expected
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE, GAUSSIAN],
-                         ids=lambda t: t.name)
-@pytest.mark.parametrize("chains", [1, 200])
-def test_metropolis_block_matches_reference(tail, chains):
+def _assert_block_matches_reference(tail, chains):
     xs, log_scales = _chain_inputs(chains, seed=chains)
     if chains == 1:  # the lone chain gets an ordinary scale
         log_scales[0] = -3.0
@@ -696,14 +690,8 @@ def test_metropolis_block_matches_reference(tail, chains):
     assert np.array_equal(acc, ref_acc)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE, GAUSSIAN],
-                         ids=lambda t: t.name)
-@pytest.mark.parametrize("jump_prob,big_step_prob", [(0.0, 0.4), (1.0, 0.0)],
-                         ids=["no-chain-jumps", "every-chain-jumps"])
-def test_metropolis_block_matches_reference_at_jump_extremes(
-        monkeypatch, tail, jump_prob, big_step_prob):
+def _assert_jump_extremes_match_reference(monkeypatch, tail, jump_prob,
+                                          big_step_prob):
     # the envelope terms are evaluated only for the chains that jump: none
     # of them, or all of them, at every step
     monkeypatch.setattr(posterior, "_JUMP_PROB", jump_prob)
@@ -717,12 +705,7 @@ def test_metropolis_block_matches_reference_at_jump_extremes(
     assert np.array_equal(acc, ref_acc)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE, GAUSSIAN],
-                         ids=lambda t: t.name)
-@pytest.mark.parametrize("supply_out", [False, True], ids=["new", "out"])
-def test_merged_block_matches_per_n_reference(tail, supply_out):
+def _assert_merged_block_matches_reference(tail, supply_out):
     # one block over three noise precisions; every group reuses the same
     # stream indices, and two chains within a group share one as well
     ns = (1.0, 1e3, 1e6)
@@ -748,6 +731,75 @@ def test_merged_block_matches_per_n_reference(tail, supply_out):
         assert np.array_equal(acc[rows], ref_acc), n
 
 
+# Refill widths that end `_metropolis_block`'s input tables inside
+# adaptation batches, at batch edges and across the end of burn-in (burn-in
+# 130 and 150 are not multiples of `_ADAPT_EVERY`); the tests without
+# `refill` run at the shipped width, which these short chains never reach.
+@pytest.fixture(params=[1, 7, 50, 130], ids=lambda w: f"refill-{w}")
+def refill(request, monkeypatch):
+    monkeypatch.setattr(posterior, "_REFILL", request.param)
+    return request.param
+
+
+_TAILS = pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE,
+                                          GAUSSIAN], ids=lambda t: t.name)
+_JUMP_EXTREMES = pytest.mark.parametrize(
+    "jump_prob,big_step_prob", [(0.0, 0.4), (1.0, 0.0)],
+    ids=["no-chain-jumps", "every-chain-jumps"])
+# subnormal scales overflow theta / sigma in the envelope; that is expected
+_envelope_warnings = pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning",
+    "ignore:invalid value encountered:RuntimeWarning")
+
+
+@_envelope_warnings
+@_TAILS
+@pytest.mark.parametrize("chains", [1, 200])
+def test_metropolis_block_matches_reference(tail, chains):
+    _assert_block_matches_reference(tail, chains)
+
+
+@_envelope_warnings
+@_TAILS
+@pytest.mark.parametrize("chains", [1, 200])
+def test_metropolis_block_matches_reference_across_refills(tail, chains,
+                                                           refill):
+    _assert_block_matches_reference(tail, chains)
+
+
+@_envelope_warnings
+@_TAILS
+@_JUMP_EXTREMES
+def test_metropolis_block_matches_reference_at_jump_extremes(
+        monkeypatch, tail, jump_prob, big_step_prob):
+    _assert_jump_extremes_match_reference(monkeypatch, tail, jump_prob,
+                                          big_step_prob)
+
+
+@_envelope_warnings
+@_TAILS
+@_JUMP_EXTREMES
+def test_jump_extremes_match_reference_across_refills(
+        monkeypatch, tail, jump_prob, big_step_prob, refill):
+    _assert_jump_extremes_match_reference(monkeypatch, tail, jump_prob,
+                                          big_step_prob)
+
+
+@_envelope_warnings
+@_TAILS
+@pytest.mark.parametrize("supply_out", [False, True], ids=["new", "out"])
+def test_merged_block_matches_per_n_reference(tail, supply_out):
+    _assert_merged_block_matches_reference(tail, supply_out)
+
+
+@_envelope_warnings
+@_TAILS
+@pytest.mark.parametrize("supply_out", [False, True], ids=["new", "out"])
+def test_merged_block_matches_reference_across_refills(tail, supply_out,
+                                                       refill):
+    _assert_merged_block_matches_reference(tail, supply_out)
+
+
 def test_shared_streams_cut_block_memory():
     import tracemalloc
 
@@ -766,6 +818,21 @@ def test_shared_streams_cut_block_memory():
             tracemalloc.stop()
     # the random inputs are stored once per distinct stream
     assert peaks[0] < 0.7 * peaks[1]
+
+
+def test_block_scratch_does_not_grow_with_chain_length(scratch_peak):
+    # Random inputs are made one refill at a time.  Measured with `out`
+    # supplied, 256 Student-3 chains: 5.42 MB of scratch at 4000 + 2000
+    # steps and 5.37 MB at 800 + 400; whole-run input tables took 30.6
+    # and 7.1 MB.  The bound leaves 10% for allocator noise.
+    gen = np.random.default_rng(5)
+    xs = gen.normal(0.0, 2.0, size=256)
+    log_scales = gen.uniform(-12.0, 0.0, size=256)
+    peaks = [scratch_peak(posterior._metropolis_block, xs, 1e3, log_scales,
+                          STUDENT3, draws, burn_in, 3, np.arange(256),
+                          np.empty((256, draws)))
+             for draws, burn_in in ((4000, 2000), (800, 400))]
+    assert peaks[0] < 1.1 * peaks[1], peaks
 
 
 def _reference_fit_draws(data, prior, draws, burn_in, seed, chunk=1024):
