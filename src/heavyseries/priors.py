@@ -30,7 +30,6 @@ from dataclasses import KW_ONLY, dataclass, field, replace
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import CubicSpline
 
 from . import rng, wavelets
 from .errors import InvalidParameterError
@@ -185,8 +184,10 @@ class HorseshoeTail(TailFamily):
     The posterior engine (`log_density_scaled`) uses a cached cubic
     spline over log|t| on [-80, 80] instead, built lazily from the closed
     form at knots 0.005 apart; it reproduces the closed form at its knots
-    and is within 1e-12 of it between them.  scipy's CubicSpline computes
-    its coefficients once; each evaluation finds its interval by direct
+    and is within 1e-12 of it between them.  Its not-a-knot coefficients
+    come once from `_not_a_knot_coefficients`, bit-identical to scipy's
+    `CubicSpline` (the tests compare them), so the package needs no
+    `scipy.interpolate`; each evaluation finds its interval by direct
     indexing of the uniform knots, bit-identical to scipy's search.
     """
 
@@ -271,8 +272,8 @@ class HorseshoeTail(TailFamily):
         if cls._spline is None:
             lo, hi = cls._SPLINE_RANGE
             u = np.linspace(lo, hi, int((hi - lo) / 0.005) + 1)
-            cubic = CubicSpline(u, cls().log_density_log_abs(u))
-            cls._spline = _UniformKnotSpline(cubic.x, cubic.c)
+            c = _not_a_knot_coefficients(u, cls().log_density_log_abs(u))
+            cls._spline = _UniformKnotSpline(u, c)
         return cls._spline
 
     def _engine_log_abs(self, log_abs_x):
@@ -298,12 +299,16 @@ class _UniformKnotSpline:
     The interval comes from the knot spacing, ⌊(u - x[0]) / h⌋, clipped
     and then corrected by one comparison each way against the stored
     knots, so x[i] <= u < x[i+1] with the last interval closed, as PPoly
-    finds it by search.  The cubic is summed in PPoly's order, so values
-    are bit-identical to PPoly's on the same x and c.
+    finds it by search.  Both comparisons read the first estimate's knots
+    (u < x[i] rules out u >= x[i+1]), each gathered once; x[i] is
+    gathered again only when some u needs a correction.  The cubic is
+    summed in PPoly's order, so values are bit-identical to PPoly's on
+    the same x and c.
     """
 
     def __init__(self, x, c):
         self.x = x
+        self._right = x[1:]
         # one array per power: a 1-D gather takes about half the time of
         # the same gather through c[k, i]
         self.c = tuple(c)
@@ -317,12 +322,72 @@ class _UniformKnotSpline:
         # np.clip's Python-level argument handling on every call
         np.maximum(i, 0, out=i)
         np.minimum(i, last, out=i)
-        i -= u < x[i]
-        i += u >= x[i + 1]
-        np.minimum(i, last, out=i)
-        s = u - x[i]
+        xi = x[i]
+        down = u < xi
+        up = u >= self._right[i]
+        if down.any() or up.any():
+            i -= down
+            i += up
+            np.minimum(i, last, out=i)
+            xi = x[i]
+        s = u - xi
         ss = s * s
         return 0.0 + c3[i] + c2[i] * s + c1[i] * ss + c0[i] * (ss * s)
+
+
+def _not_a_knot_coefficients(x, y):
+    """Coefficients (4, len(x) - 1) of the not-a-knot cubic spline through
+    (x, y) on increasing knots, bit-identical to scipy's
+    `CubicSpline(x, y).c`.
+
+    The knot slopes solve CubicSpline's tridiagonal system, assembled with
+    its expressions and solved in Python floats in the order LAPACK's
+    dgtsv takes when it swaps no rows.  dgtsv swaps rows i and i + 1 where
+    |d[i]| < |dl[i]| after elimination; there the order would differ, so
+    such knots raise InvalidParameterError naming the row.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    if n < 4:
+        raise InvalidParameterError("the not-a-knot solve needs >= 4 knots")
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # rows 1 .. n-2: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+    d = np.empty(n)
+    d[1:-1] = 2 * (dx[:-1] + dx[1:])
+    dl = np.empty(n - 1)  # dl[i] multiplies s[i] in row i + 1
+    dl[:-1] = dx[1:]
+    du = np.empty(n - 1)  # du[i] multiplies s[i + 1] in row i
+    du[1:] = dx[:-1]
+    b = np.empty(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot ends: the third derivative is continuous at x[1], x[-2]
+    span = x[2] - x[0]
+    d[0], du[0] = dx[1], span
+    b[0] = ((dx[0] + 2*span) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / span
+    span = x[-1] - x[-3]
+    d[-1], dl[-1] = dx[-2], span
+    b[-1] = ((dx[-1]**2*slope[-2] + (2*span + dx[-1])*dx[-2]*slope[-1])
+             / span)
+
+    d, dl, du, b = d.tolist(), dl.tolist(), du.tolist(), b.tolist()
+    for i in range(n - 1):
+        if not abs(d[i]) >= abs(dl[i]):
+            raise InvalidParameterError(
+                f"spline row {i} needs a row swap (|d| = {abs(d[i]):g} < "
+                f"|dl| = {abs(dl[i]):g}); its solve would not match dgtsv")
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        b[i + 1] -= fact * b[i]
+    s = b  # back substitution overwrites b with the knot slopes
+    s[-1] = b[-1] / d[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (b[i] - du[i] * s[i + 1]) / d[i]
+
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
 
 
 STUDENT3 = StudentTail(3.0)

@@ -192,8 +192,14 @@ def _idwt_step(approx, detail, lo, hi):
     # planes interleave by a reshape
     half = approx.shape[-1]
     a = np.zeros(approx.shape + (2,))
+    # one pair of term buffers per step, not three fresh arrays per tap:
+    # same products and sums, without faulting in new pages for each
+    term = np.empty_like(approx)
+    scratch = np.empty_like(approx)
     for m, (l, h) in enumerate(zip(lo, hi)):
-        term = l * approx + h * detail
+        np.multiply(l, approx, out=term)
+        np.multiply(h, detail, out=scratch)
+        term += scratch
         plane = a[..., m % 2]
         for shifted, source in _wrapped((m // 2) % half, half):
             plane[..., shifted] += term[..., source]

@@ -1,12 +1,16 @@
 """Every name a heavyseries module imports is used in that module, every
-import sits at module level, and one-owner helpers stay with their owners.
+import sits at module level, one-owner helpers stay with their owners, and
+the package loads no scipy beyond `scipy.special`.
 
 `__init__.py` is left out of the unused-name check: its imports are the
 package's public names.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -88,3 +92,57 @@ def test_flat_levels_stays_with_priors_and_wavelets():
     users = [p.name for p in _ALL_MODULES
              if "flat_levels" in _referenced_names(p.read_text())]
     assert users == ["priors.py", "wavelets.py"]
+
+
+def _scipy_imports(source):
+    """(line, statement) of each scipy import, as `from m import a, b` or
+    `import m`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+            text = (f"from {node.module} import "
+                    + ", ".join(a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+            text = "import " + ", ".join(modules)
+        else:
+            continue
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            found.append((node.lineno, text))
+    return found
+
+
+def test_scipy_import_check_finds_every_form():
+    source = ("import scipy\nfrom scipy import special\n"
+              "from scipy.interpolate import CubicSpline\n"
+              "import numpy, scipy.linalg\nfrom .scipy import x\n")
+    assert _scipy_imports(source) == [
+        (1, "import scipy"), (2, "from scipy import special"),
+        (3, "from scipy.interpolate import CubicSpline"),
+        (4, "import numpy, scipy.linalg")]
+
+
+@pytest.mark.parametrize("path", _ALL_MODULES, ids=lambda p: p.name)
+def test_only_scipy_special_is_imported(path):
+    # scipy.special alone keeps a fresh process's scipy to about 66
+    # modules; scipy.interpolate pulls in linalg, sparse, optimize and
+    # spatial as well (about 290 more)
+    assert {text for _, text in _scipy_imports(path.read_text())} <= {
+        "from scipy import special"}
+
+
+def test_fresh_process_loads_no_heavy_scipy_subpackage():
+    # catches what the static check cannot: a transitive import through
+    # some other module
+    probe = ("import sys\nimport heavyseries\n"
+             "heavyseries.HORSESHOE._ensure_spline()\n"
+             "print('\\n'.join(sorted(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env,
+                            check=True, capture_output=True,
+                            text=True).stdout.split()
+    assert "heavyseries.priors" in loaded
+    heavy = ("scipy.interpolate", "scipy.linalg", "scipy.sparse",
+             "scipy.optimize", "scipy.spatial")
+    assert [m for m in loaded if m.startswith(heavy)] == []

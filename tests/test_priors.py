@@ -162,6 +162,32 @@ def test_horseshoe_spline_lookup_matches_cubic_spline():
     assert np.array_equal(spline(u), ref(u))
 
 
+def test_not_a_knot_coefficients_match_cubic_spline():
+    # the package's own solve against scipy's, bit for bit: on the
+    # shipped knots, and on a non-uniform grid (spacings 34x apart) whose
+    # elimination needs no row swap
+    spline = HORSESHOE._ensure_spline()
+    x = spline.x
+    ref = CubicSpline(x, HORSESHOE.log_density_log_abs(x)).c
+    assert np.array_equal(np.stack(spline.c), ref)
+    t = np.linspace(0.0, 1.0, 2001)
+    x = t + 0.05 * np.sin(6 * np.pi * t)
+    y = np.sin(5 * x) + x * x
+    assert np.array_equal(priors._not_a_knot_coefficients(x, y),
+                          CubicSpline(x, y).c)
+
+
+def test_not_a_knot_solve_rejects_what_scipy_solves_otherwise():
+    # after eliminating row 0, row 1 has |d| = 2 < |dl| = 8, where dgtsv
+    # swaps rows and the pivot-free order would no longer match scipy's
+    x = np.array([0.0, 1.0, 2.0, 10.0, 11.0])
+    with pytest.raises(InvalidParameterError, match="row 1 needs a row swap"):
+        priors._not_a_knot_coefficients(x, np.sin(x))
+    # three knots take CubicSpline's parabola branch, not this system
+    with pytest.raises(InvalidParameterError, match=">= 4 knots"):
+        priors._not_a_knot_coefficients(x[:3], np.sin(x[:3]))
+
+
 def test_horseshoe_pole_rejected():
     with pytest.raises(InvalidParameterError):
         HORSESHOE.log_density(0.0)
