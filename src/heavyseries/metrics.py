@@ -80,20 +80,26 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
     for lo, hi in zip(starts[:-1], starts[1:]):
         # (draw, coordinate), laid out like the whole-stack transpose
         diff = draws[:, lo:hi].T - truth_coeffs[None, :]
-        values = None
+        values = powers = None
         for p_prime, out in norms.items():
             if p_prime == 2:
                 out[lo:hi] = np.linalg.norm(diff, axis=1) / scale
                 continue
             if values is None:
-                # C-ordered, so each row is reduced along a contiguous axis
-                values = np.abs(basis_mod.synthesize(diff, basis, m),
-                                order="C")
+                # C-ordered, so each row is reduced along a contiguous
+                # axis; a wavelet synthesis already is, and is made
+                # absolute in place rather than copied
+                values = basis_mod.synthesize(diff, basis, m)
+                if values.flags.c_contiguous:
+                    np.abs(values, out=values)
+                else:
+                    values = np.abs(values, order="C")
             if math.isinf(p_prime):
                 out[lo:hi] = np.max(values, axis=1)
             else:
-                out[lo:hi] = (np.mean(values ** p_prime, axis=1)
-                              ** (1.0 / p_prime))
+                # the block's first power allocates; the others reuse it
+                powers = np.power(values, p_prime, out=powers)
+                out[lo:hi] = np.mean(powers, axis=1) ** (1.0 / p_prime)
     return {p_prime: float(out.mean()) for p_prime, out in norms.items()}
 
 

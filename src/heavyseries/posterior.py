@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from . import basis as basis_mod
 from . import rng
@@ -518,6 +517,11 @@ class PosteriorSummary:
 
 
 _QLEVELS = (0.05, 0.5, 0.95)
+# the standard normal quantile at each of _QLEVELS, with the bits of
+# scipy.special.ndtri, whose two tail values are not mirror images
+# (statistics.NormalDist gives 1.6448536269514715 at 0.95)
+_NORMAL_QUANTILES = {0.05: -1.6448536269514729, 0.5: 0.0,
+                     0.95: 1.6448536269514722}
 
 
 def _coordinate_layout(data, prior):
@@ -594,7 +598,7 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
         means = np.where(active, means, 0.0)
         sd = np.sqrt(variances)
         for q in _QLEVELS:
-            quantiles[q] = means + special.ndtri(q) * sd
+            quantiles[q] = means + _NORMAL_QUANTILES[q] * sd
         if draws:
             draw_mat = np.zeros((K, draws))
             for i in range(K):

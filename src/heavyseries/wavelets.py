@@ -178,11 +178,17 @@ def _dwt_step(a, lo, hi):
     planes = a.reshape(a.shape[:-1] + (half, 2))
     approx = np.zeros(a.shape[:-1] + (half,))
     detail = np.zeros_like(approx)
+    # one term buffer per step, as in _idwt_step, not two fresh products
+    # per tap: same products and sums
+    term = np.empty_like(approx)
     for m, (l, h) in enumerate(zip(lo, hi)):
         plane = planes[..., m % 2]
         for shifted, source in _wrapped((m // 2) % half, half):
-            approx[..., source] += l * plane[..., shifted]
-            detail[..., source] += h * plane[..., shifted]
+            part = term[..., source]
+            np.multiply(l, plane[..., shifted], out=part)
+            approx[..., source] += part
+            np.multiply(h, plane[..., shifted], out=part)
+            detail[..., source] += part
     return approx, detail
 
 

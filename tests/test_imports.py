@@ -1,6 +1,6 @@
 """Every name a heavyseries module imports is used in that module, every
 import sits at module level, one-owner helpers stay with their owners, and
-the package loads no scipy beyond `scipy.special`.
+the package imports no scipy: it runs on numpy and the standard library.
 
 `__init__.py` is left out of the unused-name check: its imports are the
 package's public names.
@@ -11,6 +11,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -130,6 +131,46 @@ def test_only_scipy_special_is_imported(path):
     # spatial as well (about 290 more)
     assert {text for _, text in _scipy_imports(path.read_text())} <= {
         "from scipy import special"}
+
+
+@pytest.mark.parametrize("path", _ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert _scipy_imports(path.read_text()) == []
+
+
+def test_package_runs_with_scipy_blocked(tmp_path):
+    # with sys.modules["scipy"] = None every import of scipy raises
+    # ImportError, so this catches a scipy use on any path the static
+    # check cannot see: a transitive import, or one made at run time
+    probe = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        import heavyseries as hs
+        from heavyseries import posterior, priors
+
+        hs.HORSESHOE._ensure_spline()
+        data = hs.simulate(hs.make_truth("sobolev-cos", K=20), 1e3, 20, 0)
+        gaussian = hs.PriorSpec(hs.GAUSSIAN, priors.OTScaling(),
+                                baseline=True)
+        for prior in (hs.make_prior("student3-ot"), hs.make_prior("cauchy-ot"),
+                      hs.make_prior("horseshoe-ot"), gaussian):
+            fit = hs.fit_posterior(data, prior)
+            assert fit.diagnostics["quadrature_capped"] == 0, prior.label
+            assert 0.0 < prior.tail.tail_mass(1.0) < 0.5, prior.label
+        hs.fit_posterior(data, gaussian, method="conjugate", draws=10)
+        posterior.fit_metropolis([(data, hs.make_prior("cauchy-ot"))],
+                                 draws=50, burn_in=50, seed=0)
+        hs.run_experiment(hs.ExperimentConfig(
+            experiment="inhomogeneous", truths=("bumps",), replications=1,
+            draws=100, burn_in=100, parallel=1, out_dir={str(tmp_path)!r}))
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
+    env = dict(os.environ, PYTHONPATH=str(_PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['scipy']"]  # the blocking entry only
+    assert (tmp_path / "errors.csv").is_file()
 
 
 def test_fresh_process_loads_no_heavy_scipy_subpackage():

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from heavyseries import model, posterior, signals
 from heavyseries.errors import ConvergenceError, InvalidParameterError, StateError
@@ -955,6 +956,14 @@ def test_conjugate_method_matches_closed_form():
     cm, cv = conjugate_mean_var(data.observations, data.noise_precision, sig)
     assert np.allclose(summary.means, cm, atol=1e-13)
     assert np.allclose(summary.variances, cv, atol=1e-13)
+
+
+def test_normal_quantile_table_is_scipy_ndtri():
+    # bit for bit: the conjugate quantiles kept scipy's values when the
+    # package stopped importing it
+    assert tuple(posterior._NORMAL_QUANTILES) == posterior._QLEVELS
+    for q, z in posterior._NORMAL_QUANTILES.items():
+        assert z == special.ndtri(q), q
 
 
 def test_unknown_method_rejected():
