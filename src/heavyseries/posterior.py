@@ -1,12 +1,12 @@
 """Coordinate-wise posterior computation for the sequence model.
 
 The posterior factorizes over coordinates; each factor has density
-proportional to exp(-n (x - theta)^2 / 2) * h(theta/sigma) / sigma.  Four
+proportional to exp(-n (x - theta)^2 / 2) * h(theta/sigma) / sigma.  Three
 evaluation paths:
 
-  quadrature  adaptive Gauss-Kronrod (G7/K15) panels (ground truth)
+  quadrature  adaptive Gauss-Kronrod (G7/K15) panels (ground truth), for
+              every tail with fixed scales, the Gaussian one included
   metropolis  random-walk sampler producing draws for credible bands
-  conjugate   closed form for the Gaussian tail
   gibbs       hierarchical Gaussian baseline with (tau, alpha) hyperpriors
 
 The quadrature domain is the union of the likelihood window
@@ -27,8 +27,7 @@ from . import basis as basis_mod
 from . import rng
 from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
 from .model import index_rows
-from .priors import (GaussianHierarchicalScaling, GaussianTail,
-                     coordinate_index, hierarchical_log_scale)
+from .priors import coordinate_index, hierarchical_log_scale
 
 @dataclass(frozen=True)
 class UnivariatePosterior:
@@ -117,7 +116,7 @@ def _panel_edges(post, eps):
     b = max(hi, T)
     offsets = _LIKE_OFFSETS / math.sqrt(n)
     pieces = [x - offsets, x + offsets]
-    if isinstance(post.tail, GaussianTail) and 0.0 < sigma < _SQUARE_MAX:
+    if post.tail.conjugate and 0.0 < sigma < _SQUARE_MAX:
         # the conjugate posterior concentrates at the shrunk observation,
         # which can fall between the likelihood and prior windows; past
         # the bound it is the likelihood, whose edges are already in
@@ -517,11 +516,6 @@ class PosteriorSummary:
 
 
 _QLEVELS = (0.05, 0.5, 0.95)
-# the standard normal quantile at each of _QLEVELS, with the bits of
-# scipy.special.ndtri, whose two tail values are not mirror images
-# (statistics.NormalDist gives 1.6448536269514715 at 0.95)
-_NORMAL_QUANTILES = {0.05: -1.6448536269514729, 0.5: 0.0,
-                     0.95: 1.6448536269514722}
 
 
 def _coordinate_layout(data, prior):
@@ -538,21 +532,28 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
                   seed=0, tol=1e-6):
     """Per-coordinate posterior summaries for a full data set.
 
+    `method` is "quadrature" (the default; moments and quantiles, no
+    draws) or "metropolis" (draws; `draws` and `burn_in` set the chain
+    lengths).  A Gaussian tail with fixed scales goes through quadrature
+    like any other.  A hierarchical prior carries hyperpriors on
+    (tau, alpha), which only the Gibbs sampler fits, so it goes to
+    `gibbs_hierarchical_gaussian` whatever `method` says.
+
     Coordinates deactivated by a truncated scaling rule get mean 0,
     variance 0 and constant-zero draws.  Output is independent of
     coordinate evaluation order.  Quadrature fits report in `diagnostics`
     how many coordinates each refinement level accepted, the largest
     achieved error, and the coordinates accepted at the refinement cap
-    within 10 tol.  A hierarchical Gaussian prior carries
-    hyperpriors on (tau, alpha), which only the Gibbs sampler fits, so it
-    goes to `gibbs_hierarchical_gaussian` whatever `method` says.
+    within 10 tol.
     """
-    if isinstance(prior.scaling, GaussianHierarchicalScaling):
+    if prior.scaling.hierarchical:
         return gibbs_hierarchical_gaussian(data, draws=draws, burn_in=burn_in,
                                            seed=seed)
     if method == "metropolis":
         return fit_metropolis([(data, prior)], draws=draws, burn_in=burn_in,
                               seed=seed)[0]
+    if method != "quadrature":
+        raise InvalidParameterError(f"unknown method {method!r}")
     log_s, active = _coordinate_layout(data, prior)
     K = data.truncation
     x = data.observations
@@ -560,56 +561,35 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
     means = np.zeros(K)
     variances = np.zeros(K)
     quantiles = {q: np.zeros(K) for q in _QLEVELS}
-    diagnostics = {"method": method}
-    draw_mat = None
-
-    if method == "quadrature":
-        record = {}
-        levels = []
-        achieved = []
-        for i in range(K):
-            if not active[i]:
-                continue
-            p = UnivariatePosterior(x[i], n, log_s[i], prior.tail)
-            try:
-                m, v, _, qs = quadrature_mean_var(p, tol=tol,
-                                                  quantiles=_QLEVELS,
-                                                  record=record)
-            except ConvergenceError as exc:
-                xi, ni, li = float(x[i]), float(n), float(log_s[i])
-                raise ConvergenceError(
-                    f"{exc} at coordinate {i} (x={xi!r}, n={ni!r}, "
-                    f"log_sigma={li!r}, tail={prior.tail.name})",
-                    achieved=exc.achieved, index=i, observation=xi,
-                    noise_precision=ni, log_scale=li,
-                    tail=prior.tail.name) from exc
-            means[i], variances[i] = m, v
-            for q in _QLEVELS:
-                quantiles[q][i] = qs[q]
-            levels.append(record["level"])
-            achieved.append(record["achieved"])
-        diagnostics.update(_quadrature_diagnostics(
-            np.flatnonzero(active), levels, achieved, tol))
-    elif method == "conjugate":
-        if not isinstance(prior.tail, GaussianTail):
-            raise InvalidParameterError("conjugate path needs a Gaussian tail")
-        # inactive coordinates have sigma = 0: variance 0, mean x * 0
-        means, variances = conjugate_mean_var(x, n, np.exp(log_s))
-        means = np.where(active, means, 0.0)
-        sd = np.sqrt(variances)
+    record = {}
+    levels = []
+    achieved = []
+    for i in range(K):
+        if not active[i]:
+            continue
+        p = UnivariatePosterior(x[i], n, log_s[i], prior.tail)
+        try:
+            m, v, _, qs = quadrature_mean_var(p, tol=tol, quantiles=_QLEVELS,
+                                              record=record)
+        except ConvergenceError as exc:
+            xi, ni, li = float(x[i]), float(n), float(log_s[i])
+            raise ConvergenceError(
+                f"{exc} at coordinate {i} (x={xi!r}, n={ni!r}, "
+                f"log_sigma={li!r}, tail={prior.tail.name})",
+                achieved=exc.achieved, index=i, observation=xi,
+                noise_precision=ni, log_scale=li,
+                tail=prior.tail.name) from exc
+        means[i], variances[i] = m, v
         for q in _QLEVELS:
-            quantiles[q] = means + _NORMAL_QUANTILES[q] * sd
-        if draws:
-            draw_mat = np.zeros((K, draws))
-            for i in range(K):
-                if active[i] and sd[i] > 0:
-                    gen = rng.coord_generator(seed, rng.STREAM_CHAIN, i)
-                    draw_mat[i] = means[i] + sd[i] * gen.standard_normal(draws)
-    else:
-        raise InvalidParameterError(f"unknown method {method!r}")
+            quantiles[q][i] = qs[q]
+        levels.append(record["level"])
+        achieved.append(record["achieved"])
+    diagnostics = {"method": method}
+    diagnostics.update(_quadrature_diagnostics(
+        np.flatnonzero(active), levels, achieved, tol))
     return PosteriorSummary(means=means, variances=variances,
                             quantiles=quantiles, method=method,
-                            diagnostics=diagnostics, draws=draw_mat)
+                            diagnostics=diagnostics)
 
 
 def _quadrature_diagnostics(coords, levels, achieved, tol):

@@ -29,7 +29,7 @@ with K = (2 pi)^{-3/2}.
 """
 
 import math
-from dataclasses import KW_ONLY, dataclass, field, replace
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class TailFamily:
 
     name = "abstract"
     is_heavy = False
+    # True for the Gaussian tail, whose posterior under the Gaussian
+    # likelihood is normal about the shrunk observation
+    conjugate = False
     # (E) envelope constants (c1, kappa) and (T) constant c2, with margin;
     # None when the family certifies no heavy-tail bound.
     envelope = None
@@ -170,7 +173,7 @@ class StudentTail(TailFamily):
     is_heavy = True
 
     def __init__(self, df=3.0):
-        if df < 1:
+        if not df >= 1:
             raise InvalidParameterError("Student tails need df >= 1")
         self.df = float(df)
         self.name = f"student-{df:g}"
@@ -216,6 +219,7 @@ class GaussianTail(TailFamily):
 
     name = "gaussian"
     is_heavy = False
+    conjugate = True
 
     def log_density(self, x):
         x = np.asarray(x, dtype=float)
@@ -421,13 +425,6 @@ CAUCHY = CauchyTail()
 HORSESHOE = HorseshoeTail()
 GAUSSIAN = GaussianTail()
 
-_FAMILIES = {
-    "student": StudentTail,
-    "cauchy": CauchyTail,
-    "horseshoe": HorseshoeTail,
-    "gaussian": GaussianTail,
-}
-
 
 def horseshoe_log_density(t, tau):
     """log h_tau(t) for the horseshoe with scale tau > 0.
@@ -435,7 +432,7 @@ def horseshoe_log_density(t, tau):
     h_tau(t) = h_1(t / tau) / tau; each value satisfies the analytic
     sandwich strictly (see horseshoe_sandwich_bounds).
     """
-    if tau <= 0:
+    if not tau > 0:
         raise InvalidParameterError("tau must be > 0")
     t = np.asarray(t, dtype=float)
     if np.any(t == 0):
@@ -465,6 +462,9 @@ class ScalingRule:
     """
 
     level_indexed = False
+    # True when the rule's parameters carry hyperpriors, which only the
+    # Gibbs baseline fits
+    hierarchical = False
     kind = "abstract"
 
     def log_scale(self, idx):
@@ -473,9 +473,6 @@ class ScalingRule:
     def active(self, idx):
         """False where the rule forces the coefficient to exactly 0."""
         return np.ones(np.shape(idx), dtype=bool) if np.ndim(idx) else True
-
-    def config(self):
-        raise NotImplementedError
 
 
 def _check_single_index(k):
@@ -493,14 +490,11 @@ class OTScaling(ScalingRule):
     kind = "ot"
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise InvalidParameterError("nu must be > 0")
 
     def log_scale(self, k):
         return -np.log(_check_single_index(k)) ** (1.0 + self.nu)
-
-    def config(self):
-        return {"scaling": "ot", "nu": self.nu}
 
 
 @dataclass(frozen=True)
@@ -511,14 +505,12 @@ class HTScaling(ScalingRule):
     kind = "ht"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InvalidParameterError("alpha must be > 0")
+        # alpha = inf would give sigma_1 = exp(-inf * 0) = NaN
+        if not 0 < self.alpha < math.inf:
+            raise InvalidParameterError("alpha must be finite and > 0")
 
     def log_scale(self, k):
         return -(0.5 + self.alpha) * np.log(_check_single_index(k))
-
-    def config(self):
-        return {"scaling": "ht", "alpha": self.alpha}
 
 
 @dataclass(frozen=True)
@@ -530,9 +522,9 @@ class ConstantTruncatedScaling(ScalingRule):
     kind = "constant-truncated"
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise InvalidParameterError("tau must be > 0")
-        if self.k_trunc < 1:
+        if not self.k_trunc >= 1:
             raise InvalidParameterError("k_trunc must be >= 1")
 
     def log_scale(self, k):
@@ -541,10 +533,6 @@ class ConstantTruncatedScaling(ScalingRule):
 
     def active(self, k):
         return np.asarray(k) <= self.k_trunc
-
-    def config(self):
-        return {"scaling": "constant-truncated", "tau": self.tau,
-                "truncation": self.k_trunc}
 
 
 def _level_index(j):
@@ -567,14 +555,11 @@ class WaveletOTScaling(ScalingRule):
     kind = "wavelet-ot"
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not self.nu > 0:
             raise InvalidParameterError("nu must be > 0")
 
     def log_scale(self, j):
         return -(_level_index(j) ** (1.0 + self.nu)) * LOG_TWO
-
-    def config(self):
-        return {"scaling": "wavelet-ot", "nu": self.nu}
 
 
 @dataclass(frozen=True)
@@ -585,18 +570,16 @@ class GaussianHierarchicalScaling(ScalingRule):
     tau: float = 1.0
     alpha: float = 1.0
     level_indexed = True
+    hierarchical = True
     kind = "gaussian-hierarchical"
 
     def __post_init__(self):
-        if self.tau <= 0 or self.alpha <= 0:
-            raise InvalidParameterError("tau and alpha must be > 0")
+        if not (self.tau > 0 and 0 < self.alpha < math.inf):
+            raise InvalidParameterError(
+                "tau must be > 0 and alpha finite and > 0")
 
     def log_scale(self, j):
         return hierarchical_log_scale(math.log(self.tau), self.alpha, j)
-
-    def config(self):
-        return {"scaling": "gaussian-hierarchical", "tau": self.tau,
-                "alpha": self.alpha}
 
 
 # --------------------------------------------------------------------------
@@ -620,10 +603,8 @@ class PriorSpec:
     label: str = field(default="")
 
     def __post_init__(self):
-        if not self.tail.is_heavy and not (
-            self.baseline
-            or isinstance(self.scaling, GaussianHierarchicalScaling)
-        ):
+        if not (self.tail.is_heavy or self.baseline
+                or self.scaling.hierarchical):
             raise InvalidParameterError(
                 "light-tailed families are only admissible as flagged baselines"
             )
@@ -637,77 +618,42 @@ class PriorSpec:
         idx = coordinate_index(count, self.scaling.level_indexed)
         return self.scaling.log_scale(idx), self.scaling.active(idx)
 
-    def config(self):
-        cfg = {"tail": self.tail.name}
-        if isinstance(self.tail, StudentTail) and self.tail.df != 1.0:
-            cfg["df"] = self.tail.df
-        cfg.update(self.scaling.config())
-        if self.baseline:
-            cfg["baseline"] = True
-        return cfg
 
-
-def prior_from_config(cfg):
-    """Inverse of PriorSpec.config()."""
-    tail_name = cfg["tail"].partition("-")[0]
-    if tail_name not in _FAMILIES:
-        raise InvalidParameterError(f"unknown tail {cfg['tail']!r}")
-    if tail_name == "student":
-        tail = StudentTail(float(cfg.get("df", 3)))
-    else:
-        tail = _FAMILIES[tail_name]()
-    kind = cfg["scaling"]
-    if kind == "ot":
-        scaling = OTScaling(float(cfg.get("nu", 0.5)))
-    elif kind == "ht":
-        scaling = HTScaling(float(cfg["alpha"]))
-    elif kind == "constant-truncated":
-        scaling = ConstantTruncatedScaling(
-            float(cfg["tau"]), int(cfg["truncation"])
-        )
-    elif kind == "wavelet-ot":
-        scaling = WaveletOTScaling(float(cfg.get("nu", 0.5)))
-    elif kind == "gaussian-hierarchical":
-        scaling = GaussianHierarchicalScaling(
-            float(cfg.get("tau", 1.0)), float(cfg.get("alpha", 1.0))
-        )
-    else:
-        raise InvalidParameterError(f"unknown scaling {kind!r}")
-    return PriorSpec(tail, scaling, baseline=bool(cfg.get("baseline")))
-
-
-_STUDENT3 = {"tail": "student-3", "df": 3.0}
 _PRESETS = {
-    "student3-ot": {**_STUDENT3, "scaling": "ot", "nu": 0.5},
-    "cauchy-ot": {"tail": "cauchy", "scaling": "ot", "nu": 0.5},
-    "horseshoe-ot": {"tail": "horseshoe", "scaling": "ot", "nu": 0.5},
-    "cauchy-wavelet-ot": {"tail": "cauchy", "scaling": "wavelet-ot", "nu": 0.5},
-    "gaussian-hierarchical": {"tail": "gaussian",
-                              "scaling": "gaussian-hierarchical",
-                              "tau": 1.0, "alpha": 1.0},
+    "student3-ot": lambda: (StudentTail(3.0), OTScaling(0.5)),
+    "cauchy-ot": lambda: (CauchyTail(), OTScaling(0.5)),
+    "horseshoe-ot": lambda: (HorseshoeTail(), OTScaling(0.5)),
+    "cauchy-wavelet-ot": lambda: (CauchyTail(), WaveletOTScaling(0.5)),
+    "gaussian-hierarchical": lambda: (
+        GaussianTail(), GaussianHierarchicalScaling(1.0, 1.0)),
 }
 
 
 def make_prior(name, n=None):
     """The PriorSpec of a named preset, labelled with the preset's name.
 
-    Each preset is a prior_from_config config.  truncated-hs (the
-    horseshoe at tau = 1/n, truncated at k = n) needs the noise precision
-    n; student3-ht-<alpha> takes alpha from its name.
+    truncated-hs (the horseshoe at tau = 1/n, truncated at k = n) needs
+    a finite noise precision n > 0; student3-ht-<alpha> takes alpha > 0
+    from its name.
     """
     if name in _PRESETS:
-        cfg = _PRESETS[name]
+        tail, scaling = _PRESETS[name]()
     elif name == "truncated-hs":
-        if n is None:
-            raise InvalidParameterError("truncated-hs needs the precision n")
-        cfg = {"tail": "horseshoe", "scaling": "constant-truncated",
-               "tau": 1.0 / n, "truncation": max(1, int(round(n)))}
+        if n is None or not 0 < n < math.inf:
+            raise InvalidParameterError(
+                f"truncated-hs needs a finite precision n > 0, not {n!r}")
+        tail = HorseshoeTail()
+        scaling = ConstantTruncatedScaling(1.0 / n, max(1, int(round(n))))
     elif name.startswith("student3-ht-"):
-        cfg = {**_STUDENT3, "scaling": "ht",
-               "alpha": float(name.rsplit("-", 1)[1])}
+        try:
+            alpha = float(name.removeprefix("student3-ht-"))
+        except ValueError:
+            raise InvalidParameterError(
+                f"{name!r} does not end in a number alpha") from None
+        tail, scaling = StudentTail(3.0), HTScaling(alpha)
     else:
         raise InvalidParameterError(f"unknown prior preset {name!r}")
-    return replace(prior_from_config(cfg), label=name)
+    return PriorSpec(tail, scaling, label=name)
 
 
 def sample_prior(spec, count, seed):

@@ -245,6 +245,17 @@ def test_invalid_chain_length_exit_code(tmp_path, capsys, cmd, setting):
     assert "error: " in err and "must be" in err
 
 
+def test_fit_unknown_method_exit_code(tmp_path, capsys):
+    # quadrature and metropolis are the only methods; conjugate included,
+    # any other is a configuration error
+    cfg = tmp_path / "f.json"
+    for method in ("conjugate", "laplace"):
+        cfg.write_text(json.dumps({"method": method, "truncation": 8}))
+        code, _, err = _run(capsys, "fit", "--config", str(cfg))
+        assert code == 2
+        assert f"unknown method {method!r}" in err
+
+
 def test_report_missing_directory(capsys):
     code, _, _ = _run(capsys, "report", "--out", "/nonexistent-dir")
     assert code == 2

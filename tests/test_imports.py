@@ -15,6 +15,8 @@ import textwrap
 
 import pytest
 
+from heavyseries import priors
+
 _PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "heavyseries"
 _ALL_MODULES = sorted(_PACKAGE.glob("*.py"))
 _MODULES = [p for p in _ALL_MODULES if p.name != "__init__.py"]
@@ -95,6 +97,19 @@ def test_flat_levels_stays_with_priors_and_wavelets():
     assert users == ["priors.py", "wavelets.py"]
 
 
+def test_prior_classes_stay_with_priors():
+    # every other module reads a prior's behaviour from the flags its tail
+    # and scaling declare, never from their class (`__init__.py` may
+    # re-export them)
+    classes = {name for name, obj in vars(priors).items()
+               if isinstance(obj, type)
+               and issubclass(obj, (priors.TailFamily, priors.ScalingRule))}
+    assert {"GaussianTail", "GaussianHierarchicalScaling"} <= classes
+    users = [p.name for p in _MODULES
+             if classes & _referenced_names(p.read_text())]
+    assert users == ["priors.py"]
+
+
 def _scipy_imports(source):
     """(line, statement) of each scipy import, as `from m import a, b` or
     `import m`."""
@@ -157,7 +172,6 @@ def test_package_runs_with_scipy_blocked(tmp_path):
             fit = hs.fit_posterior(data, prior)
             assert fit.diagnostics["quadrature_capped"] == 0, prior.label
             assert 0.0 < prior.tail.tail_mass(1.0) < 0.5, prior.label
-        hs.fit_posterior(data, gaussian, method="conjugate", draws=10)
         posterior.fit_metropolis([(data, hs.make_prior("cauchy-ot"))],
                                  draws=50, burn_in=50, seed=0)
         hs.run_experiment(hs.ExperimentConfig(

@@ -24,7 +24,6 @@ from heavyseries.priors import (
     horseshoe_log_density,
     horseshoe_sandwich_bounds,
     make_prior,
-    prior_from_config,
     sample_prior,
 )
 
@@ -314,6 +313,36 @@ def test_student_df_validation():
         StudentTail(0.5)
 
 
+# `x <= 0` is False for NaN, so a check written that way lets NaN through
+# to fail later with an unrelated error, or not at all
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: StudentTail(math.nan), id="student-df-nan"),
+    pytest.param(lambda: OTScaling(math.nan), id="ot-nu-nan"),
+    pytest.param(lambda: WaveletOTScaling(math.nan), id="wavelet-ot-nu-nan"),
+    pytest.param(lambda: HTScaling(math.nan), id="ht-alpha-nan"),
+    pytest.param(lambda: HTScaling(math.inf), id="ht-alpha-inf"),
+    pytest.param(lambda: ConstantTruncatedScaling(math.nan, 5),
+                 id="truncated-tau-nan"),
+    pytest.param(lambda: GaussianHierarchicalScaling(math.nan, 1.0),
+                 id="hierarchical-tau-nan"),
+    pytest.param(lambda: GaussianHierarchicalScaling(1.0, math.nan),
+                 id="hierarchical-alpha-nan"),
+    pytest.param(lambda: horseshoe_log_density(1.0, math.nan),
+                 id="horseshoe-tau-nan"),
+    pytest.param(lambda: make_prior("student3-ht-nan"), id="preset-alpha-nan"),
+    pytest.param(lambda: make_prior("student3-ht-inf"), id="preset-alpha-inf"),
+    pytest.param(lambda: make_prior("student3-ht-x"), id="preset-alpha-text"),
+    pytest.param(lambda: make_prior("truncated-hs", n=0), id="preset-n-zero"),
+    pytest.param(lambda: make_prior("truncated-hs", n=math.nan),
+                 id="preset-n-nan"),
+    pytest.param(lambda: make_prior("truncated-hs", n=math.inf),
+                 id="preset-n-inf"),
+])
+def test_invalid_prior_parameters_raise_typed_errors(build):
+    with pytest.raises(InvalidParameterError):
+        build()
+
+
 # -- scaling rules -----------------------------------------------------------
 
 
@@ -379,8 +408,8 @@ def test_prior_spec_validation():
     assert spec.label == "gaussian-ot"
 
 
-# The presets as they were built from prior classes before they became
-# prior_from_config configs: (name, n) -> PriorSpec
+# Each preset's tail and scaling, written out independently of
+# make_prior's catalogue: (name, n) -> PriorSpec
 _PRESET_REFERENCES = {
     ("student3-ot", None): PriorSpec(StudentTail(3.0), OTScaling(0.5)),
     ("cauchy-ot", None): PriorSpec(CAUCHY, OTScaling(0.5)),
@@ -399,22 +428,11 @@ _PRESET_REFERENCES = {
 }
 
 
-def test_config_round_trip():
-    specs = [
-        PriorSpec(STUDENT3, OTScaling(0.5)),
-        PriorSpec(CAUCHY, HTScaling(1.75)),
-        PriorSpec(priors.HORSESHOE, ConstantTruncatedScaling(1e-3, 1000)),
-        PriorSpec(CAUCHY, WaveletOTScaling(0.5)),
-        PriorSpec(GAUSSIAN, GaussianHierarchicalScaling()),
-    ]
-    specs += [make_prior(name, n) for name, n in _PRESET_REFERENCES]
-    for spec in specs:
-        back = prior_from_config(spec.config())
-        assert back.config() == spec.config()
+def test_presets_match_their_references():
     for (name, n), ref in _PRESET_REFERENCES.items():
         spec = make_prior(name, n)
         assert spec.label == name
-        assert spec.config() == ref.config()
+        assert spec.baseline is False
         assert spec.scaling == ref.scaling
         assert type(spec.tail) is type(ref.tail)
         assert vars(spec.tail) == vars(ref.tail)
