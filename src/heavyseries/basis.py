@@ -102,11 +102,13 @@ def parseval_scale(basis):
     return 1.0
 
 
-def synthesize(coefficients, basis, m):
+def synthesize(coefficients, basis, m, out=None):
     """Sampled function values sum_k f_k phi_k(t_i) on the m-point grid,
     of one coefficient vector or of each row of a stack.  A cosine/sine
     stack comes back as the transpose of design @ stack.T: a C-ordered
     result takes OpenBLAS's transposed path, touching stack-sized buffers.
+    With `out`, a C-ordered array of the result's shape apart from the
+    coefficients, the values are written there and `out` is returned.
     """
     coefficients = np.asarray(coefficients, dtype=float)
     if basis.kind == WAVELET:
@@ -115,9 +117,13 @@ def synthesize(coefficients, basis, m):
             raise ShapeError(
                 f"wavelet basis requires m == {frame.signal_length}, got {m}"
             )
-        return wavelets.synthesize(coefficients, frame)
-    return (_grid_design(basis, m, coefficients.shape[-1])
-            @ coefficients.T).T
+        return wavelets.synthesize(coefficients, frame, out)
+    values = (_grid_design(basis, m, coefficients.shape[-1])
+              @ coefficients.T).T
+    if out is None:
+        return values
+    np.copyto(out, values)
+    return out
 
 
 @functools.lru_cache(maxsize=8)

@@ -27,7 +27,6 @@ seed: reruns are byte-identical, serial or parallel.
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
@@ -249,6 +248,11 @@ def _cell(args):
 
 def _map(work, fn, parallel):
     if parallel > 1 and len(work) > 1:
+        # imported here: `concurrent.futures` and what it loads
+        # (`multiprocessing`, `logging`, `socket`) cost every process
+        # about 23 ms and 1.9 MB, and only a pool uses them
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
             return list(pool.map(fn, work))
     return [fn(w) for w in work]

@@ -11,12 +11,10 @@ import math
 import numpy as np
 
 from . import basis as basis_mod
+from . import wavelets
 from .errors import InvalidParameterError, ShapeError
 
 DEFAULT_GRID = 2048
-
-# draws synthesized and reduced at a time by contraction_errors
-_DRAW_BLOCK = 256
 
 
 def _check_p_prime(p_prime):
@@ -56,12 +54,13 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
 
     draws has shape (coordinate, draw); measures concentration of the
     whole posterior around the truth rather than point-estimate accuracy.
-    Returns {p': error}.  The draws are handled in blocks of `_DRAW_BLOCK`,
-    so scratch memory does not grow with the draw count: each block's
-    differences are synthesized to the grid once and reused for every
-    non-Parseval norm, and each p' collects one norm per draw, whose mean
-    is the error.  The values equal the whole-stack expression's bit for
-    bit.
+    Returns {p': error}.  The draws are handled in blocks whose
+    differences and grid values hold at most `wavelets._BLOCK_VALUES`
+    values each (128 draws at K = m = 2048), so scratch memory does not
+    grow with the draw count: each block's differences are synthesized to
+    the grid once and reused for every non-Parseval norm, and each p'
+    collects one norm per draw, whose mean is the error.  The values equal
+    the whole-stack expression's bit for bit.
     """
     draws = np.asarray(draws, dtype=float)
     truth_coeffs = np.asarray(truth_coeffs, dtype=float)
@@ -73,32 +72,44 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
     norms = {p_prime: np.empty(count) for p_prime in p_primes}
     scale = basis_mod.parseval_scale(basis)
     m = basis_mod.grid_size(basis, m)
+    K = len(truth_coeffs)
     # a block of one draw would be both C- and F-contiguous, and its norm
-    # would be summed in another order, so a last single draw joins the
-    # block before it
-    starts = list(range(0, max(count - 1, 1), _DRAW_BLOCK)) + [count]
+    # would be summed in another order, so blocks hold at least two draws
+    # and a last single draw joins the block before it
+    step = max(2, wavelets._BLOCK_VALUES // max(K, m))
+    starts = list(range(0, max(count - 1, 1), step)) + [count]
+    most = max(hi - lo for lo, hi in zip(starts[:-1], starts[1:]))
+    grid_norms = {p: out for p, out in norms.items() if p != 2}
+    # made once and reused by every block: `work` holds a block's
+    # differences and then their powers, `grid` its grid values.  Blocks
+    # that allocated their own had the allocator hand the pages back and
+    # fault them in again, about 180,000 times in an `inhomogeneous` run.
+    work = np.empty(most * max(K, m))
+    grid = np.empty(most * m) if grid_norms else None
     for lo, hi in zip(starts[:-1], starts[1:]):
-        # (draw, coordinate), laid out like the whole-stack transpose
-        diff = draws[:, lo:hi].T - truth_coeffs[None, :]
-        values = powers = None
-        for p_prime, out in norms.items():
-            if p_prime == 2:
-                out[lo:hi] = np.linalg.norm(diff, axis=1) / scale
-                continue
-            if values is None:
-                # C-ordered, so each row is reduced along a contiguous
-                # axis; a wavelet synthesis already is, and is made
-                # absolute in place rather than copied
-                values = basis_mod.synthesize(diff, basis, m)
-                if values.flags.c_contiguous:
-                    np.abs(values, out=values)
-                else:
-                    values = np.abs(values, order="C")
+        n = hi - lo
+        if 2 in norms:
+            # (draw, coordinate), laid out like the whole-stack transpose,
+            # and squared in place: the sum np.linalg.norm takes
+            sq = np.subtract(draws[:, lo:hi], truth_coeffs[:, None],
+                             out=work[:n * K].reshape(K, n)).T
+            np.multiply(sq, sq, out=sq)
+            norms[2][lo:hi] = np.sqrt(np.add.reduce(sq, axis=1)) / scale
+        if not grid_norms:
+            continue
+        # C-ordered differences and grid values: a wavelet synthesis reads
+        # its rows in place, and each row is reduced along a contiguous axis
+        diff = np.subtract(draws[:, lo:hi].T, truth_coeffs[None, :],
+                           out=work[:n * K].reshape(n, K))
+        values = basis_mod.synthesize(diff, basis, m,
+                                      out=grid[:n * m].reshape(n, m))
+        np.abs(values, out=values)
+        powers = work[:n * m].reshape(n, m)
+        for p_prime, out in grid_norms.items():
             if math.isinf(p_prime):
                 out[lo:hi] = np.max(values, axis=1)
             else:
-                # the block's first power allocates; the others reuse it
-                powers = np.power(values, p_prime, out=powers)
+                np.power(values, p_prime, out=powers)
                 out[lo:hi] = np.mean(powers, axis=1) ** (1.0 / p_prime)
     return {p_prime: float(out.mean()) for p_prime, out in norms.items()}
 

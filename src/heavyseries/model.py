@@ -46,7 +46,7 @@ class SequenceData:
         object.__setattr__(
             self, "observations", np.asarray(self.observations, dtype=float)
         )
-        if self.noise_precision <= 0:
+        if not self.noise_precision > 0:  # NaN fails too
             raise InvalidParameterError("noise precision n must be > 0")
         if len(self.observations) != self.truncation:
             raise ShapeError("observation length must equal the truncation K")
@@ -71,7 +71,7 @@ def simulate(truth, noise_precision, truncation, seed):
     """
     n = float(noise_precision)
     K = int(truncation)
-    if n <= 0:
+    if not n > 0:  # NaN fails too
         raise InvalidParameterError("noise precision n must be > 0")
     if K < 1:
         raise InvalidParameterError("truncation K must be >= 1")

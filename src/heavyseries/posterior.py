@@ -25,6 +25,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from . import rng
+from . import wavelets
 from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
 from .model import index_rows
 from .priors import coordinate_index, hierarchical_log_scale
@@ -293,8 +294,6 @@ _BIG_STEP_PROB = 0.2
 _JUMP_PROB = 0.2
 # most chains one `_metropolis_block` call runs
 _CHUNK = 1024
-# steps of random inputs `_metropolis_block` makes per refill of its tables
-_REFILL = 500
 
 
 def _check_chain_lengths(draws, burn_in):
@@ -319,25 +318,30 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
     blocks.  `n` is one noise precision for all chains or one per chain.
 
     Chains with the same stream index share its random inputs, which are
-    generated once per distinct index, one refill of `_REFILL` steps at a
-    time, into (step, stream) tables: one noise table holding the normal
-    increment, or the Cauchy tangent on steps that propose from the
-    Cauchy component (a step never uses both), log(u_acc), and the jump,
-    big-step and Cauchy-component masks.  A stream's normals and its
-    acceptance, mixture and jump uniforms are four runs of its generator,
-    one after another; each run keeps a generator head (the uniform runs'
-    heads are found by one pass over the stream's normals and an exact
-    skip over the uniform runs) and writes one stream row per refill.
-    Every input is the float the whole-run stream gives it, and scratch
-    memory is O(streams x refill), plus one stream's normals, rather than
+    generated once per distinct index, one refill at a time, into
+    (stream, step) tables: one noise table holding the normal increment,
+    or the Cauchy tangent on steps that propose from the Cauchy component
+    (a step never uses both), one of log(u_acc), and one byte table of
+    each step's proposal kind.  A refill spans `wavelets._BLOCK_VALUES`
+    values per chain in steps (at least one, at most the run), so no
+    table exceeds that budget, and streams shared by several chains
+    shrink the tables.  A stream's normals and its acceptance, mixture and
+    jump uniforms are four runs of its generator, one after another; each
+    run keeps a generator head (the uniform runs' heads are found by one
+    pass over the stream's normals and an exact skip over the uniform
+    runs) and writes its stream's row of a table in place.  The mixture
+    and jump uniforms, which only set the kinds and the tangents, pass
+    through the noise table before the normals do.  Every input is the
+    float the whole-run stream gives it, and scratch memory is bounded by
+    the budget, plus one stream's normals, rather than
     O(streams x (draws + burn_in)).  For each adaptation window of
-    `_ADAPT_EVERY` steps, cut where a refill ends, the table rows are
-    gathered by stream index into (step, chain) arrays, from which the
-    scaled walk increments of the window are formed, and the independence
-    proposals with their envelope values only where a step jumps.  Within
-    a step the envelope of the current state is evaluated only for the
-    chains that jump.  Kept draws are written as (chain, draw) into
-    `out`, or into a new array when `out` is None.
+    `_ADAPT_EVERY` steps, cut where a refill ends, the table columns are
+    gathered by stream index into C-ordered (step, chain) arrays, from
+    which the scaled walk increments of the window are formed, and the
+    independence proposals with their envelope values only where a step
+    jumps.  Within a step the envelope of the current state is evaluated
+    only for the chains that jump.  Kept draws are written as
+    (chain, draw) into `out`, or into a new array when `out` is None.
     """
     xs = np.asarray(xs, dtype=float)
     k = len(xs)
@@ -352,20 +356,18 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
     min_step = np.array([0.5 / math.sqrt(v) for v in n])
 
     # distinct streams in order of first use: all-distinct indices map to
-    # themselves, and their rows need no gather
+    # themselves, and their columns need no gather
     position = {}
     stream_of = np.array([position.setdefault(int(idx), len(position))
                           for idx in indices], dtype=np.intp)
     m = len(position)
-    cols = slice(None) if m == k else stream_of
-    width = min(_REFILL, total)
+    width = min(max(1, wavelets._BLOCK_VALUES // k), total)
     start = np.empty(m)
-    rows = np.empty((m, width))
-    noise = np.empty((width, m))
-    log_u_acc = np.empty((width, m))
-    jump = np.empty((width, m), dtype=bool)
-    big_step = np.empty((width, m), dtype=bool)
-    cauchy = np.empty((width, m), dtype=bool)
+    noise = np.empty((m, width))
+    log_u_acc = np.empty((m, width))
+    # each step's proposal: 0 walk, 1 big step, then the independence
+    # draw from the envelope's Gaussian (2) or Cauchy (3) component
+    kind = np.empty((m, width), dtype=np.uint8)
     # one generator head per run of each stream's draws
     normal_run, acc_run, mix_run, jump_run = [], [], [], []
     normals = np.empty(total)
@@ -381,27 +383,40 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
         mix_run.append(rng.skip_ahead(acc_head, total).random)
         jump_run.append(rng.skip_ahead(acc_head, 2 * total).random)
 
-    def fill(run):
-        # whole stream rows, as (step, stream); the last refill may run
-        # past `total`, unread
-        for draw, row in zip(run, rows):
+    def fill(run, table):
+        # whole stream rows; the last refill may run past `total`, unread
+        for draw, row in zip(run, table):
             draw(out=row)
-        return rows.T
+        return table
 
     def refill():
-        np.copyto(noise, fill(normal_run))
-        fill(acc_run)
-        np.log(rows, out=rows)
-        np.copyto(log_u_acc, rows.T)
-        u_mix = fill(mix_run)
-        np.less(u_mix, _JUMP_PROB, out=jump)
-        np.less(u_mix, _JUMP_PROB + _BIG_STEP_PROB, out=big_step)
+        np.log(fill(acc_run, log_u_acc), out=log_u_acc)
+        u_mix = fill(mix_run, noise)
+        np.less(u_mix, _JUMP_PROB + _BIG_STEP_PROB, out=kind)
+        np.add(kind, u_mix < _JUMP_PROB, out=kind)
         # u_jump picks the component; rescaled it is uniform again and
         # drives the Cauchy inverse CDF; the Gaussian reuses the normal
-        u_jump = fill(jump_run)
-        np.less(u_jump, 0.5, out=cauchy)
-        np.logical_and(cauchy, jump, out=cauchy)
-        noise[cauchy] = np.tan(math.pi * (2.0 * u_jump[cauchy] - 0.5))
+        u_jump = fill(jump_run, noise)
+        cauchy = (u_jump < 0.5) & (kind == 2)
+        np.add(kind, cauchy, out=kind)
+        tangents = np.tan(math.pi * (2.0 * u_jump[cauchy] - 0.5))
+        fill(normal_run, noise)
+        noise[cauchy] = tangents
+
+    # each batch gathers its (step, chain) inputs into buffers made once,
+    # C-ordered, so each step's row is contiguous
+    batch_kind = np.empty((_ADAPT_EVERY, k), dtype=np.uint8)
+    batch_walk = np.empty((_ADAPT_EVERY, k))
+    batch_log_u = np.empty((_ADAPT_EVERY, k))
+
+    def window(table, seg, buf):
+        rows = buf[:seg.stop - seg.start]
+        if m == k:
+            np.copyto(rows, table[:, seg].T)
+        else:
+            np.take(np.ascontiguousarray(table[:, seg].T), stream_of, axis=1,
+                    out=rows)
+        return rows
 
     def target(theta):
         # the prior's -log sigma is constant per chain: it cancels in ratios
@@ -424,11 +439,12 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
         out = np.empty((k, draws))
     kept_rows = np.empty((_ADAPT_EVERY, k))
     # each batch's jumping (step, chain) pairs fill the front of buffers
-    # sized for a whole batch and allocated once: arrays sized to each
-    # batch fragmented the heap (12 MB more peak memory in a third of
-    # `inhomogeneous` benchmark runs)
-    pair_chain = np.empty(_ADAPT_EVERY * k, dtype=np.intp)
-    pair_values = np.empty((6, _ADAPT_EVERY * k))
+    # that are replaced only when a batch outgrows them, with a quarter to
+    # spare: arrays sized to each batch fragmented the heap (12 MB more
+    # peak memory in a third of `inhomogeneous` benchmark runs), and
+    # buffers for every pair of a batch held five times the pairs that jump
+    pair_chain = np.empty(0, dtype=np.intp)
+    pair_values = np.empty((6, 0))
     window_acc = np.zeros(k)
     kept = np.zeros(k)
     # one batch per adaptation window, so the step size is fixed within a
@@ -442,13 +458,17 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
                 refill()
             seg = slice(t0 % width, t0 % width + t1 - t0)
             # the proposals' chain-state-free parts, for the whole batch
-            w = noise[seg, cols]
-            walk = np.where(big_step[seg, cols], big, step) * w
-            log_u_b = log_u_acc[seg, cols]
+            kinds = window(kind, seg, batch_kind)
+            walk = window(noise, seg, batch_walk)
+            log_u_b = window(log_u_acc, seg, batch_log_u)
             # the jumping (step, chain) pairs, step by step: independence
             # proposals and both envelope terms are needed only there
-            jb, jc = np.nonzero(jump[seg, cols])
+            jb, jc = np.nonzero(kinds >= 2)
             ends = np.searchsorted(jb, np.arange(t1 - t0 + 1)).tolist()
+            if len(jc) > len(pair_chain):
+                size = len(jc) + len(jc) // 4
+                pair_chain = np.empty(size, dtype=np.intp)
+                pair_values = np.empty((6, size))
             chain_j = pair_chain[:len(jc)]
             chain_j[:] = jc
             sig_j, xs_j, sd_j, log_sd_j, ind, ind_lq = (
@@ -457,10 +477,12 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
             np.take(xs, jc, out=xs_j)
             np.take(like_sd, jc, out=sd_j)
             np.take(log_like_sd, jc, out=log_sd_j)
-            wj = w[jb, jc]
-            ind[:] = np.where(cauchy[seg, cols][jb, jc], sig_j * wj,
+            wj = walk[jb, jc]
+            ind[:] = np.where(kinds[jb, jc] == 3, sig_j * wj,
                               xs_j + sd_j * wj)
             ind_lq[:] = log_envelope(ind, sig_j, xs_j, sd_j, log_sd_j)
+            # the walk increments, scaled in place
+            walk *= np.where(kinds >= 1, big, step)
             del jb, jc, wj
             burning = t0 < burn_in
             for b in range(t1 - t0):
@@ -605,22 +627,18 @@ def _quadrature_diagnostics(coords, levels, achieved, tol):
     }
 
 
-# most values one block of a draw or curve stack holds (2 MiB of float64)
-_BLOCK_VALUES = 1 << 18
-
-
 def _draw_moments(draw_mat):
     """Per-row means, variances and `_QLEVELS` quantiles of draws.
 
-    Rows are taken in blocks of at most `_BLOCK_VALUES` values (at least
-    one row), so the copies that `var` and `np.quantile` make do not
-    grow with the stack.  Each row is reduced on its own, so the results
-    equal the whole-stack calls' bit for bit.
+    Rows are taken in blocks of at most `wavelets._BLOCK_VALUES` values
+    (at least one row), so the copies that `var` and `np.quantile` make
+    do not grow with the stack.  Each row is reduced on its own, so the
+    results equal the whole-stack calls' bit for bit.
     """
     rows, count = draw_mat.shape
     means, variances = np.empty(rows), np.empty(rows)
     qs = np.empty((len(_QLEVELS), rows))
-    step = max(1, _BLOCK_VALUES // count)
+    step = max(1, wavelets._BLOCK_VALUES // count)
     for lo in range(0, rows, step):
         block = draw_mat[lo:lo + step]
         means[lo:lo + step] = block.mean(axis=1)
@@ -696,11 +714,17 @@ def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0):
 _GIBBS_PROPOSAL_SD = 0.35
 
 
-def _gibbs_log_marginal(x, n, levels, u, v):
-    """log p(x | tau, alpha) + log prior on (u, v) = (log tau, log alpha)."""
+def _gibbs_log_marginal(xx, n, levels, level_of, u, v):
+    """log p(x | tau, alpha) + log prior on (u, v) = (log tau, log alpha).
+
+    `xx` is x * x; the scales and variances are formed once for each of
+    `levels` and gathered to the coordinates by `level_of`, which gives
+    every coordinate the value its own level's expression gives it.
+    """
     log_sig = hierarchical_log_scale(u, math.exp(v), levels)
     var = 1.0 / n + np.exp(2.0 * log_sig)
-    loglik = -0.5 * np.sum(np.log(2 * math.pi * var) + x * x / var)
+    loglik = -0.5 * np.sum(np.log(2 * math.pi * var)[level_of]
+                           + xx / var[level_of])
     # tau ~ Inv-Gamma(1,1) in u = log tau; alpha ~ Exp(1) in v = log alpha
     log_prior = -u - math.exp(-u) + v - math.exp(v)
     return loglik + log_prior
@@ -719,11 +743,15 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0):
     K = data.truncation
     x = data.observations
     n = data.noise_precision
-    # as floats once per fit, so no step's scales cast the levels again
-    levels = coordinate_index(K, level_indexed=True).astype(float)
+    # each step's arithmetic runs on the levels, as floats, and is
+    # gathered to the coordinates by their level's position
+    flat = coordinate_index(K, level_indexed=True)
+    levels = np.arange(flat.min(), flat.max() + 1.0)
+    level_of = flat - flat.min()
+    xx = x * x
     gen = rng.coord_generator(seed, rng.STREAM_GIBBS, 0)
     u, v = 0.0, 0.0  # tau = 1, alpha = 1
-    cur_lp = _gibbs_log_marginal(x, n, levels, u, v)
+    cur_lp = _gibbs_log_marginal(xx, n, levels, level_of, u, v)
     total = draws + burn_in
     out = np.empty((K, draws))
     hyper = np.empty((draws, 2))
@@ -733,7 +761,7 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0):
     for t in range(total):
         pu = u + sd * gen.standard_normal()
         pv = v + sd * gen.standard_normal()
-        lp = _gibbs_log_marginal(x, n, levels, pu, pv)
+        lp = _gibbs_log_marginal(xx, n, levels, level_of, pu, pv)
         if math.log(gen.random()) < lp - cur_lp:
             u, v, cur_lp = pu, pv, lp
             if t >= burn_in:
@@ -752,7 +780,8 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0):
             s2 = np.exp(2.0 * log_sig)
             shrink = n * s2 / (1.0 + n * s2)
             post_sd = np.sqrt(s2 / (1.0 + n * s2))
-            out[:, t - burn_in] = x * shrink + post_sd * gen.standard_normal(K)
+            out[:, t - burn_in] = (x * shrink[level_of] + post_sd[level_of]
+                                   * gen.standard_normal(K))
             hyper[t - burn_in] = (math.exp(u), alpha)
     means, variances, quantiles = _draw_moments(out)
     diag = {
@@ -789,7 +818,7 @@ def credible_band(summary, basis, m=256, level=0.95):
     # exact, so the block order does not change them
     lower = np.full(m, np.inf)
     upper = np.full(m, -np.inf)
-    step = max(1, _BLOCK_VALUES // m)
+    step = max(1, wavelets._BLOCK_VALUES // m)
     for lo in range(0, keep, step):
         kept = curves[sel[lo:lo + step]]
         np.minimum(lower, kept.min(axis=0), out=lower)

@@ -20,10 +20,13 @@ the columns back into samples is a free reshape.  The taps are applied in
 ascending order, so every output element is summed in a fixed order.
 
 Stacks of signals along the last axis are transformed through all levels
-in blocks of _BLOCK_ROWS rows, which bounds the temporaries to one block.
-analyze and synthesize return a fresh C-ordered array whatever the order of
-their input, so reductions along the last axis of the result sum in the
-same order for C- and F-ordered stacks.
+in blocks of at most _BLOCK_VALUES values (at least one row), which bounds
+the temporaries to one block; each block's last level writes straight into
+the result.  analyze and synthesize return a fresh C-ordered array whatever
+the order of their input, so reductions along the last axis of the result
+sum in the same order for C- and F-ordered stacks; synthesize can write
+into a caller's C-ordered array instead, which a caller that synthesizes
+block after block reuses.
 """
 
 from dataclasses import dataclass, field
@@ -32,10 +35,12 @@ import numpy as np
 
 from .errors import InvalidParameterError, ShapeError
 
-# Rows of a stack transformed together through all levels.  Large enough
-# that per-tap numpy overhead is amortized, small enough that the working
-# set stays in cache and a stack of draws needs no full-size temporaries.
-_BLOCK_ROWS = 128
+# Most values one block of a draw, curve or signal stack holds (2 MiB of
+# float64): the one scratch budget of every loop over a stack, here and in
+# `metrics` and `posterior`.  At 2048 samples a wavelet block is 128 rows,
+# enough to amortize per-tap numpy overhead, while a stack of draws needs
+# no full-size temporaries.
+_BLOCK_VALUES = 1 << 18
 
 # Low-pass filters, unit L2 norm, sum sqrt(2).  "daubechies-N" is the
 # N-tap extremal-phase filter; "symmlet-8" the 16-tap least-asymmetric
@@ -192,12 +197,17 @@ def _dwt_step(a, lo, hi):
     return approx, detail
 
 
-def _idwt_step(approx, detail, lo, hi):
+def _idwt_step(approx, detail, lo, hi, out=None):
     # tap m adds into sample 2k + m (mod n), which is entry
     # (k + m//2) mod half of the parity-(m % 2) plane of the output; the
-    # planes interleave by a reshape
+    # planes interleave by a reshape.  `out`, when given, is a C-ordered
+    # (rows, 2 half) array that takes the output.
     half = approx.shape[-1]
-    a = np.zeros(approx.shape + (2,))
+    if out is None:
+        a = np.zeros(approx.shape + (2,))
+    else:
+        a = out.reshape(approx.shape + (2,))
+        a.fill(0.0)
     # one pair of term buffers per step, not three fresh arrays per tap:
     # same products and sums, without faulting in new pages for each
     term = np.empty_like(approx)
@@ -219,41 +229,48 @@ def _check_last_axis(values, frame, what):
         )
 
 
-def _by_row_blocks(transform, values, frame, what):
-    """Apply transform(rows, frame) to blocks of _BLOCK_ROWS rows.
+def _by_row_blocks(transform, values, frame, what, out=None):
+    """Apply transform(rows, frame, out_rows) to blocks of at most
+    _BLOCK_VALUES values (at least one row).
 
     values is a single signal or a stack along the last axis; the result is
-    a fresh C-ordered array of the same shape whatever the input's order.
+    `out`, or a fresh C-ordered array of the same shape when out is None,
+    whatever the input's order.
     """
     values = np.asarray(values, dtype=float)
     _check_last_axis(values, frame, what)
-    result = np.empty(values.shape)
+    if out is None:
+        out = np.empty(values.shape)
+    elif (out.shape != values.shape or not out.flags.c_contiguous
+          or np.may_share_memory(out, values)):
+        raise ShapeError("out must be a C-ordered array of the result's "
+                         "shape, apart from the input")
     rows = values.reshape(-1, frame.signal_length)
-    out = result.reshape(rows.shape)
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        out[block] = transform(np.ascontiguousarray(rows[block]), frame)
-    return result
+    out_rows = out.reshape(rows.shape)
+    step = max(1, _BLOCK_VALUES // frame.signal_length)
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        transform(np.ascontiguousarray(rows[block]), frame, out_rows[block])
+    return out
 
 
-def _analyze_rows(a, frame):
+def _analyze_rows(a, frame, out):
     lo = frame.lowpass
     hi = highpass(lo)
-    coeffs = np.empty_like(a)
     for j in range(frame.levels - 1, frame.coarse_level - 1, -1):
         a, d = _dwt_step(a, lo, hi)
-        coeffs[:, level_slice(j)] = d
-    coeffs[:, : 2**frame.coarse_level] = a
-    return coeffs
+        out[:, level_slice(j)] = d
+    out[:, : 2**frame.coarse_level] = a
 
 
-def _synthesize_rows(coefficients, frame):
+def _synthesize_rows(coefficients, frame, out):
     lo = frame.lowpass
     hi = highpass(lo)
     a = coefficients[:, : 2**frame.coarse_level]
+    last = frame.levels - 1
     for j in range(frame.coarse_level, frame.levels):
-        a = _idwt_step(a, coefficients[:, level_slice(j)], lo, hi)
-    return a
+        a = _idwt_step(a, coefficients[:, level_slice(j)], lo, hi,
+                       out if j == last else None)
 
 
 def analyze(samples, frame):
@@ -264,10 +281,11 @@ def analyze(samples, frame):
     return _by_row_blocks(_analyze_rows, samples, frame, "samples")
 
 
-def synthesize(coefficients, frame):
-    """Inverse of analyze."""
+def synthesize(coefficients, frame, out=None):
+    """Inverse of analyze; into `out`, a C-ordered array of the result's
+    shape apart from the coefficients, when given."""
     return _by_row_blocks(_synthesize_rows, coefficients, frame,
-                          "coefficients")
+                          "coefficients", out)
 
 
 def level_norm(coefficients, j, p):

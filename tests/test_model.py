@@ -48,8 +48,11 @@ def test_padding_and_truncation():
 
 def test_invalid_inputs():
     t = _truth()
-    with pytest.raises(InvalidParameterError):
-        model.simulate(t, 0.0, 20, seed=0)
+    for n in (0.0, np.nan):
+        with pytest.raises(InvalidParameterError):
+            model.simulate(t, n, 20, seed=0)
+        with pytest.raises(InvalidParameterError):
+            model.SequenceData(np.zeros(20), n, 20, basis.cosine_basis(), 0)
     with pytest.raises(InvalidParameterError):
         model.simulate(t, 10.0, 0, seed=0)
     with pytest.raises(InvalidParameterError):

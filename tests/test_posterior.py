@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavyseries import model, posterior, signals
+from heavyseries import model, posterior, rng, signals, wavelets
 from heavyseries.errors import ConvergenceError, InvalidParameterError, StateError
 from heavyseries.posterior import (
     PosteriorSummary,
@@ -26,6 +26,8 @@ from heavyseries.priors import (
     GaussianHierarchicalScaling,
     OTScaling,
     PriorSpec,
+    coordinate_index,
+    hierarchical_log_scale,
 )
 
 # Fixed-grid trapezoid oracle value for the Cauchy tail at
@@ -678,11 +680,13 @@ def _chain_inputs(k, seed):
     return xs, log_scales
 
 
-def _assert_block_matches_reference(tail, chains):
+def _assert_block_matches_reference(tail, chains, refill=None):
     xs, log_scales = _chain_inputs(chains, seed=chains)
     if chains == 1:  # the lone chain gets an ordinary scale
         log_scales[0] = -3.0
     indices = np.arange(chains) * 3 + 5
+    if refill is not None:
+        refill(chains)
     args = (xs, 1e3, log_scales, tail, 150, 150, 7, indices)
     draws, acc = posterior._metropolis_block(*args)
     ref_draws, ref_acc = _reference_metropolis_block(*args)
@@ -691,13 +695,15 @@ def _assert_block_matches_reference(tail, chains):
 
 
 def _assert_jump_extremes_match_reference(monkeypatch, tail, jump_prob,
-                                          big_step_prob):
+                                          big_step_prob, refill=None):
     # the envelope terms are evaluated only for the chains that jump: none
     # of them, or all of them, at every step
     monkeypatch.setattr(posterior, "_JUMP_PROB", jump_prob)
     monkeypatch.setattr(posterior, "_BIG_STEP_PROB", big_step_prob)
     xs, log_scales = _chain_inputs(60, seed=13)
     indices = np.arange(60) * 3 + 5
+    if refill is not None:
+        refill(len(xs))
     args = (xs, 1e3, log_scales, tail, 120, 130, 7, indices)
     draws, acc = posterior._metropolis_block(*args)
     ref_draws, ref_acc = _reference_metropolis_block(*args)
@@ -705,7 +711,7 @@ def _assert_jump_extremes_match_reference(monkeypatch, tail, jump_prob,
     assert np.array_equal(acc, ref_acc)
 
 
-def _assert_merged_block_matches_reference(tail, supply_out):
+def _assert_merged_block_matches_reference(tail, supply_out, refill=None):
     # one block over three noise precisions; every group reuses the same
     # stream indices, and two chains within a group share one as well
     ns = (1.0, 1e3, 1e6)
@@ -713,6 +719,8 @@ def _assert_merged_block_matches_reference(tail, supply_out):
     indices = np.arange(40) * 3 + 5
     indices[7] = indices[2]
     k = 3 * len(xs)
+    if refill is not None:
+        refill(k)
     args = (np.tile(xs, 3), np.repeat(ns, len(xs)), np.tile(log_scales, 3),
             tail, 120, 130, 7, np.tile(indices, 3))
     if supply_out:
@@ -734,11 +742,14 @@ def _assert_merged_block_matches_reference(tail, supply_out):
 # Refill widths that end `_metropolis_block`'s input tables inside
 # adaptation batches, at batch edges and across the end of burn-in (burn-in
 # 130 and 150 are not multiples of `_ADAPT_EVERY`); the tests without
-# `refill` run at the shipped width, which these short chains never reach.
+# `refill` run at the shipped budget, whose width these short chains never
+# reach.  The fixture returns a function that sets the scratch budget to
+# that width for a block of the given number of chains.
 @pytest.fixture(params=[1, 7, 50, 130], ids=lambda w: f"refill-{w}")
 def refill(request, monkeypatch):
-    monkeypatch.setattr(posterior, "_REFILL", request.param)
-    return request.param
+    def set_width(chains):
+        monkeypatch.setattr(wavelets, "_BLOCK_VALUES", request.param * chains)
+    return set_width
 
 
 _TAILS = pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE,
@@ -764,7 +775,7 @@ def test_metropolis_block_matches_reference(tail, chains):
 @pytest.mark.parametrize("chains", [1, 200])
 def test_metropolis_block_matches_reference_across_refills(tail, chains,
                                                            refill):
-    _assert_block_matches_reference(tail, chains)
+    _assert_block_matches_reference(tail, chains, refill)
 
 
 @_envelope_warnings
@@ -782,7 +793,7 @@ def test_metropolis_block_matches_reference_at_jump_extremes(
 def test_jump_extremes_match_reference_across_refills(
         monkeypatch, tail, jump_prob, big_step_prob, refill):
     _assert_jump_extremes_match_reference(monkeypatch, tail, jump_prob,
-                                          big_step_prob)
+                                          big_step_prob, refill)
 
 
 @_envelope_warnings
@@ -797,7 +808,7 @@ def test_merged_block_matches_per_n_reference(tail, supply_out):
 @pytest.mark.parametrize("supply_out", [False, True], ids=["new", "out"])
 def test_merged_block_matches_reference_across_refills(tail, supply_out,
                                                        refill):
-    _assert_merged_block_matches_reference(tail, supply_out)
+    _assert_merged_block_matches_reference(tail, supply_out, refill)
 
 
 def test_shared_streams_cut_block_memory():
@@ -822,9 +833,9 @@ def test_shared_streams_cut_block_memory():
 
 def test_block_scratch_does_not_grow_with_chain_length(scratch_peak):
     # Random inputs are made one refill at a time.  Measured with `out`
-    # supplied, 256 Student-3 chains: 5.42 MB of scratch at 4000 + 2000
-    # steps and 5.37 MB at 800 + 400; whole-run input tables took 30.6
-    # and 7.1 MB.  The bound leaves 10% for allocator noise.
+    # supplied, 256 Student-3 chains: 6.45 MB of scratch at 4000 + 2000
+    # steps and 6.39 MB at 800 + 400 (1024-step refills); whole-run input
+    # tables took 30.6 and 7.1 MB.  The bound leaves 10% for allocator noise.
     gen = np.random.default_rng(5)
     xs = gen.normal(0.0, 2.0, size=256)
     log_scales = gen.uniform(-12.0, 0.0, size=256)
@@ -833,6 +844,24 @@ def test_block_scratch_does_not_grow_with_chain_length(scratch_peak):
                           np.empty((256, draws)))
              for draws, burn_in in ((4000, 2000), (800, 400))]
     assert peaks[0] < 1.1 * peaks[1], peaks
+
+
+def test_wide_block_scratch_stays_within_budget(scratch_peak):
+    # A full chunk of distinct streams, as `inhomogeneous` runs it: its
+    # tables hold 2^18 values each whatever the chain length.  Measured
+    # with `out` supplied, 1024 Cauchy chains: 10.35 MB of scratch at
+    # 4000 + 2000 steps and 10.30 MB at 800 + 400 (500-step refills into
+    # three float tables took 21.4 MB).  The bounds leave 10% for
+    # allocator noise.
+    gen = np.random.default_rng(8)
+    xs = gen.normal(0.0, 2.0, size=1024)
+    log_scales = gen.uniform(-12.0, 0.0, size=1024)
+    peaks = [scratch_peak(posterior._metropolis_block, xs, 1.0, log_scales,
+                          CAUCHY, draws, burn_in, 0, np.arange(1024),
+                          np.empty((1024, draws)))
+             for draws, burn_in in ((4000, 2000), (800, 400))]
+    assert peaks[0] < 1.1 * peaks[1], peaks
+    assert peaks[0] < 1.1 * 10.35e6, peaks
 
 
 def _reference_fit_draws(data, prior, draws, burn_in, seed, chunk=1024):
@@ -919,7 +948,7 @@ def test_invalid_chain_lengths_rejected():
 
 
 def _moment_rows(count):
-    return posterior._BLOCK_VALUES // count
+    return wavelets._BLOCK_VALUES // count
 
 
 # the last two shapes cross `_draw_moments`'s row block
@@ -1005,7 +1034,8 @@ def test_gibbs_marginal_identity():
     n = 4.0
     levels = np.array([-1, 0, 1])
     u, v = 0.3, -0.2
-    analytic = posterior._gibbs_log_marginal(x, n, levels, u, v)
+    analytic = posterior._gibbs_log_marginal(x * x, n, levels.astype(float),
+                                             np.arange(3), u, v)
     tau, alpha = math.exp(u), math.exp(v)
     log_prior = -u - math.exp(-u) + v - math.exp(v)
     total = 0.0
@@ -1021,6 +1051,66 @@ def test_gibbs_marginal_identity():
         val, _ = integrate.quad(f, -20 * sig, 20 * sig, limit=400)
         total += math.log(val)
     assert analytic == pytest.approx(total + log_prior, abs=1e-10)
+
+
+def _per_coordinate_log_marginal(x, n, levels, u, v):
+    log_sig = hierarchical_log_scale(u, math.exp(v), levels)
+    var = 1.0 / n + np.exp(2.0 * log_sig)
+    loglik = -0.5 * np.sum(np.log(2 * math.pi * var) + x * x / var)
+    return loglik + (-u - math.exp(-u) + v - math.exp(v))
+
+
+def _per_coordinate_gibbs(data, draws, burn_in, seed):
+    """The Gibbs sampler with its scales formed on every coordinate."""
+    x, n, K = data.observations, data.noise_precision, data.truncation
+    levels = coordinate_index(K, level_indexed=True).astype(float)
+    gen = rng.coord_generator(seed, rng.STREAM_GIBBS, 0)
+    u, v = 0.0, 0.0
+    cur_lp = _per_coordinate_log_marginal(x, n, levels, u, v)
+    out = np.empty((K, draws))
+    window_acc = 0
+    sd = posterior._GIBBS_PROPOSAL_SD
+    for t in range(draws + burn_in):
+        pu = u + sd * gen.standard_normal()
+        pv = v + sd * gen.standard_normal()
+        lp = _per_coordinate_log_marginal(x, n, levels, pu, pv)
+        if math.log(gen.random()) < lp - cur_lp:
+            u, v, cur_lp = pu, pv, lp
+            window_acc += 1
+        if t < burn_in and (t + 1) % posterior._ADAPT_EVERY == 0:
+            rate = window_acc / posterior._ADAPT_EVERY
+            if rate > 0.5:
+                sd *= 1.5
+            elif rate < 0.15:
+                sd /= 1.5
+            window_acc = 0
+        if t >= burn_in:
+            log_sig = hierarchical_log_scale(u, math.exp(v), levels)
+            s2 = np.exp(2.0 * log_sig)
+            shrink = n * s2 / (1.0 + n * s2)
+            post_sd = np.sqrt(s2 / (1.0 + n * s2))
+            out[:, t - burn_in] = x * shrink + post_sd * gen.standard_normal(K)
+    return out
+
+
+def test_gibbs_level_arithmetic_matches_per_coordinate_form():
+    # the scales are formed once per level and gathered to the
+    # coordinates; every coordinate keeps its bits
+    frame = wavelets.WaveletFrame("symmlet-8", 2048, 5)
+    bumps = signals.truth_quartet("bumps", frame)
+    for data in (_wavelet_data(seed=4)[1],
+                 model.simulate(bumps, 1.0, 2048, seed=0)):
+        x, n, K = data.observations, data.noise_precision, data.truncation
+        flat = coordinate_index(K, level_indexed=True)
+        levels = np.arange(-1.0, flat.max() + 1.0)
+        for u, v in [(0.0, 0.0), (0.7, -1.3), (-2.0, 0.4)]:
+            assert (posterior._gibbs_log_marginal(x * x, n, levels, flat + 1,
+                                                  u, v)
+                    == _per_coordinate_log_marginal(x, n, flat.astype(float),
+                                                    u, v)), (K, u, v)
+        fit = gibbs_hierarchical_gaussian(data, draws=40, burn_in=110, seed=2)
+        assert np.array_equal(fit.draws, _per_coordinate_gibbs(data, 40, 110,
+                                                               2)), K
 
 
 def test_gibbs_deterministic():
@@ -1107,13 +1197,13 @@ def test_band_level_one_is_full_envelope():
 
 
 def test_band_wavelet_matches_per_draw_synthesis():
-    from heavyseries import basis, wavelets
+    from heavyseries import basis
 
     frame = wavelets.WaveletFrame("symmlet-8", 256, 3)
     wavelet_basis = basis.wavelet_basis(frame)
     gen = np.random.default_rng(2)
     # the second count keeps curves across more than one envelope block
-    for count in (300, 2 * (posterior._BLOCK_VALUES // 256) + 37):
+    for count in (300, 2 * (wavelets._BLOCK_VALUES // 256) + 37):
         draws = (gen.normal(size=(256, count))
                  / np.arange(1.0, 257.0)[:, None])
         summary = PosteriorSummary(draws.mean(axis=1), draws.var(axis=1),

@@ -134,12 +134,14 @@ def _reference_synthesize(coefficients, frame):
 
 @pytest.mark.parametrize("name", sorted(wavelets.FILTERS))
 @pytest.mark.parametrize("coarse", [0, 3, 5])
-def test_polyphase_matches_fancy_index_reference(name, coarse):
+def test_polyphase_matches_fancy_index_reference(name, coarse, monkeypatch):
     # coarse level 0 has half = 1 at the first level, below every filter's
-    # half-length, so the cyclic shifts wrap several times
+    # half-length, so the cyclic shifts wrap several times; a budget of
+    # 128 rows of 64 samples makes the stacks cross row-block edges
+    monkeypatch.setattr(wavelets, "_BLOCK_VALUES", 128 * 64)
     frame = wavelets.WaveletFrame(name, 64, coarse)
     gen = np.random.default_rng(4)
-    rows = 2 * wavelets._BLOCK_ROWS + 3
+    rows = 2 * 128 + 3
     single = gen.normal(size=64)
     stack = gen.normal(size=(rows, 64))
     inputs = [single, stack, np.asfortranarray(stack),
@@ -153,6 +155,20 @@ def test_polyphase_matches_fancy_index_reference(name, coarse):
             assert out.flags.c_contiguous
             assert out.shape == x.shape
             assert np.array_equal(out, reference(x, frame))
+
+
+def test_synthesize_into_out(monkeypatch):
+    # blocks of 128 rows of 64 samples; `out` receives every block
+    monkeypatch.setattr(wavelets, "_BLOCK_VALUES", 128 * 64)
+    frame = wavelets.WaveletFrame("symmlet-8", 64, 3)
+    coeffs = np.random.default_rng(9).normal(size=(2 * 128 + 3, 64))
+    out = np.full(coeffs.shape, np.nan)
+    assert wavelets.synthesize(coeffs, frame, out) is out
+    assert np.array_equal(out, wavelets.synthesize(coeffs, frame))
+    for bad in (np.empty((2 * 128 + 3, 64), order="F"), np.empty((3, 64)),
+                coeffs):
+        with pytest.raises(ShapeError):
+            wavelets.synthesize(coeffs, frame, bad)
 
 
 def test_flat_index_bijection():
