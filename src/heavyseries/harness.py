@@ -78,6 +78,13 @@ class ExperimentConfig:
             raise InvalidParameterError("draws must be >= 1")
         if self.burn_in < 0:
             raise InvalidParameterError("burn_in must be >= 0")
+        if not self.parallel >= 1:
+            raise InvalidParameterError("parallel must be >= 1")
+        # written `not x > 0` so that NaN fails too
+        if not self.quadrature_tol > 0:
+            raise InvalidParameterError("quadrature_tol must be > 0")
+        if any(not n > 0 for n in self.ns):
+            raise InvalidParameterError("n values must be > 0")
         if len(self.ns) > 1 and np.any(np.diff(np.asarray(self.ns)) <= 0):
             raise InvalidParameterError("n grid must be strictly increasing")
         for p in self.p_primes:
@@ -193,6 +200,13 @@ def _groups(config):
     return groups
 
 
+class _Draws(NamedTuple):
+    """What `credible_band` and `contraction_errors` read of a fit."""
+
+    means: np.ndarray
+    draws: np.ndarray  # (coordinate, draw)
+
+
 def _cell(args):
     """One replication of one truth group, across the group's n values.
 
@@ -201,7 +215,8 @@ def _cell(args):
     the last two are empty unless wanted.  Each n is simulated once.  A
     prior's fits come from `fit_posterior`; bands and contraction errors
     take their fits' draws where those carry any (the Gibbs baseline), and
-    otherwise one `fit_metropolis` call across all n.
+    otherwise one `metropolis_draws` call across all n, with the draws' row
+    means as the band centres: `fit_metropolis`'s means bit for bit.
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)
@@ -224,9 +239,12 @@ def _cell(args):
                                  for p in config.p_primes}
         if config.include_bands or config.include_contraction:
             if fits[0].draws is None:
-                fits = posterior.fit_metropolis(pairs, draws=config.draws,
-                                                burn_in=config.burn_in,
-                                                seed=seed)
+                # a band reads only the draws and the centre, the draws'
+                # row means; `fit_metropolis`'s other moments go unread
+                fits = [_Draws(mat.mean(axis=1), mat)
+                        for mat, _ in posterior.metropolis_draws(
+                            pairs, draws=config.draws,
+                            burn_in=config.burn_in, seed=seed)]
             for n, fit in zip(group.ns, fits):
                 if config.include_bands:
                     bands[(name, n)] = posterior.credible_band(fit,

@@ -647,14 +647,14 @@ def _draw_moments(draw_mat):
     return means, variances, dict(zip(_QLEVELS, qs))
 
 
-def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0):
-    """Metropolis summaries for several (data, prior) pairs in one sampler.
+def metropolis_draws(pairs, draws=4000, burn_in=2000, seed=0):
+    """Metropolis draws for several (data, prior) pairs in one sampler.
 
     The priors must share a tail; data sets and scalings may differ.  The
     active coordinates of all pairs run as blocks of at most `_CHUNK`
-    chains, and each summary equals `fit_posterior(data, prior,
-    method="metropolis", ...)` for its pair alone.  The summaries' draws
-    are row views of one matrix, which stays alive while any of them does.
+    chains.  Returns one (draws, acceptance) pair per (data, prior): the
+    (coordinate, draw) matrix, a row view of one matrix that stays alive
+    while any of them does, and each active coordinate's acceptance rate.
     """
     _check_chain_lengths(draws, burn_in)
     pairs = list(pairs)
@@ -663,7 +663,8 @@ def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0):
     tail = pairs[0][1].tail
     if any(type(prior.tail) is not type(tail) or vars(prior.tail) != vars(tail)
            for _, prior in pairs):
-        raise InvalidParameterError("fit_metropolis needs priors with one tail")
+        raise InvalidParameterError("one Metropolis run needs priors "
+                                    "with one tail")
     layouts = [_coordinate_layout(data, prior) for data, prior in pairs]
     bounds = np.cumsum([0] + [data.truncation for data, _ in pairs])
     rows, xs, ns, log_s, streams = [], [], [], [], []
@@ -689,11 +690,20 @@ def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0):
         if not direct:
             draw_mat[r] = block
         del block  # before the next block allocates its own
+    return [(draw_mat[lo:hi], acc[lo:hi][active])
+            for (_, active), lo, hi in zip(layouts, bounds[:-1], bounds[1:])]
+
+
+def fit_metropolis(pairs, draws=4000, burn_in=2000, seed=0):
+    """Metropolis summaries for several (data, prior) pairs in one sampler:
+    `metropolis_draws` plus each pair's draw moments and acceptance.
+
+    Each summary equals `fit_posterior(data, prior, method="metropolis",
+    ...)` for its pair alone.
+    """
     summaries = []
-    for (_, active), lo, hi in zip(layouts, bounds[:-1], bounds[1:]):
-        mat = draw_mat[lo:hi]
+    for mat, a in metropolis_draws(pairs, draws, burn_in, seed):
         means, variances, quantiles = _draw_moments(mat)
-        a = acc[lo:hi][active]
         diagnostics = {
             "method": "metropolis",
             "acceptance_mean": float(a.mean()) if a.size else 0.0,
@@ -800,9 +810,31 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0):
 # --------------------------------------------------------------------------
 
 
+# The last slice of a credible band's draws holds at least this many.  The
+# BLAS blocks the last few hundred columns of one product by the product's
+# size: on OpenBLAS 0.3.31 (SkylakeX kernels) a last slice of fewer than
+# about 400 draws changed the whole-stack bits of its last (count mod 8)
+# curves, and one of 512 or more matched them in every case tried.
+_BAND_TAIL = 512
+
+
 def credible_band(summary, basis, m=256, level=0.95):
     """Pointwise envelope of the level-fraction of draws closest in L2 to
-    the posterior mean curve, on an m-point grid (a wavelet frame's own)."""
+    the posterior mean curve, on an m-point grid (a wavelet frame's own).
+
+    `summary` needs only `means` (the centre's coefficients) and `draws`.
+    The draws are synthesized once, in slices of
+    `wavelets._BLOCK_VALUES // m` draws at fixed offsets; the draws past
+    the last full slice join it, so that it holds at least `_BAND_TAIL`
+    (or all of them).  A pool keeps the count - keep curves farthest from
+    the centre seen so far; a curve it pushes out is certain to be kept,
+    and goes into the running min/max envelope.  At the end the pool holds
+    exactly the excluded draws, and no phase has held more than the draw
+    stack, one slice and the pool.  The values equal the whole-stack
+    expression's bit for bit: every curve comes out as one whole-stack
+    synthesis makes it (see `_BAND_TAIL`), each distance is its own row's
+    reduction, and min and max are exact in any order.
+    """
     if summary.draws is None:
         raise StateError("summary carries no draws")
     if not 0.0 < level <= 1.0:
@@ -810,20 +842,41 @@ def credible_band(summary, basis, m=256, level=0.95):
     m = basis_mod.grid_size(basis, m)
     grid = basis_mod.grid(basis, m)
     center = basis_mod.synthesize(summary.means, basis, m)
-    curves = basis_mod.synthesize(summary.draws.T, basis, m)
-    dist = np.mean((curves - center[None, :]) ** 2, axis=1)
-    keep = math.ceil(level * len(dist))
-    sel = np.argsort(dist)[:keep]
-    # the kept curves' envelope, gathered in blocks: min and max are
-    # exact, so the block order does not change them
+    draws = summary.draws
+    count = draws.shape[1]
+    drop = count - math.ceil(level * count)
     lower = np.full(m, np.inf)
     upper = np.full(m, -np.inf)
+    pool, pool_dist = np.empty((0, m)), np.empty(0)
     step = max(1, wavelets._BLOCK_VALUES // m)
-    for lo in range(0, keep, step):
-        kept = curves[sel[lo:lo + step]]
-        np.minimum(lower, kept.min(axis=0), out=lower)
-        np.maximum(upper, kept.max(axis=0), out=upper)
+    starts = list(range(0, max(count - _BAND_TAIL, 0) + 1, step)) + [count]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        curves = basis_mod.synthesize(draws[:, lo:hi].T, basis, m)
+        held = len(pool_dist)
+        dist = np.concatenate(
+            (pool_dist, np.mean((curves - center[None, :]) ** 2, axis=1)))
+        order = np.argsort(dist)
+        cut = max(len(order) - drop, 0)
+        # sorted, `stay` lists the pool's rows first, as the new pool does
+        out, stay = order[:cut], np.sort(order[cut:])
+        entering = stay[stay >= held] - held
+        _fold(lower, upper, pool[out[out < held]])
+        pool = np.concatenate((pool[stay[stay < held]], curves[entering]))
+        pool_dist = dist[stay]
+        kept = out[out >= held] - held
+        if len(kept):
+            # a kept curve in place of each one entering the pool leaves
+            # the slice's envelope as it is, without copying the slice
+            curves[entering] = curves[kept[0]]
+            _fold(lower, upper, curves)
     return {"grid": grid, "center": center, "lower": lower, "upper": upper}
+
+
+def _fold(lower, upper, curves):
+    """Widen the envelope (lower, upper) in place to cover curves' rows."""
+    if len(curves):
+        np.minimum(lower, curves.min(axis=0), out=lower)
+        np.maximum(upper, curves.max(axis=0), out=upper)
 
 
 def band_width(band):

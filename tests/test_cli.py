@@ -325,6 +325,28 @@ def test_experiment_rejects_removed_and_invalid_settings(tmp_path, capsys):
         assert message in err
 
 
+@pytest.mark.parametrize("flags,settings,message", [
+    (["--parallel", "0"], {}, "parallel"),
+    (["--parallel", "-2"], {}, "parallel"),
+    ([], {"quadrature_tol": 0}, "quadrature_tol"),
+    ([], {"ns": [0, 1000]}, "n values"),
+])
+def test_experiment_rejects_invalid_sizes_before_running(tmp_path, capsys,
+                                                         flags, settings,
+                                                         message):
+    # small sizes: a run that starts finishes quickly
+    small = {"priors": ["cauchy-ot"], "ns": [100, 1000], "replications": 1,
+             "truncation": 10, "draws": 20, "burn_in": 20}
+    cfg = tmp_path / "e.json"
+    cfg.write_text(json.dumps({**small, **settings}))
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "experiment", "sobolev", "--config",
+                        str(cfg), "--out", str(out), *flags)
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("filter_name", "haar"),
                                        ("signal_length", 256),
                                        ("coarse_level", 9)])

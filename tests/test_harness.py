@@ -53,6 +53,20 @@ def test_config_validation():
         config_from_dict({"experiment": "sobolev", "bogus_key": 1})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("parallel", 0), ("parallel", -2),
+    ("quadrature_tol", 0.0), ("quadrature_tol", -1e-6),
+    ("quadrature_tol", math.nan),
+    ("ns", (0.0, 1e3)), ("ns", (-1e3,)), ("ns", (math.nan,)),
+    ("ns", (1e3, math.nan)),
+])
+def test_config_rejects_settings_that_fail_only_later(field, value):
+    # parallel < 1 used to run serially; the others raised only once the
+    # run had started
+    with pytest.raises(InvalidParameterError, match=field.rstrip("s")):
+        ExperimentConfig("sobolev", **{field: value})
+
+
 def test_config_from_dict_parses_inf():
     cfg = config_from_dict({"experiment": "custom",
                             "p_primes": [2, "inf"]})

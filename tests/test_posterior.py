@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heavyseries import model, posterior, rng, signals, wavelets
+from heavyseries import basis, model, posterior, rng, signals, wavelets
 from heavyseries.errors import ConvergenceError, InvalidParameterError, StateError
 from heavyseries.posterior import (
     PosteriorSummary,
@@ -1150,15 +1150,11 @@ def test_gibbs_rejects_single_index_data():
 
 def test_band_requires_draws():
     summary = PosteriorSummary(np.zeros(3), np.zeros(3), {}, "quadrature")
-    from heavyseries import basis
-
     with pytest.raises(StateError):
         credible_band(summary, basis.cosine_basis())
 
 
 def test_band_identical_draws_zero_width():
-    from heavyseries import basis
-
     means = np.array([1.0, -0.5])
     draws = np.tile(means[:, None], (1, 40))
     summary = PosteriorSummary(means, np.zeros(2), {}, "metropolis",
@@ -1169,8 +1165,6 @@ def test_band_identical_draws_zero_width():
 
 
 def test_band_excludes_outer_cluster():
-    from heavyseries import basis
-
     gen = np.random.default_rng(0)
     inner = gen.normal(0.0, 0.01, size=(1, 90))
     outer = np.full((1, 10), 5.0)
@@ -1184,8 +1178,6 @@ def test_band_excludes_outer_cluster():
 
 
 def test_band_level_one_is_full_envelope():
-    from heavyseries import basis
-
     gen = np.random.default_rng(1)
     draws = gen.normal(size=(2, 30))
     summary = PosteriorSummary(draws.mean(axis=1), draws.var(axis=1), {},
@@ -1197,8 +1189,6 @@ def test_band_level_one_is_full_envelope():
 
 
 def test_band_wavelet_matches_per_draw_synthesis():
-    from heavyseries import basis
-
     frame = wavelets.WaveletFrame("symmlet-8", 256, 3)
     wavelet_basis = basis.wavelet_basis(frame)
     gen = np.random.default_rng(2)
@@ -1219,6 +1209,64 @@ def test_band_wavelet_matches_per_draw_synthesis():
         assert np.array_equal(band["center"], center)
         assert np.array_equal(band["lower"], kept.min(axis=0))
         assert np.array_equal(band["upper"], kept.max(axis=0))
+
+
+def _whole_stack_band(summary, b, m, level):
+    """The band from one synthesize call over the whole stack, ranked by
+    argsort."""
+    center = basis.synthesize(summary.means, b, m)
+    curves = basis.synthesize(summary.draws.T, b, m)
+    dist = np.mean((curves - center[None, :]) ** 2, axis=1)
+    kept = curves[np.argsort(dist)[: math.ceil(level * len(dist))]]
+    return center, kept.min(axis=0), kept.max(axis=0)
+
+
+# the budget is set to slices of 256 draws on the 256-point grid; the last
+# slice holds at least `_BAND_TAIL` (512) draws, so the counts cross both
+_BAND_STEP = 256
+
+
+@pytest.mark.parametrize("count", [
+    1, 2, _BAND_STEP - 1, _BAND_STEP, _BAND_STEP + 1, 2 * _BAND_STEP + 37,
+    _BAND_STEP + posterior._BAND_TAIL - 1, _BAND_STEP + posterior._BAND_TAIL,
+    2 * _BAND_STEP + posterior._BAND_TAIL + 37, 4005])
+def test_band_cosine_matches_whole_stack(count, monkeypatch):
+    monkeypatch.setattr(wavelets, "_BLOCK_VALUES", _BAND_STEP * 256)
+    b = basis.cosine_basis()
+    gen = np.random.default_rng(count)
+    draws = (gen.standard_cauchy(size=(200, count))
+             / np.arange(1.0, 201.0)[:, None])
+    summary = PosteriorSummary(draws.mean(axis=1), np.zeros(200), {},
+                               "metropolis", draws=draws)
+    # 0.5 / count keeps one draw
+    for level in (1.0, 0.95, 0.5, 0.5 / count):
+        band = credible_band(summary, b, m=256, level=level)
+        center, lower, upper = _whole_stack_band(summary, b, 256, level)
+        assert np.array_equal(band["grid"], basis.grid(b, 256))
+        assert np.array_equal(band["center"], center)
+        assert np.array_equal(band["lower"], lower), level
+        assert np.array_equal(band["upper"], upper), level
+
+
+def test_band_scratch_does_not_grow_with_draws(scratch_peak):
+    # Measured on a K = 200 cosine stack on 256 points, design matrix
+    # cached: 4.17 MB of scratch at 1000 draws (one slice) and 4.71 MB at
+    # 4000 (slices of 1024 draws, the last 928); the whole-stack band took
+    # 4.17 and 16.45 MB.  Only the pool of the 5% farthest curves grows with
+    # the draws, 0.3 MB here, held twice while it is rebuilt.  The bounds
+    # leave 10% for allocator noise.
+    b = basis.cosine_basis()
+    basis.synthesize(np.zeros(200), b, 256)  # caches the design matrix
+    gen = np.random.default_rng(8)
+    peaks = []
+    for count in (1000, 4000):
+        draws = gen.normal(size=(200, count))
+        summary = PosteriorSummary(draws.mean(axis=1), np.zeros(200), {},
+                                   "metropolis", draws=draws)
+        peaks.append(scratch_peak(credible_band, summary, b))
+    pool_growth = 2 * (200 - 50) * 256 * 8
+    assert peaks[1] < 1.1 * (peaks[0] + pool_growth), peaks
+    assert peaks[1] < 1.1 * 4.71e6, peaks
 
 
 # -- serialization -----------------------------------------------------------
