@@ -11,10 +11,17 @@ Grid-normalized function norms of a coefficient vector c are then
 
 `synthesize` and `parseval_scale` are the one map from coefficients to
 function values and norms; callers never branch on the basis kind.
+
+A cosine/sine product runs on one BLAS thread: with its 2-thread pool,
+numpy's OpenBLAS took 15.9 ms per band slice on a 2-CPU VM, and
+1.7-2.9 ms on one thread.  See `_one_blas_thread`.
 """
 
+import contextlib
+import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,8 +112,9 @@ def parseval_scale(basis):
 def synthesize(coefficients, basis, m, out=None):
     """Sampled function values sum_k f_k phi_k(t_i) on the m-point grid,
     of one coefficient vector or of each row of a stack.  A cosine/sine
-    stack comes back as the transpose of design @ stack.T: a C-ordered
-    result takes OpenBLAS's transposed path, touching stack-sized buffers.
+    stack comes back as the transpose of design @ stack.T, computed on one
+    BLAS thread: a C-ordered result takes OpenBLAS's transposed path,
+    touching stack-sized buffers.
     With `out`, a C-ordered array of the result's shape apart from the
     coefficients, the values are written there and `out` is returned.
     """
@@ -118,8 +126,9 @@ def synthesize(coefficients, basis, m, out=None):
                 f"wavelet basis requires m == {frame.signal_length}, got {m}"
             )
         return wavelets.synthesize(coefficients, frame, out)
-    values = (_grid_design(basis, m, coefficients.shape[-1])
-              @ coefficients.T).T
+    mat = _grid_design(basis, m, coefficients.shape[-1])
+    with _one_blas_thread():
+        values = (mat @ coefficients.T).T
     if out is None:
         return values
     np.copyto(out, values)
@@ -134,3 +143,76 @@ def _grid_design(basis, m, count):
     mat.flags.writeable = False
     return mat
 
+
+# The last of the slices a stack is synthesized in holds at least this many
+# rows when the synthesis is a design-matrix product.  The BLAS blocks the
+# last few hundred columns of one product by the product's size: on
+# OpenBLAS 0.3.31 (Haswell/SkylakeX kernels) a last slice of up to 190
+# columns on one thread, or up to 397 on two, changed the whole-stack bits
+# of some of its curves; one of 512 or more matched them in every case
+# tried.
+_PRODUCT_TAIL = 512
+
+
+def last_slice_floor(basis):
+    """Fewest rows the last slice of a stack may hold for each row to come
+    out of `synthesize` as a whole-stack call makes it: `_PRODUCT_TAIL`
+    for a cosine/sine product, 1 for a wavelet frame, whose rows are
+    synthesized independently."""
+    return 1 if basis.kind == WAVELET else _PRODUCT_TAIL
+
+
+# numpy >= 2 wheels load OpenBLAS as scipy-openblas, with 64-bit-integer
+# symbols, from numpy.libs/ (Linux, Windows) or numpy/.dylibs/ (macOS)
+_NUMPY_DIR = os.path.dirname(np.__file__)
+_OPENBLAS_DIRS = (os.path.join(os.path.dirname(_NUMPY_DIR), "numpy.libs"),
+                  os.path.join(_NUMPY_DIR, ".dylibs"))
+
+
+def _find_openblas(dirs):
+    """(get, set) of the thread count of the first scipy-openblas library
+    in dirs, or None where none of them holds one."""
+    for d in dirs:
+        try:
+            names = sorted(os.listdir(d))
+        except OSError:
+            continue
+        for name in names:
+            if not name.startswith("libscipy_openblas"):
+                continue
+            try:
+                # the library numpy loaded: dlopen hands back its handle
+                lib = ctypes.CDLL(os.path.join(d, name))
+                get = lib.scipy_openblas_get_num_threads64_
+                set_ = lib.scipy_openblas_set_num_threads64_
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """`_find_openblas` on numpy's library directories, looked up once, on
+    the first product."""
+    return _find_openblas(_OPENBLAS_DIRS)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the previous count;
+    without numpy's OpenBLAS, run it as it is.  The count is the process's,
+    so a product in another thread meanwhile runs on one thread too."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)

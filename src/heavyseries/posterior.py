@@ -810,14 +810,6 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0):
 # --------------------------------------------------------------------------
 
 
-# The last slice of a credible band's draws holds at least this many.  The
-# BLAS blocks the last few hundred columns of one product by the product's
-# size: on OpenBLAS 0.3.31 (SkylakeX kernels) a last slice of fewer than
-# about 400 draws changed the whole-stack bits of its last (count mod 8)
-# curves, and one of 512 or more matched them in every case tried.
-_BAND_TAIL = 512
-
-
 def credible_band(summary, basis, m=256, level=0.95):
     """Pointwise envelope of the level-fraction of draws closest in L2 to
     the posterior mean curve, on an m-point grid (a wavelet frame's own).
@@ -825,15 +817,16 @@ def credible_band(summary, basis, m=256, level=0.95):
     `summary` needs only `means` (the centre's coefficients) and `draws`.
     The draws are synthesized once, in slices of
     `wavelets._BLOCK_VALUES // m` draws at fixed offsets; the draws past
-    the last full slice join it, so that it holds at least `_BAND_TAIL`
-    (or all of them).  A pool keeps the count - keep curves farthest from
-    the centre seen so far; a curve it pushes out is certain to be kept,
-    and goes into the running min/max envelope.  At the end the pool holds
-    exactly the excluded draws, and no phase has held more than the draw
-    stack, one slice and the pool.  The values equal the whole-stack
-    expression's bit for bit: every curve comes out as one whole-stack
-    synthesis makes it (see `_BAND_TAIL`), each distance is its own row's
-    reduction, and min and max are exact in any order.
+    the last full slice join it, so that it holds at least
+    `basis.last_slice_floor` draws (or all of them).  A pool keeps the
+    count - keep curves farthest from the centre seen so far; a curve it
+    pushes out is certain to be kept, and goes into the running min/max
+    envelope.  At the end the pool holds exactly the excluded draws, and
+    no phase has held more than the draw stack, one slice and the pool.
+    The values equal the whole-stack expression's bit for bit: every curve
+    comes out as one whole-stack synthesis makes it (see
+    `basis.last_slice_floor`), each distance is its own row's reduction,
+    and min and max are exact in any order.
     """
     if summary.draws is None:
         raise StateError("summary carries no draws")
@@ -849,7 +842,8 @@ def credible_band(summary, basis, m=256, level=0.95):
     upper = np.full(m, -np.inf)
     pool, pool_dist = np.empty((0, m)), np.empty(0)
     step = max(1, wavelets._BLOCK_VALUES // m)
-    starts = list(range(0, max(count - _BAND_TAIL, 0) + 1, step)) + [count]
+    tail = basis_mod.last_slice_floor(basis)
+    starts = list(range(0, max(count - tail, 0) + 1, step)) + [count]
     for lo, hi in zip(starts[:-1], starts[1:]):
         curves = basis_mod.synthesize(draws[:, lo:hi].T, basis, m)
         held = len(pool_dist)

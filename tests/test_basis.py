@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -89,3 +91,66 @@ def test_evaluate_rejects_wavelet():
     frame = WaveletFrame("haar", 8, 2)
     with pytest.raises(InvalidParameterError):
         basis.evaluate(basis.wavelet_basis(frame), 1, 0.5)
+
+
+_OPENBLAS = basis._openblas_threads()
+needs_openblas = pytest.mark.skipif(_OPENBLAS is None,
+                                    reason="numpy's OpenBLAS not found")
+
+
+@contextlib.contextmanager
+def _blas_threads(count):
+    get, set_ = _OPENBLAS
+    previous = get()
+    set_(count)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+@needs_openblas
+@pytest.mark.parametrize("make", [basis.cosine_basis, basis.sine_basis])
+@pytest.mark.parametrize("draws", [None, 928, 1024, 4000],
+                         ids=["vector", "928", "1024", "4000"])
+def test_one_thread_synthesis_matches_the_pool(make, draws):
+    # a `sobolev` band's products: its centre, and its slices of 4000
+    # draws of K = 200 coefficients on 256 points
+    b = make()
+    gen = np.random.default_rng(draws or 0)
+    coeffs = gen.normal(size=200 if draws is None else (draws, 200))
+    mat = basis.design(b, basis.grid(b, 256), 200)
+    with _blas_threads(2):
+        assert np.array_equal(basis.synthesize(coeffs, b, 256),
+                              (mat @ coeffs.T).T)
+
+
+@needs_openblas
+def test_one_thread_scope_restores_the_count(monkeypatch):
+    get, _ = _OPENBLAS
+    b = basis.cosine_basis()
+    coeffs = np.ones((8, 5))
+    with _blas_threads(3):
+        with basis._one_blas_thread():
+            assert get() == 1
+        assert get() == 3
+        basis.synthesize(coeffs, b, 16)
+        assert get() == 3
+        # a design of the wrong width makes the product itself raise
+        monkeypatch.setattr(basis, "_grid_design",
+                            lambda *args: np.ones((16, 6)))
+        with pytest.raises(ValueError):
+            basis.synthesize(coeffs, b, 16)
+        assert get() == 3
+
+
+def test_no_openblas_leaves_the_product_as_it_is(tmp_path, monkeypatch):
+    (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+    (tmp_path / "libopenblas.so").write_bytes(b"")
+    assert basis._find_openblas([tmp_path / "missing", tmp_path]) is None
+    monkeypatch.setattr(basis, "_openblas_threads", lambda: None)
+    b = basis.sine_basis()
+    coeffs = np.random.default_rng(3).normal(size=(7, 5))
+    assert np.array_equal(basis.synthesize(coeffs, b, 33),
+                          (basis.design(b, basis.grid(b, 33), 5)
+                           @ coeffs.T).T)

@@ -9,6 +9,7 @@ package's public names.
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -131,6 +132,15 @@ def test_prior_classes_stay_with_priors():
     users = [p.name for p in _MODULES
              if classes & _referenced_names(p.read_text())]
     assert users == ["priors.py"]
+
+
+def test_blas_threads_stay_with_basis():
+    # only `basis` sets BLAS threads, around its own products; no other
+    # module loads a native library or names an OpenBLAS thread symbol
+    users = [p.name for p in _ALL_MODULES
+             if re.search(r"\bctypes\b|openblas\w*_num_threads",
+                          p.read_text())]
+    assert users == ["basis.py"]
 
 
 def _scipy_imports(source):

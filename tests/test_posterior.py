@@ -1222,14 +1222,16 @@ def _whole_stack_band(summary, b, m, level):
 
 
 # the budget is set to slices of 256 draws on the 256-point grid; the last
-# slice holds at least `_BAND_TAIL` (512) draws, so the counts cross both
+# slice of a cosine band holds at least `basis._PRODUCT_TAIL` (512) draws,
+# so the counts cross both
 _BAND_STEP = 256
+_TAIL = basis._PRODUCT_TAIL
 
 
 @pytest.mark.parametrize("count", [
     1, 2, _BAND_STEP - 1, _BAND_STEP, _BAND_STEP + 1, 2 * _BAND_STEP + 37,
-    _BAND_STEP + posterior._BAND_TAIL - 1, _BAND_STEP + posterior._BAND_TAIL,
-    2 * _BAND_STEP + posterior._BAND_TAIL + 37, 4005])
+    _BAND_STEP + _TAIL - 1, _BAND_STEP + _TAIL, 2 * _BAND_STEP + _TAIL + 37,
+    4005])
 def test_band_cosine_matches_whole_stack(count, monkeypatch):
     monkeypatch.setattr(wavelets, "_BLOCK_VALUES", _BAND_STEP * 256)
     b = basis.cosine_basis()
@@ -1267,6 +1269,27 @@ def test_band_scratch_does_not_grow_with_draws(scratch_peak):
     pool_growth = 2 * (200 - 50) * 256 * 8
     assert peaks[1] < 1.1 * (peaks[0] + pool_growth), peaks
     assert peaks[1] < 1.1 * 4.71e6, peaks
+
+
+def test_wavelet_band_slices_at_the_budget(scratch_peak):
+    # A Symmlet-8 frame synthesizes each row on its own, so its last slice
+    # needs no product tail: on 2048 points the slices hold 128 draws.
+    # Measured: 10.53 MB of scratch at 1000 draws and 11.35 MB at 2000;
+    # with a last slice of at least 512 draws they took 21.14 and 21.18 MB.
+    # The pool of the 5% farthest curves, held twice while it is rebuilt,
+    # grows by 1.6 MB.  The bounds leave 10% for allocator noise.
+    b = basis.wavelet_basis(wavelets.WaveletFrame("symmlet-8", 2048, 5))
+    gen = np.random.default_rng(9)
+    peaks = []
+    for count in (1000, 2000):
+        draws = (gen.normal(size=(2048, count))
+                 / np.arange(1.0, 2049.0)[:, None])
+        summary = PosteriorSummary(draws.mean(axis=1), np.zeros(2048), {},
+                                   "metropolis", draws=draws)
+        peaks.append(scratch_peak(credible_band, summary, b))
+    pool_growth = 2 * (100 - 50) * 2048 * 8
+    assert peaks[1] < 1.1 * (peaks[0] + pool_growth), peaks
+    assert peaks[1] < 1.1 * 11.35e6, peaks
 
 
 # -- serialization -----------------------------------------------------------
