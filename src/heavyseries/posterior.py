@@ -81,6 +81,8 @@ _SQUARE_MAX = 1e154
 # _SQUARE_MAX, where the squared residual overflows and would cut the
 # posterior off inside its own window.
 _PRECISION_MIN = (_WINDOW / _SQUARE_MAX) ** 2
+# most times quadrature_mean_var halves every panel
+_MAX_REFINE = 4
 
 # QUADPACK's 15-point Gauss-Kronrod rule on [-1, 1] (Piessens et al.,
 # 1983): the nonnegative nodes in descending order and their Kronrod
@@ -209,15 +211,14 @@ def _split_edges(edges, factor):
     return np.concatenate((edges[:1], inner.ravel()))
 
 
-def quadrature_mean_var(post, tol=1e-8, max_refine=4, quantiles=None,
-                        record=None):
+def quadrature_mean_var(post, tol=1e-8, quantiles=None, record=None):
     """(mean, variance, log_normalizer) by adaptive panel quadrature.
 
     One G7/K15 Gauss-Kronrod pass over the panels gives the K15 moments
     and, as their achieved error, the K15 - G7 difference of the mean
     (relative to max(|mean|, sd), floored at 1e-9) and of the variance
     (relative to the larger variance).  While that error exceeds tol every
-    panel is halved, up to max_refine times; at the cap an error within
+    panel is halved, up to _MAX_REFINE times; at the cap an error within
     10 tol is accepted, and a larger one raises ConvergenceError with the
     achieved estimate.  x = 0 gives mean exactly 0 by symmetry.
 
@@ -247,7 +248,7 @@ def quadrature_mean_var(post, tol=1e-8, max_refine=4, quantiles=None,
     work = post if not flip else UnivariatePosterior(
         -post.observation, post.noise_precision, post.log_scale, post.tail)
     edges = _panel_edges(work, min(tol, 1e-8))
-    for level in range(max_refine + 1):
+    for level in range(_MAX_REFINE + 1):
         mean, var, log_norm, nodes, probs, achieved = _kronrod_pass(
             work, _split_edges(edges, 2**level))
         if achieved <= tol:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special, stats
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import PPoly
 
 from heavyseries import priors
 from heavyseries.errors import InvalidParameterError
@@ -167,6 +167,11 @@ def test_e1_kernel_matches_mpmath():
     # each value depends on its own z alone, not on the rest of the array
     alone = [priors._log_exp_e1(z[i:i + 1])[0] for i in range(len(z))]
     assert np.array_equal(alone, got)
+    # NaN falls in no band and comes back NaN, not a stale value
+    mixed = np.insert(z, [0, 100, 2001], np.nan)
+    out = priors._log_exp_e1(mixed)
+    assert np.isnan(out[[0, 101, 2003]]).all()
+    assert np.array_equal(np.delete(out, [0, 101, 2003]), got)
 
 
 def test_horseshoe_spline_interpolates_closed_form_at_knots():
@@ -184,11 +189,12 @@ def test_horseshoe_spline_matches_exact():
 
 
 def test_horseshoe_spline_lookup_matches_cubic_spline():
-    # the direct interval lookup against scipy's search: every knot, one
-    # ulp either side of each, both ends, and random points in between
+    # the direct interval lookup against scipy's search on the same
+    # coefficients: every knot, one ulp either side of each, both ends,
+    # and random points in between
     spline = HORSESHOE._ensure_spline()
     x = spline.x
-    ref = CubicSpline(x, HORSESHOE.log_density_log_abs(x))
+    ref = PPoly(np.stack(spline.c), x)
     u = np.concatenate([
         x,
         np.nextafter(x[1:], -np.inf),
@@ -198,37 +204,33 @@ def test_horseshoe_spline_lookup_matches_cubic_spline():
     assert np.array_equal(spline(u), ref(u))
 
 
-def test_not_a_knot_coefficients_match_cubic_spline():
-    # the package's own solve against scipy's, bit for bit: on the
-    # shipped knots, and on a non-uniform grid (spacings 34x apart) whose
-    # elimination needs no row swap
-    spline = HORSESHOE._ensure_spline()
-    x = spline.x
-    ref = CubicSpline(x, HORSESHOE.log_density_log_abs(x)).c
-    assert np.array_equal(np.stack(spline.c), ref)
-    t = np.linspace(0.0, 1.0, 2001)
-    x = t + 0.05 * np.sin(6 * np.pi * t)
-    y = np.sin(5 * x) + x * x
-    assert np.array_equal(priors._not_a_knot_coefficients(x, y),
-                          CubicSpline(x, y).c)
-
-
-def test_not_a_knot_solve_rejects_what_scipy_solves_otherwise():
-    # after eliminating row 0, row 1 has |d| = 2 < |dl| = 8, where dgtsv
-    # swaps rows and the pivot-free order would no longer match scipy's
-    x = np.array([0.0, 1.0, 2.0, 10.0, 11.0])
-    with pytest.raises(InvalidParameterError, match="row 1 needs a row swap"):
-        priors._not_a_knot_coefficients(x, np.sin(x))
-    # three knots take CubicSpline's parabola branch, not this system
-    with pytest.raises(InvalidParameterError, match=">= 4 knots"):
-        priors._not_a_knot_coefficients(x[:3], np.sin(x[:3]))
-
-
 def test_horseshoe_pole_rejected():
     with pytest.raises(InvalidParameterError):
         HORSESHOE.log_density(0.0)
     with pytest.raises(InvalidParameterError):
+        HORSESHOE.log_density(np.array([1.0, -0.0]))
+    with pytest.raises(InvalidParameterError):
         horseshoe_log_density(0.0, 1.0)
+    # the other tails are finite at 0
+    for tail in (STUDENT3, CAUCHY, GAUSSIAN):
+        assert math.isfinite(tail.log_density(0.0))
+
+
+@pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE, GAUSSIAN],
+                         ids=lambda tail: tail.name)
+def test_nan_in_gives_nan_out(tail):
+    # NaN among finite values from every branch of each tail: NaN where the
+    # input is NaN, and each finite value as it is alone
+    u = np.array([-800.0, -300.0, -0.7, 0.0, 0.4, 3.0, 100.0, 151.0, 154.0,
+                  400.0, 800.0])
+    mixed = np.insert(u, [0, 3, 6, 11], np.nan)
+    got = tail.log_density_log_abs(mixed)
+    nan = np.isnan(mixed)
+    assert np.isnan(got[nan]).all()
+    alone = [tail.log_density_log_abs(v) for v in u]
+    assert np.array_equal(got[~nan], alone)
+    assert np.isnan(tail.log_density_log_abs(math.nan))
+    assert np.isnan(tail.log_density(np.array([1.0, math.nan]))[1])
 
 
 def test_closed_form_identity():
@@ -289,9 +291,19 @@ def test_symmetry_property(x):
 @pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE, GAUSSIAN])
 def test_density_decreasing_on_positive_axis(tail):
     x = np.logspace(-6, 3, 200)
-    vals = tail.log_density(x) if tail is not HORSESHOE else \
-        tail.log_density_log_abs(np.log(x))
-    assert np.all(np.diff(np.atleast_1d(vals)) < 0)
+    assert np.all(np.diff(tail.log_density(x)) < 0)
+
+
+@pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE])
+def test_polylog_envelope(tail):
+    # (E): log(1/h(x)) <= c1 (1 + log^{1+kappa}(1 + x)) with the declared
+    # (c1, kappa), from x = e^-700 to e^700.  Measured smallest slack: 5.0
+    # (Student-3) and 3.0 (Cauchy) as x -> 0, 4.42 (horseshoe)
+    c1, kappa = tail.envelope
+    u = np.linspace(-700.0, 700.0, 14_001)
+    log_inv_h = -tail.log_density_log_abs(u)
+    envelope = c1 * (1.0 + np.log1p(np.exp(u)) ** (1.0 + kappa))
+    assert np.all(log_inv_h <= envelope)
 
 
 @pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE])
@@ -329,6 +341,10 @@ def test_student_df_validation():
                  id="hierarchical-alpha-nan"),
     pytest.param(lambda: horseshoe_log_density(1.0, math.nan),
                  id="horseshoe-tau-nan"),
+    pytest.param(lambda: horseshoe_sandwich_bounds(1.0, -1.0),
+                 id="sandwich-tau-negative"),
+    pytest.param(lambda: horseshoe_sandwich_bounds(1.0, math.nan),
+                 id="sandwich-tau-nan"),
     pytest.param(lambda: make_prior("student3-ht-nan"), id="preset-alpha-nan"),
     pytest.param(lambda: make_prior("student3-ht-inf"), id="preset-alpha-inf"),
     pytest.param(lambda: make_prior("student3-ht-x"), id="preset-alpha-text"),
