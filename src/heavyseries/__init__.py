@@ -18,11 +18,9 @@ from .harness import ExperimentConfig, ErrorRecord, run_experiment
 from .model import SequenceData, TrueSignal, simulate
 from .posterior import (
     PosteriorSummary,
-    UnivariatePosterior,
     credible_band,
     fit_posterior,
     gibbs_hierarchical_gaussian,
-    quadrature_mean_var,
 )
 from .priors import (
     CAUCHY,
@@ -35,6 +33,7 @@ from .priors import (
     make_prior,
     sample_prior,
 )
+from .quadrature import UnivariatePosterior, quadrature_mean_var
 from .signals import make_truth
 from .spaces import RateSpec, besov_norm, rate_exponent, resolve_rate, sobolev_norm
 from .thresholding import hybrid_sureshrink

@@ -216,7 +216,8 @@ def _cell(args):
     prior's fits come from `fit_posterior`; bands and contraction errors
     take their fits' draws where those carry any (the Gibbs baseline), and
     otherwise one `metropolis_draws` call across all n, with the draws' row
-    means as the band centres: `fit_metropolis`'s means bit for bit.
+    means as the band centres: the means `fit_posterior(method="metropolis")`
+    reports, bit for bit.
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)
@@ -240,7 +241,7 @@ def _cell(args):
         if config.include_bands or config.include_contraction:
             if fits[0].draws is None:
                 # a band reads only the draws and the centre, the draws'
-                # row means; `fit_metropolis`'s other moments go unread
+                # row means; no other moment of the draws is needed
                 fits = [_Draws(mat.mean(axis=1), mat)
                         for mat, _ in posterior.metropolis_draws(
                             pairs, draws=config.draws,

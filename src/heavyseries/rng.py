@@ -9,6 +9,8 @@ keeping aggregate results bit-reproducible.
 
 import numpy as np
 
+from .errors import InvalidParameterError
+
 # Stream tags keep independent uses of the same (seed, coordinate) pair
 # from colliding.
 STREAM_NOISE = 1
@@ -62,7 +64,7 @@ def skip_ahead(gen, count):
     refill the buffer.  `gen` itself does not move; `count` 0 copies it.
     """
     if count < 0:
-        raise ValueError("count must be >= 0")
+        raise InvalidParameterError("count must be >= 0")
     state = gen.bit_generator.state
     bit_gen = np.random.Philox(key=state["state"]["key"])
     held = _PHILOX_WORDS - state["buffer_pos"]

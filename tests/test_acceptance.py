@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heavyseries import posterior, signals, spaces, wavelets
+from heavyseries import posterior, quadrature, signals, spaces, wavelets
 from heavyseries.harness import ExperimentConfig, run_experiment
 from heavyseries.priors import (
     CAUCHY,
@@ -65,8 +65,8 @@ def test_posterior_oracle_equivalence():
             [math.log(pts[i][1]) for i in idx], tail, mdraws, 2000, 7, idx)
         chain_draws.update(zip(idx, block))
     for i, (tail, sigma, x, n) in enumerate(pts):
-        post = posterior.UnivariatePosterior(x, n, math.log(sigma), tail)
-        qm, qv, _ = posterior.quadrature_mean_var(post, tol=1e-8)
+        post = quadrature.UnivariatePosterior(x, n, math.log(sigma), tail)
+        qm, qv, _ = quadrature.quadrature_mean_var(post, tol=1e-8)
         om, _ = brute_force_mean_var(x, n, sigma, tail)
         assert abs(qm - om) <= 1e-6 * max(abs(om), 1e-3), (tail.name, sigma,
                                                            x, n, qm, om)
@@ -84,9 +84,9 @@ def test_conjugate_gaussian_closed_form():
         sigma = 10.0 ** gen.uniform(-6.0, 0.0)
         x = gen.uniform(-10.0, 10.0)
         n = 10.0 ** gen.uniform(0.0, 6.0)
-        post = posterior.UnivariatePosterior(x, n, math.log(sigma), GAUSSIAN)
-        qm, qv, _ = posterior.quadrature_mean_var(post, tol=1e-10)
-        cm, cv = posterior.conjugate_mean_var(x, n, sigma)
+        post = quadrature.UnivariatePosterior(x, n, math.log(sigma), GAUSSIAN)
+        qm, qv, _ = quadrature.quadrature_mean_var(post, tol=1e-10)
+        cm, cv = quadrature.conjugate_mean_var(x, n, sigma)
         assert abs(qm - cm) <= 1e-10 * max(abs(cm), 1e-3)
         assert abs(qv - cv) <= 1e-10 * max(cv, 1e-6)
 

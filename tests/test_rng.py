@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from heavyseries import rng
+from heavyseries.errors import InvalidParameterError
 
 
 def test_same_key_reproduces():
@@ -80,5 +81,6 @@ def test_skip_ahead_keeps_pending_32_bit_half():
 
 
 def test_skip_ahead_rejects_negative_count():
-    with pytest.raises(ValueError):
+    # the package's typed error, itself a ValueError
+    with pytest.raises(InvalidParameterError):
         rng.skip_ahead(_positioned(1), -1)
