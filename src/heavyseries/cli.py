@@ -49,7 +49,7 @@ def _merged_config(args):
 _DATA_KEYS = frozenset({
     "truth", "truncation", "filter_name", "signal_length", "coarse_level",
     "block_index", "truth_seed", "amplitude", "snr", "n", "seed", "prior",
-    "method", "draws", "burn_in", "quadrature_tol", "emit", "grid_points"})
+    "draws", "burn_in", "quadrature_tol", "emit", "grid_points"})
 
 
 def _data_config(args):
@@ -130,8 +130,7 @@ def _cmd_fit(args):
     prior = priors.make_prior(cfg.get("prior", default_prior),
                               n=data.noise_precision)
     summary = posterior.fit_posterior(
-        data, prior, method=cfg.get("method", "quadrature"),
-        draws=int(cfg.get("draws", 4000)),
+        data, prior, draws=int(cfg.get("draws", 4000)),
         burn_in=int(cfg.get("burn_in", 2000)), seed=data.seed,
         tol=float(cfg.get("quadrature_tol", 1e-6)))
     text = posterior.summary_to_csv(summary, data.double_indexed)

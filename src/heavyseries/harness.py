@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise InvalidParameterError(f"unknown experiment {self.experiment!r}")
         if self.replications < 1:
             raise InvalidParameterError("replications must be >= 1")
+        if self.truncation < 1:
+            raise InvalidParameterError("truncation must be >= 1")
         if self.draws < 1:
             raise InvalidParameterError("draws must be >= 1")
         if self.burn_in < 0:
@@ -193,10 +195,15 @@ def _groups(config):
     frames = [signals.default_frame(g.truth) for g in groups]
     if config.include_sureshrink and None in frames:
         raise InvalidParameterError("SureShrink needs wavelet truths")
-    band_ns = [n for g in groups for n in g.ns]
-    if config.include_bands and len(set(band_ns)) < len(band_ns):
+    ns = [n for g in groups for n in g.ns]
+    if config.include_bands and len(set(ns)) < len(ns):
         raise InvalidParameterError("bands are written per (prior, n): "
                                     "truths with bands need distinct n")
+    # unknown presets, and presets an n cannot build, fail here rather
+    # than in a work unit
+    for name in config.priors:
+        for n in ns:
+            make_prior(name, n=n)
     return groups
 
 
@@ -216,8 +223,7 @@ def _cell(args):
     prior's fits come from `fit_posterior`; bands and contraction errors
     take their fits' draws where those carry any (the Gibbs baseline), and
     otherwise one `metropolis_draws` call across all n, with the draws' row
-    means as the band centres: the means `fit_posterior(method="metropolis")`
-    reports, bit for bit.
+    means as the band centres.
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)

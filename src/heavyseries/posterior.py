@@ -1,10 +1,10 @@
 """Assembled posterior fits for the sequence model.
 
-`fit_posterior` summarizes every coordinate of a data set by quadrature
-(the ground truth, in `quadrature`), by Metropolis draws or, for the
-hierarchical Gaussian prior, by the Gibbs baseline.  `metropolis_draws`
-samples several data sets whose priors share a tail in one call.  Credible
-bands and the summaries' text forms live here too.
+`fit_posterior` gives each prior one summary path: quadrature (the ground
+truth, in `quadrature`) for fixed scales, the Gibbs baseline for the
+hierarchical Gaussian prior.  `metropolis_draws` samples several data sets
+whose priors share a tail in one call, for bands and contraction errors.
+Credible bands and the summaries' text forms live here too.
 """
 
 import io
@@ -293,29 +293,25 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
                   seed=0, tol=1e-6):
     """Per-coordinate posterior summaries for a full data set.
 
-    `method` is "quadrature" (the default; moments and quantiles, no
-    draws) or "metropolis" (draws; `draws` and `burn_in` set the chain
-    lengths).  A Gaussian tail with fixed scales goes through quadrature
-    like any other.  A hierarchical prior carries hyperpriors on
-    (tau, alpha), which only the Gibbs sampler fits, so it goes to
-    `gibbs_hierarchical_gaussian` whatever `method` says.
+    Fixed scales, a Gaussian tail's included, go through quadrature: each
+    active coordinate's mean, variance and quantiles within `tol`, or a
+    `ConvergenceError` naming the coordinate, x, n, log sigma and tail.
+    `diagnostics` reports how many coordinates each refinement level
+    accepted and the largest achieved error.  A hierarchical prior carries
+    hyperpriors on (tau, alpha), which only the Gibbs sampler fits, so it
+    goes to `gibbs_hierarchical_gaussian` with `draws`, `burn_in` and
+    `seed`, whatever `method` says.
 
-    Coordinates deactivated by a truncated scaling rule get mean 0,
-    variance 0 and constant-zero draws.  Output is independent of
-    coordinate evaluation order.  Quadrature fits report in `diagnostics`
-    how many coordinates each refinement level accepted, the largest
-    achieved error, and the coordinates accepted at the refinement cap
-    within 10 tol.
+    "quadrature" is the only `method`.  The parameter stays because
+    `perfbench/tracing.py` binds it by name; it goes when that binding
+    does.
+
+    Coordinates deactivated by a truncated scaling rule get mean 0 and
+    variance 0.  Output is independent of coordinate evaluation order.
     """
     if prior.scaling.hierarchical:
         return gibbs_hierarchical_gaussian(data, draws=draws, burn_in=burn_in,
                                            seed=seed)
-    if method == "metropolis":
-        ((mat, acc),) = metropolis_draws([(data, prior)], draws, burn_in, seed)
-        acc = acc if acc.size else np.zeros(1)  # no active coordinate
-        diagnostics = {"method": method, "acceptance_mean": float(acc.mean()),
-                       "acceptance_min": float(acc.min())}
-        return PosteriorSummary(*_draw_moments(mat), method, diagnostics, mat)
     if method != "quadrature":
         raise InvalidParameterError(f"unknown method {method!r}")
     log_s, active = _coordinate_layout(data, prior)
@@ -349,8 +345,7 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
         levels.append(record["level"])
         achieved.append(record["achieved"])
     diagnostics = {"method": method}
-    diagnostics.update(_quadrature_diagnostics(
-        np.flatnonzero(active), levels, achieved, tol))
+    diagnostics.update(_quadrature_diagnostics(levels, achieved))
     return PosteriorSummary(means=means, variances=variances,
                             quantiles=quantiles, method=method,
                             diagnostics=diagnostics)

@@ -209,9 +209,9 @@ def quadrature_mean_var(post, tol=1e-8, quantiles=None, record=None):
     and, as their achieved error, the K15 - G7 difference of the mean
     (relative to max(|mean|, sd), floored at 1e-9) and of the variance
     (relative to the larger variance).  While that error exceeds tol every
-    panel is halved, up to _MAX_REFINE times; at the cap an error within
-    10 tol is accepted, and a larger one raises ConvergenceError with the
-    achieved estimate.  x = 0 gives mean exactly 0 by symmetry.
+    panel is halved, up to _MAX_REFINE times; an error still above tol at
+    the cap raises ConvergenceError with the achieved estimate, so every
+    answer returned is within tol.  x = 0 gives mean exactly 0 by symmetry.
 
     Optionally interpolates quantiles from the K15 node CDF, with each
     node's mass centred on its node (cumsum(p) - p/2).  Against a fine-grid
@@ -245,10 +245,8 @@ def quadrature_mean_var(post, tol=1e-8, quantiles=None, record=None):
         if achieved <= tol:
             break
     else:
-        if not achieved <= 10 * tol:  # accept marginal convergence at the cap
-            raise ConvergenceError(
-                f"quadrature did not reach tol={tol}", achieved=achieved
-            )
+        raise ConvergenceError(f"quadrature did not reach tol={tol}",
+                               achieved=achieved)
     if record is not None:
         record.update(level=level, achieved=achieved)
     if work.observation == 0.0:
@@ -277,14 +275,10 @@ def conjugate_mean_var(x, n, sigma):
     return x * shrink, sigma * sigma / (1.0 + n * sigma * sigma)
 
 
-def _quadrature_diagnostics(coords, levels, achieved, tol):
-    """Refinement level counts, the largest achieved error and the
-    coordinates accepted at the refinement cap, within 10 tol."""
-    capped = [int(i) for i, err in zip(coords, achieved) if err > tol]
+def _quadrature_diagnostics(levels, achieved):
+    """Refinement level counts and the largest achieved error."""
     return {
         "quadrature_levels": {level: levels.count(level)
                               for level in sorted(set(levels))},
         "quadrature_max_achieved": max(achieved, default=0.0),
-        "quadrature_capped": len(capped),
-        "quadrature_capped_indices": capped,
     }

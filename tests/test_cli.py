@@ -195,7 +195,7 @@ def test_report_shows_no_slopes_of_an_earlier_experiment(tmp_path, capsys):
 
 def test_data_subcommands_reject_unknown_config_keys(tmp_path, capsys):
     shared = {"truth": "sobolev-cos", "truncation": 8, "n": 1000,
-              "prior": "cauchy-ot", "method": "quadrature", "seed": 1}
+              "prior": "cauchy-ot", "seed": 1}
     for cmd in ("simulate", "fit", "signals"):
         cfg = tmp_path / f"{cmd}.json"
         cfg.write_text(json.dumps(shared))
@@ -231,8 +231,10 @@ def test_experiment_bad_key_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("cmd,setting", [
     ("experiment", {"draws": 0}),
     ("experiment", {"burn_in": -5}),
-    ("fit", {"method": "metropolis", "truncation": 8, "draws": 0}),
-    ("fit", {"method": "metropolis", "truncation": 8, "burn_in": -5}),
+    ("fit", {"truth": "bumps", "prior": "gaussian-hierarchical",
+             "draws": 0}),
+    ("fit", {"truth": "bumps", "prior": "gaussian-hierarchical",
+             "burn_in": -5}),
 ], ids=["experiment-draws", "experiment-burn-in", "fit-draws",
         "fit-burn-in"])
 def test_invalid_chain_length_exit_code(tmp_path, capsys, cmd, setting):
@@ -246,14 +248,15 @@ def test_invalid_chain_length_exit_code(tmp_path, capsys, cmd, setting):
 
 
 def test_fit_unknown_method_exit_code(tmp_path, capsys):
-    # quadrature and metropolis are the only methods; conjugate included,
-    # any other is a configuration error
+    # `fit` has one summary path per prior and no `method` key: a config
+    # naming one, whatever its value, is a configuration error
     cfg = tmp_path / "f.json"
-    for method in ("conjugate", "laplace"):
+    for method in ("quadrature", "metropolis", "conjugate", "laplace"):
         cfg.write_text(json.dumps({"method": method, "truncation": 8}))
-        code, _, err = _run(capsys, "fit", "--config", str(cfg))
+        code, out, err = _run(capsys, "fit", "--config", str(cfg))
         assert code == 2
-        assert f"unknown method {method!r}" in err
+        assert out == ""
+        assert "unknown config keys: ['method']" in err
 
 
 def test_report_missing_directory(capsys):

@@ -58,13 +58,35 @@ def test_config_validation():
     ("quadrature_tol", 0.0), ("quadrature_tol", -1e-6),
     ("quadrature_tol", math.nan),
     ("ns", (0.0, 1e3)), ("ns", (-1e3,)), ("ns", (math.nan,)),
-    ("ns", (1e3, math.nan)),
+    ("ns", (1e3, math.nan)), ("truncation", 0), ("truncation", -3),
 ])
 def test_config_rejects_settings_that_fail_only_later(field, value):
     # parallel < 1 used to run serially; the others raised only once the
     # run had started
     with pytest.raises(InvalidParameterError, match=field.rstrip("s")):
         ExperimentConfig("sobolev", **{field: value})
+
+
+@pytest.mark.parametrize("priors,ns,message", [
+    (("nope",), (1e3,), "unknown prior preset"),
+    (("truncated-hs",), (1e3, math.inf), "finite precision"),
+], ids=["unknown-preset", "truncated-hs-at-inf"])
+def test_priors_are_built_before_any_simulation(tmp_path, monkeypatch, priors,
+                                                ns, message):
+    # a prior that cannot be built fails before any truth is simulated,
+    # not inside a work unit, which may run in a pool worker
+    from heavyseries import model
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("simulated before the priors were checked")
+
+    monkeypatch.setattr(model, "simulate", simulate)
+    cfg = ExperimentConfig("custom", truths=("sobolev-cos",), priors=priors,
+                           ns=ns, replications=1, truncation=10,
+                           out_dir=str(tmp_path / "out"))
+    with pytest.raises(InvalidParameterError, match=message):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_from_dict_parses_inf():
@@ -168,16 +190,18 @@ def test_parallel_bands_match_serial_and_refit(tmp_path):
         with open(os.path.join(out_b, fname), "rb") as fh:
             b = fh.read()
         assert a == b, fname
-    # the figure band is replication 0's band: a fresh Metropolis refit of
-    # that replication gives the same arrays
+    # the figure band is replication 0's band: fresh Metropolis draws for
+    # that replication, centred on their means, give the same arrays
     seed0 = harness._rep_seed(cfg.seed, 0)
     truth = signals.make_truth("sobolev-cos", K=cfg.truncation)
     for n in cfg.ns:
         data = model.simulate(truth, n, cfg.truncation, seed=seed0)
         for name in cfg.priors:
-            msum = posterior.fit_posterior(
-                data, make_prior(name, n=n), method="metropolis",
-                draws=cfg.draws, burn_in=cfg.burn_in, seed=seed0)
+            ((mat, _),) = posterior.metropolis_draws(
+                [(data, make_prior(name, n=n))], draws=cfg.draws,
+                burn_in=cfg.burn_in, seed=seed0)
+            msum = posterior.PosteriorSummary(
+                *posterior._draw_moments(mat), "metropolis", draws=mat)
             refit = posterior.credible_band(msum, truth.basis)
             band = result.bands[(name, n)]
             assert band.keys() == refit.keys()

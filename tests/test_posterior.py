@@ -31,6 +31,7 @@ from heavyseries.priors import (
     PriorSpec,
     coordinate_index,
     hierarchical_log_scale,
+    make_prior,
 )
 
 # Fixed-grid trapezoid oracle value for the Cauchy tail at
@@ -126,11 +127,11 @@ def test_mean_between_zero_and_observation(x, n, log10_sigma):
     assert -1e-9 <= mean <= x + 1e-9
 
 
-_TAILS = st.sampled_from([CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN])
+_TAIL_STRATEGY = st.sampled_from([CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN])
 
 
 @settings(max_examples=150, deadline=None)
-@given(_TAILS, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0),
+@given(_TAIL_STRATEGY, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0),
        st.floats(-5.0, 300.0), st.floats(-700.0, 700.0))
 def test_extreme_inputs_give_moments_or_convergence_error(
         tail, sign, log10_x, log10_n, log_sigma):
@@ -147,7 +148,7 @@ def test_extreme_inputs_give_moments_or_convergence_error(
 
 
 @settings(max_examples=100, deadline=None)
-@given(_TAILS, st.floats(-5.0, 5.0),
+@given(_TAIL_STRATEGY, st.floats(-5.0, 5.0),
        st.floats(0.0, 6.0), st.floats(-12.0, 1.0), st.integers(-6, 6))
 def test_posterior_scales_with_the_observation(tail, x, log10_n, log_sigma,
                                                k):
@@ -285,15 +286,14 @@ def test_fit_posterior_reports_capped_coordinates(monkeypatch):
     tol = 1e-6
     plain = fit_posterior(data, prior, method="quadrature", tol=tol)
     diag = plain.diagnostics
-    assert diag["quadrature_levels"] == {0: 10}
-    assert diag["quadrature_capped"] == 0
-    assert diag["quadrature_capped_indices"] == []
+    assert diag == {"method": "quadrature", "quadrature_levels": {0: 10},
+                    "quadrature_max_achieved": diag["quadrature_max_achieved"]}
     assert 0.0 < diag["quadrature_max_achieved"] <= tol
     real = quadrature._kronrod_pass
 
     def stalled(post, edges):
         # coordinates 3 and 7 never get below tol: 3 ends within 10 tol,
-        # accepted at the cap; 7 would end beyond it
+        # 7 beyond it; every coordinate above tol at the cap raises
         *moments, achieved = real(post, edges)
         for i, err in ((3, 5.0 * tol), (7, 20.0 * tol)):
             if abs(post.observation) == abs(data.observations[i]):
@@ -303,16 +303,24 @@ def test_fit_posterior_reports_capped_coordinates(monkeypatch):
     monkeypatch.setattr(quadrature, "_kronrod_pass", stalled)
     with pytest.raises(ConvergenceError) as info:
         fit_posterior(data, prior, method="quadrature", tol=tol)
-    assert info.value.index == 7
-    assert info.value.achieved == 20.0 * tol
-    # with coordinate 7 truncated away, 3 is accepted at the cap
+    assert info.value.index == 3
+    assert info.value.achieved == 5.0 * tol
+    # with coordinate 7 truncated away, 3 still raises
     truncated = PriorSpec(CAUCHY, ConstantTruncatedScaling(0.5, 7))
-    fit = fit_posterior(data, truncated, method="quadrature", tol=tol)
-    diag = fit.diagnostics
-    assert diag["quadrature_levels"] == {0: 6, 4: 1}
-    assert diag["quadrature_capped"] == 1
-    assert diag["quadrature_capped_indices"] == [3]
-    assert diag["quadrature_max_achieved"] == 5.0 * tol
+    with pytest.raises(ConvergenceError) as info:
+        fit_posterior(data, truncated, method="quadrature", tol=tol)
+    assert info.value.index == 3
+    assert info.value.achieved == 5.0 * tol
+    with pytest.raises(ConvergenceError) as info:
+        quadrature_mean_var(UnivariatePosterior(
+            data.observations[7], data.noise_precision,
+            prior.scaling.log_scale(8), CAUCHY), tol=tol)
+    assert info.value.achieved == 20.0 * tol
+    # with both truncated away, every coordinate is accepted at level 0
+    fit = fit_posterior(data, PriorSpec(CAUCHY,
+                                        ConstantTruncatedScaling(0.5, 3)),
+                        tol=tol)
+    assert fit.diagnostics["quadrature_levels"] == {0: 3}
 
 
 # -- quadrature oracle: the panel builders it replaced -----------------------
@@ -523,21 +531,21 @@ def test_truncated_coordinates_exactly_zero():
     summary = fit_posterior(data, prior, method="quadrature")
     assert np.all(summary.means[12:] == 0.0)
     assert np.all(summary.variances[12:] == 0.0)
-    msum = fit_posterior(data, prior, method="metropolis", draws=50,
-                         burn_in=50)
-    assert np.all(msum.draws[12:] == 0.0)
+    ((mat, _),) = posterior.metropolis_draws([(data, prior)], draws=50,
+                                             burn_in=50)
+    assert np.all(mat[12:] == 0.0)
 
 
 def test_metropolis_chunk_invariance(monkeypatch):
     _, data = _sim(K=20)
     prior = PriorSpec(CAUCHY, OTScaling(0.5))
     monkeypatch.setattr(posterior, "_CHUNK", 7)
-    a = fit_posterior(data, prior, method="metropolis", draws=200,
-                      burn_in=200, seed=0)
+    ((a, _),) = posterior.metropolis_draws([(data, prior)], draws=200,
+                                           burn_in=200, seed=0)
     monkeypatch.setattr(posterior, "_CHUNK", 1024)
-    b = fit_posterior(data, prior, method="metropolis", draws=200,
-                      burn_in=200, seed=0)
-    assert np.array_equal(a.draws, b.draws)
+    ((b, _),) = posterior.metropolis_draws([(data, prior)], draws=200,
+                                           burn_in=200, seed=0)
+    assert np.array_equal(a, b)
 
 
 # -- the engine's log-prior kernel: the dispatching one it replaced ---------
@@ -935,18 +943,17 @@ def _reference_fit_draws(data, prior, draws, burn_in, seed, chunk=1024):
 def test_fit_metropolis_matches_reference(K, prior):
     truth = signals.truth_sobolev_cos(K)
     data = model.simulate(truth, 1e3, K, seed=4)
-    summary = fit_posterior(data, prior, method="metropolis", draws=60,
-                            burn_in=100, seed=9)
+    ((mat, acc),) = posterior.metropolis_draws([(data, prior)], draws=60,
+                                               burn_in=100, seed=9)
     ref_draws, ref_acc = _reference_fit_draws(data, prior, 60, 100, 9)
-    assert np.array_equal(summary.draws, ref_draws)
-    assert summary.diagnostics["acceptance_mean"] == float(ref_acc.mean())
-    assert summary.diagnostics["acceptance_min"] == float(ref_acc.min())
+    assert np.array_equal(mat, ref_draws)
+    assert np.array_equal(acc, ref_acc)
 
 
 @pytest.mark.parametrize("chunk", [7, 1024])
 def test_fit_metropolis_matches_separate_fits(chunk, monkeypatch):
     # one batched `metropolis_draws` call gives each pair the draws and
-    # acceptance of a metropolis fit of that pair alone
+    # acceptance of a call for that pair alone
     truth = signals.truth_sobolev_cos(30)
     pairs = [
         (model.simulate(truth, 1e3, 30, seed=4), PriorSpec(HORSESHOE,
@@ -960,12 +967,10 @@ def test_fit_metropolis_matches_separate_fits(chunk, monkeypatch):
     batched = posterior.metropolis_draws(pairs, draws=60, burn_in=100, seed=9)
     assert len(batched) == len(pairs)
     for (mat, acc), (data, prior) in zip(batched, pairs):
-        alone = fit_posterior(data, prior, method="metropolis", draws=60,
-                              burn_in=100, seed=9)
-        assert np.array_equal(mat, alone.draws)
-        assert alone.diagnostics == {"method": "metropolis",
-                                     "acceptance_mean": float(acc.mean()),
-                                     "acceptance_min": float(acc.min())}
+        ((alone, alone_acc),) = posterior.metropolis_draws(
+            [(data, prior)], draws=60, burn_in=100, seed=9)
+        assert np.array_equal(mat, alone)
+        assert np.array_equal(acc, alone_acc)
     assert np.all(batched[1][0][12:] == 0.0)
 
 
@@ -982,9 +987,10 @@ def test_invalid_chain_lengths_rejected():
     _, data = _sim(K=5)
     prior = PriorSpec(CAUCHY, OTScaling(0.5))
     _, wavelet_data = _wavelet_data()
+    hierarchical = make_prior("gaussian-hierarchical")
     for draws, burn_in in [(0, 10), (10, -5)]:
         with pytest.raises(InvalidParameterError):
-            fit_posterior(data, prior, method="metropolis", draws=draws,
+            fit_posterior(wavelet_data, hierarchical, draws=draws,
                           burn_in=burn_in)
         with pytest.raises(InvalidParameterError):
             posterior.metropolis_draws([(data, prior)], draws=draws,
@@ -1026,13 +1032,13 @@ def test_draw_moments_scratch_does_not_grow_with_draws(scratch_peak):
 def test_gaussian_tail_fit_matches_closed_form():
     # a Gaussian tail with fixed scales goes through quadrature, whose
     # mean is within tol of max(|mean|, sd) and whose variance is within
-    # tol relative, wherever no coordinate stopped at the refinement cap
+    # tol relative, as every coordinate's achieved error is
     _, data = _sim(K=15)
     prior = PriorSpec(GAUSSIAN, OTScaling(0.5), baseline=True)
     tol = 1e-6
     summary = fit_posterior(data, prior, tol=tol)
     assert summary.method == "quadrature"
-    assert summary.diagnostics["quadrature_capped"] == 0
+    assert summary.diagnostics["quadrature_max_achieved"] <= tol
     sig = np.exp(prior.scaling.log_scale(np.arange(1, 16)))
     cm, cv = conjugate_mean_var(data.observations, data.noise_precision, sig)
     scale = np.maximum(np.abs(cm), np.sqrt(cv))
@@ -1043,7 +1049,7 @@ def test_gaussian_tail_fit_matches_closed_form():
 def test_unknown_method_rejected():
     _, data = _sim(K=5)
     prior = PriorSpec(CAUCHY, OTScaling(0.5))
-    for method in ("laplace", "conjugate"):
+    for method in ("laplace", "conjugate", "metropolis"):
         with pytest.raises(InvalidParameterError):
             fit_posterior(data, prior, method=method)
 
@@ -1169,8 +1175,6 @@ def test_gibbs_deterministic():
 
 @pytest.mark.parametrize("method", ["quadrature", "metropolis", "conjugate"])
 def test_fit_posterior_sends_hierarchical_gaussian_to_gibbs(method):
-    from heavyseries.priors import make_prior
-
     _, data = _wavelet_data(seed=2)
     fit = fit_posterior(data, make_prior("gaussian-hierarchical"),
                         method=method, draws=30, burn_in=20, seed=3)

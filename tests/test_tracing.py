@@ -8,10 +8,13 @@ checks load it by path, unchanged, and run a small fit under it.
 
 import importlib
 import importlib.util
+import math
 import pathlib
+import time
 
 from heavyseries import make_prior, make_truth, posterior, priors, quadrature
 from heavyseries import simulate
+from heavyseries.harness import ExperimentConfig, run_experiment
 
 _TRACING = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
             / "tracing.py")
@@ -44,3 +47,29 @@ def test_tracer_counts_the_quadrature_of_a_fit():
     assert tracer.counts["posterior.fit.calls"] == 1
     assert tracer.counts["priors.log_density.points"] > 0
     assert posterior.quadrature_mean_var is quadrature.quadrature_mean_var
+
+
+def test_tracer_runs_every_hook_on_a_tiny_experiment(tmp_path):
+    # one wavelet truth under a quadrature prior (with Metropolis draws
+    # for its band and contraction errors) and the Gibbs baseline, with
+    # SureShrink: every hook the benchmark's workloads run, at 40 steps
+    tracing = _tracing()
+    config = ExperimentConfig(
+        "custom", truths=("bumps",),
+        priors=("cauchy-wavelet-ot", "gaussian-hierarchical"), ns=(1.0,),
+        p_primes=(2.0, math.inf), replications=1, draws=20, burn_in=20,
+        include_bands=True, include_contraction=True,
+        include_sureshrink=True, out_dir=str(tmp_path))
+    with tracing.Tracer() as tracer:
+        start = time.perf_counter()
+        run_experiment(config)
+        wall = time.perf_counter() - start
+    c = tracer.counts
+    assert c["posterior.quadrature.calls"] == 2048
+    assert c["posterior.metropolis.chain_steps"] == 2048 * 40
+    assert c["posterior.gibbs.steps"] == 40
+    assert c["posterior.credible_band.draws"] == 40
+    assert c["metrics.contraction_errors.draws"] == 40
+    assert c["harness.write_outputs.bytes"] > 0
+    metrics = tracing.layer_metrics(tracer, wall, wall, 0.0)
+    assert all(math.isfinite(value) for value, _ in metrics.values())
