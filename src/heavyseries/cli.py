@@ -141,12 +141,13 @@ def _cmd_fit(args):
 
 def _cmd_rates(args):
     cfg = _merged_config(args)
+    flags = (args.s, args.p, args.p_prime)
     combos = cfg.get("rates")
-    if combos is None:
-        if args.s is None or args.p is None or args.p_prime is None:
+    if combos is None or flags != (None, None, None):
+        if None in flags:
             raise InvalidParameterError(
-                "rates needs either a config with a 'rates' list or "
-                "--s/--p/--p-prime flags")
+                "rates needs all of --s/--p/--p-prime, or a config with "
+                "a 'rates' list and none of them")
         combos = [{"s": args.s, "p": args.p, "q": args.q,
                    "p_prime": args.p_prime}]
     lines = ["s,p,q,p_prime,eta,s_eff,r,zone"]
@@ -165,7 +166,7 @@ def _cmd_signals(args):
     cfg = _data_config(args)
     truth = _make_truth(cfg)
     name = cfg.get("truth", "sobolev-cos")
-    what = cfg.get("emit", args.emit)
+    what = args.emit or cfg.get("emit", "coefficients")
     out = []
     if what in ("coefficients", "both"):
         out.append(model.coefficients_to_csv(
@@ -252,8 +253,7 @@ def build_parser():
 
     p = sub.add_parser("signals", help="emit a truth as CSV")
     common(p, "-")
-    p.add_argument("--emit", choices=("coefficients", "samples", "both"),
-                   default="coefficients")
+    p.add_argument("--emit", choices=("coefficients", "samples", "both"))
     p.set_defaults(func=_cmd_signals)
 
     p = sub.add_parser("experiment", help="run a named experiment")

@@ -308,7 +308,9 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
 
     Coordinates deactivated by a truncated scaling rule get mean 0 and
     variance 0.  Output is independent of coordinate evaluation order.
+    Every prior rejects `draws` < 1 and `burn_in` < 0, used or not.
     """
+    _check_chain_lengths(draws, burn_in)
     if prior.scaling.hierarchical:
         return gibbs_hierarchical_gaussian(data, draws=draws, burn_in=burn_in,
                                            seed=seed)

@@ -1,10 +1,10 @@
 """One-dimensional posterior engine: adaptive G7/K15 quadrature, the
 package's ground truth for every tail with fixed scales.
 
-The domain is the union of the likelihood window x +/- 12/sqrt(n) and the
-prior window [-sigma T, sigma T], T a tail quantile, with panels refined
-geometrically toward theta = 0 so that both the prior scale kink and the
-horseshoe log pole are resolved.
+The domain is [min(x - w, -w), max(x + w, w)], w = 12/sqrt(n): the
+likelihood window and its mirror through 0, whatever the tail, scale or
+tol.  Panels are refined geometrically toward theta = 0 so that both the
+prior scale kink and the horseshoe log pole are resolved.
 """
 
 import math
@@ -42,13 +42,6 @@ def _log_posterior_unnorm(theta, post):
     return -0.5 * n * (x - theta) ** 2 + log_prior
 
 
-def _tail_quantile(tail, eps):
-    """T with tail_mass(T) < eps, from the certified tail bound."""
-    if tail.tail_bound_c2 is not None:
-        return max(1.0, tail.tail_bound_c2 / eps)
-    return math.sqrt(2.0 * math.log(1.0 / eps)) + 2.0
-
-
 _LIKE_OFFSETS = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0])
 _WINDOW = 12.0
 # 2^-m for the geometric refinement toward 0; w * _HALVE_W[m - 1] is the
@@ -56,10 +49,6 @@ _WINDOW = 12.0
 _HALVE_W = np.ldexp(1.0, -np.arange(1, 85))
 _HALVE_SIGMA = np.ldexp(1.0, -np.arange(0, 45))
 _ZERO = np.zeros(1)
-# Past this prior window the likelihood alone confines the posterior for
-# every representable n (12/sqrt(n) < 6e162), and two edges still sum to a
-# finite panel midpoint.
-_WINDOW_MAX = 1e300
 # squares of magnitudes below this stay below 1e308
 _SQUARE_MAX = 1e154
 # Below this noise precision the likelihood window 12/sqrt(n) reaches
@@ -92,34 +81,40 @@ _G7_W[9::2] = _WG[-2::-1]
 _RULES = np.stack((_K15_W, _G7_W))
 
 
-def _panel_edges(post, eps):
-    """Sorted panel edges covering likelihood window ∪ prior window."""
+def _panel_edges(post):
+    """Sorted panel edges on [a, b] = [min(x - w, -w), max(x + w, w)].
+
+    With w = 12/sqrt(n), every theta outside [a, b] has |theta - x| > w,
+    so n(theta - x)^2/2 > 72.  Take x >= 0 (the rule is symmetric) and a
+    prior symmetric and nonincreasing in |theta|, as all four tails are.
+    Moving a theta beyond b by w toward x, or one below a by w toward 0,
+    raises the likelihood by at least e^72 and does not lower the prior,
+    so the mass cut is at most e^-72, about 5e-32, of the mass on (x, inf)
+    and (-inf, 0) together.
+    """
     x = post.observation
     n = post.noise_precision
     sigma = math.exp(min(post.log_scale, 700.0))
     w = _WINDOW / math.sqrt(n)
-    lo, hi = x - w, x + w
-    T = min(sigma * _tail_quantile(post.tail, eps), _WINDOW_MAX)
-    a = min(lo, -T)
-    b = max(hi, T)
+    a = min(x - w, -w)
+    b = max(x + w, w)
     offsets = _LIKE_OFFSETS / math.sqrt(n)
     pieces = [x - offsets, x + offsets]
     if post.tail.conjugate and 0.0 < sigma < _SQUARE_MAX:
         # the conjugate posterior concentrates at the shrunk observation,
-        # which can fall between the likelihood and prior windows; past
+        # which can fall between [-w, w] and the likelihood window; past
         # the bound it is the likelihood, whose edges are already in
         m0 = x * n * sigma**2 / (1.0 + n * sigma**2)
         sd0 = sigma / math.sqrt(1.0 + n * sigma**2)
         pieces += [m0 - _LIKE_OFFSETS * sd0, m0 + _LIKE_OFFSETS * sd0]
     # geometric refinement toward 0: resolves the prior-scale kink at
     # |theta| ~ sigma and the horseshoe log pole
-    if a < 0.0 < b:
-        pieces += [_ZERO, w * _HALVE_W, -(w * _HALVE_W)]
-        if 0.0 < sigma < w:
-            pieces += [sigma * _HALVE_SIGMA, -(sigma * _HALVE_SIGMA)]
-    # octave panels out to the prior window boundary: w * 2^m (exact) for
-    # every m with w * 2^m < max(|a|, |b|), plus at most one more past it,
-    # which the window mask keeps only where it repeats a or b
+    pieces += [_ZERO, w * _HALVE_W, -(w * _HALVE_W)]
+    if 0.0 < sigma < w:
+        pieces += [sigma * _HALVE_SIGMA, -(sigma * _HALVE_SIGMA)]
+    # octave panels out to the domain's ends: w * 2^m (exact) for every m
+    # with w * 2^m < max(|a|, |b|), plus at most one more past it, which
+    # the domain mask keeps only where it repeats a or b
     top = max(abs(a), abs(b))
     m_max = math.frexp(top)[1] - math.frexp(w)[1]
     octaves = np.ldexp(w, np.arange(1, m_max + 1))
@@ -205,7 +200,8 @@ def _split_edges(edges, factor):
 def quadrature_mean_var(post, tol=1e-8, quantiles=None, record=None):
     """(mean, variance, log_normalizer) by adaptive panel quadrature.
 
-    One G7/K15 Gauss-Kronrod pass over the panels gives the K15 moments
+    The panels depend on x, n, sigma and the tail's conjugate flag, not on
+    tol (`_panel_edges`).  One G7/K15 pass over them gives the K15 moments
     and, as their achieved error, the K15 - G7 difference of the mean
     (relative to max(|mean|, sd), floored at 1e-9) and of the variance
     (relative to the larger variance).  While that error exceeds tol every
@@ -238,7 +234,7 @@ def quadrature_mean_var(post, tol=1e-8, quantiles=None, record=None):
     flip = post.observation < 0
     work = post if not flip else UnivariatePosterior(
         -post.observation, post.noise_precision, post.log_scale, post.tail)
-    edges = _panel_edges(work, min(tol, 1e-8))
+    edges = _panel_edges(work)
     for level in range(_MAX_REFINE + 1):
         mean, var, log_norm, nodes, probs, achieved = _kronrod_pass(
             work, _split_edges(edges, 2**level))

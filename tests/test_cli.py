@@ -35,6 +35,17 @@ def test_rates_config_list(tmp_path, capsys):
     assert "sparse" in out
 
 
+def test_rates_flags_override_config_list(tmp_path, capsys):
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps({"rates": [{"s": 1.5, "p": 1, "p_prime": 2}]}))
+    code, out, _ = _run(capsys, "rates", "--config", str(cfg), "--s", "1.5",
+                        "--p", "1", "--p-prime", "6")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("1.5,1.0,inf,6.0,")
+
+
 def test_rates_missing_flags_config_error(capsys):
     code, _, err = _run(capsys, "rates")
     assert code == 2
@@ -55,6 +66,16 @@ def test_signals_samples(tmp_path, capsys):
                         "--emit", "samples")
     assert code == 0
     assert out.count("\n") >= 64
+
+
+def test_signals_emit_flag_overrides_config(tmp_path, capsys):
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"truncation": 8, "emit": "coefficients"}))
+    code, out, _ = _run(capsys, "signals", "--config", str(cfg),
+                        "--emit", "samples")
+    assert code == 0
+    assert "kind=samples" in out
+    assert "kind=coefficients" not in out
 
 
 @pytest.mark.parametrize("settings", [
@@ -235,8 +256,10 @@ def test_experiment_bad_key_exit_code(tmp_path, capsys):
              "draws": 0}),
     ("fit", {"truth": "bumps", "prior": "gaussian-hierarchical",
              "burn_in": -5}),
+    ("fit", {"truncation": 8, "draws": 0}),
+    ("fit", {"truncation": 8, "burn_in": -5}),
 ], ids=["experiment-draws", "experiment-burn-in", "fit-draws",
-        "fit-burn-in"])
+        "fit-burn-in", "fit-fixed-scale-draws", "fit-fixed-scale-burn-in"])
 def test_invalid_chain_length_exit_code(tmp_path, capsys, cmd, setting):
     cfg = tmp_path / "e.json"
     cfg.write_text(json.dumps(setting))

@@ -174,6 +174,29 @@ def test_quadrature_engine_stays_in_quadrature():
     # and the engine builds on no package module but `errors`
     source = (_PACKAGE / "quadrature.py").read_text()
     assert _package_imports(source) == {"errors"}
+    # nor reads more of a tail than its log-density and the conjugate flag
+    assert _tail_attributes(source) <= {"conjugate", "log_density_scaled"}
+
+
+def _tail_attributes(source):
+    """Names read as attributes of a `tail` variable or field."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "tail"
+                    or isinstance(owner, ast.Attribute)
+                    and owner.attr == "tail"):
+                found.add(node.attr)
+    return found
+
+
+def test_tail_attribute_check_finds_every_form():
+    source = ("post.tail.conjugate\ntail.tail_bound_c2 + 1\n"
+              "f(self.tail.log_density_scaled(t, s))\npost.tail\n"
+              "tail_x.name\n")
+    assert _tail_attributes(source) == {"conjugate", "tail_bound_c2",
+                                        "log_density_scaled"}
 
 
 def test_blas_threads_stay_with_basis():

@@ -229,7 +229,7 @@ def _fine_grid_quantiles(post):
     per piece carrying its piece's mass, the CDF centred on the nodes.  It
     shares the panel layout with the engine, not the rule or the horseshoe
     spline (the tails' exact log_density)."""
-    edges = quadrature._split_edges(quadrature._panel_edges(post, 1e-8), 64)
+    edges = quadrature._split_edges(quadrature._panel_edges(post), 64)
     mid = (edges[:-1] + edges[1:]) / 2.0
     logf = (-0.5 * post.noise_precision * (post.observation - mid) ** 2
             + post.tail.log_density(mid / math.exp(post.log_scale)))
@@ -274,7 +274,7 @@ def test_default_coordinate_evaluates_one_pass(tail):
     counted.log_density_scaled = log_density_scaled
     for x, n, sigma in [(0.3, 1e3, 0.05), (0.01, 1e5, 1e-3), (2.0, 1e4, 1.0)]:
         post = _post(x, n, sigma, counted)
-        panels = len(quadrature._panel_edges(post, 1e-8)) - 1
+        panels = len(quadrature._panel_edges(post)) - 1
         points.clear()
         quadrature_mean_var(post, tol=1e-6, quantiles=_QUANTILE_LEVELS)
         assert 0 < sum(points) <= 15 * panels, (x, n, sigma)
@@ -326,7 +326,7 @@ def test_fit_posterior_reports_capped_coordinates(monkeypatch):
 # -- quadrature oracle: the panel builders it replaced -----------------------
 
 
-def _reference_panel_edges(post, eps):
+def _reference_panel_edges(post):
     """The panel builder as it was before it was assembled from arrays:
     a set of Python floats.  Kept verbatim as the oracle for
     `_panel_edges`."""
@@ -337,9 +337,8 @@ def _reference_panel_edges(post, eps):
     sigma = math.exp(min(post.log_scale, 700.0))
     w = quadrature._WINDOW / math.sqrt(n)
     lo, hi = x - w, x + w
-    T = sigma * quadrature._tail_quantile(post.tail, eps)
-    a = min(lo, -T)
-    b = max(hi, T)
+    a = min(lo, -w)
+    b = max(hi, w)
     edges = set()
     for c in quadrature._LIKE_OFFSETS:
         edges.add(x - c / math.sqrt(n))
@@ -394,8 +393,8 @@ def test_panel_edges_match_reference(tail):
                 post = UnivariatePosterior(x, n, log_sigma, tail)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    edges = quadrature._panel_edges(post, 1e-8)
-                ref = _reference_panel_edges(post, 1e-8)
+                    edges = quadrature._panel_edges(post)
+                ref = _reference_panel_edges(post)
                 assert np.array_equal(edges, ref), (x, log_sigma, n)
                 for factor in range(1, 17):
                     assert np.array_equal(
@@ -992,6 +991,10 @@ def test_invalid_chain_lengths_rejected():
         with pytest.raises(InvalidParameterError):
             fit_posterior(wavelet_data, hierarchical, draws=draws,
                           burn_in=burn_in)
+        # fixed scales go through quadrature, which runs no chain, and
+        # still reject the lengths as every prior does
+        with pytest.raises(InvalidParameterError):
+            fit_posterior(data, prior, draws=draws, burn_in=burn_in)
         with pytest.raises(InvalidParameterError):
             posterior.metropolis_draws([(data, prior)], draws=draws,
                                        burn_in=burn_in)
