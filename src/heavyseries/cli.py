@@ -72,6 +72,7 @@ def _write(path, text):
 
 
 _FRAME_KEYS = ("filter_name", "signal_length", "coarse_level")
+_EMITS = ("coefficients", "samples", "both")
 
 
 def _make_truth(cfg):
@@ -143,13 +144,13 @@ def _cmd_rates(args):
     cfg = _merged_config(args)
     flags = (args.s, args.p, args.p_prime)
     combos = cfg.get("rates")
-    if combos is None or flags != (None, None, None):
+    if combos is None or (*flags, args.q) != (None,) * 4:
         if None in flags:
             raise InvalidParameterError(
                 "rates needs all of --s/--p/--p-prime, or a config with "
                 "a 'rates' list and none of them")
-        combos = [{"s": args.s, "p": args.p, "q": args.q,
-                   "p_prime": args.p_prime}]
+        combos = [{"s": args.s, "p": args.p, "p_prime": args.p_prime,
+                   "q": math.inf if args.q is None else args.q}]
     lines = ["s,p,q,p_prime,eta,s_eff,r,zone"]
     for c in combos:
         spec = spaces.resolve_rate(float(c["s"]), float(c["p"]),
@@ -167,6 +168,9 @@ def _cmd_signals(args):
     truth = _make_truth(cfg)
     name = cfg.get("truth", "sobolev-cos")
     what = args.emit or cfg.get("emit", "coefficients")
+    if what not in _EMITS:
+        raise InvalidParameterError(
+            f"emit must be one of {', '.join(_EMITS)}, not {what!r}")
     out = []
     if what in ("coefficients", "both"):
         out.append(model.coefficients_to_csv(
@@ -247,13 +251,13 @@ def build_parser():
     common(p, "-")
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--q", type=float, default=math.inf)
+    p.add_argument("--q", type=float, default=None)
     p.add_argument("--p-prime", dest="p_prime", default=None)
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("signals", help="emit a truth as CSV")
     common(p, "-")
-    p.add_argument("--emit", choices=("coefficients", "samples", "both"))
+    p.add_argument("--emit", choices=_EMITS)
     p.set_defaults(func=_cmd_signals)
 
     p = sub.add_parser("experiment", help="run a named experiment")

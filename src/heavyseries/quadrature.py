@@ -3,8 +3,9 @@ package's ground truth for every tail with fixed scales.
 
 The domain is [min(x - w, -w), max(x + w, w)], w = 12/sqrt(n): the
 likelihood window and its mirror through 0, whatever the tail, scale or
-tol.  Panels are refined geometrically toward theta = 0 so that both the
-prior scale kink and the horseshoe log pole are resolved.
+tol.  The panels' geometric edges are one ladder of octaves +-w 2^m from
+2^-30 min(sigma, w) out to the domain's ends, which resolves the prior
+scale kink, the horseshoe log pole and the likelihood window alike.
 """
 
 import math
@@ -44,11 +45,9 @@ def _log_posterior_unnorm(theta, post):
 
 _LIKE_OFFSETS = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0])
 _WINDOW = 12.0
-# 2^-m for the geometric refinement toward 0; w * _HALVE_W[m - 1] is the
-# same product as w * 2.0**-m
-_HALVE_W = np.ldexp(1.0, -np.arange(1, 85))
-_HALVE_SIGMA = np.ldexp(1.0, -np.arange(0, 45))
-_ZERO = np.zeros(1)
+# octaves of the panel ladder below min(sigma, w); on default coordinates
+# 8 let horseshoe fits raise, 20 moved means 3e-9 sd and 30 only 3e-12
+_LADDER_DEPTH = 30
 # squares of magnitudes below this stay below 1e308
 _SQUARE_MAX = 1e154
 # Below this noise precision the likelihood window 12/sqrt(n) reaches
@@ -107,18 +106,15 @@ def _panel_edges(post):
         m0 = x * n * sigma**2 / (1.0 + n * sigma**2)
         sd0 = sigma / math.sqrt(1.0 + n * sigma**2)
         pieces += [m0 - _LIKE_OFFSETS * sd0, m0 + _LIKE_OFFSETS * sd0]
-    # geometric refinement toward 0: resolves the prior-scale kink at
-    # |theta| ~ sigma and the horseshoe log pole
-    pieces += [_ZERO, w * _HALVE_W, -(w * _HALVE_W)]
-    if 0.0 < sigma < w:
-        pieces += [sigma * _HALVE_SIGMA, -(sigma * _HALVE_SIGMA)]
-    # octave panels out to the domain's ends: w * 2^m (exact) for every m
-    # with w * 2^m < max(|a|, |b|), plus at most one more past it, which
-    # the domain mask keeps only where it repeats a or b
-    top = max(abs(a), abs(b))
-    m_max = math.frexp(top)[1] - math.frexp(w)[1]
-    octaves = np.ldexp(w, np.arange(1, m_max + 1))
-    pieces += [-octaves, octaves, np.array([a, b])]
+    # one ladder of octaves w * 2^m, from the rung at most twice `bottom`
+    # (below the prior-scale kink at sigma, into the horseshoe pole; sigma
+    # is 0 below log sigma ~ -745) to one rung past max(-a, b), which the
+    # domain mask keeps only where it repeats a or b
+    bottom = max(math.ldexp(min(sigma, w), -_LADDER_DEPTH), 5e-324)
+    e_w = math.frexp(w)[1]
+    ladder = np.ldexp(w, np.arange(math.frexp(bottom)[1] - e_w,
+                                   math.frexp(max(-a, b))[1] - e_w + 1))
+    pieces += [-ladder, ladder, np.array([0.0, a, b])]
     edges = np.concatenate(pieces)
     edges = edges[(edges >= a) & (edges <= b)]
     # sorted by argsort, not np.sort or np.unique: credible bands run

@@ -52,6 +52,21 @@ def test_rates_missing_flags_config_error(capsys):
     assert "rates" in err
 
 
+def test_rates_q_flag_alone_selects_the_flag_row(tmp_path, capsys):
+    # --q with a config list is a flag row, not an ignored flag, so it
+    # needs --s/--p/--p-prime too; with them it sets the row's q
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps({"rates": [{"s": 1.5, "p": 1, "p_prime": 2}]}))
+    code, out, err = _run(capsys, "rates", "--config", str(cfg), "--q", "2")
+    assert code == 2
+    assert out == ""
+    assert "--s/--p/--p-prime" in err
+    code, out, _ = _run(capsys, "rates", "--config", str(cfg), "--s", "1.5",
+                        "--p", "1", "--p-prime", "2", "--q", "2")
+    assert code == 0
+    assert out.strip().splitlines()[1].startswith("1.5,1.0,2.0,2.0,")
+
+
 def test_signals_coefficients(capsys):
     code, out, _ = _run(capsys, "signals", "--emit", "coefficients")
     assert code == 0
@@ -66,6 +81,18 @@ def test_signals_samples(tmp_path, capsys):
                         "--emit", "samples")
     assert code == 0
     assert out.count("\n") >= 64
+
+
+def test_signals_rejects_an_unknown_emit(tmp_path, capsys):
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps({"truncation": 8, "emit": "bogus"}))
+    code, out, err = _run(capsys, "signals", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "bogus" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["signals", "--emit", "bogus"])
+    assert exc.value.code == 2
 
 
 def test_signals_emit_flag_overrides_config(tmp_path, capsys):

@@ -351,20 +351,13 @@ def _reference_panel_edges(post):
             edges.add(m0 + c * sd0)
     if a < 0.0 < b:
         edges.add(0.0)
-        scales = [w * 2.0**-m for m in range(1, 85)]
-        if 0.0 < sigma < w:
-            scales += [sigma * 2.0**-m for m in range(0, 45)]
-        for s in scales:
-            if -s > a:
-                edges.add(-s)
-            if s < b:
-                edges.add(s)
-    m = 1
-    while w * 2.0**m < max(abs(a), abs(b)):
-        for s in (-w * 2.0**m, w * 2.0**m):
+    bottom = max(math.ldexp(min(sigma, w), -quadrature._LADDER_DEPTH), 5e-324)
+    e_w = math.frexp(w)[1]
+    for m in range(math.frexp(bottom)[1] - e_w,
+                   math.frexp(max(abs(a), abs(b)))[1] - e_w + 1):
+        for s in (-math.ldexp(w, m), math.ldexp(w, m)):
             if a < s < b:
                 edges.add(s)
-        m += 1
     edges.add(a)
     edges.add(b)
     return np.array(sorted(e for e in edges if a <= e <= b))

@@ -116,8 +116,8 @@ def test_default_experiment_coordinates_need_no_refinement(truth, block, n,
                          ids=lambda t: t.name)
 def test_wide_prior_scales_add_no_panels(tail):
     # the domain is set by the likelihood alone, so a wider prior adds no
-    # panels; measured: 191 at every log sigma for the heavy tails, and
-    # 212, 194, 193 and 191 for the Gaussian one, whose conjugate edges
+    # panels; measured: 84 at every log sigma for the heavy tails, and
+    # 105, 87, 86 and 84 for the Gaussian one, whose conjugate edges
     # add panels while its posterior sits inside the domain
     def panels(log_sigma):
         post = UnivariatePosterior(1.0, 1e3, log_sigma, tail)
@@ -167,3 +167,52 @@ def test_mean_shrinks_toward_zero_near_the_pole(tail, log10_n, log10_x,
     slack = tol * max(abs(mean), math.sqrt(var), 1e-9)
     assert -slack <= mean <= x + slack
     assert var > 0.0
+
+
+# -- the panel ladder: octaves w 2^m from 2^-30 min(sigma, w) outward --------
+
+
+@pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
+                         ids=lambda t: t.name)
+@pytest.mark.parametrize("log_sigma", [-700.0, -300.0, -69.0, -20.0, 0.0,
+                                       30.0])
+def test_panel_ladder_has_no_gap_below_the_window(tail, log_sigma):
+    # every octave from 2^-30 min(sigma, w) up to w has an edge, so no
+    # panel spans the prior's scale kink or the horseshoe pole's decades;
+    # a ladder of fixed length below w alone left one panel spanning a
+    # factor of about 6e5 at log sigma = -69, n = 1
+    for n in (1e-2, 1.0, 1e3, 1e8):
+        w = 12.0 / math.sqrt(n)
+        bottom = max(min(math.exp(min(log_sigma, 700.0)), w) * 2.0**-30,
+                     5e-324)
+        for x in (0.0, 1.0):
+            edges = quadrature._panel_edges(
+                UnivariatePosterior(x, n, log_sigma, tail))
+            # the Gaussian tail's conjugate edges can add some below it
+            below = edges[(edges >= bottom) & (edges <= w)]
+            assert below[0] <= 2.0 * bottom, (n, x)
+            assert below[-1] == w, (n, x)
+            # subnormal rungs round to a multiple of 5e-324, so one can
+            # sit a step past twice the rung before it
+            assert (below[1:] <= 2.0 * below[:-1] + 5e-324).all(), (n, x)
+
+
+@pytest.mark.parametrize("tail,x,n,log_sigma", [
+    (CAUCHY, 12.0, 1.0, -69.0),
+    (HORSESHOE, 10.0, 1.0, -69.0),
+    (STUDENT3, 2.0, 100.0, -75.0),
+], ids=["cauchy", "horseshoe", "student-3"])
+def test_tiny_prior_scale_matches_brute_force_oracle(oracle, tail, x, n,
+                                                     log_sigma):
+    # sigma far below w 2^-84, where fixed halvings of w left one panel
+    # over every decade between sigma and w 2^-84 and missed the prior's
+    # mass there: the Cauchy and horseshoe cases raised ConvergenceError,
+    # and the Student-3 one returned variance 4.76e-12 against 2.90e-12.
+    # Measured with the ladder: mean within 3.6e-8 and variance within
+    # 4.0e-8 relative.  The oracle's own breakpoints leave a gap below
+    # log sigma ~ -90, so the cases stay above it.
+    mean, var, _ = quadrature_mean_var(
+        UnivariatePosterior(x, n, log_sigma, tail), tol=1e-8)
+    ref_mean, ref_var = oracle(x, n, math.exp(log_sigma), tail)
+    assert abs(mean - ref_mean) <= 1e-6 * max(abs(ref_mean), 1e-3)
+    assert var == pytest.approx(ref_var, rel=1e-6)
