@@ -54,13 +54,12 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
 
     draws has shape (coordinate, draw); measures concentration of the
     whole posterior around the truth rather than point-estimate accuracy.
-    Returns {p': error}.  The draws are handled in blocks whose
-    differences and grid values hold at most `wavelets._BLOCK_VALUES`
-    values each (128 draws at K = m = 2048), so scratch memory does not
-    grow with the draw count: each block's differences are synthesized to
-    the grid once and reused for every non-Parseval norm, and each p'
-    collects one norm per draw, whose mean is the error.  The values equal
-    the whole-stack expression's bit for bit.
+    Returns {p': error}.  The draws go in `wavelets.row_blocks` of the
+    wider of K and m, so scratch memory does not grow with the draw count:
+    each block's differences are synthesized to the grid once and reused
+    for every non-Parseval norm, and each p' collects one norm per draw,
+    whose mean is the error.  The values equal the whole-stack
+    expression's bit for bit.
     """
     draws = np.asarray(draws, dtype=float)
     truth_coeffs = np.asarray(truth_coeffs, dtype=float)
@@ -76,9 +75,8 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
     # a block of one draw would be both C- and F-contiguous, and its norm
     # would be summed in another order, so blocks hold at least two draws
     # and a last single draw joins the block before it
-    step = max(2, wavelets._BLOCK_VALUES // max(K, m))
-    starts = list(range(0, max(count - 1, 1), step)) + [count]
-    most = max(hi - lo for lo, hi in zip(starts[:-1], starts[1:]))
+    blocks = wavelets.row_blocks(count, max(K, m), least=2, last=2)
+    most = max((b.stop - b.start for b in blocks), default=0)
     grid_norms = {p: out for p, out in norms.items() if p != 2}
     # made once and reused by every block: `work` holds a block's
     # differences and then their powers, `grid` its grid values.  Blocks
@@ -86,20 +84,20 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
     # fault them in again, about 180,000 times in an `inhomogeneous` run.
     work = np.empty(most * max(K, m))
     grid = np.empty(most * m) if grid_norms else None
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        n = hi - lo
+    for block in blocks:
+        n = block.stop - block.start
         if 2 in norms:
             # (draw, coordinate), laid out like the whole-stack transpose,
             # and squared in place: the sum np.linalg.norm takes
-            sq = np.subtract(draws[:, lo:hi], truth_coeffs[:, None],
+            sq = np.subtract(draws[:, block], truth_coeffs[:, None],
                              out=work[:n * K].reshape(K, n)).T
             np.multiply(sq, sq, out=sq)
-            norms[2][lo:hi] = np.sqrt(np.add.reduce(sq, axis=1)) / scale
+            norms[2][block] = np.sqrt(np.add.reduce(sq, axis=1)) / scale
         if not grid_norms:
             continue
         # C-ordered differences and grid values: a wavelet synthesis reads
         # its rows in place, and each row is reduced along a contiguous axis
-        diff = np.subtract(draws[:, lo:hi].T, truth_coeffs[None, :],
+        diff = np.subtract(draws[:, block].T, truth_coeffs[None, :],
                            out=work[:n * K].reshape(n, K))
         values = basis_mod.synthesize(diff, basis, m,
                                       out=grid[:n * m].reshape(n, m))
@@ -107,10 +105,10 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
         powers = work[:n * m].reshape(n, m)
         for p_prime, out in grid_norms.items():
             if math.isinf(p_prime):
-                out[lo:hi] = np.max(values, axis=1)
+                out[block] = np.max(values, axis=1)
             else:
                 np.power(values, p_prime, out=powers)
-                out[lo:hi] = np.mean(powers, axis=1) ** (1.0 / p_prime)
+                out[block] = np.mean(powers, axis=1) ** (1.0 / p_prime)
     return {p_prime: float(out.mean()) for p_prime, out in norms.items()}
 
 

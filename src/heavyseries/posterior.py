@@ -20,8 +20,7 @@ from . import wavelets
 from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
 from .model import index_rows
 from .priors import coordinate_index, hierarchical_log_scale
-from .quadrature import (UnivariatePosterior, _quadrature_diagnostics,
-                         quadrature_mean_var)
+from .quadrature import UnivariatePosterior, quadrature_mean_var
 
 
 # --------------------------------------------------------------------------
@@ -61,10 +60,10 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
     (stream, step) tables: one noise table holding the normal increment,
     or the Cauchy tangent on steps that propose from the Cauchy component
     (a step never uses both), one of log(u_acc), and one byte table of
-    each step's proposal kind.  A refill spans `wavelets._BLOCK_VALUES`
-    values per chain in steps (at least one, at most the run), so no
-    table exceeds that budget, and streams shared by several chains
-    shrink the tables.  A stream's normals and its acceptance, mixture and
+    each step's proposal kind.  A refill is one of the `wavelets.row_blocks`
+    of the run's steps, a step holding one value per chain, so no table
+    exceeds that budget, and streams shared by several chains shrink the
+    tables.  A stream's normals and its acceptance, mixture and
     jump uniforms are four runs of its generator, one after another; each
     run keeps a generator head (the uniform runs' heads are found by one
     pass over the stream's normals and an exact skip over the uniform
@@ -100,7 +99,8 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
     stream_of = np.array([position.setdefault(int(idx), len(position))
                           for idx in indices], dtype=np.intp)
     m = len(position)
-    width = min(max(1, wavelets._BLOCK_VALUES // k), total)
+    refills = wavelets.row_blocks(total, k)
+    width = refills[0].stop
     start = np.empty(m)
     noise = np.empty((m, width))
     log_u_acc = np.empty((m, width))
@@ -190,7 +190,7 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
     # batch; batches never straddle the end of burn-in, nor a refill
     edges = sorted({*range(0, burn_in, _ADAPT_EVERY),
                     *range(burn_in, total, _ADAPT_EVERY),
-                    *range(0, total, width), total})
+                    *(r.start for r in refills), total})
     with np.errstate(invalid="ignore"):
         for t0, t1 in zip(edges[:-1], edges[1:]):
             if t0 % width == 0:
@@ -346,8 +346,12 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
             quantiles[q][i] = qs[q]
         levels.append(record["level"])
         achieved.append(record["achieved"])
-    diagnostics = {"method": method}
-    diagnostics.update(_quadrature_diagnostics(levels, achieved))
+    diagnostics = {
+        "method": method,
+        "quadrature_levels": {level: levels.count(level)
+                              for level in sorted(set(levels))},
+        "quadrature_max_achieved": max(achieved, default=0.0),
+    }
     return PosteriorSummary(means=means, variances=variances,
                             quantiles=quantiles, method=method,
                             diagnostics=diagnostics)
@@ -356,20 +360,18 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
 def _draw_moments(draw_mat):
     """Per-row means, variances and `_QLEVELS` quantiles of draws.
 
-    Rows are taken in blocks of at most `wavelets._BLOCK_VALUES` values
-    (at least one row), so the copies that `var` and `np.quantile` make
-    do not grow with the stack.  Each row is reduced on its own, so the
-    results equal the whole-stack calls' bit for bit.
+    Rows are taken in `wavelets.row_blocks`, so the copies that `var` and
+    `np.quantile` make do not grow with the stack.  Each row is reduced on
+    its own, so the results equal the whole-stack calls' bit for bit.
     """
     rows, count = draw_mat.shape
     means, variances = np.empty(rows), np.empty(rows)
     qs = np.empty((len(_QLEVELS), rows))
-    step = max(1, wavelets._BLOCK_VALUES // count)
-    for lo in range(0, rows, step):
-        block = draw_mat[lo:lo + step]
-        means[lo:lo + step] = block.mean(axis=1)
-        variances[lo:lo + step] = block.var(axis=1)
-        qs[:, lo:lo + step] = np.quantile(block, _QLEVELS, axis=1)
+    for block in wavelets.row_blocks(rows, count):
+        part = draw_mat[block]
+        means[block] = part.mean(axis=1)
+        variances[block] = part.var(axis=1)
+        qs[:, block] = np.quantile(part, _QLEVELS, axis=1)
     return means, variances, dict(zip(_QLEVELS, qs))
 
 
@@ -520,10 +522,9 @@ def credible_band(summary, basis, m=256, level=0.95):
     the posterior mean curve, on an m-point grid (a wavelet frame's own).
 
     `summary` needs only `means` (the centre's coefficients) and `draws`.
-    The draws are synthesized once, in slices of
-    `wavelets._BLOCK_VALUES // m` draws at fixed offsets; the draws past
-    the last full slice join it, so that it holds at least
-    `basis.last_slice_floor` draws (or all of them).  A pool keeps the
+    The draws are synthesized once, in `wavelets.row_blocks` at fixed
+    offsets, the last holding at least `basis.last_slice_floor` draws (512
+    for a cosine/sine product) or all of them.  A pool keeps the
     count - keep curves farthest from the centre seen so far; a curve it
     pushes out is certain to be kept, and goes into the running min/max
     envelope.  At the end the pool holds exactly the excluded draws, and
@@ -546,11 +547,9 @@ def credible_band(summary, basis, m=256, level=0.95):
     lower = np.full(m, np.inf)
     upper = np.full(m, -np.inf)
     pool, pool_dist = np.empty((0, m)), np.empty(0)
-    step = max(1, wavelets._BLOCK_VALUES // m)
-    tail = basis_mod.last_slice_floor(basis)
-    starts = list(range(0, max(count - tail, 0) + 1, step)) + [count]
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        curves = basis_mod.synthesize(draws[:, lo:hi].T, basis, m)
+    for block in wavelets.row_blocks(count, m,
+                                     last=basis_mod.last_slice_floor(basis)):
+        curves = basis_mod.synthesize(draws[:, block].T, basis, m)
         held = len(pool_dist)
         dist = np.concatenate(
             (pool_dist, np.mean((curves - center[None, :]) ** 2, axis=1)))

@@ -168,7 +168,10 @@ def _kronrod_pass(post, edges):
         second, g_second = (_RULES @ (w * sq)).sum(axis=1)
         var = float(second / mass)
         # the G7 variance about its own mean, from moments about the K15 one
-        g_var = float(g_second / g_mass) - (g_mean - mean) ** 2
+        # a float64 power overflows to inf, not OverflowError, and gives
+        # the bits of a float's power, which np.square's product may not
+        g_var = (float(g_second / g_mass)
+                 - float(np.float64(g_mean - mean) ** 2))
     if not (math.isfinite(mean) and math.isfinite(var)):
         raise ConvergenceError("posterior moments not representable",
                                achieved=None)
@@ -265,12 +268,3 @@ def conjugate_mean_var(x, n, sigma):
     """Gaussian-tail closed form: posterior N(x nσ²/(1+nσ²), σ²/(1+nσ²))."""
     shrink = n * sigma * sigma / (1.0 + n * sigma * sigma)
     return x * shrink, sigma * sigma / (1.0 + n * sigma * sigma)
-
-
-def _quadrature_diagnostics(levels, achieved):
-    """Refinement level counts and the largest achieved error."""
-    return {
-        "quadrature_levels": {level: levels.count(level)
-                              for level in sorted(set(levels))},
-        "quadrature_max_achieved": max(achieved, default=0.0),
-    }

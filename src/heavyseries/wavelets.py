@@ -19,14 +19,13 @@ Each tap is then two contiguous slice-and-add operations, and interleaving
 the columns back into samples is a free reshape.  The taps are applied in
 ascending order, so every output element is summed in a fixed order.
 
-Stacks of signals along the last axis are transformed through all levels
-in blocks of at most _BLOCK_VALUES values (at least one row), which bounds
-the temporaries to one block; each block's last level writes straight into
-the result.  analyze and synthesize return a fresh C-ordered array whatever
-the order of their input, so reductions along the last axis of the result
-sum in the same order for C- and F-ordered stacks; synthesize can write
-into a caller's C-ordered array instead, which a caller that synthesizes
-block after block reuses.
+Stacks of signals along the last axis go through all levels in the blocks
+of `row_blocks`, which bounds the temporaries to one block; each block's
+last level writes straight into the result.  analyze and synthesize return
+a fresh C-ordered array whatever the order of their input, so reductions
+along the last axis of the result sum in the same order for C- and
+F-ordered stacks; synthesize can write into a caller's C-ordered array
+instead, which a caller that synthesizes block after block reuses.
 """
 
 from dataclasses import dataclass, field
@@ -35,12 +34,25 @@ import numpy as np
 
 from .errors import InvalidParameterError, ShapeError
 
-# Most values one block of a draw, curve or signal stack holds (2 MiB of
-# float64): the one scratch budget of every loop over a stack, here and in
-# `metrics` and `posterior`.  At 2048 samples a wavelet block is 128 rows,
-# enough to amortize per-tap numpy overhead, while a stack of draws needs
-# no full-size temporaries.
+# Most values one block of `row_blocks` holds (2 MiB of float64).  At 2048
+# samples a wavelet block is 128 rows, enough to amortize per-tap numpy
+# overhead, while a stack of draws needs no full-size temporaries.
 _BLOCK_VALUES = 1 << 18
+
+
+def row_blocks(count, width, least=1, last=1):
+    """Slices cutting `count` rows of `width` values into blocks: the one
+    scratch budget of every loop over a draw, curve or signal stack.
+
+    Full blocks hold max(least, _BLOCK_VALUES // width) rows, from row 0
+    on; while the rows past the last full block number fewer than `last`,
+    they join the block before them.  The slices tile range(count) in
+    order; every block but the last has the full size.
+    """
+    step = max(least, _BLOCK_VALUES // width)
+    edges = [*range(0, max(count - last, 0) + 1, step), count] if count else []
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
 
 # Low-pass filters, unit L2 norm, sum sqrt(2).  "daubechies-N" is the
 # N-tap extremal-phase filter; "symmlet-8" the 16-tap least-asymmetric
@@ -230,8 +242,7 @@ def _check_last_axis(values, frame, what):
 
 
 def _by_row_blocks(transform, values, frame, what, out=None):
-    """Apply transform(rows, frame, out_rows) to blocks of at most
-    _BLOCK_VALUES values (at least one row).
+    """Apply transform(rows, frame, out_rows) to each block of rows.
 
     values is a single signal or a stack along the last axis; the result is
     `out`, or a fresh C-ordered array of the same shape when out is None,
@@ -247,9 +258,7 @@ def _by_row_blocks(transform, values, frame, what, out=None):
                          "shape, apart from the input")
     rows = values.reshape(-1, frame.signal_length)
     out_rows = out.reshape(rows.shape)
-    step = max(1, _BLOCK_VALUES // frame.signal_length)
-    for start in range(0, len(rows), step):
-        block = slice(start, start + step)
+    for block in row_blocks(len(rows), frame.signal_length):
         transform(np.ascontiguousarray(rows[block]), frame, out_rows[block])
     return out
 

@@ -208,6 +208,80 @@ def test_blas_threads_stay_with_basis():
     assert users == ["basis.py"]
 
 
+def test_block_budget_stays_with_wavelets():
+    # every loop over a stack takes its blocks from `wavelets.row_blocks`;
+    # no other module names the budget they share, in code or in prose
+    users = [p.name for p in _ALL_MODULES
+             if re.search(r"\b_BLOCK_VALUES\b", p.read_text())]
+    assert users == ["wavelets.py"]
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _foreign_private_names(source, own):
+    """(module, name) of each underscore name of another package module
+    that a module imports or reads as an attribute of that module."""
+    tree = ast.parse(source)
+    modules = {}  # local name -> package module
+    package = set()  # local names of the package itself
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.partition(".")[0] != "heavyseries":
+                    continue
+                module = module.partition(".")[2]
+            module = module.partition(".")[0]
+            for alias in node.names:
+                if not module:  # `from . import a as b`
+                    modules[alias.asname or alias.name] = alias.name
+                elif _private(alias.name):
+                    found.add((module, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head != "heavyseries" or not rest:
+                    continue
+                if alias.asname:
+                    modules[alias.asname] = rest.partition(".")[0]
+                else:  # `import heavyseries.a` binds `heavyseries`
+                    package.add(head)
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in modules:
+            found.add((modules[owner.id], node.attr))
+        elif (isinstance(owner, ast.Attribute)
+              and isinstance(owner.value, ast.Name)
+              and owner.value.id in package):
+            found.add((owner.attr, node.attr))
+    return {(module, name) for module, name in found if module != own}
+
+
+def test_private_name_check_finds_every_form():
+    source = ("import numpy as np\nfrom . import basis as b, rng\n"
+              "from .quadrature import f, _g\n"
+              "from heavyseries.priors.x import _h\n"
+              "import heavyseries.model as hm\nimport heavyseries.spaces\n"
+              "from heavyseries import signals\nfrom .wavelets import _own\n"
+              "x = b._i + rng._j + b.k + hm._l + signals._m + wavelets._own\n"
+              "y = heavyseries.spaces._n + np._o + rng.__name__ + _p + q._r\n")
+    assert _foreign_private_names(source, "wavelets") == {
+        ("quadrature", "_g"), ("priors", "_h"), ("basis", "_i"),
+        ("rng", "_j"), ("model", "_l"), ("signals", "_m"), ("spaces", "_n")}
+
+
+def test_private_names_stay_in_their_modules():
+    # a module that needs another's helper calls it by a public name
+    found = {p.name: _foreign_private_names(p.read_text(), p.stem)
+             for p in _ALL_MODULES}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
 def _scipy_imports(source):
     """(line, statement) of each scipy import, as `from m import a, b` or
     `import m`."""

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heavyseries import (basis, model, posterior, quadrature, rng, signals,
                          wavelets)
@@ -133,6 +133,10 @@ _TAIL_STRATEGY = st.sampled_from([CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN])
 @settings(max_examples=150, deadline=None)
 @given(_TAIL_STRATEGY, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0),
        st.floats(-5.0, 300.0), st.floats(-700.0, 700.0))
+# x = 3.83e171 and n = 5.70e127: the G7 mean's squared distance from the
+# K15 mean overflows, which once raised OverflowError for this tail only
+@example(GAUSSIAN, 1.0, 171.582955419379, 127.7562007304052,
+         -55.84855640635999)
 def test_extreme_inputs_give_moments_or_convergence_error(
         tail, sign, log10_x, log10_n, log_sigma):
     # |x| from 1e-300 to 1e300, n from 1e-5 to 1e300, sigma from e^-700 to

@@ -171,6 +171,70 @@ def test_synthesize_into_out(monkeypatch):
             wavelets.synthesize(coeffs, frame, bad)
 
 
+# The block rules the stack loops wrote out for themselves before they took
+# their slices from `row_blocks`, as (lo, hi) per block: the oracle below.
+def _transform_blocks(count, width):  # _by_row_blocks, _draw_moments
+    step = max(1, wavelets._BLOCK_VALUES // width)
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _band_blocks(count, width, tail):  # posterior.credible_band
+    step = max(1, wavelets._BLOCK_VALUES // width)
+    starts = list(range(0, max(count - tail, 0) + 1, step)) + [count]
+    return list(zip(starts[:-1], starts[1:]))
+
+
+def _contraction_blocks(count, width):  # metrics.contraction_errors
+    step = max(2, wavelets._BLOCK_VALUES // width)
+    starts = list(range(0, max(count - 1, 1), step)) + [count]
+    return list(zip(starts[:-1], starts[1:]))
+
+
+def _refill_blocks(count, width):  # posterior._metropolis_block
+    table = min(max(1, wavelets._BLOCK_VALUES // width), count)
+    return [(lo, min(lo + table, count)) for lo in range(0, count, table)]
+
+
+# (oracle, least, last): each loop's arguments to `row_blocks`; 512 is a
+# cosine band's `basis.last_slice_floor`
+_BLOCK_RULES = [
+    (_transform_blocks, 1, 1),
+    (lambda c, w: _band_blocks(c, w, 1), 1, 1),
+    (lambda c, w: _band_blocks(c, w, 5), 1, 5),
+    (lambda c, w: _band_blocks(c, w, 512), 1, 512),
+    (_contraction_blocks, 2, 2),
+    (_refill_blocks, 1, 1),
+]
+
+
+@pytest.mark.parametrize("rule", range(len(_BLOCK_RULES)))
+@pytest.mark.parametrize("rows", [1, 2, 3, 64, 256, 700])
+@pytest.mark.parametrize("width", [1, 7, 256])
+def test_row_blocks_match_each_loops_rule(rule, rows, width, monkeypatch):
+    # a budget of `rows` full rows plus a part row, so the floor division
+    # shows; steps from 1 (below `least` = 2) to past `last` = 512
+    monkeypatch.setattr(wavelets, "_BLOCK_VALUES", rows * width + width // 2)
+    oracle, least, last = _BLOCK_RULES[rule]
+    step = max(least, rows)
+    counts = {1, least, step - 1, step, step + 1, step + last - 1,
+              step + last, 2 * step + last + 37}
+    for count in sorted(c for c in counts if c >= 1):
+        blocks = wavelets.row_blocks(count, width, least, last)
+        assert [(b.start, b.stop) for b in blocks] == oracle(count, width), \
+            count
+        # the slices tile range(count) in order, and every block but the
+        # last holds the full step
+        assert [i for b in blocks for i in range(count)[b]] == \
+            list(range(count))
+        assert all(b.stop - b.start == step for b in blocks[:-1]), count
+        assert blocks[-1].stop - blocks[-1].start >= min(last, count)
+
+
+def test_row_blocks_of_no_rows():
+    assert wavelets.row_blocks(0, 64) == []
+    assert wavelets.row_blocks(0, 64, least=2, last=512) == []
+
+
 def test_flat_index_bijection():
     frame = wavelets.WaveletFrame("haar", 64, 3)
     seen = set()
