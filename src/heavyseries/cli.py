@@ -60,17 +60,6 @@ def _data_config(args):
     return cfg
 
 
-def _write(path, text):
-    if path in (None, "-"):
-        sys.stdout.write(text)
-        return
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 _FRAME_KEYS = ("filter_name", "signal_length", "coarse_level")
 _EMITS = ("coefficients", "samples", "both")
 
@@ -120,7 +109,7 @@ def _simulated_data(args):
 
 def _cmd_simulate(args):
     _, data = _simulated_data(args)
-    _write(args.out, model.data_to_csv(data))
+    model.write_text(args.out, model.data_to_csv(data))
     return EXIT_OK
 
 
@@ -136,7 +125,7 @@ def _cmd_fit(args):
         tol=float(cfg.get("quadrature_tol", 1e-6)))
     text = posterior.summary_to_csv(summary, data.double_indexed)
     text += "# " + posterior.diagnostics_text(summary).replace("\n", "\n# ").rstrip("# ")
-    _write(args.out, text)
+    model.write_text(args.out, text)
     return EXIT_OK
 
 
@@ -151,15 +140,14 @@ def _cmd_rates(args):
                 "a 'rates' list and none of them")
         combos = [{"s": args.s, "p": args.p, "p_prime": args.p_prime,
                    "q": math.inf if args.q is None else args.q}]
-    lines = ["s,p,q,p_prime,eta,s_eff,r,zone"]
-    for c in combos:
-        spec = spaces.resolve_rate(float(c["s"]), float(c["p"]),
-                                   float(c["p_prime"]),
-                                   q=float(c.get("q", math.inf)))
-        lines.append(f"{spec.s!r},{spec.p!r},{spec.q!r},{spec.p_prime!r},"
-                     f"{spec.eta!r},{spec.s_eff!r},{spec.exponent!r},"
-                     f"{spec.zone}")
-    _write(args.out, "\n".join(lines) + "\n")
+    specs = [spaces.resolve_rate(float(c["s"]), float(c["p"]),
+                                 float(c["p_prime"]),
+                                 q=float(c.get("q", math.inf)))
+             for c in combos]
+    model.write_text(args.out, model.csv_text(
+        ("s", "p", "q", "p_prime", "eta", "s_eff", "r", "zone"),
+        ((spec.s, spec.p, spec.q, spec.p_prime, spec.eta, spec.s_eff,
+          spec.exponent, spec.zone) for spec in specs)))
     return EXIT_OK
 
 
@@ -175,16 +163,15 @@ def _cmd_signals(args):
     if what in ("coefficients", "both"):
         out.append(model.coefficients_to_csv(
             truth.coefficients, truth.basis.double_indexed,
-            header=f"truth={name} kind=coefficients"))
+            meta={"truth": name, "kind": "coefficients"}))
     if what in ("samples", "both"):
         m = int(cfg.get("grid_points",
                         basis.grid_size(truth.basis, metrics.DEFAULT_GRID)))
         values = basis.synthesize(truth.coefficients, truth.basis, m)
-        rows = [f"# truth={name} kind=samples", "t,value"]
-        for t, v in zip(basis.grid(truth.basis, m), values):
-            rows.append(f"{float(t)!r},{float(v)!r}")
-        out.append("\n".join(rows) + "\n")
-    _write(args.out, "".join(out))
+        out.append(model.csv_text(("t", "value"),
+                                  zip(basis.grid(truth.basis, m), values),
+                                  meta={"truth": name, "kind": "samples"}))
+    model.write_text(args.out, "".join(out))
     return EXIT_OK
 
 
@@ -211,13 +198,14 @@ def _cmd_report(args):
     if not os.path.isfile(os.path.join(out_dir, "errors.csv")):
         raise InvalidParameterError(
             f"{out_dir!r} holds no finished experiment (no errors.csv)")
-    out = ["prior,truth,p_prime,error_type,slope"]
+    rows = []
     path = os.path.join(out_dir, "slopes.csv")
     if os.path.exists(path):
         with open(path) as fh:
-            out += [",".join(line.split(",")[1:6])
+            rows = [line.split(",")[1:6]
                     for line in fh.read().splitlines()[1:]]
-    _write(None, "\n".join(out) + "\n")
+    model.write_text(None, model.csv_text(
+        ("prior", "truth", "p_prime", "error_type", "slope"), rows))
     return EXIT_OK
 
 

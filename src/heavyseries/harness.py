@@ -199,11 +199,13 @@ def _groups(config):
     if config.include_bands and len(set(ns)) < len(ns):
         raise InvalidParameterError("bands are written per (prior, n): "
                                     "truths with bands need distinct n")
-    # unknown presets, and presets an n cannot build, fail here rather
-    # than in a work unit
+    # unknown presets, presets an n cannot build and then an infinite n,
+    # at which no fit converges, fail here rather than in a work unit
     for name in config.priors:
         for n in ns:
             make_prior(name, n=n)
+    if math.inf in ns:
+        raise InvalidParameterError("n values must be finite")
     return groups
 
 
@@ -364,36 +366,32 @@ def run_experiment(config):
 
 
 def errors_csv(records):
-    lines = ["experiment,prior,truth,n,p_prime,error_type,mean,se,replications"]
-    for r in records:
-        lines.append(f"{r.experiment},{r.prior},{r.truth},{r.n!r},"
-                     f"{_p_label(r.p_prime)},{r.error_type},{r.mean!r},"
-                     f"{r.se!r},{r.replications}")
-    return "\n".join(lines) + "\n"
+    return model.csv_text(
+        ("experiment", "prior", "truth", "n", "p_prime", "error_type",
+         "mean", "se", "replications"),
+        ((r.experiment, r.prior, r.truth, r.n, _p_label(r.p_prime),
+          r.error_type, r.mean, r.se, r.replications) for r in records))
 
 
 def slopes_csv(slopes, experiment):
-    lines = ["experiment,prior,truth,p_prime,error_type,slope,intercept"]
-    for name, truth, p, etype, slope, intercept in slopes:
-        lines.append(f"{experiment},{name},{truth},{_p_label(p)},{etype},"
-                     f"{slope!r},{intercept!r}")
-    return "\n".join(lines) + "\n"
+    return model.csv_text(
+        ("experiment", "prior", "truth", "p_prime", "error_type", "slope",
+         "intercept"),
+        ((experiment, name, truth, _p_label(p), etype, slope, intercept)
+         for name, truth, p, etype, slope, intercept in slopes))
 
 
 def band_csv(band, prior, n):
-    lines = [f"# prior={prior} n={n!r} width={posterior.band_width(band)!r}",
-             "t,center,lower,upper"]
-    for t, c, lo, hi in zip(band["grid"], band["center"], band["lower"],
-                            band["upper"]):
-        lines.append(f"{float(t)!r},{float(c)!r},{float(lo)!r},{float(hi)!r}")
-    return "\n".join(lines) + "\n"
+    return model.csv_text(
+        ("t", "center", "lower", "upper"),
+        zip(band["grid"], band["center"], band["lower"], band["upper"]),
+        meta={"prior": prior, "n": n, "width": posterior.band_width(band)})
 
 
 def band_widths_csv(rows, experiment):
-    lines = ["experiment,prior,n,width_mean,width_se,replications"]
-    for name, n, wm, wse, reps in rows:
-        lines.append(f"{experiment},{name},{n!r},{wm!r},{wse!r},{reps}")
-    return "\n".join(lines) + "\n"
+    return model.csv_text(
+        ("experiment", "prior", "n", "width_mean", "width_se", "replications"),
+        ((experiment, *row) for row in rows))
 
 
 def _error_plot(result):
@@ -424,26 +422,20 @@ def _band_plot(result, prior, n):
 
 def write_outputs(result):
     config = result.config
-    out = config.out_dir
-    os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "errors.csv"), "w") as fh:
-        fh.write(errors_csv(result.records))
-    slopes_path = os.path.join(out, "slopes.csv")
+    files = {"errors.csv": errors_csv(result.records)}
     if result.slopes:
-        with open(slopes_path, "w") as fh:
-            fh.write(slopes_csv(result.slopes, config.experiment))
-    elif os.path.exists(slopes_path):
-        os.remove(slopes_path)  # an earlier run's slopes are not this run's
+        files["slopes.csv"] = slopes_csv(result.slopes, config.experiment)
     if result.band_widths:
-        with open(os.path.join(out, "band_widths.csv"), "w") as fh:
-            fh.write(band_widths_csv(result.band_widths, config.experiment))
+        files["band_widths.csv"] = band_widths_csv(result.band_widths,
+                                                   config.experiment)
     for (prior, n), band in result.bands.items():
         stem = f"bands_{prior}_{n:g}"
-        with open(os.path.join(out, stem + ".csv"), "w") as fh:
-            fh.write(band_csv(band, prior, n))
-        with open(os.path.join(out, f"plot_{stem}.svg"), "w") as fh:
-            fh.write(_band_plot(result, prior, n))
+        files[stem + ".csv"] = band_csv(band, prior, n)
+        files[f"plot_{stem}.svg"] = _band_plot(result, prior, n)
     if any(len(pts) >= 2 for pts in result.series.values()):
-        with open(os.path.join(out, f"plot_{config.experiment}_errors.svg"),
-                  "w") as fh:
-            fh.write(_error_plot(result))
+        files[f"plot_{config.experiment}_errors.svg"] = _error_plot(result)
+    for name, text in files.items():
+        model.write_text(os.path.join(config.out_dir, name), text)
+    slopes_path = os.path.join(config.out_dir, "slopes.csv")
+    if not result.slopes and os.path.exists(slopes_path):
+        os.remove(slopes_path)  # an earlier run's slopes are not this run's

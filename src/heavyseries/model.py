@@ -7,7 +7,8 @@ Noise is drawn coordinate-by-coordinate from counter-based streams, so a
 simulated data set is a pure function of (truth, n, K, seed).
 """
 
-import io
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,9 +89,37 @@ def simulate(truth, noise_precision, truncation, seed):
     )
 
 
-# --- CSV serialization ----------------------------------------------------
-# Columns index_j,index_k,value; single-index rows use j = -2 as sentinel
-# and k = 1..K.  The header comment row records n, K, seed and basis kind.
+# --- CSV text and the files it goes to ------------------------------------
+# `csv_text` builds every CSV the package writes, `write_text` writes every
+# file; coefficient rows are index_j,index_k,value, j = -2 if single-index.
+
+
+def _cell(value):
+    return (repr(float(value)) if isinstance(value, (float, np.floating))
+            else str(value))
+
+
+def csv_text(columns, rows, meta=None):
+    """An optional `# key=value ...` line of meta, the header row of
+    columns and one line per row.  A float, numpy floats included, is the
+    repr of the Python float, so it reads back exactly; any other value
+    is its str."""
+    lines = ["# " + " ".join(f"{key}={_cell(value)}"
+                             for key, value in meta.items())] if meta else []
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def write_text(path, text):
+    """Write text to path, making its directory; None or "-" is stdout."""
+    if path in (None, "-"):
+        sys.stdout.write(text)
+        return
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
 
 _SENTINEL_SINGLE = -2
 
@@ -105,18 +134,14 @@ def index_rows(length, double_indexed):
 def data_to_csv(data):
     return coefficients_to_csv(
         data.observations, data.double_indexed,
-        header=f"n={data.noise_precision!r} K={data.truncation} "
-               f"seed={data.seed} basis={data.basis.kind}")
+        meta={"n": data.noise_precision, "K": data.truncation,
+              "seed": data.seed, "basis": data.basis.kind})
 
 
-def coefficients_to_csv(values, double_indexed, header=""):
-    buf = io.StringIO()
-    if header:
-        buf.write(f"# {header}\n")
-    buf.write("index_j,index_k,value\n")
-    for (j, k), v in zip(index_rows(len(values), double_indexed), values):
-        buf.write(f"{j},{k},{float(v)!r}\n")
-    return buf.getvalue()
+def coefficients_to_csv(values, double_indexed, meta=None):
+    rows = ((j, k, float(v)) for (j, k), v in
+            zip(index_rows(len(values), double_indexed), values))
+    return csv_text(("index_j", "index_k", "value"), rows, meta)
 
 
 def values_from_csv(text):

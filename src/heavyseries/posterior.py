@@ -7,7 +7,6 @@ whose priors share a tail in one call, for bands and contraction errors.
 Credible bands and the summaries' text forms live here too.
 """
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,7 +17,7 @@ from . import basis as basis_mod
 from . import rng
 from . import wavelets
 from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
-from .model import index_rows
+from .model import csv_text, index_rows
 from .priors import coordinate_index, hierarchical_log_scale
 from .quadrature import UnivariatePosterior, quadrature_mean_var
 
@@ -588,16 +587,11 @@ def band_width(band):
 
 
 def summary_to_csv(summary, double_indexed=False):
-    buf = io.StringIO()
-    buf.write("index_j,index_k,mean,var,q05,q50,q95\n")
-    rows = index_rows(len(summary.means), double_indexed)
-    for i, (j, k) in enumerate(rows):
-        buf.write(
-            f"{j},{k},{float(summary.means[i])!r},{float(summary.variances[i])!r},"
-            f"{float(summary.quantiles[0.05][i])!r},{float(summary.quantiles[0.5][i])!r},"
-            f"{float(summary.quantiles[0.95][i])!r}\n"
-        )
-    return buf.getvalue()
+    q = summary.quantiles
+    rows = zip(index_rows(len(summary.means), double_indexed), summary.means,
+               summary.variances, q[0.05], q[0.5], q[0.95])
+    return csv_text(("index_j", "index_k", "mean", "var", "q05", "q50", "q95"),
+                    ((*jk, *values) for jk, *values in rows))
 
 
 def diagnostics_text(summary):

@@ -16,7 +16,7 @@ from .errors import InvalidParameterError
 
 
 def soft_threshold(values, threshold):
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails too
         raise InvalidParameterError("threshold must be >= 0")
     values = np.asarray(values, dtype=float)
     return np.sign(values) * np.maximum(np.abs(values) - threshold, 0.0)
@@ -65,7 +65,7 @@ def hybrid_sureshrink(data_coeffs, frame, noise_precision):
     are returned unchanged.
     """
     x = np.asarray(data_coeffs, dtype=float)
-    if noise_precision <= 0:
+    if not noise_precision > 0:  # NaN fails too
         raise InvalidParameterError("noise precision must be > 0")
     root_n = math.sqrt(noise_precision)
     out = x.copy()

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -131,7 +132,7 @@ def test_signals_least_favorable_defaults_to_the_sparse_besov_frame(
     truth = signals.make_truth("least-favorable", block_index=1, seed=0)
     assert out == model.coefficients_to_csv(
         truth.coefficients, True,
-        header="truth=least-favorable kind=coefficients")
+        meta={"truth": "least-favorable", "kind": "coefficients"})
 
 
 def test_simulate_deterministic(capsys):
@@ -383,6 +384,7 @@ def test_experiment_rejects_removed_and_invalid_settings(tmp_path, capsys):
     (["--parallel", "-2"], {}, "parallel"),
     ([], {"quadrature_tol": 0}, "quadrature_tol"),
     ([], {"ns": [0, 1000]}, "n values"),
+    ([], {"ns": [1000, math.inf]}, "n values"),
 ])
 def test_experiment_rejects_invalid_sizes_before_running(tmp_path, capsys,
                                                          flags, settings,

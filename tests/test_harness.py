@@ -38,7 +38,7 @@ def test_make_prior_presets():
         make_prior("nope")
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(InvalidParameterError):
         ExperimentConfig("unknown-experiment")
     with pytest.raises(InvalidParameterError):
@@ -51,6 +51,15 @@ def test_config_validation():
         ExperimentConfig("sobolev", burn_in=-5)
     with pytest.raises(InvalidParameterError):
         config_from_dict({"experiment": "sobolev", "bogus_key": 1})
+    # an infinite n used to fail only in the work unit, with a
+    # ConvergenceError after simulation
+    out = tmp_path / "out"
+    with pytest.raises(InvalidParameterError, match="n values must be finite"):
+        run_experiment(ExperimentConfig(
+            "custom", truths=("sobolev-cos",), priors=("cauchy-ot",),
+            ns=(1e3, math.inf), replications=1, truncation=10,
+            out_dir=str(out)))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -268,6 +277,47 @@ def test_errors_csv_format():
     assert lines[0].startswith("experiment,prior,truth,n,p_prime")
     assert "cauchy-ot" in lines[1]
     assert "0.25" in lines[1]
+
+
+_TEXT_COLUMNS = {"experiment", "prior", "truth", "error_type"}
+
+
+def _number_cells(text):
+    """The cells of an output CSV that hold numbers: its meta values and
+    its row cells outside the text columns."""
+    lines = text.splitlines()
+    cells = []
+    if lines[0].startswith("# "):
+        meta = dict(item.split("=") for item in lines.pop(0)[2:].split())
+        cells += [v for key, v in meta.items() if key not in _TEXT_COLUMNS]
+    header = lines[0].split(",")
+    for line in lines[1:]:
+        cells += [v for key, v in zip(header, line.split(","))
+                  if key not in _TEXT_COLUMNS]
+    return cells
+
+
+def test_numpy_n_values_write_the_same_files(tmp_path):
+    # n values taken from a numpy array used to be written as
+    # `np.float64(100.0)` in errors.csv, band_widths.csv and band headers
+    outs = []
+    for i, ns in enumerate([tuple(np.array([1e2, 1e3])), (1e2, 1e3)]):
+        out = tmp_path / f"run{i}"
+        run_experiment(ExperimentConfig(
+            "custom", truths=("sobolev-cos",), priors=("cauchy-ot",), ns=ns,
+            replications=1, truncation=20, draws=50, burn_in=50,
+            include_bands=True, out_dir=str(out)))
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outs[0] == outs[1]
+    assert {"errors.csv", "slopes.csv", "band_widths.csv",
+            "bands_cauchy-ot_100.csv",
+            "bands_cauchy-ot_1000.csv"} <= set(outs[0])
+    for name, data in outs[0].items():
+        if name.endswith(".csv"):
+            cells = _number_cells(data.decode())
+            assert cells, name
+            for cell in cells:
+                float(cell)
 
 
 # -- one driver for every experiment -----------------------------------------

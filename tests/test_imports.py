@@ -216,6 +216,52 @@ def test_block_budget_stays_with_wavelets():
     assert users == ["wavelets.py"]
 
 
+def _file_writers(source):
+    """(line, callee) of each `StringIO` a module builds and each `open`
+    it calls with a mode that writes, appends or creates, or with a mode
+    that is not a string literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(
+            func, "attr", None)
+        if name == "StringIO":
+            found.append((node.lineno, name))
+        elif name == "open":
+            # open(path, mode), io.open and os.open take the mode second,
+            # a method such as Path.open first
+            slot = 1 if isinstance(func, ast.Name) or (
+                isinstance(func.value, ast.Name)
+                and func.value.id in ("io", "os")) else 0
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+            modes += node.args[slot:slot + 1]
+            if any(not (isinstance(m, ast.Constant)
+                        and isinstance(m.value, str)
+                        and set(m.value).isdisjoint("wax+"))
+                   for m in modes):
+                found.append((node.lineno, name))
+    return found
+
+
+def test_file_writer_check_finds_every_form():
+    source = ("open(p)\nopen(p, 'w')\nopen(p, 'rb')\nopen(p, mode='a')\n"
+              "open(p, m)\nio.open(p, 'x')\npathlib.Path(p).open('r+')\n"
+              "pathlib.Path(p).open()\nio.StringIO()\nStringIO('')\n"
+              "os.open(p, os.O_WRONLY)\nfh.open('r')\n")
+    assert _file_writers(source) == [
+        (2, "open"), (4, "open"), (5, "open"), (6, "open"), (7, "open"),
+        (9, "StringIO"), (10, "StringIO"), (11, "open")]
+
+
+def test_files_are_written_only_by_model():
+    # every CSV comes from `model.csv_text` and every file, stdout
+    # included, is written by `model.write_text`
+    users = [p.name for p in _ALL_MODULES if _file_writers(p.read_text())]
+    assert users == ["model.py"]
+
+
 def _private(name):
     return name.startswith("_") and not name.endswith("__")
 

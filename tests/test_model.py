@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,35 @@ def test_csv_round_trip_double_index():
 
 
 def test_coefficients_csv():
-    text = model.coefficients_to_csv(np.array([1.5, -2.0]), False, header="x=1")
+    text = model.coefficients_to_csv(np.array([1.5, -2.0]), False,
+                                     meta={"x": 1})
     values, double_indexed, meta = model.values_from_csv(text)
     assert np.array_equal(values, [1.5, -2.0])
     assert meta["x"] == "1"
+
+
+def test_csv_text_cell_rule():
+    # any float, numpy floats included, is the repr of the Python float;
+    # anything else is its str, in the meta line as in the rows
+    text = model.csv_text(
+        ("a", "b", "c", "d", "e", "f", "g"),
+        [(np.float64(0.1), math.inf, -0.0, 3, np.int64(4), "x",
+          np.float32(0.5)),
+         (1e-300, -math.inf, np.float64(-0.0), -2, np.int64(-7), "y z",
+          np.float64(1e300))],
+        meta={"n": np.float64(100.0), "K": np.int64(6), "basis": "cosine",
+              "w": math.inf})
+    assert text == ("# n=100.0 K=6 basis=cosine w=inf\n"
+                    "a,b,c,d,e,f,g\n"
+                    "0.1,inf,-0.0,3,4,x,0.5\n"
+                    "1e-300,-inf,-0.0,-2,-7,y z,1e+300\n")
+    assert model.csv_text(("t", "value"), [], meta={}) == "t,value\n"
+
+
+def test_write_text_makes_directories_and_writes_stdout(tmp_path, capsys):
+    path = tmp_path / "a" / "b" / "x.csv"
+    model.write_text(str(path), "t\n1.0\n")
+    assert path.read_text() == "t\n1.0\n"
+    model.write_text("-", "to stdout\n")
+    model.write_text(None, "again\n")
+    assert capsys.readouterr().out == "to stdout\nagain\n"

@@ -14,6 +14,9 @@ def test_soft_threshold_values():
     assert np.allclose(out, [-2.0, 0.0, 0.0, 0.0, 2.0])
     with pytest.raises(InvalidParameterError):
         thresholding.soft_threshold(x, -0.1)
+    # a NaN threshold used to pass `threshold < 0`: every value came back NaN
+    with pytest.raises(InvalidParameterError):
+        thresholding.soft_threshold(x, math.nan)
 
 
 @settings(max_examples=50, deadline=None)
@@ -98,3 +101,7 @@ def test_invalid_precision():
     frame = wavelets.WaveletFrame("haar", 64, 3)
     with pytest.raises(InvalidParameterError):
         thresholding.hybrid_sureshrink(np.zeros(64), frame, 0.0)
+    # a NaN precision used to pass `noise_precision <= 0` and turn every
+    # detail coefficient into NaN
+    with pytest.raises(InvalidParameterError):
+        thresholding.hybrid_sureshrink(np.ones(64), frame, math.nan)
