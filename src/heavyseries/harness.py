@@ -25,6 +25,8 @@ All outputs are flat CSV/SVG files and fully determined by the config and
 seed: reruns are byte-identical, serial or parallel.
 """
 
+import fnmatch
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -41,6 +43,8 @@ EXPERIMENTS = ("sobolev", "undersmoothing", "inhomogeneous", "sparse-besov",
 
 MEAN_ESTIMATE = "mean-estimate"
 CONTRACTION = "contraction"
+# the order of each (prior, truth, n, p') cell's rows in errors.csv
+ERROR_TYPES = (MEAN_ESTIMATE, CONTRACTION)
 
 _REP_SEED_STRIDE = 1_000_003
 
@@ -219,13 +223,13 @@ class _Draws(NamedTuple):
 def _cell(args):
     """One replication of one truth group, across the group's n values.
 
-    Returns ({(name, n): {p': error}}, {(prior, n): {p': contraction
-    error}}, {(prior, n): band}), where name is a prior or "sureshrink";
-    the last two are empty unless wanted.  Each n is simulated once.  A
-    prior's fits come from `fit_posterior`; bands and contraction errors
-    take their fits' draws where those carry any (the Gibbs baseline), and
-    otherwise one `metropolis_draws` call across all n, with the draws' row
-    means as the band centres.
+    Returns ({(name, n, error type, p'): error}, {(prior, n): band}), where
+    name is a prior or "sureshrink"; contraction errors and bands are left
+    out unless wanted.  Each n is simulated once.  A prior's fits come
+    from `fit_posterior`; bands and contraction errors take their fits'
+    draws where those carry any (the Gibbs baseline), and otherwise one
+    `metropolis_draws` call across all n, with the draws' row means as the
+    band centres.
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)
@@ -234,7 +238,13 @@ def _cell(args):
                                seed=config.seed)
     f0 = truth.coefficients
     datas = [model.simulate(truth, n, len(f0), seed=seed) for n in group.ns]
-    errors, contraction, bands = {}, {}, {}
+    errors, bands = {}, {}
+
+    def mean_errors(name, n, estimate):
+        for p in config.p_primes:
+            errors[(name, n, MEAN_ESTIMATE, p)] = metrics.lp_error(
+                estimate, f0, p, truth.basis)
+
     for name in config.priors:
         pairs = [(data, make_prior(name, n=n))
                  for n, data in zip(group.ns, datas)]
@@ -243,9 +253,7 @@ def _cell(args):
                                         tol=config.quadrature_tol)
                 for data, prior in pairs]
         for n, fit in zip(group.ns, fits):
-            errors[(name, n)] = {p: metrics.lp_error(fit.means, f0, p,
-                                                     truth.basis)
-                                 for p in config.p_primes}
+            mean_errors(name, n, fit.means)
         if config.include_bands or config.include_contraction:
             if fits[0].draws is None:
                 # a band reads only the draws and the centre, the draws'
@@ -259,18 +267,17 @@ def _cell(args):
                     bands[(name, n)] = posterior.credible_band(fit,
                                                                truth.basis)
                 if config.include_contraction:
-                    contraction[(name, n)] = metrics.contraction_errors(
-                        fit.draws, f0, config.p_primes, truth.basis)
+                    for p, e in metrics.contraction_errors(
+                            fit.draws, f0, config.p_primes,
+                            truth.basis).items():
+                        errors[(name, n, CONTRACTION, p)] = e
         # free this prior's draws before the next prior's fit
         del fits, fit
     if config.include_sureshrink:
         for n, data in zip(group.ns, datas):
-            est = thresholding.hybrid_sureshrink(data.observations,
-                                                 truth.basis.frame, n)
-            errors[("sureshrink", n)] = {p: metrics.lp_error(est, f0, p,
-                                                             truth.basis)
-                                         for p in config.p_primes}
-    return errors, contraction, bands
+            mean_errors("sureshrink", n, thresholding.hybrid_sureshrink(
+                data.observations, truth.basis.frame, n))
+    return errors, bands
 
 
 def _map(work, fn, parallel):
@@ -312,10 +319,10 @@ def run_experiment(config):
     """Run an experiment and write its output files; returns the result.
 
     Every (truth group, replication) pair is one work unit.  Errors are
-    averaged over replications per (truth, n, prior or "sureshrink", p'),
-    and slopes are fitted wherever a (prior, truth name, p', error type)
-    series has two or more n; the sparse-besov groups share the name
-    least-favorable.  Only mean-estimate series are plotted.
+    averaged over replications per (truth, n, prior or "sureshrink", p',
+    error type), and slopes are fitted wherever a (prior, truth name, p',
+    error type) series has two or more n; the sparse-besov groups share
+    the name least-favorable.  Only mean-estimate series are plotted.
     """
     config = resolve_config(config)
     groups = _groups(config)
@@ -327,31 +334,23 @@ def run_experiment(config):
         names.append("sureshrink")
     result = ExperimentResult(config, [], [])
     for gi, g in enumerate(groups):
-        reps = results[gi * R:(gi + 1) * R]
-        for n in g.ns:
-            for name in names:
-                key = (name, n)
-                for p in config.p_primes:
-                    m, se = _aggregate([r[0][key][p] for r in reps])
+        errors, bands = zip(*results[gi * R:(gi + 1) * R])
+        for n, name in itertools.product(g.ns, names):
+            for p, etype in itertools.product(config.p_primes, ERROR_TYPES):
+                key = (name, n, etype, p)
+                if key in errors[0]:
+                    m, se = _aggregate([e[key] for e in errors])
                     result.records.append(ErrorRecord(
-                        config.experiment, name, g.label, n, p, MEAN_ESTIMATE,
-                        m, se, R))
+                        config.experiment, name, g.label, n, p, etype, m, se,
+                        R))
                     result.series.setdefault(
-                        (name, g.truth, p, MEAN_ESTIMATE), []).append((n, m))
-                    if key in reps[0][1]:
-                        cm, cse = _aggregate([r[1][key][p] for r in reps])
-                        result.records.append(ErrorRecord(
-                            config.experiment, name, g.label, n, p,
-                            CONTRACTION, cm, cse, R))
-                        result.series.setdefault(
-                            (name, g.truth, p, CONTRACTION),
-                            []).append((n, cm))
-                if key in reps[0][2]:
-                    wm, wse = _aggregate([posterior.band_width(r[2][key])
-                                          for r in reps])
-                    result.band_widths.append((name, n, wm, wse, R))
-                    # replication 0's band, for the figures
-                    result.bands[key] = reps[0][2][key]
+                        (name, g.truth, p, etype), []).append((n, m))
+            if (name, n) in bands[0]:
+                wm, wse = _aggregate([posterior.band_width(b[(name, n)])
+                                      for b in bands])
+                result.band_widths.append((name, n, wm, wse, R))
+                # replication 0's band, for the figures
+                result.bands[(name, n)] = bands[0][(name, n)]
     for (name, label, p, etype), pairs in result.series.items():
         if len(pairs) >= 2:
             slope, intercept = metrics.slope_fit(*zip(*pairs))
@@ -363,6 +362,10 @@ def run_experiment(config):
 # --------------------------------------------------------------------------
 # Output files
 # --------------------------------------------------------------------------
+
+# every name `write_outputs` can give a file, as `fnmatch` patterns
+OUTPUT_NAMES = ("errors.csv", "slopes.csv", "band_widths.csv", "bands_*.csv",
+                "plot_*.svg")
 
 
 def errors_csv(records):
@@ -421,10 +424,13 @@ def _band_plot(result, prior, n):
 
 
 def write_outputs(result):
+    """Write the run's files and remove each other file in out_dir that
+    `OUTPUT_NAMES` matches, an earlier run's; nothing else is touched."""
     config = result.config
     files = {"errors.csv": errors_csv(result.records)}
     if result.slopes:
         files["slopes.csv"] = slopes_csv(result.slopes, config.experiment)
+        files[f"plot_{config.experiment}_errors.svg"] = _error_plot(result)
     if result.band_widths:
         files["band_widths.csv"] = band_widths_csv(result.band_widths,
                                                    config.experiment)
@@ -432,10 +438,10 @@ def write_outputs(result):
         stem = f"bands_{prior}_{n:g}"
         files[stem + ".csv"] = band_csv(band, prior, n)
         files[f"plot_{stem}.svg"] = _band_plot(result, prior, n)
-    if any(len(pts) >= 2 for pts in result.series.values()):
-        files[f"plot_{config.experiment}_errors.svg"] = _error_plot(result)
     for name, text in files.items():
         model.write_text(os.path.join(config.out_dir, name), text)
-    slopes_path = os.path.join(config.out_dir, "slopes.csv")
-    if not result.slopes and os.path.exists(slopes_path):
-        os.remove(slopes_path)  # an earlier run's slopes are not this run's
+    for name in set(os.listdir(config.out_dir)) - set(files):
+        path = os.path.join(config.out_dir, name)
+        if os.path.isfile(path) and any(fnmatch.fnmatchcase(name, pattern)
+                                        for pattern in OUTPUT_NAMES):
+            os.remove(path)

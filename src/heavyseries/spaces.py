@@ -1,6 +1,6 @@
 """Smoothness classes, norms and minimax contraction exponents.
 
-Losses are measured in L^{p'} for p' in [2, inf]; truths live in Besov
+Losses are measured in L^{p'} for p' in [1, inf]; truths live in Besov
 balls B^s_{p,inf} (wavelet-indexed) or Sobolev balls (single-indexed).
 The minimax exponent r for estimating a B^s_{p,inf} truth in L^{p'} loss
 has two zones separated by eta = s p - (p' - p)/2:
@@ -11,7 +11,10 @@ has two zones separated by eta = s p - (p' - p)/2:
 
 Both expressions agree on the boundary eta = 0, so r is continuous in
 (s, p, p').  Admissibility requires s > (1/p - 1/max(p', 2))_+ so that
-s' > 0 and the ball embeds in L^{p'}.
+s' > 0 and the ball embeds in L^{p'}.  For p' < 2 this is the embedding
+in L^2, since ||f||_{p'} <= ||f||_2 on [0, 1]; every admissible (s, p)
+then has s > 1/p - 1/2 > (p'/p - 1)/2, so eta > 0, the zone is regular
+and r = s / (1 + 2 s).
 """
 
 import math
@@ -28,8 +31,9 @@ def _validate_spar(s, p, p_prime):
         raise InvalidParameterError("smoothness s must be > 0")
     if not p >= 1:
         raise InvalidParameterError("p must be >= 1 (may be inf)")
-    if not (p_prime >= 2):
-        raise InvalidParameterError("loss exponent p' must be >= 2 (may be inf)")
+    if not p_prime >= 1:
+        raise InvalidParameterError(
+            "loss exponent p' must be >= 1 (may be inf)")
 
 
 def admissible(s, p, p_prime):

@@ -19,8 +19,11 @@ _WINDOW = 12.0
 
 
 def _oracle_log_density(t, x, n, sigma, tail):
-    ax = np.abs(t)
-    prior = tail.log_density_log_abs(np.log(ax) - math.log(sigma))
+    # log 0 = -inf is the intended limit: it gives the tail's density at
+    # theta = 0, which grids through 0 contain
+    with np.errstate(divide="ignore"):
+        log_ax = np.log(np.abs(t))
+    prior = tail.log_density_log_abs(log_ax - math.log(sigma))
     return -0.5 * n * (x - t) ** 2 + prior - math.log(sigma)
 
 

@@ -24,6 +24,15 @@ def test_rates_subcommand(capsys):
     assert "regular" in lines[1]
 
 
+def test_rates_admit_p_prime_one(capsys):
+    # below p' = 2 admissibility is the L2 embedding and the zone regular
+    code, out, _ = _run(capsys, "rates", "--s", "1.5", "--p", "1",
+                        "--p-prime", "1")
+    assert code == 0
+    row = out.strip().splitlines()[1]
+    assert row == "1.5,1.0,inf,1.0,1.5,1.5,0.375,regular"
+
+
 def test_rates_config_list(tmp_path, capsys):
     cfg = tmp_path / "r.json"
     cfg.write_text(json.dumps({"rates": [

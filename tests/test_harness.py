@@ -1,3 +1,4 @@
+import fnmatch
 import math
 import os
 
@@ -491,3 +492,61 @@ def test_truth_group_validation(tmp_path):
                                         **small))
     with pytest.raises(InvalidParameterError, match="unknown config keys"):
         config_from_dict({"experiment": "sobolev", "extra": {}})
+
+
+# -- one owner for a run's files ---------------------------------------------
+
+def _sobolev_cos_run(out_dir, ns, include_bands):
+    return run_experiment(ExperimentConfig(
+        "custom", truths=("sobolev-cos",), priors=("cauchy-ot",), ns=ns,
+        truncation=10, replications=1, draws=50, burn_in=50,
+        include_bands=include_bands, out_dir=str(out_dir)))
+
+
+def test_rerun_leaves_exactly_its_own_files(tmp_path):
+    # the earlier run's band files, plots and band widths are not this run's
+    _sobolev_cos_run(tmp_path / "out", (1e2, 1e3), include_bands=True)
+    _sobolev_cos_run(tmp_path / "out", (1e2, 1e4), include_bands=False)
+    _sobolev_cos_run(tmp_path / "fresh", (1e2, 1e4), include_bands=False)
+    assert _files(tmp_path / "out") == _files(tmp_path / "fresh")
+
+
+def test_rerun_keeps_what_is_not_an_output(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    (out / "plot_dir.svg").mkdir()  # a directory, though its name matches
+    _sobolev_cos_run(out, (1e2, 1e3), include_bands=True)
+    _sobolev_cos_run(out, (1e2,), include_bands=False)
+    assert sorted(os.listdir(out)) == ["errors.csv", "notes.txt",
+                                       "plot_dir.svg"]
+    assert (out / "notes.txt").read_text() == "kept"
+
+
+def test_every_output_kind_is_named_and_ordered(tmp_path):
+    cfg = _wavelet_config(tmp_path, "custom", truths=("bumps",),
+                          priors=("cauchy-wavelet-ot",
+                                  "gaussian-hierarchical"),
+                          ns=(1.0, 4.0), p_primes=(2.0, math.inf),
+                          include_bands=True, include_contraction=True,
+                          include_sureshrink=True)
+    run_experiment(cfg)
+    # every file the run writes has a name the removal rule knows, and
+    # the run writes every kind of output
+    written = os.listdir(cfg.out_dir)
+    for name in written:
+        assert any(fnmatch.fnmatchcase(name, pattern)
+                   for pattern in harness.OUTPUT_NAMES), name
+    for pattern in harness.OUTPUT_NAMES:
+        assert fnmatch.filter(written, pattern), pattern
+    # errors.csv rows run over n, then the priors and sureshrink, then p',
+    # then the error types
+    with open(os.path.join(cfg.out_dir, "errors.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    expected = [(name, n, p, etype)
+                for n in cfg.ns
+                for name in (*cfg.priors, "sureshrink")
+                for p in cfg.p_primes
+                for etype in harness.ERROR_TYPES
+                if name != "sureshrink" or etype == harness.MEAN_ESTIMATE]
+    assert [(r[1], float(r[3]), float(r[4]), r[5]) for r in rows] == expected

@@ -262,6 +262,45 @@ def test_files_are_written_only_by_model():
     assert users == ["model.py"]
 
 
+def _file_removers(source):
+    """(line, callee) of each call that deletes a file: `os.remove`,
+    `os.unlink`, `Path.unlink` and `shutil.rmtree`, called through their
+    modules or imported by name.  A `remove` method of anything but `os`,
+    such as `list.remove`, is not one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            name, owner = func.id, "os"  # as after `from os import remove`
+        elif isinstance(func, ast.Attribute):
+            name = func.attr
+            owner = func.value.id if isinstance(func.value, ast.Name) else ""
+        else:
+            continue
+        if name in ("unlink", "rmtree") or (name == "remove"
+                                            and owner == "os"):
+            found.append((node.lineno, name))
+    return found
+
+
+def test_file_remover_check_finds_every_form():
+    source = ("os.remove(p)\nos.unlink(p)\npathlib.Path(p).unlink()\n"
+              "shutil.rmtree(d)\nnames.remove(x)\nremove(p)\nrmtree(d)\n"
+              "path.unlink(missing_ok=True)\nos.path.exists(p)\n"
+              "unlink(p)\nfiles.pop(p)\n")
+    assert _file_removers(source) == [
+        (1, "remove"), (2, "unlink"), (3, "unlink"), (4, "rmtree"),
+        (6, "remove"), (7, "rmtree"), (8, "unlink"), (10, "unlink")]
+
+
+def test_files_are_removed_only_by_harness():
+    # `harness.write_outputs` alone decides which of a run's files exist
+    users = [p.name for p in _ALL_MODULES if _file_removers(p.read_text())]
+    assert users == ["harness.py"]
+
+
 def _private(name):
     return name.startswith("_") and not name.endswith("__")
 

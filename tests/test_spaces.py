@@ -55,8 +55,13 @@ def test_admissibility():
     assert spaces.admissible(0.3, 4.0, 2.0)
     with pytest.raises(InvalidParameterError):
         spaces.resolve_rate(0.3, 1.0, 2.0)
+    # below p' = 2 admissibility is the L2 embedding, and the zone is regular
+    spec = spaces.resolve_rate(1.5, 1.0, 1.0)
+    assert (spec.exponent, spec.zone) == (0.375, "regular")
+    spec = spaces.resolve_rate(1.0, 1.0, 1.5)
+    assert (spec.exponent, spec.zone) == (1.0 / 3.0, "regular")
     with pytest.raises(InvalidParameterError):
-        spaces.resolve_rate(1.0, 1.0, 1.5)  # p' < 2
+        spaces.resolve_rate(1.5, 1.0, 0.5)  # p' < 1
     with pytest.raises(InvalidParameterError):
         spaces.resolve_rate(-1.0, 1.0, 2.0)
 
@@ -64,7 +69,7 @@ def test_admissibility():
 @settings(max_examples=80, deadline=None)
 @given(st.floats(min_value=0.2, max_value=5.0),
        st.floats(min_value=1.0, max_value=8.0),
-       st.floats(min_value=2.0, max_value=12.0))
+       st.floats(min_value=1.0, max_value=12.0))
 def test_exponent_bounds_property(s, p, p_prime):
     if not spaces.admissible(s, p, p_prime):
         return
