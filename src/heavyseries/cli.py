@@ -60,6 +60,11 @@ def _data_config(args):
     return cfg
 
 
+def _count(cfg, key, default):
+    """The config's integer `key`, `default` when it is absent."""
+    return harness.require_integer(key, cfg.get(key, default))
+
+
 _FRAME_KEYS = ("filter_name", "signal_length", "coarse_level")
 _EMITS = ("coefficients", "samples", "both")
 
@@ -80,14 +85,14 @@ def _make_truth(cfg):
         filter_name, signal_length, coarse_level = default
         frame = wavelets.WaveletFrame(
             cfg.get("filter_name", filter_name),
-            int(cfg.get("signal_length", signal_length)),
-            int(cfg.get("coarse_level", coarse_level)),
+            _count(cfg, "signal_length", signal_length),
+            _count(cfg, "coarse_level", coarse_level),
         )
     options = {key: float(cfg[key]) for key in ("amplitude", "snr")
                if key in cfg}
-    return signals.make_truth(name, frame, K=int(cfg.get("truncation", 200)),
-                              block_index=int(cfg.get("block_index", 1)),
-                              seed=int(cfg.get("truth_seed", 0)), **options)
+    return signals.make_truth(name, frame, K=_count(cfg, "truncation", 200),
+                              block_index=_count(cfg, "block_index", 1),
+                              seed=_count(cfg, "truth_seed", 0), **options)
 
 
 # --------------------------------------------------------------------------
@@ -103,7 +108,7 @@ def _simulated_data(args):
     truth = _make_truth(cfg)
     data = model.simulate(truth, float(cfg.get("n", 100.0)),
                           len(truth.coefficients),
-                          seed=int(cfg.get("seed", 0)))
+                          seed=_count(cfg, "seed", 0))
     return cfg, data
 
 
@@ -120,8 +125,8 @@ def _cmd_fit(args):
     prior = priors.make_prior(cfg.get("prior", default_prior),
                               n=data.noise_precision)
     summary = posterior.fit_posterior(
-        data, prior, draws=int(cfg.get("draws", 4000)),
-        burn_in=int(cfg.get("burn_in", 2000)), seed=data.seed,
+        data, prior, draws=_count(cfg, "draws", 4000),
+        burn_in=_count(cfg, "burn_in", 2000), seed=data.seed,
         tol=float(cfg.get("quadrature_tol", 1e-6)))
     text = posterior.summary_to_csv(summary, data.double_indexed)
     text += "# " + posterior.diagnostics_text(summary).replace("\n", "\n# ").rstrip("# ")
@@ -165,8 +170,8 @@ def _cmd_signals(args):
             truth.coefficients, truth.basis.double_indexed,
             meta={"truth": name, "kind": "coefficients"}))
     if what in ("samples", "both"):
-        m = int(cfg.get("grid_points",
-                        basis.grid_size(truth.basis, metrics.DEFAULT_GRID)))
+        m = _count(cfg, "grid_points",
+                   basis.grid_size(truth.basis, metrics.DEFAULT_GRID))
         values = basis.synthesize(truth.coefficients, truth.basis, m)
         out.append(model.csv_text(("t", "value"),
                                   zip(basis.grid(truth.basis, m), values),

@@ -28,6 +28,7 @@ seed: reruns are byte-identical, serial or parallel.
 import fnmatch
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
@@ -53,6 +54,15 @@ def _rep_seed(seed, rep):
     return seed + _REP_SEED_STRIDE * rep
 
 
+def require_integer(name, value):
+    """`value` as an int, or InvalidParameterError naming `name` when it
+    is not an integer: a float such as 10.5 or 2.0 is not one, nor is a
+    bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -76,6 +86,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InvalidParameterError(f"unknown experiment {self.experiment!r}")
+        for name in ("truncation", "replications", "draws", "burn_in",
+                     "parallel", "seed"):
+            require_integer(name, getattr(self, name))
         if self.replications < 1:
             raise InvalidParameterError("replications must be >= 1")
         if self.truncation < 1:
@@ -96,6 +109,12 @@ class ExperimentConfig:
         for p in self.p_primes:
             if not (p >= 1):
                 raise InvalidParameterError("p' values must be in [1, inf]")
+        # a repeated entry would fit, write and fold its series twice
+        for name in ("priors", "p_primes", "truths"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise InvalidParameterError(f"{name} has duplicate entries: "
+                                            f"{list(values)}")
 
 
 def config_from_dict(d):

@@ -19,7 +19,7 @@ from . import wavelets
 from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
 from .model import csv_text, index_rows
 from .priors import coordinate_index, hierarchical_log_scale
-from .quadrature import UnivariatePosterior, quadrature_mean_var
+from .quadrature import QUANTILES, UnivariatePosterior, quadrature_mean_var
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +264,6 @@ class PosteriorSummary:
     means: np.ndarray
     variances: np.ndarray
     quantiles: dict  # level -> per-coordinate array
-    method: str
     diagnostics: dict = field(default_factory=dict)
     draws: Optional[np.ndarray] = None  # (coordinate, draw)
 
@@ -273,9 +272,6 @@ class PosteriorSummary:
             raise InvalidParameterError("variances must be >= 0")
         if self.draws is not None and self.draws.shape[0] != len(self.means):
             raise ShapeError("draws matrix must have one row per coordinate")
-
-
-_QLEVELS = (0.05, 0.5, 0.95)
 
 
 def _coordinate_layout(data, prior):
@@ -295,11 +291,11 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
     Fixed scales, a Gaussian tail's included, go through quadrature: each
     active coordinate's mean, variance and quantiles within `tol`, or a
     `ConvergenceError` naming the coordinate, x, n, log sigma and tail.
-    `diagnostics` reports how many coordinates each refinement level
-    accepted and the largest achieved error.  A hierarchical prior carries
-    hyperpriors on (tau, alpha), which only the Gibbs sampler fits, so it
-    goes to `gibbs_hierarchical_gaussian` with `draws`, `burn_in` and
-    `seed`, whatever `method` says.
+    `diagnostics` reports the method, how many coordinates each
+    refinement level accepted and the largest achieved error.  A
+    hierarchical prior carries hyperpriors on (tau, alpha), which only
+    the Gibbs sampler fits, so it goes to `gibbs_hierarchical_gaussian`
+    with `draws`, `burn_in` and `seed`, whatever `method` says.
 
     "quadrature" is the only `method`.  The parameter stays because
     `perfbench/tracing.py` binds it by name; it goes when that binding
@@ -321,8 +317,7 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
     n = data.noise_precision
     means = np.zeros(K)
     variances = np.zeros(K)
-    quantiles = {q: np.zeros(K) for q in _QLEVELS}
-    record = {}
+    quantiles = {q: np.zeros(K) for q in QUANTILES}
     levels = []
     achieved = []
     for i in range(K):
@@ -330,8 +325,7 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
             continue
         p = UnivariatePosterior(x[i], n, log_s[i], prior.tail)
         try:
-            m, v, _, qs = quadrature_mean_var(p, tol=tol, quantiles=_QLEVELS,
-                                              record=record)
+            fit = quadrature_mean_var(p, tol=tol)
         except ConvergenceError as exc:
             xi, ni, li = float(x[i]), float(n), float(log_s[i])
             raise ConvergenceError(
@@ -340,11 +334,11 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
                 achieved=exc.achieved, index=i, observation=xi,
                 noise_precision=ni, log_scale=li,
                 tail=prior.tail.name) from exc
-        means[i], variances[i] = m, v
-        for q in _QLEVELS:
-            quantiles[q][i] = qs[q]
-        levels.append(record["level"])
-        achieved.append(record["achieved"])
+        means[i], variances[i] = fit.mean, fit.var
+        for q in QUANTILES:
+            quantiles[q][i] = fit.quantiles[q]
+        levels.append(fit.level)
+        achieved.append(fit.achieved)
     diagnostics = {
         "method": method,
         "quadrature_levels": {level: levels.count(level)
@@ -352,12 +346,11 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
         "quadrature_max_achieved": max(achieved, default=0.0),
     }
     return PosteriorSummary(means=means, variances=variances,
-                            quantiles=quantiles, method=method,
-                            diagnostics=diagnostics)
+                            quantiles=quantiles, diagnostics=diagnostics)
 
 
 def _draw_moments(draw_mat):
-    """Per-row means, variances and `_QLEVELS` quantiles of draws.
+    """Per-row means, variances and `QUANTILES` quantiles of draws.
 
     Rows are taken in `wavelets.row_blocks`, so the copies that `var` and
     `np.quantile` make do not grow with the stack.  Each row is reduced on
@@ -365,13 +358,13 @@ def _draw_moments(draw_mat):
     """
     rows, count = draw_mat.shape
     means, variances = np.empty(rows), np.empty(rows)
-    qs = np.empty((len(_QLEVELS), rows))
+    qs = np.empty((len(QUANTILES), rows))
     for block in wavelets.row_blocks(rows, count):
         part = draw_mat[block]
         means[block] = part.mean(axis=1)
         variances[block] = part.var(axis=1)
-        qs[:, block] = np.quantile(part, _QLEVELS, axis=1)
-    return means, variances, dict(zip(_QLEVELS, qs))
+        qs[:, block] = np.quantile(part, QUANTILES, axis=1)
+    return means, variances, dict(zip(QUANTILES, qs))
 
 
 def metropolis_draws(pairs, draws=4000, burn_in=2000, seed=0):
@@ -507,8 +500,7 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0):
         "alpha_mean": float(hyper[:, 1].mean()),
     }
     return PosteriorSummary(means=means, variances=variances,
-                            quantiles=quantiles, method="gibbs",
-                            diagnostics=diag, draws=out)
+                            quantiles=quantiles, diagnostics=diag, draws=out)
 
 
 # --------------------------------------------------------------------------
@@ -587,9 +579,8 @@ def band_width(band):
 
 
 def summary_to_csv(summary, double_indexed=False):
-    q = summary.quantiles
     rows = zip(index_rows(len(summary.means), double_indexed), summary.means,
-               summary.variances, q[0.05], q[0.5], q[0.95])
+               summary.variances, *(summary.quantiles[q] for q in QUANTILES))
     return csv_text(("index_j", "index_k", "mean", "var", "q05", "q50", "q95"),
                     ((*jk, *values) for jk, *values in rows))
 

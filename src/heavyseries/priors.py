@@ -151,26 +151,16 @@ class TailFamily:
         exp(log_scale) is one scale or one per element of theta.
 
         The posterior engine's one entry point (quadrature and
-        Metropolis).  Exact zeros take log h(0) from
-        log_density_log_abs(-inf): +inf at the horseshoe's integrable
+        Metropolis).  Exact zeros reach the engine as log 0 = -inf, which
+        every tail maps to log h(0): +inf at the horseshoe's integrable
         pole, which quadrature nodes avoid.
         """
-        ax = np.abs(theta)
-        zero = ax == 0.0
-        if not zero.any():
-            return self._engine_log_abs(np.log(ax) - log_scale)
-        out = np.empty(ax.shape)
-        out[zero] = self.log_density_log_abs(-np.inf)
-        rest = ~zero
-        if rest.any():
-            if np.ndim(log_scale):
-                log_scale = log_scale[rest]
-            out[rest] = self._engine_log_abs(np.log(ax[rest]) - log_scale)
-        return out
+        with np.errstate(divide="ignore"):
+            return self._engine_log_abs(np.log(np.abs(theta)) - log_scale)
 
     def _engine_log_abs(self, log_abs_x):
-        # what log_density_scaled evaluates at nonzero theta; a tail may
-        # put a faster approximation of log_density_log_abs here
+        # what log_density_scaled evaluates; a tail may put a faster
+        # approximation of log_density_log_abs here
         return self.log_density_log_abs(log_abs_x)
 
     def __repr__(self):
@@ -315,7 +305,8 @@ class HorseshoeTail(TailFamily):
         return cls._spline
 
     def _engine_log_abs(self, log_abs_x):
-        # the spline inside its range, the closed form outside
+        # the spline inside its range, the closed form outside, which
+        # gives log 0 = -inf the pole's +inf
         spline = self._ensure_spline()
         u = np.atleast_1d(np.asarray(log_abs_x, dtype=float))
         lo, hi = self._SPLINE_RANGE

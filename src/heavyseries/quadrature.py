@@ -10,6 +10,7 @@ scale kink, the horseshoe log pole and the likelihood window alike.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,8 +197,25 @@ def _split_edges(edges, factor):
     return np.concatenate((edges[:1], inner.ravel()))
 
 
-def quadrature_mean_var(post, tol=1e-8, quantiles=None, record=None):
-    """(mean, variance, log_normalizer) by adaptive panel quadrature.
+# the posterior quantile levels every fit summary reports
+QUANTILES = (0.05, 0.5, 0.95)
+
+
+class Moments(NamedTuple):
+    """One coordinate's posterior, as `quadrature_mean_var` returns it:
+    moments, log normalizer, quantiles by level, and the refinement
+    `level` accepted with its `achieved` error."""
+
+    mean: float
+    var: float
+    log_norm: float
+    quantiles: dict
+    level: int
+    achieved: float
+
+
+def quadrature_mean_var(post, tol=1e-8, quantiles=QUANTILES):
+    """The posterior's `Moments` by adaptive panel quadrature.
 
     The panels depend on x, n, sigma and the tail's conjugate flag, not on
     tol (`_panel_edges`).  One G7/K15 pass over them gives the K15 moments
@@ -207,25 +225,22 @@ def quadrature_mean_var(post, tol=1e-8, quantiles=None, record=None):
     panel is halved, up to _MAX_REFINE times; an error still above tol at
     the cap raises ConvergenceError with the achieved estimate, so every
     answer returned is within tol.  x = 0 gives mean exactly 0 by symmetry.
+    A prior degenerate at 0 (log sigma = -inf) gives the point mass at 0,
+    at level 0 with error 0.
 
-    Optionally interpolates quantiles from the K15 node CDF, with each
-    node's mass centred on its node (cumsum(p) - p/2).  Against a fine-grid
-    oracle (the same panels split 64 times, mid-point nodes, centred CDF)
-    the 5%, 50% and 95% quantiles measured at most 1.1e-3 posterior sd off
-    for every tail over the cases of `test_quantiles_match_fine_grid_oracle`
-    (tol 1e-6), which asserts 3e-3 sd.
-
-    When `record` is a dict it receives the accepted refinement `level`
-    and its `achieved` error.
+    The `quantiles` levels are interpolated from the K15 node CDF, with
+    each node's mass centred on its node (cumsum(p) - p/2).  Against a
+    fine-grid oracle (the same panels split 64 times, mid-point nodes,
+    centred CDF) the 5%, 50% and 95% quantiles measured at most 1.1e-3
+    posterior sd off for every tail over the cases of
+    `test_quantiles_match_fine_grid_oracle` (tol 1e-6), which asserts
+    3e-3 sd.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be > 0")
     if post.log_scale == -math.inf:
-        # degenerate prior at 0
-        if record is not None:
-            record.update(level=0, achieved=0.0)
-        return (0.0, 0.0, -math.inf) if quantiles is None else (
-            0.0, 0.0, -math.inf, {q: 0.0 for q in quantiles})
+        return Moments(0.0, 0.0, -math.inf, {q: 0.0 for q in quantiles},
+                       0, 0.0)
     if post.noise_precision < _PRECISION_MIN:
         raise ConvergenceError(
             "posterior moments not representable: noise precision "
@@ -242,14 +257,10 @@ def quadrature_mean_var(post, tol=1e-8, quantiles=None, record=None):
     else:
         raise ConvergenceError(f"quadrature did not reach tol={tol}",
                                achieved=achieved)
-    if record is not None:
-        record.update(level=level, achieved=achieved)
     if work.observation == 0.0:
         mean = 0.0
     if flip:
         mean = -mean
-    if quantiles is None:
-        return mean, var, log_norm
     cdf = np.cumsum(probs)
     cdf /= cdf[-1]
     # the mid-point of each node's step, i.e. cumsum(p) - p/2, in a form
@@ -261,7 +272,8 @@ def quadrature_mean_var(post, tol=1e-8, quantiles=None, record=None):
     values = np.interp(levels, centred, nodes)
     if flip:
         values = -values
-    return mean, var, log_norm, dict(zip(quantiles, values.tolist()))
+    return Moments(mean, var, log_norm, dict(zip(quantiles, values.tolist())),
+                   level, achieved)
 
 
 def conjugate_mean_var(x, n, sigma):

@@ -66,7 +66,7 @@ def test_posterior_oracle_equivalence():
         chain_draws.update(zip(idx, block))
     for i, (tail, sigma, x, n) in enumerate(pts):
         post = quadrature.UnivariatePosterior(x, n, math.log(sigma), tail)
-        qm, qv, _ = quadrature.quadrature_mean_var(post, tol=1e-8)
+        qm, qv, *_ = quadrature.quadrature_mean_var(post, tol=1e-8)
         om, _ = brute_force_mean_var(x, n, sigma, tail)
         assert abs(qm - om) <= 1e-6 * max(abs(om), 1e-3), (tail.name, sigma,
                                                            x, n, qm, om)
@@ -85,7 +85,7 @@ def test_conjugate_gaussian_closed_form():
         x = gen.uniform(-10.0, 10.0)
         n = 10.0 ** gen.uniform(0.0, 6.0)
         post = quadrature.UnivariatePosterior(x, n, math.log(sigma), GAUSSIAN)
-        qm, qv, _ = quadrature.quadrature_mean_var(post, tol=1e-10)
+        qm, qv, *_ = quadrature.quadrature_mean_var(post, tol=1e-10)
         cm, cv = quadrature.conjugate_mean_var(x, n, sigma)
         assert abs(qm - cm) <= 1e-10 * max(abs(cm), 1e-3)
         assert abs(qv - cv) <= 1e-10 * max(cv, 1e-6)

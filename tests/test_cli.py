@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -409,6 +412,60 @@ def test_experiment_rejects_invalid_sizes_before_running(tmp_path, capsys,
     assert code == 2
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"priors": ["cauchy-ot", "cauchy-ot"]}, "priors has duplicate entries"),
+    ({"truncation": 10.5}, "truncation must be an integer"),
+    ({"replications": 2.0}, "replications must be an integer"),
+])
+def test_experiment_rejects_repeats_and_fractional_counts(tmp_path, capsys,
+                                                         settings, message):
+    small = {"ns": [100, 1000], "replications": 1, "truncation": 10,
+             "draws": 20, "burn_in": 20}
+    cfg = tmp_path / "e.json"
+    cfg.write_text(json.dumps({**small, **settings}))
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "experiment", "sobolev", "--config",
+                        str(cfg), "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd,settings,key", [
+    ("simulate", {"truncation": 10.5}, "truncation"),
+    ("simulate", {"seed": 1.5}, "seed"),
+    ("fit", {"truncation": 8, "draws": 50.0}, "draws"),
+    ("fit", {"truncation": 8, "burn_in": True}, "burn_in"),
+    ("signals", {"truth": "bumps", "signal_length": 2048.0},
+     "signal_length"),
+    ("signals", {"truth": "least-favorable", "block_index": 1.5},
+     "block_index"),
+    ("signals", {"truncation": 8, "emit": "samples", "grid_points": 64.5},
+     "grid_points"),
+])
+def test_data_commands_reject_fractional_counts(tmp_path, capsys, cmd,
+                                                settings, key):
+    # int() used to cut 10.5 to 10 without a word
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(settings))
+    code, out, err = _run(capsys, cmd, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be an integer" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["rates", "--s", "1.5", "--p", "1", "--p-prime", "6"]
+    code, out, _ = _run(capsys, *argv)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "heavyseries", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
 
 
 @pytest.mark.parametrize("key,value", [("filter_name", "haar"),

@@ -77,6 +77,39 @@ def test_config_rejects_settings_that_fail_only_later(field, value):
         ExperimentConfig("sobolev", **{field: value})
 
 
+@pytest.mark.parametrize("field,values", [
+    ("priors", ("cauchy-ot", "horseshoe-ot", "cauchy-ot")),
+    ("p_primes", (2.0, 2.0)),
+    ("truths", ("sobolev-cos", "sobolev-cos")),
+])
+def test_config_rejects_duplicate_entries(field, values):
+    # a repeated prior was fitted twice and wrote each of its errors.csv
+    # rows twice, and a repeated truth put each n into its slope series
+    # twice
+    with pytest.raises(InvalidParameterError,
+                       match=f"{field} has duplicate entries"):
+        ExperimentConfig("custom", **{field: values})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("truncation", 10.5), ("replications", 2.0), ("draws", 50.0),
+    ("burn_in", 100.0), ("parallel", 1.0), ("seed", 0.5),
+    ("replications", True), ("seed", False),
+])
+def test_config_rejects_non_integral_counts(field, value):
+    # truncation 10.5 ran at K = 11, and a float replications or draws
+    # failed with a bare TypeError, draws only after every quadrature fit
+    with pytest.raises(InvalidParameterError,
+                       match=f"{field} must be an integer"):
+        ExperimentConfig("sobolev", **{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = ExperimentConfig("sobolev", truncation=np.int64(10),
+                           seed=np.int32(3))
+    assert cfg.truncation == 10 and cfg.seed == 3
+
+
 @pytest.mark.parametrize("priors,ns,message", [
     (("nope",), (1e3,), "unknown prior preset"),
     (("truncated-hs",), (1e3, math.inf), "finite precision"),
@@ -211,7 +244,7 @@ def test_parallel_bands_match_serial_and_refit(tmp_path):
                 [(data, make_prior(name, n=n))], draws=cfg.draws,
                 burn_in=cfg.burn_in, seed=seed0)
             msum = posterior.PosteriorSummary(
-                *posterior._draw_moments(mat), "metropolis", draws=mat)
+                *posterior._draw_moments(mat), draws=mat)
             refit = posterior.credible_band(msum, truth.basis)
             band = result.bands[(name, n)]
             assert band.keys() == refit.keys()

@@ -16,7 +16,7 @@ import textwrap
 
 import pytest
 
-from heavyseries import priors
+from heavyseries import priors, quadrature
 
 _PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "heavyseries"
 _ALL_MODULES = sorted(_PACKAGE.glob("*.py"))
@@ -197,6 +197,52 @@ def test_tail_attribute_check_finds_every_form():
               "tail_x.name\n")
     assert _tail_attributes(source) == {"conjugate", "tail_bound_c2",
                                         "log_density_scaled"}
+
+
+def test_engine_reference_check_finds_calls_and_aliases():
+    for source in ("post.tail._engine_log_abs(u)\n",
+                   "density = tail._engine_log_abs\n",
+                   "def _engine_log_abs(self, u):\n    pass\n"):
+        assert "_engine_log_abs" in _referenced_names(source), source
+    assert "_engine_log_abs" not in _referenced_names(
+        "tail.log_density_scaled(t, s)\n")
+
+
+def test_tail_engines_are_reached_only_through_log_density_scaled():
+    # quadrature and Metropolis evaluate a tail through its one path in,
+    # `log_density_scaled`, which also carries theta = 0 to the engine
+    users = [p.name for p in _ALL_MODULES
+             if "_engine_log_abs" in _referenced_names(p.read_text())]
+    assert users == ["priors.py"]
+
+
+def _level_literals(source):
+    """Lines of each tuple, list or set literal whose items are the
+    summary quantile levels, in any order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            items = [item.value for item in node.elts
+                     if isinstance(item, ast.Constant)
+                     and isinstance(item.value, float)]
+            if (len(items) == len(node.elts)
+                    and sorted(items) == sorted(quadrature.QUANTILES)):
+                found.append(node.lineno)
+    return found
+
+
+def test_level_literal_check_finds_every_form():
+    source = ("levels = (0.05, 0.5, 0.95)\nq = [0.95, 0.5, 0.05]\n"
+              "x = 0.05, 0.5, 0.95\nnp.quantile(d, {0.05, 0.5, 0.95})\n"
+              "half = (0.05, 0.5)\nmore = (0.05, 0.5, 0.95, 0.99)\n"
+              "names = ('0.05', '0.5', '0.95')\nq[0.05], q[0.5], q[0.95]\n")
+    assert _level_literals(source) == [1, 2, 3, 4]
+
+
+def test_quantile_levels_are_written_only_by_quadrature():
+    # every summary reads its levels from `quadrature.QUANTILES`
+    users = [p.name for p in _ALL_MODULES if _level_literals(p.read_text())]
+    assert users == ["quadrature.py"]
 
 
 def test_blas_threads_stay_with_basis():

@@ -16,6 +16,7 @@ from heavyseries.posterior import (
     gibbs_hierarchical_gaussian,
 )
 from heavyseries.quadrature import (
+    QUANTILES,
     UnivariatePosterior,
     conjugate_mean_var,
     quadrature_mean_var,
@@ -48,22 +49,22 @@ def _post(x, n, sigma, tail):
 
 
 def test_frozen_cauchy_oracle():
-    mean, var, _ = quadrature_mean_var(_post(3.0, 1.0, 1.0, CAUCHY), tol=1e-10)
+    mean, var, *_ = quadrature_mean_var(_post(3.0, 1.0, 1.0, CAUCHY), tol=1e-10)
     assert mean == pytest.approx(_CAUCHY_ORACLE_MEAN, abs=2e-11)
     assert var == pytest.approx(_CAUCHY_ORACLE_VAR, abs=2e-11)
 
 
 def test_zero_observation_exact_zero_mean():
     for tail in (CAUCHY, STUDENT3, HORSESHOE):
-        mean, var, _ = quadrature_mean_var(_post(0.0, 10.0, 0.1, tail))
+        mean, var, *_ = quadrature_mean_var(_post(0.0, 10.0, 0.1, tail))
         assert mean == 0.0
         assert var > 0.0
 
 
 def test_gaussian_conjugacy():
     for x, n, sigma in [(2.0, 1.0, 1.0), (-5.0, 1e3, 0.01), (0.3, 1e6, 1e-4)]:
-        mean, var, _ = quadrature_mean_var(_post(x, n, sigma, GAUSSIAN),
-                                           tol=1e-10)
+        mean, var, *_ = quadrature_mean_var(_post(x, n, sigma, GAUSSIAN),
+                                            tol=1e-10)
         cm, cv = conjugate_mean_var(x, n, sigma)
         assert mean == pytest.approx(cm, abs=1e-10 * max(1.0, abs(cm)))
         assert var == pytest.approx(cv, rel=1e-8)
@@ -71,8 +72,8 @@ def test_gaussian_conjugacy():
 
 def test_sign_equivariance():
     for tail in (CAUCHY, HORSESHOE):
-        mp, _, _ = quadrature_mean_var(_post(4.0, 100.0, 0.01, tail))
-        mn, _, _ = quadrature_mean_var(_post(-4.0, 100.0, 0.01, tail))
+        mp, *_ = quadrature_mean_var(_post(4.0, 100.0, 0.01, tail))
+        mn, *_ = quadrature_mean_var(_post(-4.0, 100.0, 0.01, tail))
         assert mn == -mp
 
 
@@ -90,19 +91,19 @@ def test_bimodal_regime_against_oracle(oracle):
     # sigma << 1/sqrt(n) << x: well-separated modes near 0 and near x
     x, n, sigma = 5.0, 1e4, 1e-6
     om, ov = oracle(x, n, sigma, HORSESHOE)
-    qm, qv, _ = quadrature_mean_var(_post(x, n, sigma, HORSESHOE), tol=1e-8)
+    qm, qv, *_ = quadrature_mean_var(_post(x, n, sigma, HORSESHOE), tol=1e-8)
     assert qm == pytest.approx(om, rel=1e-7)
     assert qv == pytest.approx(ov, rel=1e-6)
 
 
 def test_quantiles_bracket_mean():
-    _, _, _, qs = quadrature_mean_var(_post(1.5, 100.0, 0.5, STUDENT3),
-                                      quantiles=(0.05, 0.5, 0.95))
+    _, _, _, qs, *_ = quadrature_mean_var(_post(1.5, 100.0, 0.5, STUDENT3),
+                                          quantiles=(0.05, 0.5, 0.95))
     assert qs[0.05] < qs[0.5] < qs[0.95]
 
 
 def test_degenerate_scale():
-    mean, var, _ = quadrature_mean_var(
+    mean, var, *_ = quadrature_mean_var(
         UnivariatePosterior(3.0, 1.0, -math.inf, CAUCHY))
     assert mean == 0.0 and var == 0.0
 
@@ -122,7 +123,7 @@ def test_invalid_inputs():
        st.floats(min_value=-6.0, max_value=0.0))
 def test_mean_between_zero_and_observation(x, n, log10_sigma):
     # symmetric unimodal prior: posterior mean lies in [0, x]
-    mean, _, _ = quadrature_mean_var(
+    mean, *_ = quadrature_mean_var(
         _post(x, n, 10.0**log10_sigma, STUDENT3), tol=1e-8)
     assert -1e-9 <= mean <= x + 1e-9
 
@@ -144,7 +145,7 @@ def test_extreme_inputs_give_moments_or_convergence_error(
     post = UnivariatePosterior(sign * 10.0**log10_x, 10.0**log10_n,
                                log_sigma, tail)
     try:
-        mean, var, _ = quadrature_mean_var(post)
+        mean, var, *_ = quadrature_mean_var(post)
     except ConvergenceError:
         return
     assert math.isfinite(mean)
@@ -165,9 +166,9 @@ def test_posterior_scales_with_the_observation(tail, x, log10_n, log_sigma,
     # that are too narrow for their nodes are dropped
     c = 2.0**k
     n = 10.0**log10_n
-    mean, var, _ = quadrature_mean_var(
+    mean, var, *_ = quadrature_mean_var(
         UnivariatePosterior(x, n, log_sigma, tail))
-    m_c, v_c, _ = quadrature_mean_var(
+    m_c, v_c, *_ = quadrature_mean_var(
         UnivariatePosterior(c * x, n / c**2, log_sigma + k * math.log(2.0),
                             tail))
     assert abs(m_c - c * mean) <= 1e-9 * c * math.sqrt(var)
@@ -182,7 +183,7 @@ def test_extreme_prior_scale_gives_likelihood_answer(tail, log_sigma):
     # a prior this wide is flat across the likelihood N(1, 1/1000), so the
     # posterior is the likelihood's; far panels must not turn its variance
     # into NaN (inf * 0) nor overflow while building
-    mean, var, _, qs = quadrature_mean_var(
+    mean, var, _, qs, *_ = quadrature_mean_var(
         UnivariatePosterior(1.0, 1e3, log_sigma, tail), tol=1e-6,
         quantiles=(0.05, 0.5, 0.95))
     assert mean == pytest.approx(1.0, abs=1e-5)
@@ -210,7 +211,7 @@ def test_tiny_precision_moments_finite(tail):
     # and its variance (1e260 to 1e280) is representable, although the
     # panel widths reach 1e150
     sigma = math.exp(300.0)
-    mean, var, log_norm = quadrature_mean_var(
+    mean, var, log_norm, *_ = quadrature_mean_var(
         UnivariatePosterior(1.0, 1e-300, 300.0, tail))
     assert math.isfinite(log_norm)
     assert 0.0 < var < math.inf
@@ -255,8 +256,8 @@ def test_quantiles_match_fine_grid_oracle(tail):
                         (0.3, 1e4, 0.01), (-2.0, 100.0, 0.1),
                         (5.0, 1e4, 1e-6)]:
         post = _post(x, n, sigma, tail)
-        _, var, _, qs = quadrature_mean_var(post, tol=1e-6,
-                                            quantiles=_QUANTILE_LEVELS)
+        _, var, _, qs, *_ = quadrature_mean_var(post, tol=1e-6,
+                                                quantiles=_QUANTILE_LEVELS)
         ref = _fine_grid_quantiles(post)
         worst = max(worst, max(abs(qs[q] - ref[q]) for q in ref)
                     / math.sqrt(var))
@@ -411,8 +412,8 @@ def test_quadrature_matches_reference_panels(monkeypatch):
     fit = fit_posterior(data, truncated, method="quadrature")
     monkeypatch.setattr(quadrature, "_panel_edges", _reference_panel_edges)
     monkeypatch.setattr(quadrature, "_split_edges", _reference_split_edges)
-    for p, (mean, var, log_norm, qs) in zip(posts, got):
-        r_mean, r_var, r_log_norm, r_qs = quadrature_mean_var(
+    for p, (mean, var, log_norm, qs, *_) in zip(posts, got):
+        r_mean, r_var, r_log_norm, r_qs, *_ = quadrature_mean_var(
             p, tol=1e-8, quantiles=levels)
         assert np.array_equal([mean, var, log_norm, *qs.values()],
                               [r_mean, r_var, r_log_norm, *r_qs.values()])
@@ -441,7 +442,7 @@ def _batch_se(draws):
     (0.5, 10.0, 1e-4, HORSESHOE),
 ])
 def test_metropolis_matches_quadrature(x, n, sigma, tail):
-    qm, qv, _ = quadrature_mean_var(_post(x, n, sigma, tail), tol=1e-9)
+    qm, qv, *_ = quadrature_mean_var(_post(x, n, sigma, tail), tol=1e-9)
     (draws,), (acc,) = posterior._metropolis_block(
         [x], n, [math.log(sigma)], tail, 4000, 2000, 0, [0])
     se = max(_batch_se(draws), math.sqrt(qv / len(draws)))
@@ -1011,8 +1012,8 @@ def _moment_rows(count):
 def test_draw_moments_quantiles_match_per_level_calls(shape):
     draws = np.random.default_rng(6).standard_cauchy(size=shape)
     means, variances, quantiles = posterior._draw_moments(draws)
-    assert tuple(quantiles) == posterior._QLEVELS
-    for q in posterior._QLEVELS:
+    assert tuple(quantiles) == QUANTILES
+    for q in QUANTILES:
         assert np.array_equal(quantiles[q], np.quantile(draws, q, axis=1)), q
     assert np.array_equal(means, draws.mean(axis=1))
     assert np.array_equal(variances, draws.var(axis=1))
@@ -1037,7 +1038,7 @@ def test_gaussian_tail_fit_matches_closed_form():
     prior = PriorSpec(GAUSSIAN, OTScaling(0.5), baseline=True)
     tol = 1e-6
     summary = fit_posterior(data, prior, tol=tol)
-    assert summary.method == "quadrature"
+    assert summary.diagnostics["method"] == "quadrature"
     assert summary.diagnostics["quadrature_max_achieved"] <= tol
     sig = np.exp(prior.scaling.log_scale(np.arange(1, 16)))
     cm, cv = conjugate_mean_var(data.observations, data.noise_precision, sig)
@@ -1056,7 +1057,7 @@ def test_unknown_method_rejected():
 
 def test_summary_validation():
     with pytest.raises(InvalidParameterError):
-        PosteriorSummary(np.zeros(3), np.array([1.0, -1.0, 0.0]), {}, "q")
+        PosteriorSummary(np.zeros(3), np.array([1.0, -1.0, 0.0]), {})
 
 
 # -- hierarchical Gaussian baseline ------------------------------------------
@@ -1179,12 +1180,12 @@ def test_fit_posterior_sends_hierarchical_gaussian_to_gibbs(method):
     fit = fit_posterior(data, make_prior("gaussian-hierarchical"),
                         method=method, draws=30, burn_in=20, seed=3)
     ref = gibbs_hierarchical_gaussian(data, draws=30, burn_in=20, seed=3)
-    assert fit.method == "gibbs"
+    assert fit.diagnostics["method"] == "gibbs"
     assert fit.diagnostics == ref.diagnostics
     assert np.array_equal(fit.draws, ref.draws)
     assert np.array_equal(fit.means, ref.means)
     assert np.array_equal(fit.variances, ref.variances)
-    for q in posterior._QLEVELS:
+    for q in QUANTILES:
         assert np.array_equal(fit.quantiles[q], ref.quantiles[q])
 
 
@@ -1200,7 +1201,7 @@ def test_gibbs_rejects_single_index_data():
 
 
 def test_band_requires_draws():
-    summary = PosteriorSummary(np.zeros(3), np.zeros(3), {}, "quadrature")
+    summary = PosteriorSummary(np.zeros(3), np.zeros(3), {})
     with pytest.raises(StateError):
         credible_band(summary, basis.cosine_basis())
 
@@ -1208,8 +1209,7 @@ def test_band_requires_draws():
 def test_band_identical_draws_zero_width():
     means = np.array([1.0, -0.5])
     draws = np.tile(means[:, None], (1, 40))
-    summary = PosteriorSummary(means, np.zeros(2), {}, "metropolis",
-                               draws=draws)
+    summary = PosteriorSummary(means, np.zeros(2), {}, draws=draws)
     band = credible_band(summary, basis.cosine_basis(), m=64)
     assert posterior.band_width(band) == 0.0
     assert np.allclose(band["center"], band["lower"])
@@ -1221,8 +1221,7 @@ def test_band_excludes_outer_cluster():
     outer = np.full((1, 10), 5.0)
     draws = np.concatenate([inner, outer], axis=1)
     means = draws.mean(axis=1, keepdims=True)
-    summary = PosteriorSummary(means[:, 0], np.ones(1), {}, "metropolis",
-                               draws=draws)
+    summary = PosteriorSummary(means[:, 0], np.ones(1), {}, draws=draws)
     band = credible_band(summary, basis.cosine_basis(), m=32, level=0.9)
     # sqrt(2) cos basis peaks at sqrt(2); inner cluster stays below 0.1
     assert np.max(band["upper"]) < 1.0
@@ -1232,7 +1231,7 @@ def test_band_level_one_is_full_envelope():
     gen = np.random.default_rng(1)
     draws = gen.normal(size=(2, 30))
     summary = PosteriorSummary(draws.mean(axis=1), draws.var(axis=1), {},
-                               "metropolis", draws=draws)
+                               draws=draws)
     full = credible_band(summary, basis.cosine_basis(), m=16, level=1.0)
     part = credible_band(summary, basis.cosine_basis(), m=16, level=0.5)
     assert np.all(full["upper"] >= part["upper"] - 1e-12)
@@ -1248,7 +1247,7 @@ def test_band_wavelet_matches_per_draw_synthesis():
         draws = (gen.normal(size=(256, count))
                  / np.arange(1.0, 257.0)[:, None])
         summary = PosteriorSummary(draws.mean(axis=1), draws.var(axis=1),
-                                   {}, "metropolis", draws=draws)
+                                   {}, draws=draws)
         band = credible_band(summary, wavelet_basis, level=0.9)
         # reference: the band from one synthesize call per draw
         center = basis.synthesize(summary.means, wavelet_basis, 256)
@@ -1290,7 +1289,7 @@ def test_band_cosine_matches_whole_stack(count, monkeypatch):
     draws = (gen.standard_cauchy(size=(200, count))
              / np.arange(1.0, 201.0)[:, None])
     summary = PosteriorSummary(draws.mean(axis=1), np.zeros(200), {},
-                               "metropolis", draws=draws)
+                               draws=draws)
     # 0.5 / count keeps one draw
     for level in (1.0, 0.95, 0.5, 0.5 / count):
         band = credible_band(summary, b, m=256, level=level)
@@ -1315,7 +1314,7 @@ def test_band_scratch_does_not_grow_with_draws(scratch_peak):
     for count in (1000, 4000):
         draws = gen.normal(size=(200, count))
         summary = PosteriorSummary(draws.mean(axis=1), np.zeros(200), {},
-                                   "metropolis", draws=draws)
+                                   draws=draws)
         peaks.append(scratch_peak(credible_band, summary, b))
     pool_growth = 2 * (200 - 50) * 256 * 8
     assert peaks[1] < 1.1 * (peaks[0] + pool_growth), peaks
@@ -1336,7 +1335,7 @@ def test_wavelet_band_slices_at_the_budget(scratch_peak):
         draws = (gen.normal(size=(2048, count))
                  / np.arange(1.0, 2049.0)[:, None])
         summary = PosteriorSummary(draws.mean(axis=1), np.zeros(2048), {},
-                                   "metropolis", draws=draws)
+                                   draws=draws)
         peaks.append(scratch_peak(credible_band, summary, b))
     pool_growth = 2 * (100 - 50) * 2048 * 8
     assert peaks[1] < 1.1 * (peaks[0] + pool_growth), peaks

@@ -26,9 +26,9 @@ def test_subnormal_observation_fits_like_zero(tail, x):
     # nodes sit on theta = 0, the horseshoe's pole; it carries no mass and
     # is dropped.  Measured: the x = 0 fit's variance and log normalizer
     # exactly, mean and quantiles within 1e-14 sd.
-    mean, var, log_norm, qs = quadrature_mean_var(
+    mean, var, log_norm, qs, *_ = quadrature_mean_var(
         UnivariatePosterior(x, 1e3, 0.0, tail), quantiles=_LEVELS)
-    z_mean, z_var, z_log_norm, z_qs = quadrature_mean_var(
+    z_mean, z_var, z_log_norm, z_qs, *_ = quadrature_mean_var(
         UnivariatePosterior(0.0, 1e3, 0.0, tail), quantiles=_LEVELS)
     sd = math.sqrt(z_var)
     assert z_mean == 0.0
@@ -77,8 +77,8 @@ def test_flipping_the_observation_mirrors_the_posterior(tail, inputs,
         assert str(plus) == str(minus)
         assert plus.achieved == minus.achieved
         return
-    mean, var, log_norm, qs = plus
-    m_mean, m_var, m_log_norm, m_qs = minus
+    mean, var, log_norm, qs, *_ = plus
+    m_mean, m_var, m_log_norm, m_qs, *_ = minus
     assert m_mean == -mean
     assert m_var == var
     assert m_log_norm == log_norm
@@ -139,7 +139,7 @@ def test_wide_prior_matches_brute_force_oracle(oracle, tail, sigma, n, x):
     # 1e3, 1e5}, n in {1, 1e4} and x in {0.5, 30, 3e3}: at most 2.3e-9
     # relative, the horseshoe at (1e1, 1, 0.5); the bound is
     # `test_posterior_oracle_equivalence`'s
-    mean, _, _ = quadrature_mean_var(
+    mean, *_ = quadrature_mean_var(
         UnivariatePosterior(x, n, math.log(sigma), tail), tol=1e-8)
     ref, _ = oracle(x, n, sigma, tail)
     assert abs(mean - ref) <= 1e-6 * max(abs(ref), 1e-3)
@@ -161,7 +161,7 @@ def test_mean_shrinks_toward_zero_near_the_pole(tail, log10_n, log10_x,
     n = 10.0**log10_n
     w = 12.0 / math.sqrt(n)
     x = 3.0 * w * 10.0**log10_x
-    mean, var, _ = quadrature_mean_var(
+    mean, var, *_ = quadrature_mean_var(
         UnivariatePosterior(x, n, math.log(w) + log_sigma_over_w, tail),
         tol=tol)
     slack = tol * max(abs(mean), math.sqrt(var), 1e-9)
@@ -211,7 +211,7 @@ def test_tiny_prior_scale_matches_brute_force_oracle(oracle, tail, x, n,
     # Measured with the ladder: mean within 3.6e-8 and variance within
     # 4.0e-8 relative.  The oracle's own breakpoints leave a gap below
     # log sigma ~ -90, so the cases stay above it.
-    mean, var, _ = quadrature_mean_var(
+    mean, var, *_ = quadrature_mean_var(
         UnivariatePosterior(x, n, log_sigma, tail), tol=1e-8)
     ref_mean, ref_var = oracle(x, n, math.exp(log_sigma), tail)
     assert abs(mean - ref_mean) <= 1e-6 * max(abs(ref_mean), 1e-3)
