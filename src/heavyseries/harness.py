@@ -232,23 +232,15 @@ def _groups(config):
     return groups
 
 
-class _Draws(NamedTuple):
-    """What `credible_band` and `contraction_errors` read of a fit."""
-
-    means: np.ndarray
-    draws: np.ndarray  # (coordinate, draw)
-
-
 def _cell(args):
     """One replication of one truth group, across the group's n values.
 
     Returns ({(name, n, error type, p'): error}, {(prior, n): band}), where
     name is a prior or "sureshrink"; contraction errors and bands are left
     out unless wanted.  Each n is simulated once.  A prior's fits come
-    from `fit_posterior`; bands and contraction errors take their fits'
-    draws where those carry any (the Gibbs baseline), and otherwise one
-    `metropolis_draws` call across all n, with the draws' row means as the
-    band centres.
+    from `fit_posterior`; bands and contraction errors read the fits
+    themselves where they carry draws (the Gibbs baseline), and otherwise
+    the `DrawStack`s of one `metropolis_draws` call across all n.
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)
@@ -275,12 +267,9 @@ def _cell(args):
             mean_errors(name, n, fit.means)
         if config.include_bands or config.include_contraction:
             if fits[0].draws is None:
-                # a band reads only the draws and the centre, the draws'
-                # row means; no other moment of the draws is needed
-                fits = [_Draws(mat.mean(axis=1), mat)
-                        for mat, _ in posterior.metropolis_draws(
-                            pairs, draws=config.draws,
-                            burn_in=config.burn_in, seed=seed)]
+                fits = posterior.metropolis_draws(
+                    pairs, draws=config.draws, burn_in=config.burn_in,
+                    seed=seed)
             for n, fit in zip(group.ns, fits):
                 if config.include_bands:
                     bands[(name, n)] = posterior.credible_band(fit,

@@ -3,13 +3,13 @@
 `fit_posterior` gives each prior one summary path: quadrature (the ground
 truth, in `quadrature`) for fixed scales, the Gibbs baseline for the
 hierarchical Gaussian prior.  `metropolis_draws` samples several data sets
-whose priors share a tail in one call, for bands and contraction errors.
-Credible bands and the summaries' text forms live here too.
+whose priors share a tail in one call, one `DrawStack` each.  Credible
+bands, centred on the draws' row means, and text forms live here too.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -367,14 +367,20 @@ def _draw_moments(draw_mat):
     return means, variances, dict(zip(QUANTILES, qs))
 
 
+class DrawStack(NamedTuple):
+    """One (data, prior) pair's Metropolis output."""
+
+    draws: np.ndarray  # (coordinate, draw)
+    acceptance: np.ndarray  # per active coordinate
+
+
 def metropolis_draws(pairs, draws=4000, burn_in=2000, seed=0):
-    """Metropolis draws for several (data, prior) pairs in one sampler.
+    """One `DrawStack` per (data, prior) pair, sampled in one run.
 
     The priors must share a tail; data sets and scalings may differ.  The
     active coordinates of all pairs run as blocks of at most `_CHUNK`
-    chains.  Returns one (draws, acceptance) pair per (data, prior): the
-    (coordinate, draw) matrix, a row view of one matrix that stays alive
-    while any of them does, and each active coordinate's acceptance rate.
+    chains.  Each stack's draws are a row view of one matrix that stays
+    alive while any of them does.
     """
     _check_chain_lengths(draws, burn_in)
     pairs = list(pairs)
@@ -410,7 +416,7 @@ def metropolis_draws(pairs, draws=4000, burn_in=2000, seed=0):
         if not direct:
             draw_mat[r] = block
         del block  # before the next block allocates its own
-    return [(draw_mat[lo:hi], acc[lo:hi][active])
+    return [DrawStack(draw_mat[lo:hi], acc[lo:hi][active])
             for (_, active), lo, hi in zip(layouts, bounds[:-1], bounds[1:])]
 
 
@@ -510,9 +516,10 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0):
 
 def credible_band(summary, basis, m=256, level=0.95):
     """Pointwise envelope of the level-fraction of draws closest in L2 to
-    the posterior mean curve, on an m-point grid (a wavelet frame's own).
+    their mean curve, on an m-point grid (a wavelet frame's own).
 
-    `summary` needs only `means` (the centre's coefficients) and `draws`.
+    `summary` needs only `draws`: the centre is their row means, each row
+    reduced on its own in `wavelets.row_blocks`, as `mean(axis=1)` does.
     The draws are synthesized once, in `wavelets.row_blocks` at fixed
     offsets, the last holding at least `basis.last_slice_floor` draws (512
     for a cosine/sine product) or all of them.  A pool keeps the
@@ -529,11 +536,13 @@ def credible_band(summary, basis, m=256, level=0.95):
         raise StateError("summary carries no draws")
     if not 0.0 < level <= 1.0:
         raise InvalidParameterError("level must be in (0, 1]")
-    m = basis_mod.grid_size(basis, m)
-    grid = basis_mod.grid(basis, m)
-    center = basis_mod.synthesize(summary.means, basis, m)
     draws = summary.draws
     count = draws.shape[1]
+    means = np.concatenate([draws[block].mean(axis=1)
+                            for block in wavelets.row_blocks(*draws.shape)])
+    m = basis_mod.grid_size(basis, m)
+    grid = basis_mod.grid(basis, m)
+    center = basis_mod.synthesize(means, basis, m)
     drop = count - math.ceil(level * count)
     lower = np.full(m, np.inf)
     upper = np.full(m, -np.inf)

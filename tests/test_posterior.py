@@ -971,6 +971,20 @@ def test_fit_metropolis_matches_separate_fits(chunk, monkeypatch):
     assert np.all(batched[1][0][12:] == 0.0)
 
 
+def test_metropolis_draws_returns_draw_stacks():
+    truth = signals.truth_sobolev_cos(8)
+    data = model.simulate(truth, 1e3, 8, seed=4)
+    prior = PriorSpec(CAUCHY, ConstantTruncatedScaling(1e-1, 5))
+    (stack,) = posterior.metropolis_draws([(data, prior)], draws=20,
+                                          burn_in=10, seed=9)
+    assert isinstance(stack, posterior.DrawStack)
+    assert stack.draws.shape == (8, 20)
+    assert stack.acceptance.shape == (5,)
+    # it unpacks as the (draws, acceptance) pair it replaced
+    mat, acc = stack
+    assert mat is stack.draws and acc is stack.acceptance
+
+
 def test_fit_metropolis_rejects_mixed_tails():
     _, data = _sim(K=5)
     with pytest.raises(InvalidParameterError):
@@ -1298,6 +1312,26 @@ def test_band_cosine_matches_whole_stack(count, monkeypatch):
         assert np.array_equal(band["center"], center)
         assert np.array_equal(band["lower"], lower), level
         assert np.array_equal(band["upper"], upper), level
+
+
+def test_band_centres_on_the_draws_row_means():
+    # `means` 1.0 off the draws' row means: the band ignores them, and a
+    # `DrawStack`, which carries no means, gives the same band
+    b = basis.cosine_basis()
+    draws = np.random.default_rng(3).normal(size=(5, 50))
+    row_means = PosteriorSummary(draws.mean(axis=1), np.zeros(5), {},
+                                 draws=draws)
+    shifted = PosteriorSummary(row_means.means + 1.0, np.zeros(5), {},
+                               draws=draws)
+    expected = _whole_stack_band(row_means, b, 64, 0.9)
+
+    def check(summary):
+        band = credible_band(summary, b, m=64, level=0.9)
+        for key, value in zip(("center", "lower", "upper"), expected):
+            assert np.array_equal(band[key], value), key
+
+    check(shifted)
+    check(posterior.DrawStack(draws, np.ones(5)))
 
 
 def test_band_scratch_does_not_grow_with_draws(scratch_peak):
