@@ -65,6 +65,11 @@ def _count(cfg, key, default):
     return harness.require_integer(key, cfg.get(key, default))
 
 
+def _real(cfg, key, default=None):
+    """The config's real `key` as a float, `default` when it is absent."""
+    return float(harness.require_real(key, cfg.get(key, default)))
+
+
 _FRAME_KEYS = ("filter_name", "signal_length", "coarse_level")
 _EMITS = ("coefficients", "samples", "both")
 
@@ -88,7 +93,7 @@ def _make_truth(cfg):
             _count(cfg, "signal_length", signal_length),
             _count(cfg, "coarse_level", coarse_level),
         )
-    options = {key: float(cfg[key]) for key in ("amplitude", "snr")
+    options = {key: _real(cfg, key) for key in ("amplitude", "snr")
                if key in cfg}
     return signals.make_truth(name, frame, K=_count(cfg, "truncation", 200),
                               block_index=_count(cfg, "block_index", 1),
@@ -106,7 +111,7 @@ def _simulated_data(args):
     if args.seed is not None:
         cfg["seed"] = args.seed
     truth = _make_truth(cfg)
-    data = model.simulate(truth, float(cfg.get("n", 100.0)),
+    data = model.simulate(truth, _real(cfg, "n", 100.0),
                           len(truth.coefficients),
                           seed=_count(cfg, "seed", 0))
     return cfg, data
@@ -127,7 +132,7 @@ def _cmd_fit(args):
     summary = posterior.fit_posterior(
         data, prior, draws=_count(cfg, "draws", 4000),
         burn_in=_count(cfg, "burn_in", 2000), seed=data.seed,
-        tol=float(cfg.get("quadrature_tol", 1e-6)))
+        tol=_real(cfg, "quadrature_tol", 1e-6))
     text = posterior.summary_to_csv(summary, data.double_indexed)
     text += "# " + posterior.diagnostics_text(summary).replace("\n", "\n# ").rstrip("# ")
     model.write_text(args.out, text)
@@ -145,9 +150,12 @@ def _cmd_rates(args):
                 "a 'rates' list and none of them")
         combos = [{"s": args.s, "p": args.p, "p_prime": args.p_prime,
                    "q": math.inf if args.q is None else args.q}]
-    specs = [spaces.resolve_rate(float(c["s"]), float(c["p"]),
-                                 float(c["p_prime"]),
-                                 q=float(c.get("q", math.inf)))
+    # a config may spell an infinite p, q or p' "inf", as JSON has no
+    # literal for it
+    specs = [spaces.resolve_rate(*(float(harness.real_or_inf(key, c[key]))
+                                   for key in ("s", "p", "p_prime")),
+                                 q=float(harness.real_or_inf(
+                                     "q", c.get("q", math.inf))))
              for c in combos]
     model.write_text(args.out, model.csv_text(
         ("s", "p", "q", "p_prime", "eta", "s_eff", "r", "zone"),
@@ -245,7 +253,7 @@ def build_parser():
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--p-prime", dest="p_prime", default=None)
+    p.add_argument("--p-prime", dest="p_prime", type=float, default=None)
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("signals", help="emit a truth as CSV")

@@ -63,6 +63,22 @@ def require_integer(name, value):
     return int(value)
 
 
+def require_real(name, value):
+    """`value` unchanged, or InvalidParameterError naming `name` when it
+    is not a real number: a bool is not one, nor is a string such as
+    "1e3"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(
+            f"{name} must be a real number, not {value!r}")
+    return value
+
+
+def real_or_inf(name, value):
+    """`require_real`, reading the string "inf" as math.inf: JSON, which
+    configs are written in, has no literal for an infinite exponent."""
+    return require_real(name, math.inf if value == "inf" else value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
@@ -99,6 +115,10 @@ class ExperimentConfig:
             raise InvalidParameterError("burn_in must be >= 0")
         if not self.parallel >= 1:
             raise InvalidParameterError("parallel must be >= 1")
+        require_real("quadrature_tol", self.quadrature_tol)
+        for name in ("ns", "p_primes"):
+            for value in getattr(self, name):
+                require_real(f"each of {name}", value)
         # written `not x > 0` so that NaN fails too
         if not self.quadrature_tol > 0:
             raise InvalidParameterError("quadrature_tol must be > 0")
@@ -127,7 +147,8 @@ def config_from_dict(d):
         if key in d:
             d[key] = tuple(d[key])
     if "p_primes" in d:
-        d["p_primes"] = tuple(float(p) for p in d["p_primes"])
+        d["p_primes"] = tuple(real_or_inf("each of p_primes", p)
+                              for p in d["p_primes"])
     return ExperimentConfig(**d)
 
 

@@ -456,6 +456,64 @@ def test_data_commands_reject_fractional_counts(tmp_path, capsys, cmd,
     assert f"{key} must be an integer" in err
 
 
+@pytest.mark.parametrize("cmd,settings,key", [
+    ("simulate", {"truncation": 8, "n": True}, "n"),
+    ("simulate", {"truncation": 8, "n": "1e3"}, "n"),
+    ("fit", {"truncation": 8, "quadrature_tol": True}, "quadrature_tol"),
+    ("signals", {"truth": "bumps", "snr": "7"}, "snr"),
+    ("signals", {"truth": "least-favorable", "amplitude": True},
+     "amplitude"),
+])
+def test_data_commands_reject_non_real_values(tmp_path, capsys, cmd,
+                                              settings, key):
+    # float() ran n = true at n = 1.0 and the string "1e3" at n = 1000
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(settings))
+    code, out, err = _run(capsys, cmd, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be a real number" in err
+
+
+@pytest.mark.parametrize("entry,key", [
+    ({"s": True, "p": 1, "p_prime": 2}, "s"),
+    ({"s": 1.5, "p": "1", "p_prime": 2}, "p"),
+    ({"s": 1.5, "p": 1, "p_prime": "6"}, "p_prime"),
+    ({"s": 1.5, "p": 1, "p_prime": 2, "q": False}, "q"),
+])
+def test_rates_config_rejects_non_real_values(tmp_path, capsys, entry, key):
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps({"rates": [entry]}))
+    code, out, err = _run(capsys, "rates", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"{key} must be a real number" in err
+
+
+def test_rates_flags_and_config_read_p_prime_alike(tmp_path, capsys):
+    args = cli.build_parser().parse_args(["rates", "--p-prime", "6"])
+    assert args.p_prime == 6.0 and isinstance(args.p_prime, float)
+    cfg = tmp_path / "r.json"
+    cfg.write_text(json.dumps({"rates": [
+        {"s": 1.5, "p": "inf", "p_prime": "inf", "q": "inf"}]}))
+    from_config = _run(capsys, "rates", "--config", str(cfg))
+    from_flags = _run(capsys, "rates", "--s", "1.5", "--p", "inf",
+                      "--p-prime", "inf")
+    assert from_config == from_flags and from_config[0] == 0
+
+
+def test_experiment_rejects_non_real_ns(tmp_path, capsys):
+    cfg = tmp_path / "e.json"
+    cfg.write_text(json.dumps({"priors": ["cauchy-ot"], "ns": [True],
+                               "replications": 1}))
+    out_dir = tmp_path / "res"
+    code, _, err = _run(capsys, "experiment", "sobolev", "--config",
+                        str(cfg), "--out", str(out_dir))
+    assert code == 2
+    assert "each of ns must be a real number" in err
+    assert not out_dir.exists()
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["rates", "--s", "1.5", "--p", "1", "--p-prime", "6"]
     code, out, _ = _run(capsys, *argv)

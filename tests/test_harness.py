@@ -132,6 +132,33 @@ def test_priors_are_built_before_any_simulation(tmp_path, monkeypatch, priors,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("ns", (True, 2.0)), ("ns", ("1e3",)), ("p_primes", ("2",)),
+    ("p_primes", (2.0, True)), ("quadrature_tol", True),
+    ("quadrature_tol", "1e-6")])
+def test_config_rejects_non_real_entries(field, value):
+    # ns (True, 2.0) used to run at n = True and write "True" into
+    # errors.csv; the strings failed with a bare TypeError
+    with pytest.raises(InvalidParameterError, match="must be a real number"):
+        ExperimentConfig("sobolev", **{field: value})
+
+
+@pytest.mark.parametrize("key,values", [("ns", [True, 2.0]),
+                                        ("p_primes", ["2", True])])
+def test_config_from_dict_does_not_convert_entries(key, values):
+    # float() turned these into a valid config
+    with pytest.raises(InvalidParameterError, match="must be a real number"):
+        config_from_dict({"experiment": "custom", key: values})
+
+
+def test_config_keeps_the_type_of_real_entries():
+    cfg = config_from_dict({"experiment": "custom", "ns": [100, 1e3],
+                            "p_primes": [2, 3.0], "quadrature_tol": 1e-8})
+    assert [type(v) for v in cfg.ns + cfg.p_primes] == [int, float, int,
+                                                         float]
+    assert harness.require_real("x", np.float64(0.5)) == 0.5
+
+
 def test_config_from_dict_parses_inf():
     cfg = config_from_dict({"experiment": "custom",
                             "p_primes": [2, "inf"]})
