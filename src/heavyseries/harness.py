@@ -15,10 +15,11 @@ Experiments
   custom          everything taken from the supplied config: any number of
                   truths, each run over every n
 
-Every experiment runs one protocol: truth groups x replications as work
-units (`_cell`), each building its truth on the frame the `signals`
-catalogue gives it, simulating it at the group's n values and fitting
-every prior there; the driver averages over replications and fits
+Every experiment runs one protocol.  The run plan (`_groups`) builds each
+truth and each (prior, n) once and checks every pairing before any
+simulation; truth groups x replications are the work units (`_cell`),
+each simulating its group's truth at the group's n values and fitting
+every prior there.  The driver averages over replications and fits
 log-log slopes wherever a series has two or more n.
 
 All outputs are flat CSV/SVG files and fully determined by the config and
@@ -213,41 +214,58 @@ def _p_label(p):
 # --------------------------------------------------------------------------
 
 class _Group(NamedTuple):
-    """One truth, run over its own n values."""
+    """One built truth, with the priors built at each of its n values."""
 
-    label: str  # the truth column of errors.csv; slopes.csv takes `truth`
-    truth: str
-    block_index: int  # for signals.make_truth; least-favorable reads it
+    label: str  # the truth column of errors.csv
+    name: str  # the truth's catalogue name, slopes.csv's truth column
+    truth: model.TrueSignal
     ns: tuple
+    priors: dict  # prior name -> its PriorSpec at each of ns
+
+
+def band_stem(prior, n):
+    """The name, less its extension, of the band files of (prior, n)."""
+    return f"bands_{prior}_{n:g}"
 
 
 def _groups(config):
-    """The experiment's truth groups, checked against its other fields."""
+    """The run plan: the experiment's truth groups, each truth and each
+    (prior, n) built once and every pairing checked before any work unit
+    runs."""
     if config.experiment == "sparse-besov":
         if config.truths:
             raise InvalidParameterError("sparse-besov takes no truths: it "
                                         "pairs block i with the i-th n")
-        groups = [_Group(f"least-favorable-{i}", "least-favorable", i, (n,))
-                  for i, n in enumerate(config.ns, start=1)]
+        plan = [(f"least-favorable-{i}", "least-favorable", i, (n,))
+                for i, n in enumerate(config.ns, start=1)]
     elif not config.truths or not config.priors or not config.ns:
         raise InvalidParameterError(
             "custom experiments must set truths, priors and ns")
     else:
-        groups = [_Group(name, name, 1, config.ns)
-                  for name in config.truths]
-    # default_frame also rejects unknown truth names
-    frames = [signals.default_frame(g.truth) for g in groups]
-    if config.include_sureshrink and None in frames:
-        raise InvalidParameterError("SureShrink needs wavelet truths")
-    ns = [n for g in groups for n in g.ns]
-    if config.include_bands and len(set(ns)) < len(ns):
-        raise InvalidParameterError("bands are written per (prior, n): "
-                                    "truths with bands need distinct n")
-    # unknown presets, presets an n cannot build and then an infinite n,
-    # at which no fit converges, fail here rather than in a work unit
-    for name in config.priors:
-        for n in ns:
-            make_prior(name, n=n)
+        plan = [(name, name, 1, config.ns) for name in config.truths]
+    ns = [n for *_, group_ns in plan for n in group_ns]
+    stems = [band_stem(prior, n) for prior in config.priors for n in ns]
+    if config.include_bands and len(set(stems)) < len(stems):
+        raise InvalidParameterError(
+            "band files are named by (prior, n), n to 6 significant digits: "
+            "a run with bands needs distinct n, distinct at that precision")
+    # unknown presets, presets an n cannot build, unknown truths, blocks
+    # with no level in the frame, priors that do not index their truth's
+    # basis and then an infinite n, at which no fit converges, fail here
+    # rather than in a work unit
+    built = {(prior, n): make_prior(prior, n=n)
+             for prior in config.priors for n in dict.fromkeys(ns)}
+    groups = []
+    for label, name, block, group_ns in plan:
+        truth = signals.make_truth(name, K=config.truncation,
+                                   block_index=block, seed=config.seed)
+        if config.include_sureshrink and not truth.basis.double_indexed:
+            raise InvalidParameterError("SureShrink needs wavelet truths")
+        priors = {prior: [built[prior, n] for n in group_ns]
+                  for prior in config.priors}
+        for spec in itertools.chain(*priors.values()):
+            spec.check_basis(truth.basis)
+        groups.append(_Group(label, name, truth, group_ns, priors))
     if math.inf in ns:
         raise InvalidParameterError("n values must be finite")
     return groups
@@ -265,9 +283,7 @@ def _cell(args):
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)
-    truth = signals.make_truth(group.truth, K=config.truncation,
-                               block_index=group.block_index,
-                               seed=config.seed)
+    truth = group.truth
     f0 = truth.coefficients
     datas = [model.simulate(truth, n, len(f0), seed=seed) for n in group.ns]
     errors, bands = {}, {}
@@ -277,9 +293,8 @@ def _cell(args):
             errors[(name, n, MEAN_ESTIMATE, p)] = metrics.lp_error(
                 estimate, f0, p, truth.basis)
 
-    for name in config.priors:
-        pairs = [(data, make_prior(name, n=n))
-                 for n, data in zip(group.ns, datas)]
+    for name, specs in group.priors.items():
+        pairs = list(zip(datas, specs))
         fits = [posterior.fit_posterior(data, prior, draws=config.draws,
                                         burn_in=config.burn_in, seed=seed,
                                         tol=config.quadrature_tol)
@@ -373,7 +388,7 @@ def run_experiment(config):
                         config.experiment, name, g.label, n, p, etype, m, se,
                         R))
                     result.series.setdefault(
-                        (name, g.truth, p, etype), []).append((n, m))
+                        (name, g.name, p, etype), []).append((n, m))
             if (name, n) in bands[0]:
                 wm, wse = _aggregate([posterior.band_width(b[(name, n)])
                                       for b in bands])
@@ -464,7 +479,7 @@ def write_outputs(result):
         files["band_widths.csv"] = band_widths_csv(result.band_widths,
                                                    config.experiment)
     for (prior, n), band in result.bands.items():
-        stem = f"bands_{prior}_{n:g}"
+        stem = band_stem(prior, n)
         files[stem + ".csv"] = band_csv(band, prior, n)
         files[f"plot_{stem}.svg"] = _band_plot(result, prior, n)
     for name, text in files.items():

@@ -277,10 +277,7 @@ class PosteriorSummary:
 def _coordinate_layout(data, prior):
     """(log_scales, active) for each coordinate of data; coordinate i
     runs on random stream i."""
-    if prior.scaling.level_indexed != data.double_indexed:
-        raise ShapeError("single-index prior applied to wavelet data"
-                         if data.double_indexed else
-                         "level-indexed prior applied to single-index data")
+    prior.check_basis(data.basis)
     return prior.coordinate_scales(data.truncation)
 
 
@@ -590,7 +587,8 @@ def band_width(band):
 def summary_to_csv(summary, double_indexed=False):
     rows = zip(index_rows(len(summary.means), double_indexed), summary.means,
                summary.variances, *(summary.quantiles[q] for q in QUANTILES))
-    return csv_text(("index_j", "index_k", "mean", "var", "q05", "q50", "q95"),
+    return csv_text(("index_j", "index_k", "mean", "var",
+                     *(f"q{100 * q:02g}" for q in QUANTILES)),
                     ((*jk, *values) for jk, *values in rows))
 
 

@@ -34,7 +34,7 @@ from dataclasses import KW_ONLY, dataclass, field
 import numpy as np
 
 from . import rng, wavelets
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ShapeError
 
 LOG_TWO = math.log(2.0)
 _HS_K = (2.0 * math.pi) ** -1.5  # sandwich constant
@@ -555,6 +555,14 @@ class PriorSpec:
             object.__setattr__(
                 self, "label", f"{self.tail.name}-{self.scaling.kind}"
             )
+
+    def check_basis(self, basis):
+        """ShapeError unless the scaling rule reads the index `basis`
+        carries: a level on a wavelet basis, k = 1, 2, ... on any other."""
+        if self.scaling.level_indexed != basis.double_indexed:
+            raise ShapeError("single-index prior applied to wavelet data"
+                             if basis.double_indexed else
+                             "level-indexed prior applied to single-index data")
 
     def coordinate_scales(self, count):
         """(log sigma, active) at each of `count` flat coordinates."""

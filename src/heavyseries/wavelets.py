@@ -12,20 +12,25 @@ detail levels run j = J0, ..., J-1 with 0 <= k < 2^j.  The flat index of
 (j, k) is 0 for j = -1 and 2^j + k otherwise, a bijection onto
 {0, ..., 2^J - 1}.
 
-Both directions work on polyphase components: a level of n samples is
-viewed as a (half, 2) array whose columns are the even and odd samples, so
-filter tap m touches the parity-(m % 2) column shifted cyclically by m // 2.
-Each tap is then two contiguous slice-and-add operations, and interleaving
-the columns back into samples is a free reshape.  The taps are applied in
-ascending order, so every output element is summed in a fixed order.
+analyze is the plain periodized filter bank: filter tap m gathers samples
+2k + m (mod n) of a level of n samples in one indexing operation.  The
+package analyzes one signal per truth, so this path is kept simple.
 
-Stacks of signals along the last axis go through all levels in the blocks
-of `row_blocks`, which bounds the temporaries to one block; each block's
-last level writes straight into the result.  analyze and synthesize return
-a fresh C-ordered array whatever the order of their input, so reductions
-along the last axis of the result sum in the same order for C- and
-F-ordered stacks; synthesize can write into a caller's C-ordered array
-instead, which a caller that synthesizes block after block reuses.
+synthesize, which turns stacks of posterior draws into curves, works on
+polyphase components: a level of n samples is viewed as a (half, 2) array
+whose columns are the even and odd samples, so tap m touches the
+parity-(m % 2) column shifted cyclically by m // 2.  Each tap is then two
+contiguous slice-and-add operations, and interleaving the columns back
+into samples is a free reshape.  Stacks go through all levels in the
+blocks of `row_blocks`, which bounds the temporaries to one block; each
+block's last level writes straight into the result.
+
+Both apply the taps in ascending order, so every output element is summed
+in a fixed order.  Both return a fresh C-ordered array whatever the order
+of their input, so reductions along the last axis of the result sum in
+the same order for C- and F-ordered stacks; synthesize can write into a
+caller's C-ordered array instead, which a caller that synthesizes block
+after block reuses.
 """
 
 from dataclasses import dataclass, field
@@ -188,27 +193,6 @@ def _wrapped(s, half):
             (slice(0, s), slice(half - s, half)))
 
 
-def _dwt_step(a, lo, hi):
-    # a has shape (rows, n); tap m reads sample 2k + m (mod n), which is
-    # entry (k + m//2) mod half of the parity-(m % 2) sample plane
-    half = a.shape[-1] // 2
-    planes = a.reshape(a.shape[:-1] + (half, 2))
-    approx = np.zeros(a.shape[:-1] + (half,))
-    detail = np.zeros_like(approx)
-    # one term buffer per step, as in _idwt_step, not two fresh products
-    # per tap: same products and sums
-    term = np.empty_like(approx)
-    for m, (l, h) in enumerate(zip(lo, hi)):
-        plane = planes[..., m % 2]
-        for shifted, source in _wrapped((m // 2) % half, half):
-            part = term[..., source]
-            np.multiply(l, plane[..., shifted], out=part)
-            approx[..., source] += part
-            np.multiply(h, plane[..., shifted], out=part)
-            detail[..., source] += part
-    return approx, detail
-
-
 def _idwt_step(approx, detail, lo, hi, out=None):
     # tap m adds into sample 2k + m (mod n), which is entry
     # (k + m//2) mod half of the parity-(m % 2) plane of the output; the
@@ -241,15 +225,36 @@ def _check_last_axis(values, frame, what):
         )
 
 
-def _by_row_blocks(transform, values, frame, what, out=None):
-    """Apply transform(rows, frame, out_rows) to each block of rows.
+def analyze(samples, frame):
+    """Forward periodized transform into the packed (j, k) layout.
 
-    values is a single signal or a stack along the last axis; the result is
-    `out`, or a fresh C-ordered array of the same shape when out is None,
-    whatever the input's order.
+    Accepts a single signal or a stack of signals along the last axis.
     """
-    values = np.asarray(values, dtype=float)
-    _check_last_axis(values, frame, what)
+    a = np.asarray(samples, dtype=float)
+    _check_last_axis(a, frame, "samples")
+    out = np.empty(a.shape)
+    lo = frame.lowpass
+    hi = highpass(lo)
+    for j in range(frame.levels - 1, frame.coarse_level - 1, -1):
+        n = a.shape[-1]
+        approx = np.zeros(a.shape[:-1] + (n // 2,))
+        detail = np.zeros_like(approx)
+        # tap m reads sample 2k + m (mod n)
+        for m, (l, h) in enumerate(zip(lo, hi)):
+            taps = a[..., (2 * np.arange(n // 2) + m) % n]
+            approx += l * taps
+            detail += h * taps
+        out[..., level_slice(j)] = detail
+        a = approx
+    out[..., : 2**frame.coarse_level] = a
+    return out
+
+
+def synthesize(coefficients, frame, out=None):
+    """Inverse of analyze; into `out`, a C-ordered array of the result's
+    shape apart from the coefficients, when given."""
+    values = np.asarray(coefficients, dtype=float)
+    _check_last_axis(values, frame, "coefficients")
     if out is None:
         out = np.empty(values.shape)
     elif (out.shape != values.shape or not out.flags.c_contiguous
@@ -258,43 +263,15 @@ def _by_row_blocks(transform, values, frame, what, out=None):
                          "shape, apart from the input")
     rows = values.reshape(-1, frame.signal_length)
     out_rows = out.reshape(rows.shape)
+    lo = frame.lowpass
+    hi = highpass(lo)
     for block in row_blocks(len(rows), frame.signal_length):
-        transform(np.ascontiguousarray(rows[block]), frame, out_rows[block])
+        c = np.ascontiguousarray(rows[block])
+        a = c[:, : 2**frame.coarse_level]
+        for j in frame.detail_levels():
+            a = _idwt_step(a, c[:, level_slice(j)], lo, hi,
+                           out_rows[block] if j == frame.levels - 1 else None)
     return out
-
-
-def _analyze_rows(a, frame, out):
-    lo = frame.lowpass
-    hi = highpass(lo)
-    for j in range(frame.levels - 1, frame.coarse_level - 1, -1):
-        a, d = _dwt_step(a, lo, hi)
-        out[:, level_slice(j)] = d
-    out[:, : 2**frame.coarse_level] = a
-
-
-def _synthesize_rows(coefficients, frame, out):
-    lo = frame.lowpass
-    hi = highpass(lo)
-    a = coefficients[:, : 2**frame.coarse_level]
-    last = frame.levels - 1
-    for j in range(frame.coarse_level, frame.levels):
-        a = _idwt_step(a, coefficients[:, level_slice(j)], lo, hi,
-                       out if j == last else None)
-
-
-def analyze(samples, frame):
-    """Forward periodized transform into the packed (j, k) layout.
-
-    Accepts a single signal or a stack of signals along the last axis.
-    """
-    return _by_row_blocks(_analyze_rows, samples, frame, "samples")
-
-
-def synthesize(coefficients, frame, out=None):
-    """Inverse of analyze; into `out`, a C-ordered array of the result's
-    shape apart from the coefficients, when given."""
-    return _by_row_blocks(_synthesize_rows, coefficients, frame,
-                          "coefficients", out)
 
 
 def level_norm(coefficients, j, p):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heavyseries import harness
-from heavyseries.errors import InvalidParameterError
+from heavyseries.errors import InvalidParameterError, ShapeError
 from heavyseries.harness import (
     ErrorRecord,
     ExperimentConfig,
@@ -110,26 +110,69 @@ def test_config_accepts_numpy_integers():
     assert cfg.truncation == 10 and cfg.seed == 3
 
 
-@pytest.mark.parametrize("priors,ns,message", [
-    (("nope",), (1e3,), "unknown prior preset"),
-    (("truncated-hs",), (1e3, math.inf), "finite precision"),
-], ids=["unknown-preset", "truncated-hs-at-inf"])
-def test_priors_are_built_before_any_simulation(tmp_path, monkeypatch, priors,
-                                                ns, message):
-    # a prior that cannot be built fails before any truth is simulated,
-    # not inside a work unit, which may run in a pool worker
+@pytest.mark.parametrize("fields,error,message", [
+    (dict(priors=("nope",)), InvalidParameterError, "unknown prior preset"),
+    (dict(priors=("truncated-hs",), ns=(1e3, math.inf)),
+     InvalidParameterError, "finite precision"),
+    # block 6 would sit on level 12 of a 2048-sample frame
+    (dict(experiment="sparse-besov", truths=(), priors=("cauchy-wavelet-ot",),
+          ns=(1e2, 1e3, 1e4, 1e5, 1e6, 1e7)),
+     InvalidParameterError, "not a detail level"),
+    (dict(truths=("bumps",)), ShapeError,
+     "single-index prior applied to wavelet data"),
+    (dict(priors=("gaussian-hierarchical",)), ShapeError,
+     "level-indexed prior applied to single-index data"),
+    # both n print as 1e+06, so their band files would share one name
+    (dict(ns=(1000000, 1000001), include_bands=True), InvalidParameterError,
+     "distinct n"),
+], ids=["unknown-preset", "truncated-hs-at-inf", "sparse-besov-six-n",
+        "single-index-prior-on-wavelet-truth",
+        "level-indexed-prior-on-single-index-truth", "band-stem-collision"])
+def test_priors_are_built_before_any_simulation(tmp_path, monkeypatch, fields,
+                                                error, message):
+    # a truth, prior or pairing that cannot run fails before any truth is
+    # simulated, not inside a work unit, which may run in a pool worker
     from heavyseries import model
 
     def simulate(*args, **kwargs):
         raise AssertionError("simulated before the priors were checked")
 
     monkeypatch.setattr(model, "simulate", simulate)
-    cfg = ExperimentConfig("custom", truths=("sobolev-cos",), priors=priors,
-                           ns=ns, replications=1, truncation=10,
-                           out_dir=str(tmp_path / "out"))
-    with pytest.raises(InvalidParameterError, match=message):
-        run_experiment(cfg)
+    cfg = dict(experiment="custom", truths=("sobolev-cos",),
+               priors=("cauchy-ot",), ns=(1e3,), replications=1,
+               truncation=10, out_dir=str(tmp_path / "out"))
+    with pytest.raises(error, match=message):
+        run_experiment(ExperimentConfig(**{**cfg, **fields}))
     assert not (tmp_path / "out").exists()
+
+
+def test_each_truth_and_prior_is_built_once_per_run(tmp_path, monkeypatch):
+    # the run plan builds them; the work units of every replication reuse
+    # what it built
+    from collections import Counter
+
+    from heavyseries import signals
+
+    truths, priors = Counter(), Counter()
+
+    def counted(fn, counter, key):
+        def wrapper(*args, **kwargs):
+            counter[key(*args, **kwargs)] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(signals, "make_truth", counted(
+        signals.make_truth, truths, lambda name, **kw: name))
+    monkeypatch.setattr(harness, "make_prior", counted(
+        harness.make_prior, priors, lambda name, n=None: (name, n)))
+    run_experiment(ExperimentConfig(
+        "custom", truths=("sobolev-cos", "sobolev-sine"),
+        priors=("cauchy-ot", "truncated-hs"), ns=(100.0, 1000.0),
+        replications=3, truncation=10, out_dir=str(tmp_path / "out")))
+    assert truths == {"sobolev-cos": 1, "sobolev-sine": 1}
+    # both truths run at both n, and share each (prior, n) built
+    assert priors == {(name, n): 1 for name in ("cauchy-ot", "truncated-hs")
+                      for n in (100.0, 1000.0)}
 
 
 @pytest.mark.parametrize("field,value", [

@@ -1388,3 +1388,13 @@ def test_summary_csv_shape():
     assert lines[0] == "index_j,index_k,mean,var,q05,q50,q95"
     assert len(lines) == 5
     assert posterior.diagnostics_text(summary).startswith("method")
+
+
+def test_summary_csv_names_each_quantile_level(monkeypatch):
+    # the one owner of the levels names the columns too
+    monkeypatch.setattr(posterior, "QUANTILES", (0.025, 0.1, 0.975))
+    summary = PosteriorSummary(np.zeros(2), np.ones(2),
+                               {q: np.full(2, q) for q in (0.025, 0.1, 0.975)})
+    lines = posterior.summary_to_csv(summary).splitlines()
+    assert lines[0] == "index_j,index_k,mean,var,q2.5,q10,q97.5"
+    assert lines[1] == "-2,1,0.0,1.0,0.025,0.1,0.975"

@@ -173,7 +173,7 @@ def test_synthesize_into_out(monkeypatch):
 
 # The block rules the stack loops wrote out for themselves before they took
 # their slices from `row_blocks`, as (lo, hi) per block: the oracle below.
-def _transform_blocks(count, width):  # _by_row_blocks, _draw_moments
+def _transform_blocks(count, width):  # synthesize, _draw_moments
     step = max(1, wavelets._BLOCK_VALUES // width)
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
