@@ -130,9 +130,10 @@ def _cmd_fit(args):
     prior = priors.make_prior(cfg.get("prior", default_prior),
                               n=data.noise_precision)
     summary = posterior.fit_posterior(
-        data, prior, draws=_count(cfg, "draws", 4000),
-        burn_in=_count(cfg, "burn_in", 2000), seed=data.seed,
-        tol=_real(cfg, "quadrature_tol", 1e-6))
+        data, prior, draws=_count(cfg, "draws", posterior.DEFAULT_DRAWS),
+        burn_in=_count(cfg, "burn_in", posterior.DEFAULT_BURN_IN),
+        seed=data.seed,
+        tol=_real(cfg, "quadrature_tol", posterior.DEFAULT_TOL))
     text = posterior.summary_to_csv(summary, data.double_indexed)
     text += "# " + posterior.diagnostics_text(summary).replace("\n", "\n# ").rstrip("# ")
     model.write_text(args.out, text)

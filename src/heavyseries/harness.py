@@ -90,9 +90,9 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "results"
     truncation: int = 200
-    draws: int = 4000
-    burn_in: int = 2000
-    quadrature_tol: float = 1e-6
+    draws: int = posterior.DEFAULT_DRAWS
+    burn_in: int = posterior.DEFAULT_BURN_IN
+    quadrature_tol: float = posterior.DEFAULT_TOL
     # None means "use the experiment's default"
     include_contraction: Optional[bool] = None
     include_sureshrink: Optional[bool] = None
@@ -110,10 +110,7 @@ class ExperimentConfig:
             raise InvalidParameterError("replications must be >= 1")
         if self.truncation < 1:
             raise InvalidParameterError("truncation must be >= 1")
-        if self.draws < 1:
-            raise InvalidParameterError("draws must be >= 1")
-        if self.burn_in < 0:
-            raise InvalidParameterError("burn_in must be >= 0")
+        posterior.check_chain_lengths(self.draws, self.burn_in)
         if not self.parallel >= 1:
             raise InvalidParameterError("parallel must be >= 1")
         require_real("quadrature_tol", self.quadrature_tol)

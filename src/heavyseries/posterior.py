@@ -21,6 +21,10 @@ from .model import csv_text, index_rows
 from .priors import coordinate_index, hierarchical_log_scale
 from .quadrature import QUANTILES, UnivariatePosterior, quadrature_mean_var
 
+# the defaults of every fit, the experiment config and the CLI
+DEFAULT_DRAWS = 4000
+DEFAULT_BURN_IN = 2000
+DEFAULT_TOL = 1e-6
 
 # --------------------------------------------------------------------------
 # Metropolis
@@ -33,7 +37,8 @@ _JUMP_PROB = 0.2
 _CHUNK = 1024
 
 
-def _check_chain_lengths(draws, burn_in):
+def check_chain_lengths(draws, burn_in):
+    """InvalidParameterError unless draws >= 1 and burn_in >= 0."""
     if draws < 1:
         raise InvalidParameterError("draws must be >= 1")
     if burn_in < 0:
@@ -274,15 +279,8 @@ class PosteriorSummary:
             raise ShapeError("draws matrix must have one row per coordinate")
 
 
-def _coordinate_layout(data, prior):
-    """(log_scales, active) for each coordinate of data; coordinate i
-    runs on random stream i."""
-    prior.check_basis(data.basis)
-    return prior.coordinate_scales(data.truncation)
-
-
-def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
-                  seed=0, tol=1e-6):
+def fit_posterior(data, prior, method="quadrature", draws=DEFAULT_DRAWS,
+                  burn_in=DEFAULT_BURN_IN, seed=0, tol=DEFAULT_TOL):
     """Per-coordinate posterior summaries for a full data set.
 
     Fixed scales, a Gaussian tail's included, go through quadrature: each
@@ -298,17 +296,19 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
     `perfbench/tracing.py` binds it by name; it goes when that binding
     does.
 
-    Coordinates deactivated by a truncated scaling rule get mean 0 and
-    variance 0.  Output is independent of coordinate evaluation order.
-    Every prior rejects `draws` < 1 and `burn_in` < 0, used or not.
+    Coordinates whose log sigma is -inf get mean 0 and variance 0.
+    Output is independent of coordinate evaluation order.  Every prior
+    rejects `draws` < 1 and `burn_in` < 0, used or not, and a basis its
+    scaling rule does not index (`PriorSpec.check_basis`).
     """
-    _check_chain_lengths(draws, burn_in)
+    check_chain_lengths(draws, burn_in)
+    prior.check_basis(data.basis)
     if prior.scaling.hierarchical:
         return gibbs_hierarchical_gaussian(data, draws=draws, burn_in=burn_in,
                                            seed=seed)
     if method != "quadrature":
         raise InvalidParameterError(f"unknown method {method!r}")
-    log_s, active = _coordinate_layout(data, prior)
+    log_s, active = prior.coordinate_scales(data.truncation)
     K = data.truncation
     x = data.observations
     n = data.noise_precision
@@ -317,9 +317,7 @@ def fit_posterior(data, prior, method="quadrature", draws=4000, burn_in=2000,
     quantiles = {q: np.zeros(K) for q in QUANTILES}
     levels = []
     achieved = []
-    for i in range(K):
-        if not active[i]:
-            continue
+    for i in np.flatnonzero(active).tolist():
         p = UnivariatePosterior(x[i], n, log_s[i], prior.tail)
         try:
             fit = quadrature_mean_var(p, tol=tol)
@@ -371,15 +369,16 @@ class DrawStack(NamedTuple):
     acceptance: np.ndarray  # per active coordinate
 
 
-def metropolis_draws(pairs, draws=4000, burn_in=2000, seed=0):
+def metropolis_draws(pairs, draws=DEFAULT_DRAWS, burn_in=DEFAULT_BURN_IN,
+                     seed=0):
     """One `DrawStack` per (data, prior) pair, sampled in one run.
 
-    The priors must share a tail; data sets and scalings may differ.  The
-    active coordinates of all pairs run as blocks of at most `_CHUNK`
-    chains.  Each stack's draws are a row view of one matrix that stays
-    alive while any of them does.
+    The priors must share a tail (not a scaling) and index their data's
+    basis.  Coordinates with log sigma > -inf run, across all pairs, as
+    blocks of at most `_CHUNK` chains; the other rows are 0.  Each stack's
+    draws are a row view of one matrix that stays alive while any does.
     """
-    _check_chain_lengths(draws, burn_in)
+    check_chain_lengths(draws, burn_in)
     pairs = list(pairs)
     if not pairs:
         return []
@@ -388,10 +387,12 @@ def metropolis_draws(pairs, draws=4000, burn_in=2000, seed=0):
            for _, prior in pairs):
         raise InvalidParameterError("one Metropolis run needs priors "
                                     "with one tail")
-    layouts = [_coordinate_layout(data, prior) for data, prior in pairs]
     bounds = np.cumsum([0] + [data.truncation for data, _ in pairs])
-    rows, xs, ns, log_s, streams = [], [], [], [], []
-    for (data, _), (ls, active), lo in zip(pairs, layouts, bounds):
+    actives, rows, xs, ns, log_s, streams = [], [], [], [], [], []
+    for (data, prior), lo in zip(pairs, bounds):
+        prior.check_basis(data.basis)
+        ls, active = prior.coordinate_scales(data.truncation)
+        actives.append(active)
         act = np.flatnonzero(active)
         rows.append(lo + act)
         xs.append(data.observations[act])
@@ -414,7 +415,7 @@ def metropolis_draws(pairs, draws=4000, burn_in=2000, seed=0):
             draw_mat[r] = block
         del block  # before the next block allocates its own
     return [DrawStack(draw_mat[lo:hi], acc[lo:hi][active])
-            for (_, active), lo, hi in zip(layouts, bounds[:-1], bounds[1:])]
+            for active, lo, hi in zip(actives, bounds[:-1], bounds[1:])]
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +443,8 @@ def _gibbs_log_marginal(xx, n, levels, level_of, u, v):
     return loglik + log_prior
 
 
-def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0):
+def gibbs_hierarchical_gaussian(data, draws=DEFAULT_DRAWS,
+                                burn_in=DEFAULT_BURN_IN, seed=0):
     """Gibbs sampler for the hierarchical Gaussian wavelet prior.
 
     Alternates exact conjugate coefficient draws given (tau, alpha) with a
@@ -451,7 +453,7 @@ def gibbs_hierarchical_gaussian(data, draws=4000, burn_in=2000, seed=0):
     """
     if not data.double_indexed:
         raise ShapeError("hierarchical Gaussian baseline needs wavelet data")
-    _check_chain_lengths(draws, burn_in)
+    check_chain_lengths(draws, burn_in)
     K = data.truncation
     x = data.observations
     n = data.noise_precision

@@ -401,7 +401,8 @@ class ScalingRule:
     """Deterministic decay sigma_k (or sigma_j for level rules).
 
     All rules expose exact log values; linear-domain values may underflow
-    for extreme indices while the log stays exact.
+    for extreme indices while the log stays exact.  log sigma = -inf, and
+    only that, forces a coefficient to exactly 0.
     """
 
     level_indexed = False
@@ -412,10 +413,6 @@ class ScalingRule:
 
     def log_scale(self, idx):
         raise NotImplementedError
-
-    def active(self, idx):
-        """False where the rule forces the coefficient to exactly 0."""
-        return np.ones(np.shape(idx), dtype=bool) if np.ndim(idx) else True
 
 
 def _check_single_index(k):
@@ -458,7 +455,8 @@ class HTScaling(ScalingRule):
 
 @dataclass(frozen=True)
 class ConstantTruncatedScaling(ScalingRule):
-    """sigma_k = tau up to k_trunc, coefficient forced to 0 beyond."""
+    """sigma_k = tau up to k_trunc, log sigma_k = -inf (the coefficient
+    forced to 0) beyond."""
 
     tau: float
     k_trunc: int
@@ -473,9 +471,6 @@ class ConstantTruncatedScaling(ScalingRule):
     def log_scale(self, k):
         k = _check_single_index(k)
         return np.where(k <= self.k_trunc, math.log(self.tau), -np.inf)
-
-    def active(self, k):
-        return np.asarray(k) <= self.k_trunc
 
 
 def _level_index(j):
@@ -565,9 +560,11 @@ class PriorSpec:
                              "level-indexed prior applied to single-index data")
 
     def coordinate_scales(self, count):
-        """(log sigma, active) at each of `count` flat coordinates."""
-        idx = coordinate_index(count, self.scaling.level_indexed)
-        return self.scaling.log_scale(idx), self.scaling.active(idx)
+        """(log sigma, active) at each of `count` flat coordinates; a
+        coefficient is inactive, forced to 0, where log sigma = -inf."""
+        log_s = self.scaling.log_scale(
+            coordinate_index(count, self.scaling.level_indexed))
+        return log_s, log_s > -np.inf
 
 
 _PRESETS = {

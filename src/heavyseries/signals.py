@@ -122,10 +122,12 @@ def truth_least_favorable(block_index=1, frame=None, amplitude=20.0, seed=0):
     if frame is None:
         frame = wavelets.WaveletFrame(*FRAMES["least-favorable"])
     j = 2 * block_index
-    if 2 ** (j + 1) > frame.signal_length or j < frame.coarse_level:
+    levels = frame.detail_levels()
+    if j not in levels:
+        held = [i for i in range(1, frame.levels) if 2 * i in levels]
         raise InvalidParameterError(
-            f"level {j} is not a detail level of the frame"
-        )
+            f"level {j} is not a detail level of the frame: block i sits on "
+            f"level 2i, so this frame holds {len(held)} block(s): {held}")
     width = 2**j
     gen = rng.coord_generator(seed, rng.STREAM_SIGNAL, block_index)
     w = gen.permutation(_stick_weights(width, gen))

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from heavyseries import basis, cli, model, posterior, priors, signals
+from heavyseries import basis, cli, harness, model, posterior, priors, signals
 from heavyseries.errors import ConvergenceError
 
 
@@ -167,6 +168,36 @@ def test_fit_writes_summary(tmp_path, capsys):
     text = out_file.read_text()
     assert text.startswith("index_j,index_k,mean")
     assert len(text.strip().splitlines()) >= 9
+
+
+def test_chain_and_tol_defaults_agree(tmp_path, capsys, monkeypatch):
+    # every fit entry point, the experiment config and `fit` default to
+    # the same chain lengths and quadrature tol
+    defaults = {"draws": posterior.DEFAULT_DRAWS,
+                "burn_in": posterior.DEFAULT_BURN_IN,
+                "tol": posterior.DEFAULT_TOL}
+    for fn in (posterior.fit_posterior, posterior.metropolis_draws,
+               posterior.gibbs_hierarchical_gaussian):
+        params = inspect.signature(fn).parameters
+        for key, value in defaults.items():
+            if key in params:
+                assert params[key].default == value, (fn.__name__, key)
+    config = harness.ExperimentConfig("sobolev")
+    assert (config.draws, config.burn_in, config.quadrature_tol) == (
+        defaults["draws"], defaults["burn_in"], defaults["tol"])
+    seen = []
+    fit_posterior = posterior.fit_posterior
+
+    def recorded(*args, **kwargs):
+        seen.append({key: kwargs[key] for key in defaults})
+        return fit_posterior(*args, **kwargs)
+
+    monkeypatch.setattr(posterior, "fit_posterior", recorded)
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"truncation": 4, "n": 1000}))
+    code, _, _ = _run(capsys, "fit", "--config", str(cfg))
+    assert code == 0
+    assert seen == [defaults]
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -397,6 +428,8 @@ def test_experiment_rejects_removed_and_invalid_settings(tmp_path, capsys):
     ([], {"quadrature_tol": 0}, "quadrature_tol"),
     ([], {"ns": [0, 1000]}, "n values"),
     ([], {"ns": [1000, math.inf]}, "n values"),
+    (["--replications", "0"], {}, "replications must be >= 1"),
+    ([], {"p_primes": [0.5, 2]}, "p' values must be in [1, inf]"),
 ])
 def test_experiment_rejects_invalid_sizes_before_running(tmp_path, capsys,
                                                          flags, settings,
@@ -473,6 +506,28 @@ def test_data_commands_reject_non_real_values(tmp_path, capsys, cmd,
     assert code == 2
     assert out == ""
     assert f"{key} must be a real number" in err
+
+
+@pytest.mark.parametrize("cmd,settings,message", [
+    ("signals", {"truncation": 8, "emit": "samples", "grid_points": 1},
+     "grid needs at least 2 points"),
+    ("signals", {"truth": "bumps", "snr": 0}, "snr must be > 0"),
+    ("signals", {"truth": "bumps", "snr": -7}, "snr must be > 0"),
+    ("signals", {"truth": "least-favorable", "amplitude": 0},
+     "amplitude must be > 0"),
+    ("rates", {"rates": [{"s": 1.5, "p": 0.5, "p_prime": 2}]},
+     "p must be >= 1"),
+    ("rates", {"rates": [{"s": 1.5, "p": 1, "p_prime": 2, "q": 0.5}]},
+     "q must be >= 1"),
+])
+def test_commands_reject_values_out_of_range(tmp_path, capsys, cmd, settings,
+                                             message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(settings))
+    code, out, err = _run(capsys, cmd, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("entry,key", [

@@ -114,10 +114,13 @@ def test_config_accepts_numpy_integers():
     (dict(priors=("nope",)), InvalidParameterError, "unknown prior preset"),
     (dict(priors=("truncated-hs",), ns=(1e3, math.inf)),
      InvalidParameterError, "finite precision"),
-    # block 6 would sit on level 12 of a 2048-sample frame
+    # block 6 would sit on level 12 of a 2048-sample frame, which holds
+    # blocks 1 to 5 on levels 2 to 10
     (dict(experiment="sparse-besov", truths=(), priors=("cauchy-wavelet-ot",),
           ns=(1e2, 1e3, 1e4, 1e5, 1e6, 1e7)),
-     InvalidParameterError, "not a detail level"),
+     InvalidParameterError,
+     r"level 12 is not a detail level .* "
+     r"holds 5 block\(s\): \[1, 2, 3, 4, 5\]"),
     (dict(truths=("bumps",)), ShapeError,
      "single-index prior applied to wavelet data"),
     (dict(priors=("gaussian-hierarchical",)), ShapeError,

@@ -1,6 +1,7 @@
 import copy
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from heavyseries.priors import (
     GaussianHierarchicalScaling,
     OTScaling,
     PriorSpec,
+    ScalingRule,
     coordinate_index,
     hierarchical_log_scale,
     make_prior,
@@ -113,6 +115,9 @@ def test_invalid_inputs():
         UnivariatePosterior(math.nan, 1.0, 0.0, CAUCHY)
     with pytest.raises(InvalidParameterError):
         UnivariatePosterior(1.0, 0.0, 0.0, CAUCHY)
+    for log_scale in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="log_scale"):
+            UnivariatePosterior(1.0, 1.0, log_scale, CAUCHY)
     with pytest.raises(InvalidParameterError):
         quadrature_mean_var(_post(1.0, 1.0, 1.0, CAUCHY), tol=0.0)
 
@@ -921,7 +926,8 @@ def test_wide_block_scratch_stays_within_budget(scratch_peak):
 
 
 def _reference_fit_draws(data, prior, draws, burn_in, seed, chunk=1024):
-    log_s, active = posterior._coordinate_layout(data, prior)
+    prior.check_basis(data.basis)
+    log_s, active = prior.coordinate_scales(data.truncation)
     draw_mat = np.zeros((data.truncation, draws))
     acc = np.zeros(data.truncation)
     act_idx = np.flatnonzero(active)
@@ -1211,6 +1217,45 @@ def test_gibbs_rejects_single_index_data():
         gibbs_hierarchical_gaussian(data, draws=10, burn_in=10)
 
 
+def test_fit_posterior_checks_the_basis_before_gibbs():
+    # `PriorSpec.check_basis` is the check on the hierarchical route too
+    from heavyseries.errors import ShapeError
+
+    _, data = _sim(K=8)
+    with pytest.raises(ShapeError, match="level-indexed prior applied to "
+                                         "single-index data"):
+        fit_posterior(data, make_prior("gaussian-hierarchical"), draws=10,
+                      burn_in=10)
+
+
+@dataclass(frozen=True)
+class _EvenZeroScaling(ScalingRule):
+    """sigma_k = 1/k on odd k, log sigma_k = -inf on even k."""
+
+    kind = "even-zero"
+
+    def log_scale(self, k):
+        k = np.asarray(k, dtype=float)
+        return np.where(k % 2 == 1, -np.log(k), -np.inf)
+
+
+def test_minus_inf_log_scale_forces_zero_on_every_path():
+    # log sigma = -inf alone forces a coordinate to 0: quadrature means
+    # and Metropolis rows are exactly 0 there, and no chain runs on it
+    _, data = _sim(K=8)
+    prior = PriorSpec(CAUCHY, _EvenZeroScaling())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_posterior(data, prior)
+        ((mat, acc),) = posterior.metropolis_draws([(data, prior)], draws=60,
+                                                   burn_in=100, seed=9)
+    assert np.all(fit.means[1::2] == 0.0) and np.all(fit.variances[1::2] == 0.0)
+    assert np.all(fit.variances[0::2] > 0.0)
+    assert sum(fit.diagnostics["quadrature_levels"].values()) == 4
+    assert np.all(mat[1::2] == 0.0)
+    assert len(acc) == 4 and np.all(acc > 0.0)
+
+
 # -- credible bands ----------------------------------------------------------
 
 
@@ -1218,6 +1263,14 @@ def test_band_requires_draws():
     summary = PosteriorSummary(np.zeros(3), np.zeros(3), {})
     with pytest.raises(StateError):
         credible_band(summary, basis.cosine_basis())
+
+
+@pytest.mark.parametrize("level", [0.0, -0.5, 1.5, math.nan])
+def test_band_rejects_levels_outside_zero_one(level):
+    summary = PosteriorSummary(np.zeros(2), np.zeros(2), {},
+                               draws=np.zeros((2, 10)))
+    with pytest.raises(InvalidParameterError, match="level must be in"):
+        credible_band(summary, basis.cosine_basis(), m=16, level=level)
 
 
 def test_band_identical_draws_zero_width():

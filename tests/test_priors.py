@@ -379,7 +379,9 @@ def test_truncated_scaling():
     rule = ConstantTruncatedScaling(0.01, 5)
     assert np.exp(rule.log_scale(5)) == pytest.approx(0.01)
     assert np.exp(rule.log_scale(6)) == 0.0
-    assert rule.active(np.array([4, 5, 6])).tolist() == [True, True, False]
+    # log sigma = -inf is what forces a coefficient to 0
+    _, active = PriorSpec(HORSESHOE, rule).coordinate_scales(6)
+    assert active.tolist() == [True] * 5 + [False]
 
 
 def test_level_scalings():
@@ -472,7 +474,12 @@ def test_coordinate_scales_match_the_scaling_rule(name, n):
     assert np.array_equal(priors.coordinate_index(count, level_indexed), idx)
     log_s, active = spec.coordinate_scales(count)
     expect_log_s = np.asarray(spec.scaling.log_scale(idx), dtype=float)
-    expect_active = np.asarray(spec.scaling.active(idx), dtype=bool)
+    # from the presets' definitions: truncated-hs forces every k past
+    # k_trunc to 0, every other preset keeps every coordinate
+    if name == "truncated-hs":
+        expect_active = idx <= _PRESET_REFERENCES[name, n].scaling.k_trunc
+    else:
+        expect_active = np.ones(count, dtype=bool)
     assert log_s.dtype == float and log_s.shape == (count,)
     assert log_s.tobytes() == expect_log_s.tobytes()
     assert active.dtype == bool and active.shape == (count,)

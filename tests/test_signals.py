@@ -79,8 +79,15 @@ def test_least_favorable_determinism_and_seeds():
 
 def test_least_favorable_level_bounds():
     frame = wavelets.WaveletFrame("haar", 64, 2)
-    with pytest.raises(InvalidParameterError):
-        signals.truth_least_favorable(4, frame=frame)  # level 8 too deep
+    # levels 2 to 5 hold blocks 1 and 2; level 8 is too deep
+    with pytest.raises(InvalidParameterError,
+                       match=r"block i sits on level 2i, so this frame "
+                             r"holds 2 block\(s\): \[1, 2\]"):
+        signals.truth_least_favorable(4, frame=frame)
+    # below a coarse level 3, level 2 is not a detail level either
+    with pytest.raises(InvalidParameterError,
+                       match=r"holds 1 block\(s\): \[2\]"):
+        signals.truth_least_favorable(1, wavelets.WaveletFrame("haar", 64, 3))
     with pytest.raises(InvalidParameterError):
         signals.truth_least_favorable(0)
 

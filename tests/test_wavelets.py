@@ -267,6 +267,15 @@ def test_level_norm_values():
         assert wavelets.level_norm(c2, 4, p) == pytest.approx(2.5)
 
 
+def test_transforms_reject_signals_of_the_wrong_length():
+    frame = wavelets.WaveletFrame("haar", 64, 3)
+    for transform, what in ((wavelets.analyze, "samples"),
+                            (wavelets.synthesize, "coefficients")):
+        for shape in ((32,), (3, 128)):
+            with pytest.raises(ShapeError, match=f"expected 64 {what}"):
+                transform(np.zeros(shape), frame)
+
+
 def test_frame_validation():
     with pytest.raises(InvalidParameterError):
         wavelets.WaveletFrame("nope", 64, 3)
