@@ -16,12 +16,7 @@ from .errors import (
 )
 from .harness import ExperimentConfig, ErrorRecord, run_experiment
 from .model import SequenceData, TrueSignal, simulate
-from .posterior import (
-    PosteriorSummary,
-    credible_band,
-    fit_posterior,
-    gibbs_hierarchical_gaussian,
-)
+from .posterior import PosteriorSummary, credible_band, fit_posterior
 from .priors import (
     CAUCHY,
     GAUSSIAN,
@@ -64,7 +59,6 @@ __all__ = [
     "besov_norm",
     "credible_band",
     "fit_posterior",
-    "gibbs_hierarchical_gaussian",
     "horseshoe_log_density",
     "horseshoe_sandwich_bounds",
     "hybrid_sureshrink",

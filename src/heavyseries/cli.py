@@ -157,7 +157,7 @@ def _cmd_rates(args):
                                    for key in ("s", "p", "p_prime")),
                                  q=float(harness.real_or_inf(
                                      "q", c.get("q", math.inf))))
-             for c in combos]
+             for c in harness.require_list("rates", combos, dict)]
     model.write_text(args.out, model.csv_text(
         ("s", "p", "q", "p_prime", "eta", "s_eff", "r", "zone"),
         ((spec.s, spec.p, spec.q, spec.p_prime, spec.eta, spec.s_eff,

@@ -74,6 +74,17 @@ def require_real(name, value):
     return value
 
 
+def require_list(name, value, item=object):
+    """`value` as a tuple, or InvalidParameterError naming `name` unless it
+    is a list (or tuple) of `item`s: a string such as "inf" is not one, nor
+    is a number or a single JSON object."""
+    if isinstance(value, (list, tuple)) and all(isinstance(entry, item)
+                                                for entry in value):
+        return tuple(value)
+    kind = "a list" if item is object else f"a list of {item.__name__}s"
+    raise InvalidParameterError(f"{name} must be {kind}, not {value!r}")
+
+
 def real_or_inf(name, value):
     """`require_real`, reading the string "inf" as math.inf: JSON, which
     configs are written in, has no literal for an infinite exponent."""
@@ -141,12 +152,11 @@ def config_from_dict(d):
     if bad:
         raise InvalidParameterError(f"unknown config keys: {sorted(bad)}")
     d = dict(d)
-    for key in ("priors", "ns", "truths"):
+    for key in ("priors", "ns", "truths", "p_primes"):
         if key in d:
-            d[key] = tuple(d[key])
-    if "p_primes" in d:
-        d["p_primes"] = tuple(real_or_inf("each of p_primes", p)
-                              for p in d["p_primes"])
+            d[key] = require_list(key, d[key])
+    d["p_primes"] = tuple(real_or_inf("each of p_primes", p)
+                          for p in d.get("p_primes", ()))
     return ExperimentConfig(**d)
 
 

@@ -51,6 +51,8 @@ class SequenceData:
             raise InvalidParameterError("noise precision n must be > 0")
         if len(self.observations) != self.truncation:
             raise ShapeError("observation length must equal the truncation K")
+        if not np.all(np.isfinite(self.observations)):
+            raise InvalidParameterError("observations must be finite")
 
     @property
     def double_indexed(self):

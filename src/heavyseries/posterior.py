@@ -443,17 +443,14 @@ def _gibbs_log_marginal(xx, n, levels, level_of, u, v):
     return loglik + log_prior
 
 
-def gibbs_hierarchical_gaussian(data, draws=DEFAULT_DRAWS,
-                                burn_in=DEFAULT_BURN_IN, seed=0):
+def gibbs_hierarchical_gaussian(data, draws, burn_in, seed):
     """Gibbs sampler for the hierarchical Gaussian wavelet prior.
 
     Alternates exact conjugate coefficient draws given (tau, alpha) with a
     random-walk Metropolis move on (log tau, log alpha) targeting the
     marginal posterior (coefficients integrated out analytically).
+    `fit_posterior`, its one way in, checks the basis and chain lengths.
     """
-    if not data.double_indexed:
-        raise ShapeError("hierarchical Gaussian baseline needs wavelet data")
-    check_chain_lengths(draws, burn_in)
     K = data.truncation
     x = data.observations
     n = data.noise_precision

@@ -31,8 +31,8 @@ class UnivariatePosterior:
             raise InvalidParameterError("observation must be finite")
         if not self.noise_precision > 0:
             raise InvalidParameterError("noise precision must be > 0")
-        if math.isnan(self.log_scale) or self.log_scale == math.inf:
-            raise InvalidParameterError("log_scale must be finite or -inf")
+        if not math.isfinite(self.log_scale):
+            raise InvalidParameterError("log_scale must be finite")
 
 
 def _log_posterior_unnorm(theta, post):
@@ -225,8 +225,6 @@ def quadrature_mean_var(post, tol=1e-8, quantiles=QUANTILES):
     panel is halved, up to _MAX_REFINE times; an error still above tol at
     the cap raises ConvergenceError with the achieved estimate, so every
     answer returned is within tol.  x = 0 gives mean exactly 0 by symmetry.
-    A prior degenerate at 0 (log sigma = -inf) gives the point mass at 0,
-    at level 0 with error 0.
 
     The `quantiles` levels are interpolated from the K15 node CDF, with
     each node's mass centred on its node (cumsum(p) - p/2).  Against a
@@ -238,9 +236,6 @@ def quadrature_mean_var(post, tol=1e-8, quantiles=QUANTILES):
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be > 0")
-    if post.log_scale == -math.inf:
-        return Moments(0.0, 0.0, -math.inf, {q: 0.0 for q in quantiles},
-                       0, 0.0)
     if post.noise_precision < _PRECISION_MIN:
         raise ConvergenceError(
             "posterior moments not representable: noise precision "

@@ -176,8 +176,7 @@ def test_chain_and_tol_defaults_agree(tmp_path, capsys, monkeypatch):
     defaults = {"draws": posterior.DEFAULT_DRAWS,
                 "burn_in": posterior.DEFAULT_BURN_IN,
                 "tol": posterior.DEFAULT_TOL}
-    for fn in (posterior.fit_posterior, posterior.metropolis_draws,
-               posterior.gibbs_hierarchical_gaussian):
+    for fn in (posterior.fit_posterior, posterior.metropolis_draws):
         params = inspect.signature(fn).parameters
         for key, value in defaults.items():
             if key in params:
@@ -451,6 +450,11 @@ def test_experiment_rejects_invalid_sizes_before_running(tmp_path, capsys,
     ({"priors": ["cauchy-ot", "cauchy-ot"]}, "priors has duplicate entries"),
     ({"truncation": 10.5}, "truncation must be an integer"),
     ({"replications": 2.0}, "replications must be an integer"),
+    ({"priors": "cauchy-ot"}, "priors must be a list"),
+    ({"priors": ["cauchy-ot"], "p_primes": "inf"}, "p_primes must be a list"),
+    ({"priors": ["cauchy-ot"], "ns": 1000}, "ns must be a list"),
+    ({"priors": ["cauchy-ot"], "truths": "sobolev-cos"},
+     "truths must be a list"),
 ])
 def test_experiment_rejects_repeats_and_fractional_counts(tmp_path, capsys,
                                                          settings, message):
@@ -519,6 +523,10 @@ def test_data_commands_reject_non_real_values(tmp_path, capsys, cmd,
      "p must be >= 1"),
     ("rates", {"rates": [{"s": 1.5, "p": 1, "p_prime": 2, "q": 0.5}]},
      "q must be >= 1"),
+    ("rates", {"rates": "x"}, "rates must be a list"),
+    ("rates", {"rates": {"s": 1.5, "p": 1, "p_prime": 2}},
+     "rates must be a list"),
+    ("rates", {"rates": [1]}, "rates must be a list of dicts"),
 ])
 def test_commands_reject_values_out_of_range(tmp_path, capsys, cmd, settings,
                                              message):

@@ -16,6 +16,7 @@ import textwrap
 
 import pytest
 
+import heavyseries
 from heavyseries import priors, quadrature
 
 _PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "heavyseries"
@@ -176,6 +177,16 @@ def test_quadrature_engine_stays_in_quadrature():
     assert _package_imports(source) == {"errors"}
     # nor reads more of a tail than its log-density and the conjugate flag
     assert _tail_attributes(source) <= {"conjugate", "log_density_scaled"}
+
+
+def test_gibbs_is_reached_only_through_fit_posterior():
+    # `fit_posterior` checks the chain lengths and the basis before it
+    # routes a hierarchical prior to the sampler, which checks neither
+    users = [p.name for p in _ALL_MODULES
+             if "gibbs_hierarchical_gaussian"
+             in _referenced_names(p.read_text())]
+    assert users == ["posterior.py"]
+    assert "gibbs_hierarchical_gaussian" not in heavyseries.__all__
 
 
 def _tail_attributes(source):

@@ -61,6 +61,17 @@ def test_invalid_inputs():
         model.TrueSignal(np.array([1.0, np.nan]), basis.cosine_basis())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_data_rejects_non_finite_observations(bad):
+    # one rule for every fit path: quadrature, Metropolis and Gibbs each
+    # treated a non-finite observation its own way
+    x = np.zeros(4)
+    x[2] = bad
+    with pytest.raises(InvalidParameterError, match="observations must be "
+                                                    "finite"):
+        model.SequenceData(x, 10.0, 4, basis.cosine_basis(), 0)
+
+
 def test_wavelet_data_keeps_frame_length():
     frame = WaveletFrame("haar", 64, 3)
     t = signals.truth_quartet("blocks", frame)

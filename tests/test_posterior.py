@@ -104,18 +104,14 @@ def test_quantiles_bracket_mean():
     assert qs[0.05] < qs[0.5] < qs[0.95]
 
 
-def test_degenerate_scale():
-    mean, var, *_ = quadrature_mean_var(
-        UnivariatePosterior(3.0, 1.0, -math.inf, CAUCHY))
-    assert mean == 0.0 and var == 0.0
-
-
 def test_invalid_inputs():
     with pytest.raises(InvalidParameterError):
         UnivariatePosterior(math.nan, 1.0, 0.0, CAUCHY)
     with pytest.raises(InvalidParameterError):
         UnivariatePosterior(1.0, 0.0, 0.0, CAUCHY)
-    for log_scale in (math.nan, math.inf):
+    # a coordinate forced to 0 (log sigma = -inf) is skipped by every
+    # fit, so the engine takes finite scales only
+    for log_scale in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameterError, match="log_scale"):
             UnivariatePosterior(1.0, 1.0, log_scale, CAUCHY)
     with pytest.raises(InvalidParameterError):
@@ -390,7 +386,8 @@ def test_panel_edges_match_reference(tail):
     # np.array_equal compares values: where the set and the sort keep a
     # different one of 0.0 and -0.0, no node, weight or split edge differs
     for x in (0.0, -0.0, -2.5, 1.0, 1e6):
-        for log_sigma in (-math.inf, -700.0, -20.0, math.log(1e-3), 0.0,
+        # sigma = exp(-800) underflows to 0: the ladder's 5e-324 floor
+        for log_sigma in (-800.0, -700.0, -20.0, math.log(1e-3), 0.0,
                           30.0):
             for n in (1e-2, 1.0, 1e3, 1e8):
                 post = UnivariatePosterior(x, n, log_sigma, tail)
@@ -1016,9 +1013,6 @@ def test_invalid_chain_lengths_rejected():
         with pytest.raises(InvalidParameterError):
             posterior.metropolis_draws([(data, prior)], draws=draws,
                                        burn_in=burn_in)
-        with pytest.raises(InvalidParameterError):
-            gibbs_hierarchical_gaussian(wavelet_data, draws=draws,
-                                        burn_in=burn_in)
 
 
 def _moment_rows(count):
@@ -1207,14 +1201,6 @@ def test_fit_posterior_sends_hierarchical_gaussian_to_gibbs(method):
     assert np.array_equal(fit.variances, ref.variances)
     for q in QUANTILES:
         assert np.array_equal(fit.quantiles[q], ref.quantiles[q])
-
-
-def test_gibbs_rejects_single_index_data():
-    from heavyseries.errors import ShapeError
-
-    _, data = _sim(K=8)
-    with pytest.raises(ShapeError):
-        gibbs_hierarchical_gaussian(data, draws=10, burn_in=10)
 
 
 def test_fit_posterior_checks_the_basis_before_gibbs():
