@@ -104,13 +104,26 @@ def test_quantiles_bracket_mean():
     assert qs[0.05] < qs[0.5] < qs[0.95]
 
 
+def test_degenerate_scale():
+    # a coordinate forced to 0 (log sigma = -inf) is skipped by every
+    # fit, so the engine takes finite scales only and the fit itself
+    # gives that coordinate mean 0 and variance 0
+    with pytest.raises(InvalidParameterError, match="log_scale"):
+        UnivariatePosterior(3.0, 1.0, -math.inf, CAUCHY)
+    truth, _ = _sim(K=10)
+    data = model.SequenceData(np.full(10, 3.0), 1.0, 10, truth.basis, 0)
+    summary = fit_posterior(
+        data, PriorSpec(CAUCHY, ConstantTruncatedScaling(1.0, 4)))
+    assert np.all(summary.means[4:] == 0.0)
+    assert np.all(summary.variances[4:] == 0.0)
+    assert np.all(summary.means[:4] > 0.0)
+
+
 def test_invalid_inputs():
     with pytest.raises(InvalidParameterError):
         UnivariatePosterior(math.nan, 1.0, 0.0, CAUCHY)
     with pytest.raises(InvalidParameterError):
         UnivariatePosterior(1.0, 0.0, 0.0, CAUCHY)
-    # a coordinate forced to 0 (log sigma = -inf) is skipped by every
-    # fit, so the engine takes finite scales only
     for log_scale in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameterError, match="log_scale"):
             UnivariatePosterior(1.0, 1.0, log_scale, CAUCHY)
