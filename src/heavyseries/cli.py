@@ -125,10 +125,11 @@ def _cmd_simulate(args):
 
 def _cmd_fit(args):
     cfg, data = _simulated_data(args)
-    default_prior = ("cauchy-wavelet-ot" if data.double_indexed
-                     else "cauchy-ot")
-    prior = priors.make_prior(cfg.get("prior", default_prior),
-                              n=data.noise_precision)
+    name = cfg.get("prior", "cauchy-wavelet-ot" if data.double_indexed
+                   else "cauchy-ot")
+    if not isinstance(name, str):
+        raise InvalidParameterError(f"prior must be a string, not {name!r}")
+    prior = priors.make_prior(name, n=data.noise_precision)
     summary = posterior.fit_posterior(
         data, prior, draws=_count(cfg, "draws", posterior.DEFAULT_DRAWS),
         burn_in=_count(cfg, "burn_in", posterior.DEFAULT_BURN_IN),

@@ -114,6 +114,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InvalidParameterError(f"unknown experiment {self.experiment!r}")
+        # a string or a number where a list goes fails here, not as a list
+        # of letters or a bare TypeError
+        for name, item in (("priors", str), ("ns", object), ("truths", str),
+                           ("p_primes", object)):
+            object.__setattr__(self, name,
+                               require_list(name, getattr(self, name), item))
+        object.__setattr__(self, "p_primes", tuple(
+            real_or_inf("each of p_primes", p) for p in self.p_primes))
         for name in ("truncation", "replications", "draws", "burn_in",
                      "parallel", "seed"):
             require_integer(name, getattr(self, name))
@@ -125,9 +133,8 @@ class ExperimentConfig:
         if not self.parallel >= 1:
             raise InvalidParameterError("parallel must be >= 1")
         require_real("quadrature_tol", self.quadrature_tol)
-        for name in ("ns", "p_primes"):
-            for value in getattr(self, name):
-                require_real(f"each of {name}", value)
+        for n in self.ns:
+            require_real("each of ns", n)
         # written `not x > 0` so that NaN fails too
         if not self.quadrature_tol > 0:
             raise InvalidParameterError("quadrature_tol must be > 0")
@@ -151,12 +158,6 @@ def config_from_dict(d):
     bad = set(d) - known
     if bad:
         raise InvalidParameterError(f"unknown config keys: {sorted(bad)}")
-    d = dict(d)
-    for key in ("priors", "ns", "truths", "p_primes"):
-        if key in d:
-            d[key] = require_list(key, d[key])
-    d["p_primes"] = tuple(real_or_inf("each of p_primes", p)
-                          for p in d.get("p_primes", ()))
     return ExperimentConfig(**d)
 
 
@@ -256,7 +257,7 @@ def _groups(config):
         raise InvalidParameterError(
             "band files are named by (prior, n), n to 6 significant digits: "
             "a run with bands needs distinct n, distinct at that precision")
-    # unknown presets, presets an n cannot build, unknown truths, blocks
+    # malformed prior names, priors an n cannot build, unknown truths, blocks
     # with no level in the frame, priors that do not index their truth's
     # basis and then an infinite n, at which no fit converges, fail here
     # rather than in a work unit

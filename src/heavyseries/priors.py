@@ -1,5 +1,5 @@
-"""Tail families, scaling rules, assembled series priors and their named
-presets.
+"""Tail families, scaling rules, assembled series priors and the grammar
+of their names.
 
 A series prior draws coefficient k as f_k = sigma_k * zeta_k with zeta
 i.i.d. from a symmetric tail density h.  Heavy families certify the three
@@ -29,7 +29,7 @@ with K = (2 pi)^{-3/2}.
 """
 
 import math
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -409,7 +409,6 @@ class ScalingRule:
     # True when the rule's parameters carry hyperpriors, which only the
     # Gibbs baseline fits
     hierarchical = False
-    kind = "abstract"
 
     def log_scale(self, idx):
         raise NotImplementedError
@@ -427,7 +426,6 @@ class OTScaling(ScalingRule):
     """sigma_k = exp(-(log k)^{1+nu})."""
 
     nu: float = 0.5
-    kind = "ot"
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -442,7 +440,6 @@ class HTScaling(ScalingRule):
     """sigma_k = k^{-1/2 - alpha}."""
 
     alpha: float
-    kind = "ht"
 
     def __post_init__(self):
         # alpha = inf would give sigma_1 = exp(-inf * 0) = NaN
@@ -460,7 +457,6 @@ class ConstantTruncatedScaling(ScalingRule):
 
     tau: float
     k_trunc: int
-    kind = "constant-truncated"
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -490,7 +486,6 @@ class WaveletOTScaling(ScalingRule):
 
     nu: float = 0.5
     level_indexed = True
-    kind = "wavelet-ot"
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -509,7 +504,6 @@ class GaussianHierarchicalScaling(ScalingRule):
     alpha: float = 1.0
     level_indexed = True
     hierarchical = True
-    kind = "gaussian-hierarchical"
 
     def __post_init__(self):
         if not (self.tau > 0 and 0 < self.alpha < math.inf):
@@ -538,17 +532,13 @@ class PriorSpec:
     scaling: ScalingRule
     _: KW_ONLY
     baseline: bool = False
-    label: str = field(default="")
+    label: str = ""
 
     def __post_init__(self):
         if not (self.tail.is_heavy or self.baseline
                 or self.scaling.hierarchical):
             raise InvalidParameterError(
                 "light-tailed families are only admissible as flagged baselines"
-            )
-        if not self.label:
-            object.__setattr__(
-                self, "label", f"{self.tail.name}-{self.scaling.kind}"
             )
 
     def check_basis(self, basis):
@@ -567,41 +557,51 @@ class PriorSpec:
         return log_s, log_s > -np.inf
 
 
-_PRESETS = {
-    "student3-ot": lambda: (StudentTail(3.0), OTScaling(0.5)),
-    "cauchy-ot": lambda: (CauchyTail(), OTScaling(0.5)),
-    "horseshoe-ot": lambda: (HorseshoeTail(), OTScaling(0.5)),
-    "cauchy-wavelet-ot": lambda: (CauchyTail(), WaveletOTScaling(0.5)),
-    "gaussian-hierarchical": lambda: (
-        GaussianTail(), GaussianHierarchicalScaling(1.0, 1.0)),
-}
+# A prior name reads <tail>-<scaling>; a scaling key ending in "-" reads a
+# number from the rest, spelled only as its repr less a final .0 (ht-2)
+_TAILS = {"gaussian": GaussianTail, "student3": lambda: StudentTail(3.0),
+          "cauchy": CauchyTail, "horseshoe": HorseshoeTail}
+_SCALINGS = {"ot": lambda: OTScaling(0.5),
+             "wavelet-ot": lambda: WaveletOTScaling(0.5), "ht-": HTScaling}
 
 
 def make_prior(name, n=None):
-    """The PriorSpec of a named preset, labelled with the preset's name.
+    """The PriorSpec a prior name describes, labelled with the name.
 
-    truncated-hs (the horseshoe at tau = 1/n, truncated at k = n) needs
-    a finite noise precision n > 0; student3-ht-<alpha> takes alpha > 0
-    from its name.
+    truncated-hs (the horseshoe at tau = 1/n truncated at k = n, for a
+    finite precision n > 0) and gaussian-hierarchical are aliases; of the
+    <tail>-<scaling> names, a Gaussian tail's is a baseline comparator.
     """
-    if name in _PRESETS:
-        tail, scaling = _PRESETS[name]()
-    elif name == "truncated-hs":
+    if name == "truncated-hs":
         if n is None or not 0 < n < math.inf:
             raise InvalidParameterError(
                 f"truncated-hs needs a finite precision n > 0, not {n!r}")
-        tail = HorseshoeTail()
-        scaling = ConstantTruncatedScaling(1.0 / n, max(1, int(round(n))))
-    elif name.startswith("student3-ht-"):
+        return PriorSpec(HorseshoeTail(), ConstantTruncatedScaling(
+            1.0 / n, max(1, int(round(n)))), label=name)
+    if name == "gaussian-hierarchical":
+        return PriorSpec(GaussianTail(), GaussianHierarchicalScaling(1.0, 1.0),
+                         label=name)
+    tail_key, _, scaling = name.partition("-")
+    if tail_key not in _TAILS:
+        raise InvalidParameterError(f"prior {name!r}: unknown tail "
+                                    f"{tail_key!r}, not one of {list(_TAILS)}")
+    key = scaling if scaling in _SCALINGS else scaling[:scaling.find("-") + 1]
+    if key not in _SCALINGS:
+        raise InvalidParameterError(f"prior {name!r}: unknown scaling "
+                                    f"{scaling!r}, not one of {list(_SCALINGS)}")
+    args, text = (), scaling.removeprefix(key)
+    if key.endswith("-"):
         try:
-            alpha = float(name.removeprefix("student3-ht-"))
+            args = (float(text),)
         except ValueError:
-            raise InvalidParameterError(
-                f"{name!r} does not end in a number alpha") from None
-        tail, scaling = StudentTail(3.0), HTScaling(alpha)
-    else:
-        raise InvalidParameterError(f"unknown prior preset {name!r}")
-    return PriorSpec(tail, scaling, label=name)
+            pass
+        if not args or repr(args[0]).removesuffix(".0") != text:
+            raise InvalidParameterError(f"prior {name!r}: alpha {text!r} is "
+                                        "not a number spelled as its repr, "
+                                        "less a final .0")
+    tail = _TAILS[tail_key]()
+    return PriorSpec(tail, _SCALINGS[key](*args), baseline=not tail.is_heavy,
+                     label=name)
 
 
 def sample_prior(spec, count, seed):

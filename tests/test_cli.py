@@ -527,6 +527,9 @@ def test_data_commands_reject_non_real_values(tmp_path, capsys, cmd,
     ("rates", {"rates": {"s": 1.5, "p": 1, "p_prime": 2}},
      "rates must be a list"),
     ("rates", {"rates": [1]}, "rates must be a list of dicts"),
+    # a number used to crash make_prior with an AttributeError
+    ("fit", {"truncation": 8, "prior": 3}, "prior must be a string"),
+    ("fit", {"truncation": 8, "prior": "student3-ht-1.250"}, "alpha '1.250'"),
 ])
 def test_commands_reject_values_out_of_range(tmp_path, capsys, cmd, settings,
                                              message):

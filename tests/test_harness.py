@@ -1,3 +1,4 @@
+import csv
 import fnmatch
 import math
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from heavyseries import harness
+from heavyseries import basis, harness, model, quadrature, signals
 from heavyseries.errors import InvalidParameterError, ShapeError
 from heavyseries.harness import (
     ErrorRecord,
@@ -69,10 +70,14 @@ def test_config_validation(tmp_path):
     ("quadrature_tol", math.nan),
     ("ns", (0.0, 1e3)), ("ns", (-1e3,)), ("ns", (math.nan,)),
     ("ns", (1e3, math.nan)), ("truncation", 0), ("truncation", -3),
+    ("truths", "bumps"), ("priors", "cauchy-ot"), ("ns", 1000),
+    ("p_primes", 2.0),
 ])
 def test_config_rejects_settings_that_fail_only_later(field, value):
-    # parallel < 1 used to run serially; the others raised only once the
-    # run had started
+    # parallel < 1 used to run serially, and truths "bumps" was accepted as
+    # a list of letters; priors "cauchy-ot" failed as letters that repeat,
+    # ns 1000 and p_primes 2.0 with a bare TypeError, and the others only
+    # once the run had started
     with pytest.raises(InvalidParameterError, match=field.rstrip("s")):
         ExperimentConfig("sobolev", **{field: value})
 
@@ -111,7 +116,7 @@ def test_config_accepts_numpy_integers():
 
 
 @pytest.mark.parametrize("fields,error,message", [
-    (dict(priors=("nope",)), InvalidParameterError, "unknown prior preset"),
+    (dict(priors=("nope",)), InvalidParameterError, "unknown tail 'nope'"),
     (dict(priors=("truncated-hs",), ns=(1e3, math.inf)),
      InvalidParameterError, "finite precision"),
     # block 6 would sit on level 12 of a 2048-sample frame, which holds
@@ -128,9 +133,14 @@ def test_config_accepts_numpy_integers():
     # both n print as 1e+06, so their band files would share one name
     (dict(ns=(1000000, 1000001), include_bands=True), InvalidParameterError,
      "distinct n"),
+    # two spellings of one prior pass the duplicate check, and each name
+    # used to be fitted and written
+    (dict(priors=("student3-ht-1.25", "student3-ht-1.250")),
+     InvalidParameterError, r"alpha '1\.250'"),
 ], ids=["unknown-preset", "truncated-hs-at-inf", "sparse-besov-six-n",
         "single-index-prior-on-wavelet-truth",
-        "level-indexed-prior-on-single-index-truth", "band-stem-collision"])
+        "level-indexed-prior-on-single-index-truth", "band-stem-collision",
+        "second-spelling-of-one-prior"])
 def test_priors_are_built_before_any_simulation(tmp_path, monkeypatch, fields,
                                                 error, message):
     # a truth, prior or pairing that cannot run fails before any truth is
@@ -359,6 +369,37 @@ def test_custom_single_index_experiment(tmp_path):
         truths=("sobolev-sine",), include_bands=False)
     result = run_experiment(cfg)
     assert len(result.records) == 2
+
+
+def test_gaussian_prior_errors_match_the_conjugate_closed_form(tmp_path):
+    # the pipeline oracle: under a Gaussian tail every posterior mean has a
+    # closed form, so the run's p' = 2 mean-estimate errors can be rebuilt
+    # from the harness's seeds without the posterior engine
+    cfg = ExperimentConfig(
+        "custom", truths=("sobolev-cos",), priors=("gaussian-ht-1.25",),
+        ns=(1e3, 1e4), replications=1, seed=3, include_bands=False,
+        include_contraction=False, out_dir=str(tmp_path))
+    run_experiment(cfg)
+    with open(tmp_path / "errors.csv") as fh:
+        rows = [row for row in csv.DictReader(fh)
+                if row["p_prime"] == "2"
+                and row["error_type"] == harness.MEAN_ESTIMATE]
+    assert [float(row["n"]) for row in rows] == list(cfg.ns)
+    truth = signals.make_truth("sobolev-cos", K=cfg.truncation, seed=cfg.seed)
+    f0 = truth.coefficients
+    sigma = np.arange(1, len(f0) + 1) ** (-0.5 - 1.25)
+    scale = basis.parseval_scale(truth.basis)
+    for row in rows:
+        n = float(row["n"])
+        data = model.simulate(truth, n, len(f0),
+                              seed=harness._rep_seed(cfg.seed, 0))
+        mean, var = quadrature.conjugate_mean_var(data.observations, n, sigma)
+        exact = np.linalg.norm(mean - f0) / scale
+        # quadrature holds each mean to tol relative to max(|mean|, sd);
+        # the gap measured 0 to 5.6e-17 against this bound's 9e-7
+        bound = cfg.quadrature_tol * np.linalg.norm(
+            np.maximum(np.abs(mean), np.sqrt(var))) / scale
+        assert abs(float(row["mean"]) - exact) <= bound
 
 
 def test_band_width_outputs(tmp_path):

@@ -18,6 +18,7 @@ import pytest
 
 import heavyseries
 from heavyseries import priors, quadrature
+from heavyseries.errors import InvalidParameterError
 
 _PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "heavyseries"
 _ALL_MODULES = sorted(_PACKAGE.glob("*.py"))
@@ -133,6 +134,40 @@ def test_prior_classes_stay_with_priors():
     users = [p.name for p in _MODULES
              if classes & _referenced_names(p.read_text())]
     assert users == ["priors.py"]
+    # nor parses a prior name: every other module names a prior whole, as
+    # `make_prior` builds it, and never tests for a tail or scaling key
+    assert [p.name for p in _ALL_MODULES
+            if _prior_name_pieces(p.read_text())] == ["priors.py"]
+
+
+def _prior_name_pieces(source):
+    """(line, text) of each string constant that holds a tail or scaling
+    key of `make_prior`'s tables, alone or between hyphens, and is not a
+    name `make_prior` builds: what a parser of prior names tests for."""
+    keys = [key.strip("-") for key in (*priors._TAILS, *priors._SCALINGS)]
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(re.search(rf"(^|-){re.escape(key)}(-|$)", node.value)
+                        for key in keys)):
+            continue
+        try:
+            priors.make_prior(node.value, n=1.0)
+        except InvalidParameterError:
+            found.append((node.lineno, node.value))
+    return found
+
+
+def test_prior_name_piece_check_finds_every_form():
+    source = ('a = ("cauchy-ot", "student3-ht-0.75", "truncated-hs")\n'
+              'b = name.startswith("student3-ht-")\n'
+              'c = name.endswith("-ot")\n'
+              'd = name.partition("-")[0] == "horseshoe"\n'
+              'e = ("wavelet", "least-favorable-1", "sobolev-cos")\n'
+              'f = f"{tail}-wavelet-ot"\n')
+    assert _prior_name_pieces(source) == [
+        (2, "student3-ht-"), (3, "-ot"), (4, "horseshoe"),
+        (6, "-wavelet-ot")]
 
 
 def _package_imports(source):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -325,6 +326,24 @@ def test_student_df_validation():
         StudentTail(0.5)
 
 
+# malformed prior names, each with the part its error names
+_MALFORMED_NAMES = [
+    ("cauchy", "unknown scaling ''"),
+    ("cauchy-", "unknown scaling ''"),
+    ("-ot", "unknown tail ''"),
+    ("studentx-ot", "unknown tail 'studentx'"),
+    ("cauchy-xyz", "unknown scaling 'xyz'"),
+    ("student3-ht-", "alpha ''"),
+    # second spellings, which float() reads, of names the grammar builds
+    ("student3-ht-1.250", "alpha '1.250'"),
+    ("student3-ht- 1.25", "alpha ' 1.25'"),
+    ("student3-ht-+2", "alpha '+2'"),
+    ("student3-ht-2.0", "alpha '2.0'"),
+    ("student3-ht-1_0", "alpha '1_0'"),
+    ("student3-ht-1E-05", "alpha '1E-05'"),
+]
+
+
 # `x <= 0` is False for NaN, so a check written that way lets NaN through
 # to fail later with an unrelated error, or not at all
 @pytest.mark.parametrize("build", [
@@ -353,10 +372,18 @@ def test_student_df_validation():
                  id="preset-n-nan"),
     pytest.param(lambda: make_prior("truncated-hs", n=math.inf),
                  id="preset-n-inf"),
-])
+] + [pytest.param(lambda name=name: make_prior(name), id=f"name-{name}")
+     for name, _ in _MALFORMED_NAMES])
 def test_invalid_prior_parameters_raise_typed_errors(build):
     with pytest.raises(InvalidParameterError):
         build()
+
+
+@pytest.mark.parametrize("name,part", _MALFORMED_NAMES)
+def test_malformed_prior_name_names_its_bad_part(name, part):
+    with pytest.raises(InvalidParameterError,
+                       match=re.escape(f"prior '{name}': {part}")):
+        make_prior(name)
 
 
 # -- scaling rules -----------------------------------------------------------
@@ -423,11 +450,12 @@ def test_prior_spec_validation():
     with pytest.raises(InvalidParameterError):
         PriorSpec(GAUSSIAN, OTScaling(0.5))  # light tail without baseline
     spec = PriorSpec(GAUSSIAN, OTScaling(0.5), baseline=True)
-    assert spec.label == "gaussian-ot"
+    # only make_prior names a prior; a spec built directly has no label
+    assert spec.label == ""
 
 
-# Each preset's tail and scaling, written out independently of
-# make_prior's catalogue: (name, n) -> PriorSpec
+# Each name's tail, scaling and baseline flag, written out independently
+# of make_prior's grammar: (name, n) -> PriorSpec
 _PRESET_REFERENCES = {
     ("student3-ot", None): PriorSpec(StudentTail(3.0), OTScaling(0.5)),
     ("cauchy-ot", None): PriorSpec(CAUCHY, OTScaling(0.5)),
@@ -440,9 +468,20 @@ _PRESET_REFERENCES = {
         HORSESHOE, ConstantTruncatedScaling(1.0 / (2.5e4 + 0.5), 25000)),
     ("student3-ht-1.25", None): PriorSpec(StudentTail(3.0), HTScaling(1.25)),
     ("student3-ht-2.75", None): PriorSpec(StudentTail(3.0), HTScaling(2.75)),
+    # the one spelling of 2.0 and of 1e-05
+    ("student3-ht-2", None): PriorSpec(StudentTail(3.0), HTScaling(2.0)),
+    ("horseshoe-ht-1e-05", None): PriorSpec(HORSESHOE, HTScaling(1e-05)),
     ("cauchy-wavelet-ot", None): PriorSpec(CAUCHY, WaveletOTScaling(0.5)),
     ("gaussian-hierarchical", None): PriorSpec(
         GAUSSIAN, GaussianHierarchicalScaling()),
+    ("horseshoe-wavelet-ot", None): PriorSpec(HORSESHOE, WaveletOTScaling(0.5)),
+    ("student3-wavelet-ot", None): PriorSpec(StudentTail(3.0),
+                                             WaveletOTScaling(0.5)),
+    ("cauchy-ht-1.25", None): PriorSpec(CAUCHY, HTScaling(1.25)),
+    ("gaussian-ht-1.25", None): PriorSpec(GAUSSIAN, HTScaling(1.25),
+                                          baseline=True),
+    ("gaussian-wavelet-ot", None): PriorSpec(GAUSSIAN, WaveletOTScaling(0.5),
+                                             baseline=True),
 }
 
 
@@ -450,7 +489,7 @@ def test_presets_match_their_references():
     for (name, n), ref in _PRESET_REFERENCES.items():
         spec = make_prior(name, n)
         assert spec.label == name
-        assert spec.baseline is False
+        assert spec.baseline is ref.baseline
         assert spec.scaling == ref.scaling
         assert type(spec.tail) is type(ref.tail)
         assert vars(spec.tail) == vars(ref.tail)
