@@ -85,6 +85,16 @@ def require_list(name, value, item=object):
     raise InvalidParameterError(f"{name} must be {kind}, not {value!r}")
 
 
+def require_bool(name, value):
+    """`value` unchanged, or InvalidParameterError naming `name` unless it
+    is True, False or None (the experiment's default): a string such as
+    "no" or "false" is not one, nor is 1 or 0."""
+    if value is not None and not isinstance(value, bool):
+        raise InvalidParameterError(
+            f"{name} must be true, false or null, not {value!r}")
+    return value
+
+
 def real_or_inf(name, value):
     """`require_real`, reading the string "inf" as math.inf: JSON, which
     configs are written in, has no literal for an infinite exponent."""
@@ -125,6 +135,9 @@ class ExperimentConfig:
         for name in ("truncation", "replications", "draws", "burn_in",
                      "parallel", "seed"):
             require_integer(name, getattr(self, name))
+        for name in ("include_contraction", "include_sureshrink",
+                     "include_bands"):
+            require_bool(name, getattr(self, name))
         if self.replications < 1:
             raise InvalidParameterError("replications must be >= 1")
         if self.truncation < 1:

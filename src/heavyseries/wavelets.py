@@ -17,13 +17,16 @@ analyze is the plain periodized filter bank: filter tap m gathers samples
 package analyzes one signal per truth, so this path is kept simple.
 
 synthesize, which turns stacks of posterior draws into curves, works on
-polyphase components: a level of n samples is viewed as a (half, 2) array
-whose columns are the even and odd samples, so tap m touches the
-parity-(m % 2) column shifted cyclically by m // 2.  Each tap is then two
-contiguous slice-and-add operations, and interleaving the columns back
-into samples is a free reshape.  Stacks go through all levels in the
-blocks of `row_blocks`, which bounds the temporaries to one block; each
-block's last level writes straight into the result.
+polyphase components: tap m adds l_m a_k + h_m d_k into entry k + m//2
+(mod half) of the parity-(m % 2) half of a level's samples.  A level step
+pads a and d cyclically by the largest shift, (len(lo) - 1) // 2, so each
+tap is one contiguous slice-add of its term into its parity's
+accumulator, and the two accumulators interleave into the level's output.
+Stacks go through all levels in the blocks of `row_blocks(rows, 4 *
+signal_length)`, since a step holds about four row-lengths (padded planes
+and term, accumulators, output): the one budget bounds the whole step,
+which so stays in cache.  The step's scratch is made once per call, and
+each block's levels write into that block of the result.
 
 Both apply the taps in ascending order, so every output element is summed
 in a fixed order.  Both return a fresh C-ordered array whatever the order
@@ -39,8 +42,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, ShapeError
 
-# Most values one block of `row_blocks` holds (2 MiB of float64).  At 2048
-# samples a wavelet block is 128 rows, enough to amortize per-tap numpy
+# Most values one block of `row_blocks` holds (2 MiB of float64; 32 rows of
+# wavelet synthesis at 2048 samples), enough to amortize per-tap numpy
 # overhead, while a stack of draws needs no full-size temporaries.
 _BLOCK_VALUES = 1 << 18
 
@@ -182,40 +185,28 @@ def level_slice(j):
     return slice(2**j, 2 ** (j + 1))
 
 
-def _wrapped(s, half):
-    """Slice pairs (shifted, source) of a cyclic shift by s on half entries.
-
-    Position k of a length-half axis pairs with position (k + s) mod half;
-    the pairs split into two contiguous runs, so the shift needs no index
-    array.
-    """
-    return ((slice(s, half), slice(0, half - s)),
-            (slice(0, s), slice(half - s, half)))
-
-
-def _idwt_step(approx, detail, lo, hi, out=None):
-    # tap m adds into sample 2k + m (mod n), which is entry
-    # (k + m//2) mod half of the parity-(m % 2) plane of the output; the
-    # planes interleave by a reshape.  `out`, when given, is a C-ordered
-    # (rows, 2 half) array that takes the output.
-    half = approx.shape[-1]
-    if out is None:
-        a = np.zeros(approx.shape + (2,))
-    else:
-        a = out.reshape(approx.shape + (2,))
-        a.fill(0.0)
-    # one pair of term buffers per step, not three fresh arrays per tap:
-    # same products and sums, without faulting in new pages for each
-    term = np.empty_like(approx)
-    scratch = np.empty_like(approx)
+def _idwt_step(approx, detail, lo, hi, out, work):
+    # tap m adds l_m a + h_m d at entry k + m//2 (mod half) of the parity-
+    # (m % 2) plane of `out`: one contiguous slice of the term over a and d
+    # padded cyclically.  The buffers are views of the flat `work`; `out`
+    # may overlap approx, which is read only into its padded plane.
+    rows, half = approx.shape
+    pad = (len(lo) - 1) // 2
+    size = rows * (half + pad)
+    a, d, term, scratch = work[: 4 * size].reshape(4, rows, half + pad)
+    sums = work[4 * size:][: 2 * rows * half].reshape(2, rows, half)
+    shifts = np.arange(-pad, half)
+    np.take(approx, shifts, axis=1, out=a, mode="wrap")
+    np.take(detail, shifts, axis=1, out=d, mode="wrap")
+    sums.fill(0.0)
     for m, (l, h) in enumerate(zip(lo, hi)):
-        np.multiply(l, approx, out=term)
-        np.multiply(h, detail, out=scratch)
+        np.multiply(l, a, out=term)
+        np.multiply(h, d, out=scratch)
         term += scratch
-        plane = a[..., m % 2]
-        for shifted, source in _wrapped((m // 2) % half, half):
-            plane[..., shifted] += term[..., source]
-    return a.reshape(approx.shape[:-1] + (2 * half,))
+        acc = sums[m % 2]
+        acc += term[:, pad - m // 2:][:, :half]
+    out[:, 0::2], out[:, 1::2] = sums
+    return out
 
 
 def _check_last_axis(values, frame, what):
@@ -265,12 +256,18 @@ def synthesize(coefficients, frame, out=None):
     out_rows = out.reshape(rows.shape)
     lo = frame.lowpass
     hi = highpass(lo)
-    for block in row_blocks(len(rows), frame.signal_length):
+    # step scratch for the first, largest block: per row, four padded
+    # half-rows (a, d, term, scratch) and two half-row accumulators
+    blocks = row_blocks(len(rows), 4 * frame.signal_length)
+    work = np.empty((blocks[0].stop if blocks else 0)
+                    * (3 * frame.signal_length + 2 * len(lo)))
+    for block in blocks:
         c = np.ascontiguousarray(rows[block])
+        level = out_rows[block].reshape(-1)
         a = c[:, : 2**frame.coarse_level]
         for j in frame.detail_levels():
             a = _idwt_step(a, c[:, level_slice(j)], lo, hi,
-                           out_rows[block] if j == frame.levels - 1 else None)
+                           level[: 2 * a.size].reshape(len(a), -1), work)
     return out
 
 

@@ -455,6 +455,8 @@ def test_experiment_rejects_invalid_sizes_before_running(tmp_path, capsys,
     ({"priors": ["cauchy-ot"], "ns": 1000}, "ns must be a list"),
     ({"priors": ["cauchy-ot"], "truths": "sobolev-cos"},
      "truths must be a list"),
+    ({"priors": ["cauchy-ot"], "include_bands": "false"},
+     "include_bands must be true, false or null"),
 ])
 def test_experiment_rejects_repeats_and_fractional_counts(tmp_path, capsys,
                                                          settings, message):

@@ -77,8 +77,22 @@ def test_config_rejects_settings_that_fail_only_later(field, value):
     # parallel < 1 used to run serially, and truths "bumps" was accepted as
     # a list of letters; priors "cauchy-ot" failed as letters that repeat,
     # ns 1000 and p_primes 2.0 with a bare TypeError, and the others only
-    # once the run had started
-    with pytest.raises(InvalidParameterError, match=field.rstrip("s")):
+    # once the run had started.  A list key given a non-list is named whole,
+    # so an "ns" message must not pass on any text holding an "n"
+    listed = field in ("truths", "priors", "ns", "p_primes") and \
+        not isinstance(value, tuple)
+    pattern = f"{field} must" if listed else field.rstrip("s")
+    with pytest.raises(InvalidParameterError, match=pattern):
+        ExperimentConfig("sobolev", **{field: value})
+
+
+@pytest.mark.parametrize("field", ["include_contraction", "include_sureshrink",
+                                   "include_bands"])
+@pytest.mark.parametrize("value", ["no", "false", 1, 0])
+def test_config_rejects_include_flags_that_are_not_bools(field, value):
+    # include_bands "no" used to be kept and read as true, so bands were
+    # fitted; 1 and 0 are not booleans either
+    with pytest.raises(InvalidParameterError, match=f"{field} must be true"):
         ExperimentConfig("sobolev", **{field: value})
 
 

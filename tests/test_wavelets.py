@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,7 +159,8 @@ def test_polyphase_matches_fancy_index_reference(name, coarse, monkeypatch):
 
 
 def test_synthesize_into_out(monkeypatch):
-    # blocks of 128 rows of 64 samples; `out` receives every block
+    # a budget of 128 rows of 64 samples, 32 rows per synthesis block; `out`
+    # receives every block
     monkeypatch.setattr(wavelets, "_BLOCK_VALUES", 128 * 64)
     frame = wavelets.WaveletFrame("symmlet-8", 64, 3)
     coeffs = np.random.default_rng(9).normal(size=(2 * 128 + 3, 64))
@@ -169,6 +171,59 @@ def test_synthesize_into_out(monkeypatch):
                 coeffs):
         with pytest.raises(ShapeError):
             wavelets.synthesize(coeffs, frame, bad)
+
+
+def test_symmlet_stack_matches_reference_bit_for_bit():
+    # the real budget at 2048 samples: the stack crosses two block edges and
+    # ends in a part block, with a row of zeros, one of -0.0 and one holding
+    # some -0.0 entries
+    frame = wavelets.WaveletFrame("symmlet-8", 2048, 5)
+    step = wavelets._BLOCK_VALUES // (4 * 2048)
+    coeffs = np.random.default_rng(12).normal(size=(2 * step + 5, 2048))
+    coeffs[1] = 0.0
+    coeffs[step + 2] = -0.0
+    coeffs[2 * step + 1, ::3] = -0.0
+    ref = _reference_synthesize(coeffs, frame)
+    for out in (None, np.full(coeffs.shape, np.nan)):
+        got = wavelets.synthesize(coeffs, frame, out)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_synthesis_sums_start_at_positive_zero():
+    # one level step in which every term of output sample 0 is -0.0: tap m
+    # reads entry -m//2 (mod half) of a and d, signed against l_m and h_m.
+    # A sum that starts at +0.0, as the reference's, gives +0.0 there.
+    frame = wavelets.WaveletFrame("symmlet-8", 2048, 10)
+    lo, hi = frame.lowpass, wavelets.highpass(frame.lowpass)
+    coeffs = np.zeros(2048)
+    for m in range(0, len(lo), 2):
+        coeffs[-(m // 2) % 1024] = -0.0 if lo[m] > 0 else 0.0
+        coeffs[1024 + -(m // 2) % 1024] = -0.0 if hi[m] > 0 else 0.0
+    got = wavelets.synthesize(coeffs, frame)
+    ref = _reference_synthesize(coeffs, frame)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert got[0] == 0.0 and not np.signbit(got[0])
+
+
+def test_synthesis_scratch_does_not_grow_with_the_stack():
+    # into `out`, synthesis holds one block's level-step scratch whatever
+    # the stack's size: 1,858,340 and 1,859,676 bytes at tracemalloc's peak
+    # for 1,000 and 2,000 rows of 2048 samples (numpy 2.4.6), within the
+    # 2 MiB budget
+    frame = wavelets.WaveletFrame("symmlet-8", 2048, 5)
+    gen = np.random.default_rng(13)
+    peaks = []
+    for rows in (1000, 2000):
+        coeffs = gen.normal(size=(rows, 2048))
+        out = np.empty_like(coeffs)
+        tracemalloc.start()
+        try:
+            wavelets.synthesize(coeffs, frame, out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 8 * wavelets._BLOCK_VALUES
+    assert peaks[1] - peaks[0] <= 16 << 10, peaks
 
 
 # The block rules the stack loops wrote out for themselves before they took
