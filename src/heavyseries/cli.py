@@ -112,7 +112,6 @@ def _simulated_data(args):
         cfg["seed"] = args.seed
     truth = _make_truth(cfg)
     data = model.simulate(truth, _real(cfg, "n", 100.0),
-                          len(truth.coefficients),
                           seed=_count(cfg, "seed", 0))
     return cfg, data
 
@@ -125,7 +124,7 @@ def _cmd_simulate(args):
 
 def _cmd_fit(args):
     cfg, data = _simulated_data(args)
-    name = cfg.get("prior", "cauchy-wavelet-ot" if data.double_indexed
+    name = cfg.get("prior", "cauchy-wavelet-ot" if data.basis.double_indexed
                    else "cauchy-ot")
     if not isinstance(name, str):
         raise InvalidParameterError(f"prior must be a string, not {name!r}")
@@ -135,7 +134,7 @@ def _cmd_fit(args):
         burn_in=_count(cfg, "burn_in", posterior.DEFAULT_BURN_IN),
         seed=data.seed,
         tol=_real(cfg, "quadrature_tol", posterior.DEFAULT_TOL))
-    text = posterior.summary_to_csv(summary, data.double_indexed)
+    text = posterior.summary_to_csv(summary, data.basis.double_indexed)
     text += "# " + posterior.diagnostics_text(summary).replace("\n", "\n# ").rstrip("# ")
     model.write_text(args.out, text)
     return EXIT_OK

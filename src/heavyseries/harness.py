@@ -306,7 +306,7 @@ def _cell(args):
     seed = _rep_seed(config.seed, rep)
     truth = group.truth
     f0 = truth.coefficients
-    datas = [model.simulate(truth, n, len(f0), seed=seed) for n in group.ns]
+    datas = [model.simulate(truth, n, seed=seed) for n in group.ns]
     errors, bands = {}, {}
 
     def mean_errors(name, n, estimate):

@@ -1,10 +1,12 @@
 """The normal sequence model: observations of basis coefficients under
 additive Gaussian noise with precision n.
 
+A truth fixes K: `simulate` observes each of its coefficients, and
+`SequenceData.truncation` is the number of observations.
 Single-indexed data carry coordinates k = 1..K; double-indexed (wavelet)
 data carry (j, k) pairs in the packed layout of the wavelets module.
 Noise is drawn coordinate-by-coordinate from counter-based streams, so a
-simulated data set is a pure function of (truth, n, K, seed).
+simulated data set is a pure function of (truth, n, seed).
 """
 
 import os
@@ -31,15 +33,19 @@ class TrueSignal:
         object.__setattr__(
             self, "coefficients", np.asarray(self.coefficients, dtype=float)
         )
+        if len(self.coefficients) < 1:
+            raise InvalidParameterError("truth coefficients must not be empty")
         if not np.all(np.isfinite(self.coefficients)):
             raise InvalidParameterError("truth coefficients must be finite")
+        if (self.basis.double_indexed
+                and len(self.coefficients) != self.basis.frame.signal_length):
+            raise ShapeError("a wavelet truth must have the frame's length")
 
 
 @dataclass(frozen=True)
 class SequenceData:
     observations: np.ndarray
     noise_precision: float
-    truncation: int
     basis: BasisDescriptor
     seed: int
 
@@ -49,46 +55,25 @@ class SequenceData:
         )
         if not self.noise_precision > 0:  # NaN fails too
             raise InvalidParameterError("noise precision n must be > 0")
-        if len(self.observations) != self.truncation:
-            raise ShapeError("observation length must equal the truncation K")
         if not np.all(np.isfinite(self.observations)):
             raise InvalidParameterError("observations must be finite")
 
     @property
-    def double_indexed(self):
-        return self.basis.double_indexed
+    def truncation(self):
+        """K, the number of observed coefficients."""
+        return len(self.observations)
 
 
-def padded_coefficients(truth, K):
-    f0 = truth.coefficients
-    if len(f0) >= K:
-        return f0[:K].copy()
-    return np.concatenate([f0, np.zeros(K - len(f0))])
-
-
-def simulate(truth, noise_precision, truncation, seed):
-    """Draw X_k = f_{0,k} + xi_k / sqrt(n) with per-coordinate noise streams.
-
-    For double-indexed truths the truncation must equal the frame length;
-    coordinate keys are the packed flat indices.
-    """
+def simulate(truth, noise_precision, seed):
+    """Draw X_k = f_{0,k} + xi_k / sqrt(n), one noise stream per coefficient
+    of the truth, keyed by its flat index (packed, if double-indexed)."""
     n = float(noise_precision)
-    K = int(truncation)
-    if not n > 0:  # NaN fails too
+    if not n > 0:  # NaN fails too, before it reaches np.sqrt
         raise InvalidParameterError("noise precision n must be > 0")
-    if K < 1:
-        raise InvalidParameterError("truncation K must be >= 1")
-    if truth.basis.double_indexed and K != truth.basis.frame.signal_length:
-        raise ShapeError("wavelet data must keep the full frame length")
-    f0 = padded_coefficients(truth, K)
-    xi = rng.coord_normal(seed, rng.STREAM_NOISE, range(K))
-    return SequenceData(
-        observations=f0 + xi / np.sqrt(n),
-        noise_precision=n,
-        truncation=K,
-        basis=truth.basis,
-        seed=seed,
-    )
+    f0 = truth.coefficients
+    xi = rng.coord_normal(seed, rng.STREAM_NOISE, range(len(f0)))
+    return SequenceData(observations=f0 + xi / np.sqrt(n), noise_precision=n,
+                        basis=truth.basis, seed=seed)
 
 
 # --- CSV text and the files it goes to ------------------------------------
@@ -135,7 +120,7 @@ def index_rows(length, double_indexed):
 
 def data_to_csv(data):
     return coefficients_to_csv(
-        data.observations, data.double_indexed,
+        data.observations, data.basis.double_indexed,
         meta={"n": data.noise_precision, "K": data.truncation,
               "seed": data.seed, "basis": data.basis.kind})
 

@@ -399,7 +399,7 @@ def test_fit_hierarchical_gaussian_prints_gibbs_summary(tmp_path, capsys):
     cfg.write_text(json.dumps(settings))
     code, out, _ = _run(capsys, "fit", "--config", str(cfg), "--seed", "5")
     assert code == 0
-    data = model.simulate(cli._make_truth(settings), 4.0, 256, seed=5)
+    data = model.simulate(cli._make_truth(settings), 4.0, seed=5)
     ref = posterior.gibbs_hierarchical_gaussian(data, draws=30, burn_in=20,
                                                 seed=5)
     csv = posterior.summary_to_csv(ref, double_indexed=True)
@@ -619,8 +619,8 @@ def test_fit_default_prior_follows_the_truth_index_kind(tmp_path, capsys):
         code, out, _ = _run(capsys, "fit", "--config", str(cfg))
         assert code == 0
         truth = cli._make_truth(settings)
-        data = model.simulate(truth, 100.0, len(truth.coefficients), seed=0)
+        data = model.simulate(truth, 100.0, seed=0)
         ref = posterior.fit_posterior(data, priors.make_prior(name, n=100.0),
                                       tol=1e-6)
         assert out.startswith(posterior.summary_to_csv(
-            ref, data.double_indexed))
+            ref, data.basis.double_indexed))

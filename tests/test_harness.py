@@ -335,7 +335,7 @@ def test_parallel_bands_match_serial_and_refit(tmp_path):
     seed0 = harness._rep_seed(cfg.seed, 0)
     truth = signals.make_truth("sobolev-cos", K=cfg.truncation)
     for n in cfg.ns:
-        data = model.simulate(truth, n, cfg.truncation, seed=seed0)
+        data = model.simulate(truth, n, seed=seed0)
         for name in cfg.priors:
             ((mat, _),) = posterior.metropolis_draws(
                 [(data, make_prior(name, n=n))], draws=cfg.draws,
@@ -405,8 +405,7 @@ def test_gaussian_prior_errors_match_the_conjugate_closed_form(tmp_path):
     scale = basis.parseval_scale(truth.basis)
     for row in rows:
         n = float(row["n"])
-        data = model.simulate(truth, n, len(f0),
-                              seed=harness._rep_seed(cfg.seed, 0))
+        data = model.simulate(truth, n, seed=harness._rep_seed(cfg.seed, 0))
         mean, var = quadrature.conjugate_mean_var(data.observations, n, sigma)
         exact = np.linalg.norm(mean - f0) / scale
         # quadrature holds each mean to tol relative to max(|mean|, sd);

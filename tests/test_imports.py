@@ -504,7 +504,7 @@ def test_package_runs_with_scipy_blocked(tmp_path):
         from heavyseries import posterior, priors
 
         hs.HORSESHOE._ensure_spline()
-        data = hs.simulate(hs.make_truth("sobolev-cos", K=20), 1e3, 20, 0)
+        data = hs.simulate(hs.make_truth("sobolev-cos", K=20), 1e3, 0)
         gaussian = hs.PriorSpec(hs.GAUSSIAN, priors.OTScaling(),
                                 baseline=True)
         for prior in (hs.make_prior("student3-ot"), hs.make_prior("cauchy-ot"),

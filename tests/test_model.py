@@ -14,10 +14,10 @@ def _truth(K=20):
 
 def test_simulate_deterministic():
     t = _truth()
-    a = model.simulate(t, 100.0, 20, seed=5)
-    b = model.simulate(t, 100.0, 20, seed=5)
+    a = model.simulate(t, 100.0, seed=5)
+    b = model.simulate(t, 100.0, seed=5)
     assert np.array_equal(a.observations, b.observations)
-    c = model.simulate(t, 100.0, 20, seed=6)
+    c = model.simulate(t, 100.0, seed=6)
     assert not np.array_equal(a.observations, c.observations)
 
 
@@ -25,38 +25,30 @@ def test_noise_independent_of_truth():
     # identical seeds give identical noise realizations regardless of truth
     t = _truth()
     zero = model.TrueSignal(np.zeros(20), t.basis)
-    a = model.simulate(t, 50.0, 20, seed=3)
-    z = model.simulate(zero, 50.0, 20, seed=3)
-    f0 = model.padded_coefficients(t, 20)
-    assert np.allclose(a.observations - f0, z.observations, atol=1e-14)
+    a = model.simulate(t, 50.0, seed=3)
+    z = model.simulate(zero, 50.0, seed=3)
+    assert np.allclose(a.observations - t.coefficients, z.observations,
+                       atol=1e-14)
 
 
 def test_noise_scale():
     # across many coordinates the noise sd tracks 1/sqrt(n)
     zero = model.TrueSignal(np.zeros(4000), basis.cosine_basis())
     for n in (1.0, 1e4):
-        d = model.simulate(zero, n, 4000, seed=0)
+        d = model.simulate(zero, n, seed=0)
         sd = d.observations.std()
         assert sd == pytest.approx(1.0 / np.sqrt(n), rel=0.06)
-
-
-def test_padding_and_truncation():
-    t = _truth(10)
-    assert len(model.padded_coefficients(t, 25)) == 25
-    assert np.all(model.padded_coefficients(t, 25)[10:] == 0.0)
-    assert np.array_equal(model.padded_coefficients(t, 4),
-                          t.coefficients[:4])
 
 
 def test_invalid_inputs():
     t = _truth()
     for n in (0.0, np.nan):
         with pytest.raises(InvalidParameterError):
-            model.simulate(t, n, 20, seed=0)
+            model.simulate(t, n, seed=0)
         with pytest.raises(InvalidParameterError):
-            model.SequenceData(np.zeros(20), n, 20, basis.cosine_basis(), 0)
-    with pytest.raises(InvalidParameterError):
-        model.simulate(t, 10.0, 0, seed=0)
+            model.SequenceData(np.zeros(20), n, basis.cosine_basis(), 0)
+    with pytest.raises(InvalidParameterError, match="must not be empty"):
+        model.TrueSignal(np.array([]), basis.cosine_basis())
     with pytest.raises(InvalidParameterError):
         model.TrueSignal(np.array([1.0, np.nan]), basis.cosine_basis())
 
@@ -69,21 +61,37 @@ def test_data_rejects_non_finite_observations(bad):
     x[2] = bad
     with pytest.raises(InvalidParameterError, match="observations must be "
                                                     "finite"):
-        model.SequenceData(x, 10.0, 4, basis.cosine_basis(), 0)
+        model.SequenceData(x, 10.0, basis.cosine_basis(), 0)
+
+
+def test_truncation_is_the_observation_count():
+    # K is stated once, by the truth: the data count their observations,
+    # and neither the data nor `simulate` takes a K of its own
+    d = model.SequenceData(np.zeros(7), 10.0, basis.cosine_basis(), 0)
+    assert d.truncation == len(d.observations) == 7
+    with pytest.raises(TypeError):
+        model.SequenceData(np.zeros(7), 10.0, 7, basis.cosine_basis(), 0)
+    with pytest.raises(TypeError):
+        model.SequenceData(np.zeros(7), 10.0, truncation=7,
+                           basis=basis.cosine_basis(), seed=0)
+    with pytest.raises(TypeError):
+        model.simulate(_truth(), 10.0, 20, seed=0)
+    assert model.simulate(_truth(12), 10.0, seed=0).truncation == 12
 
 
 def test_wavelet_data_keeps_frame_length():
+    # a wavelet truth has the frame's length, so its data do too
     frame = WaveletFrame("haar", 64, 3)
     t = signals.truth_quartet("blocks", frame)
-    with pytest.raises(ShapeError):
-        model.simulate(t, 1.0, 32, seed=0)
-    d = model.simulate(t, 1.0, 64, seed=0)
-    assert d.double_indexed
+    with pytest.raises(ShapeError, match="frame's length"):
+        model.TrueSignal(t.coefficients[:32], t.basis)
+    d = model.simulate(t, 1.0, seed=0)
+    assert d.basis.double_indexed and d.truncation == 64
 
 
 def test_csv_round_trip_single_index():
     t = _truth(6)
-    d = model.simulate(t, 100.0, 6, seed=1)
+    d = model.simulate(t, 100.0, seed=1)
     text = model.data_to_csv(d)
     values, double_indexed, meta = model.values_from_csv(text)
     assert not double_indexed
@@ -95,7 +103,7 @@ def test_csv_round_trip_single_index():
 def test_csv_round_trip_double_index():
     frame = WaveletFrame("haar", 16, 2)
     t = signals.truth_quartet("doppler", frame)
-    d = model.simulate(t, 1.0, 16, seed=2)
+    d = model.simulate(t, 1.0, seed=2)
     values, double_indexed, _ = model.values_from_csv(model.data_to_csv(d))
     assert double_indexed
     assert np.array_equal(values, d.observations)

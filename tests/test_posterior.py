@@ -111,7 +111,7 @@ def test_degenerate_scale():
     with pytest.raises(InvalidParameterError, match="log_scale"):
         UnivariatePosterior(3.0, 1.0, -math.inf, CAUCHY)
     truth, _ = _sim(K=10)
-    data = model.SequenceData(np.full(10, 3.0), 1.0, 10, truth.basis, 0)
+    data = model.SequenceData(np.full(10, 3.0), 1.0, truth.basis, 0)
     summary = fit_posterior(
         data, PriorSpec(CAUCHY, ConstantTruncatedScaling(1.0, 4)))
     assert np.all(summary.means[4:] == 0.0)
@@ -492,7 +492,7 @@ def test_metropolis_deterministic():
 
 def _sim(K=30, n=1e3, seed=0):
     truth = signals.truth_sobolev_cos(K)
-    return truth, model.simulate(truth, n, K, seed=seed)
+    return truth, model.simulate(truth, n, seed=seed)
 
 
 def test_fit_posterior_quadrature_beats_zero_estimator():
@@ -505,7 +505,7 @@ def test_fit_posterior_quadrature_beats_zero_estimator():
 
 def test_fit_posterior_zero_data():
     truth, _ = _sim(K=10)
-    data = model.SequenceData(np.zeros(10), 100.0, 10, truth.basis, 0)
+    data = model.SequenceData(np.zeros(10), 100.0, truth.basis, 0)
     prior = PriorSpec(CAUCHY, OTScaling(0.5))
     summary = fit_posterior(data, prior, method="quadrature")
     assert np.array_equal(summary.means, np.zeros(10))
@@ -955,7 +955,7 @@ def _reference_fit_draws(data, prior, draws, burn_in, seed, chunk=1024):
 ], ids=["two-chunks", "truncated"])
 def test_fit_metropolis_matches_reference(K, prior):
     truth = signals.truth_sobolev_cos(K)
-    data = model.simulate(truth, 1e3, K, seed=4)
+    data = model.simulate(truth, 1e3, seed=4)
     ((mat, acc),) = posterior.metropolis_draws([(data, prior)], draws=60,
                                                burn_in=100, seed=9)
     ref_draws, ref_acc = _reference_fit_draws(data, prior, 60, 100, 9)
@@ -969,12 +969,12 @@ def test_fit_metropolis_matches_separate_fits(chunk, monkeypatch):
     # acceptance of a call for that pair alone
     truth = signals.truth_sobolev_cos(30)
     pairs = [
-        (model.simulate(truth, 1e3, 30, seed=4), PriorSpec(HORSESHOE,
-                                                          OTScaling(0.5))),
-        (model.simulate(truth, 1e4, 30, seed=4),
+        (model.simulate(truth, 1e3, seed=4),
+         PriorSpec(HORSESHOE, OTScaling(0.5))),
+        (model.simulate(truth, 1e4, seed=4),
          PriorSpec(HORSESHOE, ConstantTruncatedScaling(1e-3, 12))),
-        (model.simulate(truth, 1e5, 30, seed=5), PriorSpec(HORSESHOE,
-                                                          OTScaling(0.5))),
+        (model.simulate(truth, 1e5, seed=5),
+         PriorSpec(HORSESHOE, OTScaling(0.5))),
     ]
     monkeypatch.setattr(posterior, "_CHUNK", chunk)
     batched = posterior.metropolis_draws(pairs, draws=60, burn_in=100, seed=9)
@@ -989,7 +989,7 @@ def test_fit_metropolis_matches_separate_fits(chunk, monkeypatch):
 
 def test_metropolis_draws_returns_draw_stacks():
     truth = signals.truth_sobolev_cos(8)
-    data = model.simulate(truth, 1e3, 8, seed=4)
+    data = model.simulate(truth, 1e3, seed=4)
     prior = PriorSpec(CAUCHY, ConstantTruncatedScaling(1e-1, 5))
     (stack,) = posterior.metropolis_draws([(data, prior)], draws=20,
                                           burn_in=10, seed=9)
@@ -1095,7 +1095,7 @@ def _wavelet_data(seed=0, n=1.0):
 
     frame = WaveletFrame("symmlet-8", 256, 4)
     truth = signals.truth_quartet("heavisine", frame)
-    return truth, model.simulate(truth, n, 256, seed=seed)
+    return truth, model.simulate(truth, n, seed=seed)
 
 
 def test_gibbs_runs_and_mixes():
@@ -1180,7 +1180,7 @@ def test_gibbs_level_arithmetic_matches_per_coordinate_form():
     frame = wavelets.WaveletFrame("symmlet-8", 2048, 5)
     bumps = signals.truth_quartet("bumps", frame)
     for data in (_wavelet_data(seed=4)[1],
-                 model.simulate(bumps, 1.0, 2048, seed=0)):
+                 model.simulate(bumps, 1.0, seed=0)):
         x, n, K = data.observations, data.noise_precision, data.truncation
         flat = coordinate_index(K, level_indexed=True)
         levels = np.arange(-1.0, flat.max() + 1.0)

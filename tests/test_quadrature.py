@@ -102,7 +102,7 @@ _SOBOLEV_PRIORS = ("student3-ot", "cauchy-ot", "horseshoe-ot", "truncated-hs")
 def test_default_experiment_coordinates_need_no_refinement(truth, block, n,
                                                            prior):
     signal = make_truth(truth, K=200, block_index=block, seed=0)
-    data = simulate(signal, n, len(signal.coefficients), seed=0)
+    data = simulate(signal, n, seed=0)
     spec = make_prior(prior, n=n)
     fit = fit_posterior(data, spec, tol=1e-6)
     active = int(spec.coordinate_scales(data.truncation)[1].sum())

@@ -40,7 +40,7 @@ def test_every_traced_entry_point_resolves():
 def test_tracer_counts_the_quadrature_of_a_fit():
     # the harness calls `posterior.fit_posterior`, which reaches the engine
     # through `posterior`'s namespace; the tracer wraps both there
-    data = simulate(make_truth("sobolev-cos", K=8), 1e3, 8, 0)
+    data = simulate(make_truth("sobolev-cos", K=8), 1e3, 0)
     with _tracing().Tracer() as tracer:
         posterior.fit_posterior(data, make_prior("horseshoe-ot"))
     assert tracer.counts["posterior.quadrature.calls"] == 8

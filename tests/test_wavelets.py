@@ -138,7 +138,10 @@ def _reference_synthesize(coefficients, frame):
 def test_polyphase_matches_fancy_index_reference(name, coarse, monkeypatch):
     # coarse level 0 has half = 1 at the first level, below every filter's
     # half-length, so the cyclic shifts wrap several times; a budget of
-    # 128 rows of 64 samples makes the stacks cross row-block edges
+    # 128 × 64 values gives synthesis blocks of 32 rows (four row-lengths
+    # a row), so the 259-row stacks cross eight block edges and end in a
+    # 3-row block, and the 150 rows of the 3-d stack end in 22; analyze
+    # takes no blocks
     monkeypatch.setattr(wavelets, "_BLOCK_VALUES", 128 * 64)
     frame = wavelets.WaveletFrame(name, 64, coarse)
     gen = np.random.default_rng(4)
