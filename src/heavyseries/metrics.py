@@ -31,12 +31,12 @@ def grid_norm(values, p_prime):
     return float(np.mean(np.abs(values) ** p_prime) ** (1.0 / p_prime))
 
 
-def lp_error(estimate, truth_coeffs, p_prime, basis, m=DEFAULT_GRID):
+def lp_error(estimate, truth_coeffs, p_prime, basis):
     """L_{p'} distance between two coefficient sequences as functions.
 
     p' = 2 uses Parseval in coefficient space; other p' synthesize the
-    difference to the grid.  For wavelet bases the grid is the frame's
-    own; m sets it for cosine/sine.
+    difference to the grid: the frame's own for wavelet bases,
+    `DEFAULT_GRID` points for cosine/sine.
     """
     estimate = np.asarray(estimate, dtype=float)
     truth_coeffs = np.asarray(truth_coeffs, dtype=float)
@@ -45,21 +45,21 @@ def lp_error(estimate, truth_coeffs, p_prime, basis, m=DEFAULT_GRID):
     diff = estimate - truth_coeffs
     if p_prime == 2:
         return float(np.linalg.norm(diff)) / basis_mod.parseval_scale(basis)
-    m = basis_mod.grid_size(basis, m)
+    m = basis_mod.grid_size(basis, DEFAULT_GRID)
     return grid_norm(basis_mod.synthesize(diff, basis, m), p_prime)
 
 
-def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
+def contraction_errors(draws, truth_coeffs, p_primes, basis):
     """Posterior-averaged losses: mean over draws of ||f - f0||_{p'}.
 
     draws has shape (coordinate, draw); measures concentration of the
     whole posterior around the truth rather than point-estimate accuracy.
-    Returns {p': error}.  The draws go in `wavelets.row_blocks` of the
-    wider of K and m, so scratch memory does not grow with the draw count:
-    each block's differences are synthesized to the grid once and reused
-    for every non-Parseval norm, and each p' collects one norm per draw,
-    whose mean is the error.  The values equal the whole-stack
-    expression's bit for bit.
+    Returns {p': error}, on `lp_error`'s grid of m points.  The draws go
+    in `wavelets.row_blocks` of the wider of K and m, so scratch memory
+    does not grow with the draw count: each block's differences are
+    synthesized to the grid once and reused for every non-Parseval norm,
+    and each p' collects one norm per draw, whose mean is the error.  The
+    values equal the whole-stack expression's bit for bit.
     """
     draws = np.asarray(draws, dtype=float)
     truth_coeffs = np.asarray(truth_coeffs, dtype=float)
@@ -70,7 +70,7 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis, m=DEFAULT_GRID):
     count = draws.shape[1]
     norms = {p_prime: np.empty(count) for p_prime in p_primes}
     scale = basis_mod.parseval_scale(basis)
-    m = basis_mod.grid_size(basis, m)
+    m = basis_mod.grid_size(basis, DEFAULT_GRID)
     K = len(truth_coeffs)
     # a block of one draw would be both C- and F-contiguous, and its norm
     # would be summed in another order, so blocks hold at least two draws

@@ -46,7 +46,7 @@ def check_chain_lengths(draws, burn_in):
 
 
 def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
-                      out=None):
+                      out, rows):
     """Vectorized Metropolis chains, one per coordinate.
 
     The kernel mixes three proposals: an adaptive random-walk step, an
@@ -82,8 +82,9 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
     which the scaled walk increments of the window are formed, and the
     independence proposals with their envelope values only where a step
     jumps.  Within a step the envelope of the current state is evaluated
-    only for the chains that jump.  Kept draws are written as
-    (chain, draw) into `out`, or into a new array when `out` is None.
+    only for the chains that jump.  Each batch's kept draws are written
+    in place as (chain, draw) into `out[rows]`, the chains' rows of the
+    run's draw matrix; the per-chain acceptance rates are returned.
     """
     xs = np.asarray(xs, dtype=float)
     k = len(xs)
@@ -178,8 +179,6 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
 
     cur = start[stream_of]
     cur_lp = target(cur)
-    if out is None:
-        out = np.empty((k, draws))
     kept_rows = np.empty((_ADAPT_EVERY, k))
     # each batch's jumping (step, chain) pairs fill the front of buffers
     # that are replaced only when a batch outgrows them, with a quarter to
@@ -250,13 +249,13 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
                     kept += accept
                     kept_rows[b] = cur
             if not burning:
-                out[:, t0 - burn_in:t1 - burn_in] = kept_rows[:t1 - t0].T
+                out[rows, t0 - burn_in:t1 - burn_in] = kept_rows[:t1 - t0].T
             elif t1 % _ADAPT_EVERY == 0:
                 rate = window_acc / _ADAPT_EVERY
                 step = step * np.where(
                     rate > 0.5, 1.6, np.where(rate < 0.3, 1.0 / 1.6, 1.0))
                 window_acc[:] = 0.0
-    return out, kept / draws
+    return kept / draws
 
 
 # --------------------------------------------------------------------------
@@ -375,8 +374,9 @@ def metropolis_draws(pairs, draws=DEFAULT_DRAWS, burn_in=DEFAULT_BURN_IN,
 
     The priors must share a tail (not a scaling) and index their data's
     basis.  Coordinates with log sigma > -inf run, across all pairs, as
-    blocks of at most `_CHUNK` chains; the other rows are 0.  Each stack's
-    draws are a row view of one matrix that stays alive while any does.
+    blocks of at most `_CHUNK` chains, each writing its draws in place into
+    its chains' rows of one matrix; the other rows are 0.  Each stack's
+    draws are a row view of that matrix, which stays alive while any does.
     """
     check_chain_lengths(draws, burn_in)
     pairs = list(pairs)
@@ -405,15 +405,9 @@ def metropolis_draws(pairs, draws=DEFAULT_DRAWS, burn_in=DEFAULT_BURN_IN,
     acc = np.zeros(bounds[-1])
     for first in range(0, len(rows), _CHUNK):
         sel = slice(first, first + _CHUNK)
-        r = rows[sel]
-        # contiguous rows are sampled in place
-        direct = r[-1] - r[0] + 1 == len(r)
-        block, acc[r] = _metropolis_block(
+        acc[rows[sel]] = _metropolis_block(
             xs[sel], ns[sel], log_s[sel], tail, draws, burn_in, seed,
-            streams[sel], out=draw_mat[r[0]:r[-1] + 1] if direct else None)
-        if not direct:
-            draw_mat[r] = block
-        del block  # before the next block allocates its own
+            streams[sel], draw_mat, rows[sel])
     return [DrawStack(draw_mat[lo:hi], acc[lo:hi][active])
             for active, lo, hi in zip(actives, bounds[:-1], bounds[1:])]
 

@@ -232,10 +232,13 @@ def quadrature_mean_var(post, tol=1e-8, quantiles=QUANTILES):
     centred CDF) the 5%, 50% and 95% quantiles measured at most 1.1e-3
     posterior sd off for every tail over the cases of
     `test_quantiles_match_fine_grid_oracle` (tol 1e-6), which asserts
-    3e-3 sd.
+    3e-3 sd.  Levels outside (0, 1), and NaN, raise: interpolation clamps.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be > 0")
+    if not all(0.0 < q < 1.0 for q in quantiles):  # NaN fails too
+        raise InvalidParameterError(
+            f"quantile levels must be in (0, 1), got {list(quantiles)!r}")
     if post.noise_precision < _PRECISION_MIN:
         raise ConvergenceError(
             "posterior moments not representable: noise precision "

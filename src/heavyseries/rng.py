@@ -38,7 +38,10 @@ def coord_generator(seed, stream, index):
 
     `index` is a flat non-negative coordinate index; double-indexed
     coordinates should be flattened first (see wavelets.flat_index).
+    `seed` must be an integer: int(True) and int(1.5) would both run 1.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidParameterError(f"seed must be an integer, not {seed!r}")
     key = np.array([np.uint64(int(seed) & _MASK64), _mix(stream, index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -55,9 +55,9 @@ class LineChart:
         pts = [(float(x), float(y)) for x, y in zip(xs, ys)]
         self.series.append((label, pts))
 
-    def add_band(self, xs, lower, upper, label=""):
-        self.bands.append((label, [(float(x), float(a), float(b))
-                                   for x, a, b in zip(xs, lower, upper)]))
+    def add_band(self, xs, lower, upper):
+        self.bands.append([(float(x), float(a), float(b))
+                           for x, a, b in zip(xs, lower, upper)])
 
     def _tx(self, v):
         return math.log10(v) if self.logx else v
@@ -68,7 +68,7 @@ class LineChart:
     def render(self):
         xs = [self._tx(x) for _, pts in self.series for x, _ in pts]
         ys = [self._ty(y) for _, pts in self.series for _, y in pts]
-        for _, pts in self.bands:
+        for pts in self.bands:
             xs.extend(self._tx(x) for x, _, _ in pts)
             ys.extend(self._ty(v) for _, a, b in pts for v in (a, b))
         if not xs:
@@ -128,7 +128,7 @@ class LineChart:
             out.append(f'<text x="16" y="{cy}" text-anchor="middle" font-size="12"'
                        f' font-family="sans-serif"'
                        f' transform="rotate(-90 16 {cy})">{self.ylabel}</text>')
-        for bi, (label, pts) in enumerate(self.bands):
+        for bi, pts in enumerate(self.bands):
             color = PALETTE[bi % len(PALETTE)]
             upper = [(px(self._tx(x)), py(self._ty(b))) for x, _, b in pts]
             lower = [(px(self._tx(x)), py(self._ty(a))) for x, a, _ in pts]

@@ -150,9 +150,6 @@ class WaveletFrame:
     def detail_levels(self):
         return range(self.coarse_level, self.levels)
 
-    def all_levels(self):
-        return range(-1, self.levels)
-
 
 def flat_index(j, k):
     """Flat position of coefficient (j, k) in the packed layout."""

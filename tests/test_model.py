@@ -47,6 +47,11 @@ def test_invalid_inputs():
             model.simulate(t, n, seed=0)
         with pytest.raises(InvalidParameterError):
             model.SequenceData(np.zeros(20), n, basis.cosine_basis(), 0)
+    # seed 1's noise would be drawn and the seed recorded as given
+    for seed in (1.5, True):
+        with pytest.raises(InvalidParameterError,
+                           match="seed must be an integer"):
+            model.simulate(t, 100.0, seed=seed)
     with pytest.raises(InvalidParameterError, match="must not be empty"):
         model.TrueSignal(np.array([]), basis.cosine_basis())
     with pytest.raises(InvalidParameterError):

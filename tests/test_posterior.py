@@ -450,6 +450,15 @@ def _batch_se(draws):
     return means.std(ddof=1) / math.sqrt(k)
 
 
+def _block(xs, n, log_scales, tail, draws, burn_in, seed, indices):
+    """`_metropolis_block` into a new (chain, draw) matrix: (draws, acc)."""
+    out = np.empty((len(xs), draws))
+    acc = posterior._metropolis_block(xs, n, log_scales, tail, draws,
+                                      burn_in, seed, indices, out,
+                                      np.arange(len(xs)))
+    return out, acc
+
+
 @pytest.mark.parametrize("x,n,sigma,tail", [
     (2.0, 1.0, 1.0, CAUCHY),
     (3.0, 100.0, 0.05, STUDENT3),
@@ -458,8 +467,8 @@ def _batch_se(draws):
 ])
 def test_metropolis_matches_quadrature(x, n, sigma, tail):
     qm, qv, *_ = quadrature_mean_var(_post(x, n, sigma, tail), tol=1e-9)
-    (draws,), (acc,) = posterior._metropolis_block(
-        [x], n, [math.log(sigma)], tail, 4000, 2000, 0, [0])
+    (draws,), (acc,) = _block([x], n, [math.log(sigma)], tail, 4000, 2000,
+                              0, [0])
     se = max(_batch_se(draws), math.sqrt(qv / len(draws)))
     assert abs(draws.mean() - qm) < 3.0 * se
     assert 0.0 < acc < 1.0
@@ -467,23 +476,19 @@ def test_metropolis_matches_quadrature(x, n, sigma, tail):
 
 def test_metropolis_conjugate_case():
     cm, cv = conjugate_mean_var(1.0, 10.0, 1.0)
-    (draws,), _ = posterior._metropolis_block(
-        [1.0], 10.0, [0.0], GAUSSIAN, 4000, 2000, 1, [0])
+    (draws,), _ = _block([1.0], 10.0, [0.0], GAUSSIAN, 4000, 2000, 1, [0])
     assert abs(draws.mean() - cm) < 3.0 * _batch_se(draws)
     assert draws.var() == pytest.approx(cv, rel=0.2)
 
 
 def test_metropolis_degenerate_precision():
-    (draws,), _ = posterior._metropolis_block(
-        [2.0], 1e12, [0.0], CAUCHY, 2000, 2000, 2, [0])
+    (draws,), _ = _block([2.0], 1e12, [0.0], CAUCHY, 2000, 2000, 2, [0])
     assert np.max(np.abs(draws - 2.0)) < 1e-4
 
 
 def test_metropolis_deterministic():
-    a, _ = posterior._metropolis_block(
-        [1.0], 10.0, [math.log(0.1)], CAUCHY, 100, 100, 3, [0])
-    b, _ = posterior._metropolis_block(
-        [1.0], 10.0, [math.log(0.1)], CAUCHY, 100, 100, 3, [0])
+    a, _ = _block([1.0], 10.0, [math.log(0.1)], CAUCHY, 100, 100, 3, [0])
+    b, _ = _block([1.0], 10.0, [math.log(0.1)], CAUCHY, 100, 100, 3, [0])
     assert np.array_equal(a, b)
 
 
@@ -759,7 +764,7 @@ def _assert_block_matches_reference(tail, chains, refill=None):
     if refill is not None:
         refill(chains)
     args = (xs, 1e3, log_scales, tail, 150, 150, 7, indices)
-    draws, acc = posterior._metropolis_block(*args)
+    draws, acc = _block(*args)
     ref_draws, ref_acc = _reference_metropolis_block(*args)
     assert np.array_equal(draws, ref_draws)
     assert np.array_equal(acc, ref_acc)
@@ -776,7 +781,7 @@ def _assert_jump_extremes_match_reference(monkeypatch, tail, jump_prob,
     if refill is not None:
         refill(len(xs))
     args = (xs, 1e3, log_scales, tail, 120, 130, 7, indices)
-    draws, acc = posterior._metropolis_block(*args)
+    draws, acc = _block(*args)
     ref_draws, ref_acc = _reference_metropolis_block(*args)
     assert np.array_equal(draws, ref_draws)
     assert np.array_equal(acc, ref_acc)
@@ -795,13 +800,13 @@ def _assert_merged_block_matches_reference(tail, supply_out, refill=None):
     args = (np.tile(xs, 3), np.repeat(ns, len(xs)), np.tile(log_scales, 3),
             tail, 120, 130, 7, np.tile(indices, 3))
     if supply_out:
+        # the chains' rows of a larger matrix, which no other row receives
         parent = np.full((k + 2, 120), np.nan)
-        out = parent[1:k + 1]
-        draws, acc = posterior._metropolis_block(*args, out=out)
-        assert draws is out
+        acc = posterior._metropolis_block(*args, parent, np.arange(1, k + 1))
+        draws = parent[1:k + 1]
         assert np.all(np.isnan(parent[[0, -1]]))
     else:
-        draws, acc = posterior._metropolis_block(*args)
+        draws, acc = _block(*args)
     for g, n in enumerate(ns):
         rows = slice(g * len(xs), (g + 1) * len(xs))
         ref_draws, ref_acc = _reference_metropolis_block(
@@ -890,11 +895,12 @@ def test_shared_streams_cut_block_memory():
     log_scales = gen.uniform(-12.0, 0.0, size=600)
     ns = np.repeat([1.0, 1e3, 1e6], 200)
     peaks = []
+    out = np.empty((600, 600))
     for indices in (np.tile(np.arange(200), 3), np.arange(600)):
         tracemalloc.start()
         try:
             posterior._metropolis_block(xs, ns, log_scales, STUDENT3, 600,
-                                        600, 3, indices)
+                                        600, 3, indices, out, np.arange(600))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -912,7 +918,7 @@ def test_block_scratch_does_not_grow_with_chain_length(scratch_peak):
     log_scales = gen.uniform(-12.0, 0.0, size=256)
     peaks = [scratch_peak(posterior._metropolis_block, xs, 1e3, log_scales,
                           STUDENT3, draws, burn_in, 3, np.arange(256),
-                          np.empty((256, draws)))
+                          np.empty((256, draws)), np.arange(256))
              for draws, burn_in in ((4000, 2000), (800, 400))]
     assert peaks[0] < 1.1 * peaks[1], peaks
 
@@ -929,7 +935,7 @@ def test_wide_block_scratch_stays_within_budget(scratch_peak):
     log_scales = gen.uniform(-12.0, 0.0, size=1024)
     peaks = [scratch_peak(posterior._metropolis_block, xs, 1.0, log_scales,
                           CAUCHY, draws, burn_in, 0, np.arange(1024),
-                          np.empty((1024, draws)))
+                          np.empty((1024, draws)), np.arange(1024))
              for draws, burn_in in ((4000, 2000), (800, 400))]
     assert peaks[0] < 1.1 * peaks[1], peaks
     assert peaks[0] < 1.1 * 10.35e6, peaks
@@ -985,6 +991,41 @@ def test_fit_metropolis_matches_separate_fits(chunk, monkeypatch):
         assert np.array_equal(mat, alone)
         assert np.array_equal(acc, alone_acc)
     assert np.all(batched[1][0][12:] == 0.0)
+
+
+def test_truncated_chunks_across_the_gap_write_in_place(monkeypatch):
+    # truncated-hs at n = 100 keeps 100 of 200 rows active, so a 256-chain
+    # chunk holds that pair's rows and the next pair's first 156 rows, with
+    # the 100 zero rows between.  Measured with a 2^14-value budget and
+    # 600 + 100 steps: a 2.88 MB draw matrix; 1.63 MB of scratch for the
+    # widest block (the 244 distinct streams after the gap) run alone into
+    # a supplied matrix; a run peak of 4.51 MB, where sampling the
+    # straddling chunk into a chunk-sized stack and copying it in took
+    # 5.60 MB.  The bound leaves 10% of the block's scratch for allocator
+    # noise.
+    import tracemalloc
+
+    monkeypatch.setattr(posterior, "_CHUNK", 256)
+    monkeypatch.setattr(wavelets, "_BLOCK_VALUES", 1 << 14)
+    truth = signals.truth_sobolev_cos(200)
+    pairs = [(model.simulate(truth, n, seed=2), make_prior("truncated-hs", n))
+             for n in (1e2, 1e3, 1e4)]
+    alone = [posterior.metropolis_draws([pair], draws=600, burn_in=100,
+                                        seed=5)[0] for pair in pairs]
+    tracemalloc.start()
+    try:
+        batched = posterior.metropolis_draws(pairs, draws=600, burn_in=100,
+                                             seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for (mat, acc), (ref, ref_acc) in zip(batched, alone):
+        assert np.array_equal(mat, ref)
+        assert np.array_equal(acc, ref_acc)
+    assert np.all(batched[0].draws[100:] == 0.0)
+    matrix = batched[0].draws.base
+    assert matrix.shape == (600, 600)
+    assert peak < matrix.nbytes + 1.1 * 1.63e6, peak
 
 
 def test_metropolis_draws_returns_draw_stacks():

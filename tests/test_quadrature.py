@@ -10,12 +10,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from heavyseries import make_prior, make_truth, quadrature, simulate
-from heavyseries.errors import ConvergenceError
+from heavyseries.errors import ConvergenceError, InvalidParameterError
 from heavyseries.posterior import fit_posterior
 from heavyseries.priors import CAUCHY, GAUSSIAN, HORSESHOE, STUDENT3
 from heavyseries.quadrature import UnivariatePosterior, quadrature_mean_var
 
 _LEVELS = (0.05, 0.5, 0.95)
+
+
+@pytest.mark.parametrize("levels", [(1.5,), (-0.2,), (math.nan,), (0.0,),
+                                    (1.0,), (0.5, 1.5, -0.2, math.nan)])
+def test_quantile_levels_outside_the_unit_interval_rejected(levels,
+                                                            monkeypatch):
+    # np.interp would clamp such levels to the end nodes and pass NaN
+    # through, so they raise before any panel is made
+    def no_work(post):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(quadrature, "_panel_edges", no_work)
+    with pytest.raises(InvalidParameterError, match="quantile levels"):
+        quadrature_mean_var(UnivariatePosterior(1.0, 100.0, 0.0, CAUCHY),
+                            quantiles=levels)
 
 
 @pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
@@ -52,12 +67,15 @@ _MODERATE = st.tuples(st.floats(-4.0, 3.0), st.floats(-2.0, 8.0),
                       st.floats(-30.0, 5.0))
 _EXTREME = st.tuples(st.floats(-300.0, 300.0), st.floats(-5.0, 300.0),
                      st.floats(-700.0, 700.0))
+# quantile levels q in (0, 1) whose mirror 1 - q is one as well
+_LEVEL = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
+    lambda q: 1.0 - q < 1.0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN]),
        st.one_of(_MODERATE, _MODERATE, _EXTREME),
-       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+       st.lists(_LEVEL, min_size=1, max_size=3))
 def test_flipping_the_observation_mirrors_the_posterior(tail, inputs,
                                                         levels):
     # the posterior at -x is the one at x mirrored through 0: the mean

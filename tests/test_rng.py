@@ -21,6 +21,21 @@ def test_streams_do_not_collide():
     assert not np.array_equal(a, d)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, np.float64(2.0), True, False,
+                                  "1", None])
+def test_coord_generator_rejects_non_integer_seed(seed):
+    # int(seed) would run seed 1 for 1.5 and for True
+    with pytest.raises(InvalidParameterError, match="seed must be an integer"):
+        rng.coord_generator(seed, rng.STREAM_NOISE, 0)
+
+
+def test_coord_generator_takes_numpy_and_negative_integer_seeds():
+    a = rng.coord_generator(np.int64(7), rng.STREAM_NOISE, 42).random(4)
+    b = rng.coord_generator(7, rng.STREAM_NOISE, 42).random(4)
+    assert np.array_equal(a, b)
+    rng.coord_generator(-1, rng.STREAM_NOISE, 0)
+
+
 def test_coord_normal_order_independent():
     idx = [5, 1, 9, 3]
     out = rng.coord_normal(0, rng.STREAM_NOISE, idx)

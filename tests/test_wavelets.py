@@ -296,7 +296,7 @@ def test_row_blocks_of_no_rows():
 def test_flat_index_bijection():
     frame = wavelets.WaveletFrame("haar", 64, 3)
     seen = set()
-    for j in frame.all_levels():
+    for j in range(-1, frame.levels):
         width = 1 if j == -1 else 2**j
         for k in range(width):
             seen.add(wavelets.flat_index(j, k))
