@@ -23,7 +23,8 @@ import sys
 
 from . import (basis, harness, metrics, model, posterior, priors, signals,
                spaces, wavelets)
-from .errors import ConvergenceError, HeavySeriesError, InvalidParameterError
+from .errors import (ConvergenceError, HeavySeriesError, InvalidParameterError,
+                     real_or_inf, require_integer, require_list, require_real)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,12 +63,12 @@ def _data_config(args):
 
 def _count(cfg, key, default):
     """The config's integer `key`, `default` when it is absent."""
-    return harness.require_integer(key, cfg.get(key, default))
+    return require_integer(key, cfg.get(key, default))
 
 
 def _real(cfg, key, default=None):
     """The config's real `key` as a float, `default` when it is absent."""
-    return float(harness.require_real(key, cfg.get(key, default)))
+    return float(require_real(key, cfg.get(key, default)))
 
 
 _FRAME_KEYS = ("filter_name", "signal_length", "coarse_level")
@@ -153,11 +154,11 @@ def _cmd_rates(args):
                    "q": math.inf if args.q is None else args.q}]
     # a config may spell an infinite p, q or p' "inf", as JSON has no
     # literal for it
-    specs = [spaces.resolve_rate(*(float(harness.real_or_inf(key, c[key]))
+    specs = [spaces.resolve_rate(*(float(real_or_inf(key, c[key]))
                                    for key in ("s", "p", "p_prime")),
-                                 q=float(harness.real_or_inf(
+                                 q=float(real_or_inf(
                                      "q", c.get("q", math.inf))))
-             for c in harness.require_list("rates", combos, dict)]
+             for c in require_list("rates", combos, dict)]
     model.write_text(args.out, model.csv_text(
         ("s", "p", "q", "p_prime", "eta", "s_eff", "r", "zone"),
         ((spec.s, spec.p, spec.q, spec.p_prime, spec.eta, spec.s_eff,

@@ -29,15 +29,16 @@ seed: reruns are byte-identical, serial or parallel.
 import fnmatch
 import itertools
 import math
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import metrics, model, posterior, signals, svgplot, thresholding
-from .errors import InvalidParameterError
+from . import (metrics, model, posterior, signals, spaces, svgplot,
+               thresholding)
+from .errors import (InvalidParameterError, real_or_inf, require_bool,
+                     require_integer, require_list, require_real)
 from .priors import make_prior
 
 EXPERIMENTS = ("sobolev", "undersmoothing", "inhomogeneous", "sparse-besov",
@@ -53,52 +54,6 @@ _REP_SEED_STRIDE = 1_000_003
 
 def _rep_seed(seed, rep):
     return seed + _REP_SEED_STRIDE * rep
-
-
-def require_integer(name, value):
-    """`value` as an int, or InvalidParameterError naming `name` when it
-    is not an integer: a float such as 10.5 or 2.0 is not one, nor is a
-    bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParameterError(f"{name} must be an integer, not {value!r}")
-    return int(value)
-
-
-def require_real(name, value):
-    """`value` unchanged, or InvalidParameterError naming `name` when it
-    is not a real number: a bool is not one, nor is a string such as
-    "1e3"."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidParameterError(
-            f"{name} must be a real number, not {value!r}")
-    return value
-
-
-def require_list(name, value, item=object):
-    """`value` as a tuple, or InvalidParameterError naming `name` unless it
-    is a list (or tuple) of `item`s: a string such as "inf" is not one, nor
-    is a number or a single JSON object."""
-    if isinstance(value, (list, tuple)) and all(isinstance(entry, item)
-                                                for entry in value):
-        return tuple(value)
-    kind = "a list" if item is object else f"a list of {item.__name__}s"
-    raise InvalidParameterError(f"{name} must be {kind}, not {value!r}")
-
-
-def require_bool(name, value):
-    """`value` unchanged, or InvalidParameterError naming `name` unless it
-    is True, False or None (the experiment's default): a string such as
-    "no" or "false" is not one, nor is 1 or 0."""
-    if value is not None and not isinstance(value, bool):
-        raise InvalidParameterError(
-            f"{name} must be true, false or null, not {value!r}")
-    return value
-
-
-def real_or_inf(name, value):
-    """`require_real`, reading the string "inf" as math.inf: JSON, which
-    configs are written in, has no literal for an infinite exponent."""
-    return require_real(name, math.inf if value == "inf" else value)
 
 
 @dataclass(frozen=True)
@@ -131,9 +86,10 @@ class ExperimentConfig:
             object.__setattr__(self, name,
                                require_list(name, getattr(self, name), item))
         object.__setattr__(self, "p_primes", tuple(
-            real_or_inf("each of p_primes", p) for p in self.p_primes))
-        for name in ("truncation", "replications", "draws", "burn_in",
-                     "parallel", "seed"):
+            spaces.check_p_prime(real_or_inf("each of p_primes", p))
+            for p in self.p_primes))
+        # draws and burn_in: `posterior.check_chain_lengths` below
+        for name in ("truncation", "replications", "parallel", "seed"):
             require_integer(name, getattr(self, name))
         for name in ("include_contraction", "include_sureshrink",
                      "include_bands"):
@@ -155,9 +111,6 @@ class ExperimentConfig:
             raise InvalidParameterError("n values must be > 0")
         if len(self.ns) > 1 and np.any(np.diff(np.asarray(self.ns)) <= 0):
             raise InvalidParameterError("n grid must be strictly increasing")
-        for p in self.p_primes:
-            if not (p >= 1):
-                raise InvalidParameterError("p' values must be in [1, inf]")
         # a repeated entry would fit, write and fold its series twice
         for name in ("priors", "p_primes", "truths"):
             values = getattr(self, name)

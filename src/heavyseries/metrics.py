@@ -11,20 +11,14 @@ import math
 import numpy as np
 
 from . import basis as basis_mod
-from . import wavelets
+from . import spaces, wavelets
 from .errors import InvalidParameterError, ShapeError
 
 DEFAULT_GRID = 2048
 
 
-def _check_p_prime(p_prime):
-    # written so that NaN fails; inf passes
-    if not p_prime >= 1:
-        raise InvalidParameterError(f"p' must be >= 1, got {p_prime!r}")
-
-
 def grid_norm(values, p_prime):
-    _check_p_prime(p_prime)
+    spaces.check_p_prime(p_prime)
     values = np.asarray(values, dtype=float)
     if math.isinf(p_prime):
         return float(np.max(np.abs(values)))
@@ -66,7 +60,7 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis):
     if draws.ndim != 2 or draws.shape[0] != len(truth_coeffs):
         raise ShapeError("draws must be (coordinate, draw) matching the truth")
     for p_prime in p_primes:
-        _check_p_prime(p_prime)
+        spaces.check_p_prime(p_prime)
     count = draws.shape[1]
     norms = {p_prime: np.empty(count) for p_prime in p_primes}
     scale = basis_mod.parseval_scale(basis)

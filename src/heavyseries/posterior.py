@@ -16,7 +16,8 @@ import numpy as np
 from . import basis as basis_mod
 from . import rng
 from . import wavelets
-from .errors import ConvergenceError, InvalidParameterError, ShapeError, StateError
+from .errors import (ConvergenceError, InvalidParameterError, ShapeError,
+                     StateError, require_integer)
 from .model import csv_text, index_rows
 from .priors import coordinate_index, hierarchical_log_scale
 from .quadrature import QUANTILES, UnivariatePosterior, quadrature_mean_var
@@ -38,10 +39,11 @@ _CHUNK = 1024
 
 
 def check_chain_lengths(draws, burn_in):
-    """InvalidParameterError unless draws >= 1 and burn_in >= 0."""
-    if draws < 1:
+    """InvalidParameterError unless draws and burn_in are integers,
+    draws >= 1 and burn_in >= 0."""
+    if require_integer("draws", draws) < 1:
         raise InvalidParameterError("draws must be >= 1")
-    if burn_in < 0:
+    if require_integer("burn_in", burn_in) < 0:
         raise InvalidParameterError("burn_in must be >= 0")
 
 

@@ -34,7 +34,7 @@ from dataclasses import KW_ONLY, dataclass
 import numpy as np
 
 from . import rng, wavelets
-from .errors import InvalidParameterError, ShapeError
+from .errors import InvalidParameterError, ShapeError, require_integer
 
 LOG_TWO = math.log(2.0)
 _HS_K = (2.0 * math.pi) ** -1.5  # sandwich constant
@@ -608,7 +608,7 @@ def sample_prior(spec, count, seed):
     """Independent coefficient draws f_k = sigma_k zeta_k at `count` flat
     coordinates, with the scales of `spec.coordinate_scales` (the packed
     wavelet layout's levels for a level-indexed rule)."""
-    if count < 1:
+    if require_integer("count", count) < 1:
         raise InvalidParameterError("count must be >= 1")
     log_s, active = spec.coordinate_scales(count)
     zeta = np.empty(count)

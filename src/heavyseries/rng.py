@@ -9,7 +9,7 @@ keeping aggregate results bit-reproducible.
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_integer
 
 # Stream tags keep independent uses of the same (seed, coordinate) pair
 # from colliding.
@@ -38,11 +38,11 @@ def coord_generator(seed, stream, index):
 
     `index` is a flat non-negative coordinate index; double-indexed
     coordinates should be flattened first (see wavelets.flat_index).
-    `seed` must be an integer: int(True) and int(1.5) would both run 1.
+    `seed` must be an integer (`errors.require_integer`): int(True) and
+    int(1.5) would both run 1.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise InvalidParameterError(f"seed must be an integer, not {seed!r}")
-    key = np.array([np.uint64(int(seed) & _MASK64), _mix(stream, index)], dtype=np.uint64)
+    seed = require_integer("seed", seed)
+    key = np.array([np.uint64(seed & _MASK64), _mix(stream, index)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -77,7 +77,8 @@ def skip_ahead(gen, count):
     else:
         blocks, rest = divmod(count - held, _PHILOX_WORDS)
         bit_gen.state = state
-        bit_gen.advance(blocks)
+        # a numpy integer overflows in `advance`, so a Python int goes in
+        bit_gen.advance(int(blocks))
         bit_gen.random_raw(rest)
         if state["has_uint32"]:
             # advancing clears the buffered 32-bit half, which 64-bit

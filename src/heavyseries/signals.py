@@ -15,7 +15,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from . import rng, wavelets
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_integer
 from .model import TrueSignal
 
 # -- single-indexed truths ---------------------------------------------------
@@ -23,7 +23,7 @@ from .model import TrueSignal
 
 def truth_sobolev_cos(K):
     """f_{0,k} = k^{-3/2} sin(k) in the cosine basis; Sobolev beta ~ 1."""
-    k = np.arange(1, K + 1, dtype=float)
+    k = np.arange(1, require_integer("K", K) + 1, dtype=float)
     coeffs = k ** (-1.5) * np.sin(k)
     return TrueSignal(coeffs, basis_mod.cosine_basis(),
                       {"space": "sobolev", "beta": 1.0})
@@ -31,7 +31,7 @@ def truth_sobolev_cos(K):
 
 def truth_sobolev_sine(K):
     """f_{0,k} = k^{-2.25} sin(10 k) in the sine basis; Sobolev beta ~ 1.75."""
-    k = np.arange(1, K + 1, dtype=float)
+    k = np.arange(1, require_integer("K", K) + 1, dtype=float)
     coeffs = k ** (-2.25) * np.sin(10.0 * k)
     return TrueSignal(coeffs, basis_mod.sine_basis(),
                       {"space": "sobolev", "beta": 1.75})
@@ -72,8 +72,8 @@ def truth_quartet(name, frame, snr=7.0):
     """Benchmark truth as wavelet coefficients, rescaled so that the
     root-mean-square of the sampled values equals snr (noise sd 1 per
     coefficient at noise precision n = 1)."""
-    if snr <= 0:
-        raise InvalidParameterError("snr must be > 0")
+    if not 0 < snr < math.inf:
+        raise InvalidParameterError(f"snr must be > 0 and finite, not {snr!r}")
     samples = quartet_samples(name, frame.signal_length)
     rms = math.sqrt(float(np.mean(samples**2)))
     samples = samples * (snr / rms)
@@ -115,9 +115,10 @@ def truth_least_favorable(block_index=1, frame=None, amplitude=20.0, seed=0):
     amplitude exactly (level weight 2^{j (s + 1/2 - 1/p)} = 2^j cancels
     the 2^{-j} scale).
     """
-    if amplitude <= 0:
-        raise InvalidParameterError("amplitude must be > 0")
-    if block_index < 1:
+    if not 0 < amplitude < math.inf:
+        raise InvalidParameterError(
+            f"amplitude must be > 0 and finite, not {amplitude!r}")
+    if require_integer("block_index", block_index) < 1:
         raise InvalidParameterError("block_index must be >= 1")
     if frame is None:
         frame = wavelets.WaveletFrame(*FRAMES["least-favorable"])

@@ -26,14 +26,23 @@ from . import wavelets
 from .errors import InvalidParameterError, ShapeError
 
 
+def check_p_prime(p_prime):
+    """`p_prime` unchanged, or InvalidParameterError unless it is a loss
+    exponent p' >= 1 (inf included; NaN fails): the one copy of the rule,
+    which the rate calculator, the loss metrics and experiment configs
+    share."""
+    if not p_prime >= 1:
+        raise InvalidParameterError(
+            f"p' must be >= 1 (may be inf), got {p_prime!r}")
+    return p_prime
+
+
 def _validate_spar(s, p, p_prime):
     if not s > 0:
         raise InvalidParameterError("smoothness s must be > 0")
     if not p >= 1:
         raise InvalidParameterError("p must be >= 1 (may be inf)")
-    if not p_prime >= 1:
-        raise InvalidParameterError(
-            "loss exponent p' must be >= 1 (may be inf)")
+    check_p_prime(p_prime)
 
 
 def admissible(s, p, p_prime):

@@ -428,7 +428,7 @@ def test_experiment_rejects_removed_and_invalid_settings(tmp_path, capsys):
     ([], {"ns": [0, 1000]}, "n values"),
     ([], {"ns": [1000, math.inf]}, "n values"),
     (["--replications", "0"], {}, "replications must be >= 1"),
-    ([], {"p_primes": [0.5, 2]}, "p' values must be in [1, inf]"),
+    ([], {"p_primes": [0.5, 2]}, "p' must be >= 1 (may be inf), got 0.5"),
 ])
 def test_experiment_rejects_invalid_sizes_before_running(tmp_path, capsys,
                                                          flags, settings,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from heavyseries import basis, harness, model, quadrature, signals
-from heavyseries.errors import InvalidParameterError, ShapeError
+from heavyseries.errors import InvalidParameterError, ShapeError, require_real
 from heavyseries.harness import (
     ErrorRecord,
     ExperimentConfig,
@@ -226,7 +226,7 @@ def test_config_keeps_the_type_of_real_entries():
                             "p_primes": [2, 3.0], "quadrature_tol": 1e-8})
     assert [type(v) for v in cfg.ns + cfg.p_primes] == [int, float, int,
                                                          float]
-    assert harness.require_real("x", np.float64(0.5)) == 0.5
+    assert require_real("x", np.float64(0.5)) == 0.5
 
 
 def test_config_from_dict_parses_inf():

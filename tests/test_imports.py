@@ -459,6 +459,107 @@ def test_private_names_stay_in_their_modules():
     assert {name: reads for name, reads in found.items() if reads} == {}
 
 
+# the types an argument rule of `errors` tests a value against
+_RULE_TYPES = {"bool", "int", "integer", "Integral", "Real"}
+
+
+def _rule_type_tests(source):
+    """(line, type) of each test of a value against a `_RULE_TYPES` type:
+    an isinstance or issubclass call, the type alone or in a tuple, or a
+    comparison of `type(x)`; a type named through its module
+    (`numbers.Integral`, `np.integer`) counts by its own name."""
+
+    def type_names(node):
+        for item in node.elts if isinstance(node, ast.Tuple) else [node]:
+            if isinstance(item, ast.Name):
+                yield item.id
+            elif isinstance(item, ast.Attribute):
+                yield item.attr
+
+    def is_call(node, *names):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in names)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if is_call(node, "isinstance", "issubclass") and len(node.args) == 2:
+            types = list(type_names(node.args[1]))
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if not any(is_call(side, "type") for side in sides):
+                continue
+            types = [name for side in sides for name in type_names(side)]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in types
+                     if name in _RULE_TYPES)
+    return sorted(found)
+
+
+def test_rule_type_check_finds_every_form():
+    source = ("isinstance(x, bool)\nisinstance(x, (int, np.integer))\n"
+              "isinstance(x, numbers.Integral) or issubclass(t, Real)\n"
+              "type(x) is bool\ntype(x) in (float, int)\n"
+              "isinstance(x, (float, np.floating)) or isinstance(x, str)\n"
+              "y = bool(x) + int(x) + (x is True) + (n < 1)\n")
+    assert _rule_type_tests(source) == [
+        (1, "bool"), (2, "int"), (2, "integer"), (3, "Integral"),
+        (3, "Real"), (4, "bool"), (5, "int")]
+
+
+def test_value_type_rules_stay_in_errors():
+    # `require_integer`, `require_real` and `require_bool` are the one
+    # test of a value against these types; every other module calls them
+    users = [p.name for p in _ALL_MODULES if _rule_type_tests(p.read_text())]
+    assert users == ["errors.py"]
+
+
+def _p_prime_rules(source):
+    """Lines of each function whose name holds `p_prime` and of each
+    ordering comparison of the constant 1 with a value named `p` or with
+    `prime` in its name: a copy of the rule p' >= 1."""
+
+    def p_prime_named(node):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else "")
+        return name == "p" or "prime" in name
+
+    ordering = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if "p_prime" in node.name:
+                found.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if (any(isinstance(op, ordering) for op in node.ops)
+                    and any(isinstance(side, ast.Constant)
+                            and side.value == 1 for side in sides)
+                    and any(p_prime_named(side) for side in sides)):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_p_prime_rule_check_finds_every_form():
+    source = ("def _check_p_prime(x):\n    pass\nif not p >= 1:\n    pass\n"
+              "ok = 1.0 <= cfg.p_prime\nbad = [q for q in qs if q < 1]\n"
+              "two = p_prime == 2\nz = p_prime > 1 + x\n")
+    assert _p_prime_rules(source) == [1, 3, 5]
+
+
+def test_p_prime_rule_stays_in_spaces():
+    # `spaces.check_p_prime` is the one copy of the rule p' >= 1: the loss
+    # metrics and the experiment config call it, and the CLI's rate table
+    # reaches it through `spaces.resolve_rate`.  (`spaces` and `wavelets`
+    # also hold the rule p >= 1 of a sequence or Besov norm's own p.)
+    assert _p_prime_rules((_PACKAGE / "spaces.py").read_text())
+    for name in ("metrics.py", "harness.py", "cli.py"):
+        source = (_PACKAGE / name).read_text()
+        assert _p_prime_rules(source) == [], name
+        if name != "cli.py":
+            assert "check_p_prime" in _referenced_names(source), name
+
+
 def _scipy_imports(source):
     """(line, statement) of each scipy import, as `from m import a, b` or
     `import m`."""

@@ -1056,17 +1056,34 @@ def test_invalid_chain_lengths_rejected():
     prior = PriorSpec(CAUCHY, OTScaling(0.5))
     _, wavelet_data = _wavelet_data()
     hierarchical = make_prior("gaussian-hierarchical")
-    for draws, burn_in in [(0, 10), (10, -5)]:
-        with pytest.raises(InvalidParameterError):
+    # a quadrature fit took draws=10.5 without complaint, and a Metropolis
+    # run failed on it with a bare TypeError
+    for draws, burn_in, match in [
+            (0, 10, "draws must be >= 1"), (10, -5, "burn_in must be >= 0"),
+            (10.5, 10, "draws must be an integer"),
+            (10, 2.5, "burn_in must be an integer"),
+            (True, 10, "draws must be an integer"),
+            (10, "10", "burn_in must be an integer")]:
+        with pytest.raises(InvalidParameterError, match=match):
             fit_posterior(wavelet_data, hierarchical, draws=draws,
                           burn_in=burn_in)
         # fixed scales go through quadrature, which runs no chain, and
         # still reject the lengths as every prior does
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=match):
             fit_posterior(data, prior, draws=draws, burn_in=burn_in)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=match):
             posterior.metropolis_draws([(data, prior)], draws=draws,
                                        burn_in=burn_in)
+
+
+def test_numpy_integer_chain_lengths_accepted():
+    # `rng.skip_ahead` overflowed on them
+    _, data = _sim(K=5)
+    prior = PriorSpec(CAUCHY, OTScaling(0.5))
+    [a] = posterior.metropolis_draws([(data, prior)], draws=np.int64(20),
+                                     burn_in=np.int32(10))
+    [b] = posterior.metropolis_draws([(data, prior)], draws=20, burn_in=10)
+    assert np.array_equal(a.draws, b.draws)
 
 
 def _moment_rows(count):

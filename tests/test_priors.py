@@ -557,6 +557,13 @@ def test_sample_prior_structure():
     assert np.allclose(a, sig * z, atol=1e-14)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+def test_sample_prior_rejects_non_integer_count(count):
+    # 2.5 failed with a bare TypeError
+    with pytest.raises(InvalidParameterError, match="count must be an integer"):
+        sample_prior(PriorSpec(STUDENT3, OTScaling(1.0)), count, 0)
+
+
 def test_sample_prior_gaussian_variance():
     spec = PriorSpec(GAUSSIAN, ConstantTruncatedScaling(1.0, 10**9),
                      baseline=True)

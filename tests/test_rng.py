@@ -99,3 +99,14 @@ def test_skip_ahead_rejects_negative_count():
     # the package's typed error, itself a ValueError
     with pytest.raises(InvalidParameterError):
         rng.skip_ahead(_positioned(1), -1)
+
+
+def test_skip_ahead_takes_a_numpy_integer_count():
+    # `Philox.advance` overflowed on a numpy integer, so a Metropolis run
+    # given numpy chain lengths failed with OverflowError
+    gen = _positioned(1)
+    skipped = rng.skip_ahead(gen, np.int64(6000))
+    drawn = _copy(gen)
+    drawn.random(6000)
+    assert np.array_equal(skipped.bit_generator.random_raw(9),
+                          drawn.bit_generator.random_raw(9))

@@ -124,3 +124,40 @@ def test_make_truth_takes_one_argument_set():
     for name in ("sobolev-cos", "bumps"):
         with pytest.raises(TypeError):
             signals.make_truth(name, amplitude=5.0)
+
+
+@pytest.mark.parametrize("name", ["sobolev-cos", "sobolev-sine"])
+@pytest.mark.parametrize("K", [10.5, 10.0, True, "10"])
+def test_single_index_truths_reject_non_integer_K(name, K):
+    # 10.5 built 11 coefficients and True built 1
+    with pytest.raises(InvalidParameterError, match="K must be an integer"):
+        signals.make_truth(name, K=K)
+
+
+@pytest.mark.parametrize("block_index", [1.5, 1.0, True])
+def test_least_favorable_rejects_non_integer_block_index(block_index):
+    # 1.5 raised a bare TypeError
+    with pytest.raises(InvalidParameterError,
+                       match="block_index must be an integer"):
+        signals.make_truth("least-favorable", block_index=block_index)
+
+
+def test_numpy_integer_sizes_build_the_same_truths():
+    for name in ("sobolev-cos", "sobolev-sine"):
+        assert np.array_equal(
+            signals.make_truth(name, K=np.int64(25)).coefficients,
+            signals.make_truth(name, K=25).coefficients)
+    assert np.array_equal(
+        signals.make_truth("least-favorable",
+                           block_index=np.int32(2)).coefficients,
+        signals.make_truth("least-favorable", block_index=2).coefficients)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_truth_scales_must_be_positive_and_finite(value):
+    # NaN and inf passed `<= 0` and failed later, in `TrueSignal`, as
+    # "truth coefficients must be finite", without naming the argument
+    with pytest.raises(InvalidParameterError, match="snr must be > 0"):
+        signals.make_truth("bumps", snr=value)
+    with pytest.raises(InvalidParameterError, match="amplitude must be > 0"):
+        signals.make_truth("least-favorable", amplitude=value)
