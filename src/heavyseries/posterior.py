@@ -20,12 +20,15 @@ from .errors import (ConvergenceError, InvalidParameterError, ShapeError,
                      StateError, require_integer)
 from .model import csv_text, index_rows
 from .priors import coordinate_index, hierarchical_log_scale
-from .quadrature import QUANTILES, UnivariatePosterior, quadrature_mean_var
+from .quadrature import (QUANTILES, UnivariatePosterior, mixture_quantiles,
+                         quadrature_mean_var)
 
 # the defaults of every fit, the experiment config and the CLI
 DEFAULT_DRAWS = 4000
 DEFAULT_BURN_IN = 2000
 DEFAULT_TOL = 1e-6
+# coordinates per `mixture_quantiles` call, which bounds its scratch
+_QUANTILE_ROWS = 64
 
 # --------------------------------------------------------------------------
 # Metropolis
@@ -285,8 +288,9 @@ def fit_posterior(data, prior, method="quadrature", draws=DEFAULT_DRAWS,
     """Per-coordinate posterior summaries for a full data set.
 
     Fixed scales, a Gaussian tail's included, go through quadrature: each
-    active coordinate's mean, variance and quantiles within `tol`, or a
-    `ConvergenceError` naming the coordinate, x, n, log sigma and tail.
+    active coordinate's mean and variance within `tol`, or a
+    `ConvergenceError` naming the coordinate, x, n, log sigma and tail,
+    and its quantiles, solved for `_QUANTILE_ROWS` coordinates at a time.
     `diagnostics` reports the method, how many coordinates each
     refinement level accepted and the largest achieved error.  A
     hierarchical prior carries hyperpriors on (tau, alpha), which only
@@ -315,13 +319,15 @@ def fit_posterior(data, prior, method="quadrature", draws=DEFAULT_DRAWS,
     n = data.noise_precision
     means = np.zeros(K)
     variances = np.zeros(K)
-    quantiles = {q: np.zeros(K) for q in QUANTILES}
+    quantiles = np.zeros((len(QUANTILES), K))
     levels = []
     achieved = []
-    for i in np.flatnonzero(active).tolist():
+    mixtures = []
+    rows = np.flatnonzero(active)
+    for j, i in enumerate(rows.tolist()):
         p = UnivariatePosterior(x[i], n, log_s[i], prior.tail)
         try:
-            fit = quadrature_mean_var(p, tol=tol)
+            fit = quadrature_mean_var(p, tol=tol, quantiles=())
         except ConvergenceError as exc:
             xi, ni, li = float(x[i]), float(n), float(log_s[i])
             raise ConvergenceError(
@@ -331,10 +337,13 @@ def fit_posterior(data, prior, method="quadrature", draws=DEFAULT_DRAWS,
                 noise_precision=ni, log_scale=li,
                 tail=prior.tail.name) from exc
         means[i], variances[i] = fit.mean, fit.var
-        for q in QUANTILES:
-            quantiles[q][i] = fit.quantiles[q]
+        mixtures.append(fit.mixture)
         levels.append(fit.level)
         achieved.append(fit.achieved)
+        if len(mixtures) == _QUANTILE_ROWS or j == len(rows) - 1:
+            quantiles[:, rows[j + 1 - len(mixtures):j + 1]] = \
+                mixture_quantiles(mixtures, QUANTILES).T
+            mixtures = []
     diagnostics = {
         "method": method,
         "quadrature_levels": {level: levels.count(level)
@@ -342,7 +351,8 @@ def fit_posterior(data, prior, method="quadrature", draws=DEFAULT_DRAWS,
         "quadrature_max_achieved": max(achieved, default=0.0),
     }
     return PosteriorSummary(means=means, variances=variances,
-                            quantiles=quantiles, diagnostics=diagnostics)
+                            quantiles=dict(zip(QUANTILES, quantiles)),
+                            diagnostics=diagnostics)
 
 
 def _draw_moments(draw_mat):

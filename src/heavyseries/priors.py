@@ -94,9 +94,6 @@ class TailFamily:
 
     name = "abstract"
     is_heavy = False
-    # True for the Gaussian tail, whose posterior under the Gaussian
-    # likelihood is normal about the shrunk observation
-    conjugate = False
     # (E) envelope constants (c1, kappa) and (T) constant c2, with margin;
     # None when the family certifies no heavy-tail bound.
     envelope = None
@@ -146,14 +143,18 @@ class TailFamily:
         where |x| itself may overflow or underflow the double range."""
         raise NotImplementedError
 
+    def log_density_mixing(self, u):
+        """log p(u), u = log lambda, of the tail as the normal scale mixture
+        h(x) = int p(u) N(x; 0, e^{2u}) du: all `quadrature` reads of it."""
+        raise NotImplementedError
+
     def log_density_scaled(self, theta, log_scale):
         """log h(theta / sigma), safely for any magnitude ratio; sigma =
         exp(log_scale) is one scale or one per element of theta.
 
-        The posterior engine's one entry point (quadrature and
-        Metropolis).  Exact zeros reach the engine as log 0 = -inf, which
-        every tail maps to log h(0): +inf at the horseshoe's integrable
-        pole, which quadrature nodes avoid.
+        Metropolis's one entry point.  Exact zeros reach the engine as
+        log 0 = -inf, which every tail maps to log h(0): +inf at the
+        horseshoe's integrable pole.
         """
         with np.errstate(divide="ignore"):
             return self._engine_log_abs(np.log(np.abs(theta)) - log_scale)
@@ -199,6 +200,14 @@ class StudentTail(TailFamily):
         x = np.exp(u)
         return self._log_norm - 0.5 * (self.df + 1) * np.log1p(x * x / self.df)
 
+    def log_density_mixing(self, u):
+        # 1/lambda^2 = e^{-2u} ~ Gamma(df/2, rate df/2); below u = -354,
+        # where e^{-2u} would overflow, the density is 0 to any precision
+        half = 0.5 * self.df
+        return (LOG_TWO + half * math.log(half) - math.lgamma(half)
+                - self.df * np.asarray(u) - half * np.exp(
+                    -2.0 * np.maximum(u, -354.0)))
+
     def sample(self, generator, size):
         return generator.standard_t(self.df, size)
 
@@ -214,13 +223,16 @@ class GaussianTail(TailFamily):
 
     name = "gaussian"
     is_heavy = False
-    conjugate = True
 
     def log_density_log_abs(self, log_abs_x):
         u = np.asarray(log_abs_x, dtype=float)
         # from u = 154 on x^2 is held at 1e308, so log h stays finite
         expo = np.where(u >= 154.0, 308.0 * math.log(10.0), 2.0 * u)
         return -0.5 * np.exp(expo) - 0.5 * math.log(2 * math.pi)
+
+    def log_density_mixing(self, u):
+        # the point mass at lambda = 1: log 1 at u = 0, log 0 elsewhere
+        return np.where(np.asarray(u) == 0.0, 0.0, -np.inf)
 
     def sample(self, generator, size):
         return generator.standard_normal(size)
@@ -237,15 +249,14 @@ class HorseshoeTail(TailFamily):
     `_log_exp_e1` (E1's power series for z <= 1, its continued fraction
     above, at depth 100 near z = 1 and less further out) up to z = 700,
     and the asymptotic series in 1/z beyond, where e^z would overflow.
-    The posterior engine
-    (`log_density_scaled`) uses a cached cubic spline over log|t| on
-    [-80, 80] instead, built lazily from the closed form at knots 0.005
-    apart.  It is a local cubic Hermite fit: each knot's slope is the
-    five-point central difference of the closed form, evaluated at two
-    more knots past each end.  It reproduces the closed form at its knots
-    and is within 1e-12 of it between them (7.8e-13 measured); each
-    evaluation finds its interval by direct indexing of the uniform knots,
-    bit-identical to a search such as scipy's `PPoly`.
+    Metropolis (`log_density_scaled`) uses a cached cubic spline over
+    log|t| on [-80, 80] instead, built lazily from the closed form at
+    knots 0.005 apart.  It is a local cubic Hermite fit: each knot's
+    slope is the five-point central difference of the closed form,
+    evaluated at two more knots past each end.  It reproduces the closed
+    form at its knots and is within 1e-12 of it between them (7.8e-13
+    measured); each evaluation finds its interval by direct indexing of
+    the uniform knots, bit-identical to a search such as scipy's `PPoly`.
     """
 
     name = "horseshoe"
@@ -277,6 +288,10 @@ class HorseshoeTail(TailFamily):
             out[big] = -lz + np.log(np.polyval(self._ASYMPTOTIC, np.exp(-lz)))
         out += self._LOG_NORM
         return out if np.ndim(log_abs_x) else float(out[0])
+
+    def log_density_mixing(self, u):
+        # lambda = e^u ~ C+(0, 1): 2 lambda / (pi (1 + lambda^2)) per unit u
+        return math.log(2.0 / math.pi) + u - np.logaddexp(0.0, 2.0 * u)
 
     def sample(self, generator, size):
         lam = np.abs(generator.standard_cauchy(size))

@@ -200,18 +200,31 @@ def test_package_import_check_finds_every_form():
                                         "model", "priors", "signals"}
 
 
+# the G7/K15 engine's internals, which live in the tests' `kronrod` oracle
+_KRONROD_INTERNALS = {"_kronrod_pass", "_panel_edges", "_split_edges",
+                      "_RULES"}
+
+
+def test_kronrod_internal_check_finds_every_form():
+    for source in ("edges = kronrod._panel_edges(post)\n",
+                   "from kronrod import _kronrod_pass\n",
+                   "def _split_edges(edges, factor):\n    pass\n",
+                   "_RULES = np.stack((a, b))\n"):
+        assert _KRONROD_INTERNALS & _referenced_names(source), source
+    assert not _KRONROD_INTERNALS & _referenced_names(
+        "panel_edges = split_edges(rules)\n")
+
+
 def test_quadrature_engine_stays_in_quadrature():
-    # the one-dimensional engine's internals are named only where they
-    # live; other modules call `quadrature_mean_var`
-    internals = {"_kronrod_pass", "_panel_edges", "_split_edges", "_RULES"}
-    users = [p.name for p in _ALL_MODULES
-             if internals & _referenced_names(p.read_text())]
-    assert users == ["quadrature.py"]
-    # and the engine builds on no package module but `errors`
+    # no package module names the G7/K15 engine, which the tests keep as
+    # an oracle; the package's one engine is `quadrature`
+    assert [p.name for p in _ALL_MODULES
+            if _KRONROD_INTERNALS & _referenced_names(p.read_text())] == []
+    # which builds on no package module but `errors`
     source = (_PACKAGE / "quadrature.py").read_text()
     assert _package_imports(source) == {"errors"}
-    # nor reads more of a tail than its log-density and the conjugate flag
-    assert _tail_attributes(source) <= {"conjugate", "log_density_scaled"}
+    # and reads no more of a tail than its mixing density
+    assert _tail_attributes(source) == {"log_density_mixing"}
 
 
 def test_gibbs_is_reached_only_through_fit_posterior():
@@ -238,11 +251,12 @@ def _tail_attributes(source):
 
 
 def test_tail_attribute_check_finds_every_form():
-    source = ("post.tail.conjugate\ntail.tail_bound_c2 + 1\n"
+    source = ("post.tail.is_heavy\ntail.tail_bound_c2 + 1\n"
               "f(self.tail.log_density_scaled(t, s))\npost.tail\n"
-              "tail_x.name\n")
-    assert _tail_attributes(source) == {"conjugate", "tail_bound_c2",
-                                        "log_density_scaled"}
+              "tail_x.name\nmixing = tail.log_density_mixing\n")
+    assert _tail_attributes(source) == {"is_heavy", "tail_bound_c2",
+                                        "log_density_scaled",
+                                        "log_density_mixing"}
 
 
 def test_engine_reference_check_finds_calls_and_aliases():
@@ -254,12 +268,44 @@ def test_engine_reference_check_finds_calls_and_aliases():
         "tail.log_density_scaled(t, s)\n")
 
 
+def _top_level_users(source, name):
+    """The top-level functions and classes of a module that reference
+    `name` anywhere inside them, and "<module>" for a reference outside
+    every one of them."""
+    users = set()
+    for node in ast.parse(source).body:
+        if name in _referenced_names(ast.unparse(node)):
+            users.add(node.name if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                else "<module>")
+    return users
+
+
+def test_top_level_user_check_finds_every_form():
+    source = ("def run(tail):\n    def target(t):\n"
+              "        return tail.log_density_scaled(t, 0.0)\n"
+              "    return target\n"
+              "class Tail:\n    def log_density_scaled(self, t, s):\n"
+              "        pass\n"
+              "density = Tail().log_density_scaled\n"
+              "def other(tail):\n    return tail.log_density(1.0)\n")
+    assert _top_level_users(source, "log_density_scaled") == {
+        "run", "Tail", "<module>"}
+
+
 def test_tail_engines_are_reached_only_through_log_density_scaled():
-    # quadrature and Metropolis evaluate a tail through its one path in,
-    # `log_density_scaled`, which also carries theta = 0 to the engine
-    users = [p.name for p in _ALL_MODULES
-             if "_engine_log_abs" in _referenced_names(p.read_text())]
-    assert users == ["priors.py"]
+    # quadrature reads a tail's mixing density alone; only Metropolis
+    # evaluates a tail in theta, through its one path in,
+    # `log_density_scaled`, which carries theta = 0 to the tail's engine
+    def users(name):
+        found = {p.name: _top_level_users(p.read_text(), name)
+                 for p in _ALL_MODULES}
+        return {module: found[module] for module in found if found[module]}
+
+    assert users("log_density_scaled") == {
+        "posterior.py": {"_metropolis_block"}, "priors.py": {"TailFamily"}}
+    assert users("_engine_log_abs") == {
+        "priors.py": {"TailFamily", "HorseshoeTail"}}
 
 
 def _level_literals(source):

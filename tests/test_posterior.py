@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kronrod
 from heavyseries import (basis, model, posterior, quadrature, rng, signals,
                          wavelets)
 from heavyseries.errors import ConvergenceError, InvalidParameterError, StateError
@@ -244,11 +245,11 @@ _QUANTILE_LEVELS = (0.05, 0.5, 0.95)
 
 
 def _fine_grid_quantiles(post):
-    """Quantiles on the engine's panels split 64 times, one mid-point node
-    per piece carrying its piece's mass, the CDF centred on the nodes.  It
-    shares the panel layout with the engine, not the rule or the horseshoe
-    spline (the tails' exact log_density)."""
-    edges = quadrature._split_edges(quadrature._panel_edges(post), 64)
+    """Quantiles on the G7/K15 oracle's panels (`kronrod`) split 64 times,
+    one mid-point node per piece carrying its piece's mass, the CDF
+    centred on the nodes.  It integrates over theta with the tails' exact
+    log_density, where the engine integrates over the mixing scale."""
+    edges = kronrod._split_edges(kronrod._panel_edges(post), 64)
     mid = (edges[:-1] + edges[1:]) / 2.0
     logf = (-0.5 * post.noise_precision * (post.observation - mid) ** 2
             + post.tail.log_density(mid / math.exp(post.log_scale)))
@@ -264,11 +265,15 @@ def test_quantiles_match_fine_grid_oracle(tail):
     # measured: at most 1.1e-3 posterior sd over these cases (the oracle
     # itself moves by about 1.5e-5 sd from 64 to 512 pieces per panel);
     # the node-CDF interpolation it replaced was 1.8e-2 sd off; the bound
-    # leaves a margin of about 3 over the measurement
+    # leaves a margin of about 3 over the measurement.  The last case is a
+    # default `sobolev` coordinate (seed 0, student3-ot at n = 1e5) where
+    # the G7/K15 node CDF read 4.0e-3 sd off
     worst = 0.0
     for x, n, sigma in [(1.5, 1e3, 1e-3), (1.5, 1e3, 0.05), (1.5, 1e3, 1.0),
                         (0.3, 1e4, 0.01), (-2.0, 100.0, 0.1),
-                        (5.0, 1e4, 1e-6)]:
+                        (5.0, 1e4, 1e-6),
+                        (0.0013656638130650765, 1e5,
+                         math.exp(-7.966974903503013))]:
         post = _post(x, n, sigma, tail)
         _, var, _, qs, *_ = quadrature_mean_var(post, tol=1e-6,
                                                 quantiles=_QUANTILE_LEVELS)
@@ -281,22 +286,25 @@ def test_quantiles_match_fine_grid_oracle(tail):
 @pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
                          ids=lambda t: t.name)
 def test_default_coordinate_evaluates_one_pass(tail):
-    # a G7/K15 pass evaluates 15 nodes per panel; a second, confirming
-    # pass over split panels would evaluate at least 30
+    # one trapezoid pass evaluates the mixing density once, on the nodes
+    # k h of [min(0, c) - W, max(0, c) + W]; a second, confirming pass at
+    # h/2 would evaluate it again, on about twice as many nodes
     points = []
     counted = copy.copy(tail)  # the shared tail stays unwrapped
 
-    def log_density_scaled(theta, log_scale):
-        points.append(np.size(theta))
-        return tail.log_density_scaled(theta, log_scale)
+    def log_density_mixing(u):
+        points.append(np.size(u))
+        return tail.log_density_mixing(u)
 
-    counted.log_density_scaled = log_density_scaled
+    counted.log_density_mixing = log_density_mixing
+    width = 2.0 * quadrature._HALF_WIDTH
     for x, n, sigma in [(0.3, 1e3, 0.05), (0.01, 1e5, 1e-3), (2.0, 1e4, 1.0)]:
         post = _post(x, n, sigma, counted)
-        panels = len(quadrature._panel_edges(post)) - 1
+        centre = math.log(max(abs(x), n**-0.5) / sigma)
         points.clear()
         quadrature_mean_var(post, tol=1e-6, quantiles=_QUANTILE_LEVELS)
-        assert 0 < sum(points) <= 15 * panels, (x, n, sigma)
+        assert len(points) == 1, (x, n, sigma)
+        assert points[0] <= (abs(centre) + width) / quadrature._STEP + 2
 
 
 def test_fit_posterior_reports_capped_coordinates(monkeypatch):
@@ -308,18 +316,19 @@ def test_fit_posterior_reports_capped_coordinates(monkeypatch):
     assert diag == {"method": "quadrature", "quadrature_levels": {0: 10},
                     "quadrature_max_achieved": diag["quadrature_max_achieved"]}
     assert 0.0 < diag["quadrature_max_achieved"] <= tol
-    real = quadrature._kronrod_pass
+    real = quadrature._mixture_pass
 
-    def stalled(post, edges):
+    def stalled(x, n, log_scale, tail, step, sign):
         # coordinates 3 and 7 never get below tol: 3 ends within 10 tol,
-        # 7 beyond it; every coordinate above tol at the cap raises
-        *moments, achieved = real(post, edges)
+        # 7 beyond it; every coordinate above tol at the last step raises
+        mean, var, log_norm, achieved, mixture = real(x, n, log_scale, tail,
+                                                      step, sign)
         for i, err in ((3, 5.0 * tol), (7, 20.0 * tol)):
-            if abs(post.observation) == abs(data.observations[i]):
+            if x == abs(data.observations[i]):
                 achieved = err
-        return (*moments, achieved)
+        return mean, var, log_norm, achieved, mixture
 
-    monkeypatch.setattr(quadrature, "_kronrod_pass", stalled)
+    monkeypatch.setattr(quadrature, "_mixture_pass", stalled)
     with pytest.raises(ConvergenceError) as info:
         fit_posterior(data, prior, method="quadrature", tol=tol)
     assert info.value.index == 3
@@ -342,7 +351,7 @@ def test_fit_posterior_reports_capped_coordinates(monkeypatch):
     assert fit.diagnostics["quadrature_levels"] == {0: 3}
 
 
-# -- quadrature oracle: the panel builders it replaced -----------------------
+# -- the G7/K15 oracle (`kronrod`): the panel builders it replaced -----------
 
 
 def _reference_panel_edges(post):
@@ -354,23 +363,23 @@ def _reference_panel_edges(post):
     x = post.observation
     n = post.noise_precision
     sigma = math.exp(min(post.log_scale, 700.0))
-    w = quadrature._WINDOW / math.sqrt(n)
+    w = kronrod._WINDOW / math.sqrt(n)
     lo, hi = x - w, x + w
     a = min(lo, -w)
     b = max(hi, w)
     edges = set()
-    for c in quadrature._LIKE_OFFSETS:
+    for c in kronrod._LIKE_OFFSETS:
         edges.add(x - c / math.sqrt(n))
         edges.add(x + c / math.sqrt(n))
     if isinstance(post.tail, GaussianTail) and sigma > 0:
         m0 = x * n * sigma**2 / (1.0 + n * sigma**2)
         sd0 = sigma / math.sqrt(1.0 + n * sigma**2)
-        for c in quadrature._LIKE_OFFSETS:
+        for c in kronrod._LIKE_OFFSETS:
             edges.add(m0 - c * sd0)
             edges.add(m0 + c * sd0)
     if a < 0.0 < b:
         edges.add(0.0)
-    bottom = max(math.ldexp(min(sigma, w), -quadrature._LADDER_DEPTH), 5e-324)
+    bottom = max(math.ldexp(min(sigma, w), -kronrod._LADDER_DEPTH), 5e-324)
     e_w = math.frexp(w)[1]
     for m in range(math.frexp(bottom)[1] - e_w,
                    math.frexp(max(abs(a), abs(b)))[1] - e_w + 1):
@@ -406,12 +415,12 @@ def test_panel_edges_match_reference(tail):
                 post = UnivariatePosterior(x, n, log_sigma, tail)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    edges = quadrature._panel_edges(post)
+                    edges = kronrod._panel_edges(post)
                 ref = _reference_panel_edges(post)
                 assert np.array_equal(edges, ref), (x, log_sigma, n)
                 for factor in range(1, 17):
                     assert np.array_equal(
-                        quadrature._split_edges(edges, factor),
+                        kronrod._split_edges(edges, factor),
                         _reference_split_edges(ref, factor)), factor
 
 
@@ -420,23 +429,22 @@ def test_quadrature_matches_reference_panels(monkeypatch):
              for tail in (CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN)
              for x, n, sigma in [(0.0, 10.0, 0.1), (-1.3, 1e3, 0.05),
                                  (5.0, 1e4, 1e-6), (0.02, 1e8, 1e-3)]]
-    levels = (0.05, 0.5, 0.95)
-    got = [quadrature_mean_var(p, tol=1e-8, quantiles=levels) for p in posts]
+    # and the coordinates of a truncated horseshoe fit
     _, data = _sim(K=30)
     truncated = PriorSpec(HORSESHOE, ConstantTruncatedScaling(1e-3, 12))
-    fit = fit_posterior(data, truncated, method="quadrature")
-    monkeypatch.setattr(quadrature, "_panel_edges", _reference_panel_edges)
-    monkeypatch.setattr(quadrature, "_split_edges", _reference_split_edges)
+    log_s, active = truncated.coordinate_scales(data.truncation)
+    posts += [UnivariatePosterior(x, data.noise_precision, ls, HORSESHOE)
+              for x, ls in zip(data.observations[active], log_s[active])]
+    levels = (0.05, 0.5, 0.95)
+    got = [kronrod.kronrod_mean_var(p, tol=1e-8, quantiles=levels)
+           for p in posts]
+    monkeypatch.setattr(kronrod, "_panel_edges", _reference_panel_edges)
+    monkeypatch.setattr(kronrod, "_split_edges", _reference_split_edges)
     for p, (mean, var, log_norm, qs, *_) in zip(posts, got):
-        r_mean, r_var, r_log_norm, r_qs, *_ = quadrature_mean_var(
+        r_mean, r_var, r_log_norm, r_qs, *_ = kronrod.kronrod_mean_var(
             p, tol=1e-8, quantiles=levels)
         assert np.array_equal([mean, var, log_norm, *qs.values()],
                               [r_mean, r_var, r_log_norm, *r_qs.values()])
-    ref = fit_posterior(data, truncated, method="quadrature")
-    assert np.array_equal(fit.means, ref.means)
-    assert np.array_equal(fit.variances, ref.variances)
-    for q in levels:
-        assert np.array_equal(fit.quantiles[q], ref.quantiles[q])
 
 
 # -- Metropolis --------------------------------------------------------------

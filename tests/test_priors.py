@@ -98,6 +98,30 @@ def test_density_integrates_to_one(tail):
     assert 2.0 * val == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("tail", [STUDENT3, CAUCHY, HORSESHOE],
+                         ids=lambda t: t.name)
+def test_mixing_density_is_the_tail_as_a_normal_scale_mixture(tail):
+    # p(u) over u = log lambda integrates to 1, and int p(u) N(t; 0,
+    # e^{2u}) du is the tail's closed form h(t), each integral by scipy's
+    # adaptive quad, split at u = 0 and u = log t
+    def mixing(u):
+        return math.exp(tail.log_density_mixing(np.array([u]))[0])
+
+    mass, _ = integrate.quad(mixing, -60.0, 60.0, points=[0.0], limit=400)
+    assert mass == pytest.approx(1.0, abs=1e-10)
+    for t in (1e-3, 0.3, 1.0, 4.0, 50.0):
+        h, _ = integrate.quad(
+            lambda u: mixing(u) * stats.norm.pdf(t, scale=math.exp(u)),
+            -60.0, 60.0, points=sorted({0.0, math.log(t)}), limit=400)
+        assert h == pytest.approx(math.exp(tail.log_density(t)), rel=1e-9)
+
+
+def test_gaussian_mixing_density_is_the_point_mass_at_zero():
+    u = np.array([-1.0, -1e-300, 0.0, 1e-300, 2.0])
+    assert GAUSSIAN.log_density_mixing(u).tolist() == [
+        -math.inf, -math.inf, 0.0, -math.inf, -math.inf]
+
+
 def test_horseshoe_frozen_density_values():
     for t, ref in _HS_DENSITY_REFS.items():
         got = math.exp(HORSESHOE.log_density(t))
