@@ -251,9 +251,12 @@ def _cell(args):
     Returns ({(name, n, error type, p'): error}, {(prior, n): band}), where
     name is a prior or "sureshrink"; contraction errors and bands are left
     out unless wanted.  Each n is simulated once.  A prior's fits come
-    from `fit_posterior`; bands and contraction errors read the fits
-    themselves where they carry draws (the Gibbs baseline), and otherwise
-    the `DrawStack`s of one `metropolis_draws` call across all n.
+    from `fit_posterior`, handed the sinks its draws are wanted in: a
+    `posterior.DrawMatrix` for a band, a `metrics.ContractionFold` for
+    contraction errors.  Fits that draw (the Gibbs baseline) feed those
+    sinks themselves; when they received no draws, one `metropolis_draws`
+    call across all n feeds them.  So only a band holds a whole draw
+    matrix.
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)
@@ -267,30 +270,34 @@ def _cell(args):
             errors[(name, n, MEAN_ESTIMATE, p)] = metrics.lp_error(
                 estimate, f0, p, truth.basis)
 
-    for name, specs in group.priors.items():
+    def fit_prior(name, specs):
+        # a function, so that this prior's draws are freed when it returns
         pairs = list(zip(datas, specs))
-        fits = [posterior.fit_posterior(data, prior, draws=config.draws,
-                                        burn_in=config.burn_in, seed=seed,
-                                        tol=config.quadrature_tol)
-                for data, prior in pairs]
-        for n, fit in zip(group.ns, fits):
+        matrices = [posterior.DrawMatrix(len(f0), config.draws)
+                    if config.include_bands else None for _ in pairs]
+        folds = [metrics.ContractionFold(f0, config.p_primes, truth.basis)
+                 if config.include_contraction else None for _ in pairs]
+        sinks = [[sink for sink in pair if sink is not None]
+                 for pair in zip(matrices, folds)]
+        for n, (data, prior), pair_sinks in zip(group.ns, pairs, sinks):
+            fit = posterior.fit_posterior(
+                data, prior, draws=config.draws, burn_in=config.burn_in,
+                seed=seed, tol=config.quadrature_tol, sinks=pair_sinks)
             mean_errors(name, n, fit.means)
-        if config.include_bands or config.include_contraction:
-            if fits[0].draws is None:
-                fits = posterior.metropolis_draws(
-                    pairs, draws=config.draws, burn_in=config.burn_in,
-                    seed=seed)
-            for n, fit in zip(group.ns, fits):
-                if config.include_bands:
-                    bands[(name, n)] = posterior.credible_band(fit,
-                                                               truth.basis)
-                if config.include_contraction:
-                    for p, e in metrics.contraction_errors(
-                            fit.draws, f0, config.p_primes,
-                            truth.basis).items():
-                        errors[(name, n, CONTRACTION, p)] = e
-        # free this prior's draws before the next prior's fit
-        del fits, fit
+        if sinks[0] and not sinks[0][0].count:
+            posterior.metropolis_draws(pairs, draws=config.draws,
+                                       burn_in=config.burn_in, seed=seed,
+                                       sinks=sinks)
+        for n, matrix, fold in zip(group.ns, matrices, folds):
+            if matrix is not None:
+                bands[(name, n)] = posterior.credible_band(matrix,
+                                                           truth.basis)
+            if fold is not None:
+                for p, e in fold.errors().items():
+                    errors[(name, n, CONTRACTION, p)] = e
+
+    for name, specs in group.priors.items():
+        fit_prior(name, specs)
     if config.include_sureshrink:
         for n, data in zip(group.ns, datas):
             mean_errors("sureshrink", n, thresholding.hybrid_sureshrink(

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from . import spaces, wavelets
-from .errors import InvalidParameterError, ShapeError
+from .errors import InvalidParameterError, ShapeError, StateError
 
 DEFAULT_GRID = 2048
 
@@ -48,12 +48,20 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis):
 
     draws has shape (coordinate, draw); measures concentration of the
     whole posterior around the truth rather than point-estimate accuracy.
-    Returns {p': error}, on `lp_error`'s grid of m points.  The draws go
-    in `wavelets.row_blocks` of the wider of K and m, so scratch memory
+    Returns {p': error}, the mean of `contraction_norms`.
+    """
+    return {p_prime: float(norms.mean()) for p_prime, norms in
+            contraction_norms(draws, truth_coeffs, p_primes, basis).items()}
+
+
+def contraction_norms(draws, truth_coeffs, p_primes, basis):
+    """{p': ||f - f0||_{p'} of each draw}, on `lp_error`'s grid of m points.
+
+    draws has shape (coordinate, draw), in any memory layout.  The draws
+    go in `wavelets.row_blocks` of the wider of K and m, so scratch memory
     does not grow with the draw count: each block's differences are
-    synthesized to the grid once and reused for every non-Parseval norm,
-    and each p' collects one norm per draw, whose mean is the error.  The
-    values equal the whole-stack expression's bit for bit.
+    synthesized to the grid once and reused for every non-Parseval norm.
+    The values equal the whole-stack expression's bit for bit.
     """
     draws = np.asarray(draws, dtype=float)
     truth_coeffs = np.asarray(truth_coeffs, dtype=float)
@@ -103,7 +111,53 @@ def contraction_errors(draws, truth_coeffs, p_primes, basis):
             else:
                 np.power(values, p_prime, out=powers)
                 out[block] = np.mean(powers, axis=1) ** (1.0 / p_prime)
-    return {p_prime: float(out.mean()) for p_prime, out in norms.items()}
+    return norms
+
+
+class ContractionFold:
+    """A draw sink that folds `contraction_errors` over the batches it is
+    handed, each a (draw, coordinate) block.
+
+    Each batch is copied and held until the next batch of two or more
+    draws arrives while the fold holds two or more; then the held draws go
+    to one `contraction_errors` call.  So no call sees a lone draw unless
+    the whole run is one, and each per-draw norm has the bits a
+    whole-stack call gives it (a lone draw would be summed in another
+    order; `contraction_norms` joins a last single draw to the block
+    before it for the same reason).  `errors()` averages the calls' errors
+    weighted by their draw counts; `count` is how many draws the fold has
+    received.
+    """
+
+    def __init__(self, truth_coeffs, p_primes, basis):
+        self._args = (truth_coeffs, tuple(p_primes), basis)
+        self._held = []
+        self._sums = dict.fromkeys(self._args[1], 0.0)
+        self._folded = 0
+        self.count = 0
+
+    def __call__(self, block):
+        if len(block) >= 2 and self.count - self._folded >= 2:
+            self._fold()
+        self._held.append(np.array(block, dtype=float))
+        self.count += len(block)
+
+    def _fold(self):
+        held = (self._held[0] if len(self._held) == 1
+                else np.concatenate(self._held))
+        self._held = []
+        for p_prime, error in contraction_errors(held.T,
+                                                 *self._args).items():
+            self._sums[p_prime] += error * len(held)
+        self._folded += len(held)
+
+    def errors(self):
+        """{p': mean over every draw received of ||f - f0||_{p'}}."""
+        if self._held:
+            self._fold()
+        if not self._folded:
+            raise StateError("the fold has received no draws")
+        return {p: total / self._folded for p, total in self._sums.items()}
 
 
 def slope_fit(ns, errors):

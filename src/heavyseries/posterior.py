@@ -1,10 +1,17 @@
 """Assembled posterior fits for the sequence model.
 
-`fit_posterior` gives each prior one summary path: quadrature (the ground
-truth, in `quadrature`) for fixed scales, the Gibbs baseline for the
-hierarchical Gaussian prior.  `metropolis_draws` samples several data sets
-whose priors share a tail in one call, one `DrawStack` each.  Credible
-bands, centred on the draws' row means, and text forms live here too.
+`fit_posterior` gives each prior one summary path: quadrature (in
+`quadrature`, each coordinate's mean and variance within `tol`) for fixed
+scales, the Gibbs baseline for the hierarchical Gaussian prior.
+`metropolis_draws` samples several data sets whose priors share a tail in
+one call, one `DrawStack` each.
+
+Both samplers hand their kept draws on batch by batch to *sinks*:
+callables each given one (draw, coordinate) block per batch, a buffer the
+next batch overwrites, so a sink that keeps draws copies them.  A
+`DrawMatrix` is the sink that does: the (coordinate, draw) matrix that a
+credible band, or a Gibbs fit's quantiles, needs whole.  Credible bands,
+centred on the draws' row means, and text forms live here too.
 """
 
 import math
@@ -37,8 +44,6 @@ _QUANTILE_ROWS = 64
 _ADAPT_EVERY = 50
 _BIG_STEP_PROB = 0.2
 _JUMP_PROB = 0.2
-# most chains one `_metropolis_block` call runs
-_CHUNK = 1024
 
 
 def check_chain_lengths(draws, burn_in):
@@ -50,8 +55,23 @@ def check_chain_lengths(draws, burn_in):
         raise InvalidParameterError("burn_in must be >= 0")
 
 
+class DrawMatrix:
+    """A sink writing each (draw, coordinate) batch it is handed into the
+    next columns of a (coordinate, draw) matrix, `draws`, which starts as
+    zeros; `count` is how many draws it has received."""
+
+    def __init__(self, coordinates, draws):
+        self.draws = np.zeros((coordinates, draws))
+        self.count = 0
+
+    def __call__(self, block):
+        end = self.count + len(block)
+        self.draws[:, self.count:end] = block.T
+        self.count = end
+
+
 def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
-                      out, rows):
+                      sinks=()):
     """Vectorized Metropolis chains, one per coordinate.
 
     The kernel mixes three proposals: an adaptive random-walk step, an
@@ -87,9 +107,10 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
     which the scaled walk increments of the window are formed, and the
     independence proposals with their envelope values only where a step
     jumps.  Within a step the envelope of the current state is evaluated
-    only for the chains that jump.  Each batch's kept draws are written
-    in place as (chain, draw) into `out[rows]`, the chains' rows of the
-    run's draw matrix; the per-chain acceptance rates are returned.
+    only for the chains that jump.  Each batch's kept draws go to every
+    sink in `sinks` as one C-ordered (draw, chain) block, a view of a
+    buffer the next batch overwrites; the per-chain acceptance rates are
+    returned.
     """
     xs = np.asarray(xs, dtype=float)
     k = len(xs)
@@ -254,7 +275,8 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
                     kept += accept
                     kept_rows[b] = cur
             if not burning:
-                out[rows, t0 - burn_in:t1 - burn_in] = kept_rows[:t1 - t0].T
+                for sink in sinks:
+                    sink(kept_rows[:t1 - t0])
             elif t1 % _ADAPT_EVERY == 0:
                 rate = window_acc / _ADAPT_EVERY
                 step = step * np.where(
@@ -272,7 +294,7 @@ def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
 class PosteriorSummary:
     means: np.ndarray
     variances: np.ndarray
-    quantiles: dict  # level -> per-coordinate array
+    quantiles: dict  # level -> per-coordinate array; {} if none were kept
     diagnostics: dict = field(default_factory=dict)
     draws: Optional[np.ndarray] = None  # (coordinate, draw)
 
@@ -284,7 +306,8 @@ class PosteriorSummary:
 
 
 def fit_posterior(data, prior, method="quadrature", draws=DEFAULT_DRAWS,
-                  burn_in=DEFAULT_BURN_IN, seed=0, tol=DEFAULT_TOL):
+                  burn_in=DEFAULT_BURN_IN, seed=0, tol=DEFAULT_TOL,
+                  sinks=None):
     """Per-coordinate posterior summaries for a full data set.
 
     Fixed scales, a Gaussian tail's included, go through quadrature: each
@@ -295,7 +318,8 @@ def fit_posterior(data, prior, method="quadrature", draws=DEFAULT_DRAWS,
     refinement level accepted and the largest achieved error.  A
     hierarchical prior carries hyperpriors on (tau, alpha), which only
     the Gibbs sampler fits, so it goes to `gibbs_hierarchical_gaussian`
-    with `draws`, `burn_in` and `seed`, whatever `method` says.
+    with `draws`, `burn_in`, `seed` and `sinks`, whatever `method` says.
+    A quadrature fit draws nothing, so its sinks receive nothing.
 
     "quadrature" is the only `method`.  The parameter stays because
     `perfbench/tracing.py` binds it by name; it goes when that binding
@@ -310,7 +334,7 @@ def fit_posterior(data, prior, method="quadrature", draws=DEFAULT_DRAWS,
     prior.check_basis(data.basis)
     if prior.scaling.hierarchical:
         return gibbs_hierarchical_gaussian(data, draws=draws, burn_in=burn_in,
-                                           seed=seed)
+                                           seed=seed, sinks=sinks)
     if method != "quadrature":
         raise InvalidParameterError(f"unknown method {method!r}")
     log_s, active = prior.coordinate_scales(data.truncation)
@@ -355,40 +379,78 @@ def fit_posterior(data, prior, method="quadrature", draws=DEFAULT_DRAWS,
                             diagnostics=diagnostics)
 
 
-def _draw_moments(draw_mat):
-    """Per-row means, variances and `QUANTILES` quantiles of draws.
+def _draw_quantiles(draw_mat):
+    """Per-row `QUANTILES` quantiles of draws, {level: array}.
 
-    Rows are taken in `wavelets.row_blocks`, so the copies that `var` and
-    `np.quantile` make do not grow with the stack.  Each row is reduced on
-    its own, so the results equal the whole-stack calls' bit for bit.
+    Rows are taken in `wavelets.row_blocks`, so the copies that
+    `np.quantile` makes do not grow with the stack.  Each row is reduced
+    on its own, so the results equal the whole-stack call's bit for bit.
     """
     rows, count = draw_mat.shape
-    means, variances = np.empty(rows), np.empty(rows)
     qs = np.empty((len(QUANTILES), rows))
     for block in wavelets.row_blocks(rows, count):
-        part = draw_mat[block]
-        means[block] = part.mean(axis=1)
-        variances[block] = part.var(axis=1)
-        qs[:, block] = np.quantile(part, QUANTILES, axis=1)
-    return means, variances, dict(zip(QUANTILES, qs))
+        qs[:, block] = np.quantile(draw_mat[block], QUANTILES, axis=1)
+    return dict(zip(QUANTILES, qs))
+
+
+class _MomentFold:
+    """A sink folding per-coordinate means and variances of the batches it
+    is handed.
+
+    Each batch becomes (count, mean, sum of squared deviations), and two
+    such parts merge by the pairwise update of Chan, Golub & LeVeque
+    (1979).  Parts of equal count merge first, as in pairwise summation,
+    so rounding grows with the logarithm of the batch count; a merged sum
+    of squares adds non-negative terms, so no variance comes out below 0.
+    """
+
+    def __init__(self):
+        self._parts = []  # counts non-increasing
+
+    def __call__(self, block):
+        mean = block.mean(axis=0)
+        dev = block - mean
+        part = (len(block), mean, np.einsum("ij,ij->j", dev, dev))
+        while self._parts and self._parts[-1][0] <= part[0]:
+            part = self._merge(self._parts.pop(), part)
+        self._parts.append(part)
+
+    @staticmethod
+    def _merge(a, b):
+        (na, ma, sa), (nb, mb, sb) = a, b
+        count = na + nb
+        delta = mb - ma
+        return (count, ma + delta * (nb / count),
+                sa + sb + delta * delta * (na * nb / count))
+
+    def moments(self):
+        """(means, variances) of every draw folded so far."""
+        part = self._parts[-1]
+        for earlier in reversed(self._parts[:-1]):
+            part = self._merge(earlier, part)
+        count, mean, squares = part
+        return mean, squares / count
 
 
 class DrawStack(NamedTuple):
     """One (data, prior) pair's Metropolis output."""
 
-    draws: np.ndarray  # (coordinate, draw)
+    draws: Optional[np.ndarray]  # (coordinate, draw); None if fed to sinks
     acceptance: np.ndarray  # per active coordinate
 
 
 def metropolis_draws(pairs, draws=DEFAULT_DRAWS, burn_in=DEFAULT_BURN_IN,
-                     seed=0):
+                     seed=0, sinks=None):
     """One `DrawStack` per (data, prior) pair, sampled in one run.
 
     The priors must share a tail (not a scaling) and index their data's
     basis.  Coordinates with log sigma > -inf run, across all pairs, as
-    blocks of at most `_CHUNK` chains, each writing its draws in place into
-    its chains' rows of one matrix; the other rows are 0.  Each stack's
-    draws are a row view of that matrix, which stays alive while any does.
+    one `_metropolis_block`, so each of its batches holds whole draws of
+    every pair.  `sinks`, one sequence of sinks per pair, receives each
+    batch of that pair's draws as one (draw, coordinate) block whose
+    other columns are 0, and the stacks carry no draws.  Without `sinks`
+    each pair's draws go to a `DrawMatrix`, whose matrix is its stack's
+    `draws`.
     """
     check_chain_lengths(draws, burn_in)
     pairs = list(pairs)
@@ -399,29 +461,47 @@ def metropolis_draws(pairs, draws=DEFAULT_DRAWS, burn_in=DEFAULT_BURN_IN,
            for _, prior in pairs):
         raise InvalidParameterError("one Metropolis run needs priors "
                                     "with one tail")
-    bounds = np.cumsum([0] + [data.truncation for data, _ in pairs])
-    actives, rows, xs, ns, log_s, streams = [], [], [], [], [], []
-    for (data, prior), lo in zip(pairs, bounds):
+    matrices = [None] * len(pairs)
+    if sinks is None:
+        matrices = [DrawMatrix(data.truncation, draws) for data, _ in pairs]
+        sinks = [[matrix] for matrix in matrices]
+    xs, ns, log_s, streams, outlets = [], [], [], [], []
+    lo = 0
+    for (data, prior), pair_sinks in zip(pairs, sinks):
         prior.check_basis(data.basis)
         ls, active = prior.coordinate_scales(data.truncation)
-        actives.append(active)
         act = np.flatnonzero(active)
-        rows.append(lo + act)
         xs.append(data.observations[act])
         ns.append(np.full(len(act), data.noise_precision))
         log_s.append(ls[act])
         streams.append(act)
-    rows, xs, ns, log_s, streams = map(np.concatenate,
-                                       (rows, xs, ns, log_s, streams))
-    draw_mat = np.zeros((bounds[-1], draws))
-    acc = np.zeros(bounds[-1])
-    for first in range(0, len(rows), _CHUNK):
-        sel = slice(first, first + _CHUNK)
-        acc[rows[sel]] = _metropolis_block(
-            xs[sel], ns[sel], log_s[sel], tail, draws, burn_in, seed,
-            streams[sel], draw_mat, rows[sel])
-    return [DrawStack(draw_mat[lo:hi], acc[lo:hi][active])
-            for active, lo, hi in zip(actives, bounds[:-1], bounds[1:])]
+        # a pair with inactive coordinates scatters its chains' columns
+        # into a block whose other columns stay 0
+        full = None if len(act) == data.truncation else np.zeros(
+            (_ADAPT_EVERY, data.truncation))
+        outlets.append((slice(lo, lo + len(act)), act, full, pair_sinks))
+        lo += len(act)
+    xs, ns, log_s, streams = map(np.concatenate, (xs, ns, log_s, streams))
+
+    def scatter(block):
+        for chains, act, full, pair_sinks in outlets:
+            part = block[:, chains]
+            if full is not None:
+                full[:len(block), act] = part
+                part = full[:len(block)]
+            for sink in pair_sinks:
+                sink(part)
+
+    if len(xs):
+        acc = _metropolis_block(xs, ns, log_s, tail, draws, burn_in, seed,
+                                streams, (scatter,))
+    else:  # no chain runs: every draw is 0
+        acc = np.empty(0)
+        for t0 in range(0, draws, _ADAPT_EVERY):
+            scatter(np.empty((min(_ADAPT_EVERY, draws - t0), 0)))
+    return [DrawStack(None if matrix is None else matrix.draws,
+                      acc[chains])
+            for matrix, (chains, *_) in zip(matrices, outlets)]
 
 
 # --------------------------------------------------------------------------
@@ -449,13 +529,20 @@ def _gibbs_log_marginal(xx, n, levels, level_of, u, v):
     return loglik + log_prior
 
 
-def gibbs_hierarchical_gaussian(data, draws, burn_in, seed):
+def gibbs_hierarchical_gaussian(data, draws, burn_in, seed, sinks=None):
     """Gibbs sampler for the hierarchical Gaussian wavelet prior.
 
     Alternates exact conjugate coefficient draws given (tau, alpha) with a
     random-walk Metropolis move on (log tau, log alpha) targeting the
     marginal posterior (coefficients integrated out analytically).
     `fit_posterior`, its one way in, checks the basis and chain lengths.
+
+    Kept draws go in batches of `_ADAPT_EVERY` to every sink in `sinks`,
+    each batch one (draw, coordinate) block of a buffer the next batch
+    overwrites, and to a `_MomentFold`, which gives the means and
+    variances on every path.  Without `sinks` the draws also go to a
+    `DrawMatrix`: the summary's `draws`, whose quantiles it carries.
+    With `sinks`, the summary carries neither draws nor quantiles.
     """
     K = data.truncation
     x = data.observations
@@ -470,7 +557,13 @@ def gibbs_hierarchical_gaussian(data, draws, burn_in, seed):
     u, v = 0.0, 0.0  # tau = 1, alpha = 1
     cur_lp = _gibbs_log_marginal(xx, n, levels, level_of, u, v)
     total = draws + burn_in
-    out = np.empty((K, draws))
+    matrix = None
+    if sinks is None:
+        matrix = DrawMatrix(K, draws)
+        sinks = (matrix,)
+    moments = _MomentFold()
+    sinks = (moments, *sinks)
+    batch = np.empty((_ADAPT_EVERY, K))
     hyper = np.empty((draws, 2))
     accepted = 0
     window_acc = 0
@@ -497,18 +590,26 @@ def gibbs_hierarchical_gaussian(data, draws, burn_in, seed):
             s2 = np.exp(2.0 * log_sig)
             shrink = n * s2 / (1.0 + n * s2)
             post_sd = np.sqrt(s2 / (1.0 + n * s2))
-            out[:, t - burn_in] = (x * shrink[level_of] + post_sd[level_of]
-                                   * gen.standard_normal(K))
+            row = (t - burn_in) % _ADAPT_EVERY
+            batch[row] = (x * shrink[level_of] + post_sd[level_of]
+                          * gen.standard_normal(K))
             hyper[t - burn_in] = (math.exp(u), alpha)
-    means, variances, quantiles = _draw_moments(out)
+            if row == _ADAPT_EVERY - 1 or t == total - 1:
+                for sink in sinks:
+                    sink(batch[:row + 1])
+    means, variances = moments.moments()
     diag = {
         "method": "gibbs",
         "acceptance_hyper": accepted / draws,
         "tau_mean": float(hyper[:, 0].mean()),
         "alpha_mean": float(hyper[:, 1].mean()),
     }
+    if matrix is None:
+        return PosteriorSummary(means=means, variances=variances,
+                                quantiles={}, diagnostics=diag)
     return PosteriorSummary(means=means, variances=variances,
-                            quantiles=quantiles, diagnostics=diag, draws=out)
+                            quantiles=_draw_quantiles(matrix.draws),
+                            diagnostics=diag, draws=matrix.draws)
 
 
 # --------------------------------------------------------------------------

@@ -60,12 +60,12 @@ def test_posterior_oracle_equivalence():
     chain_draws = {}
     for tail in dict.fromkeys(p[0] for p in pts):
         idx = [i for i, p in enumerate(pts) if p[0] is tail]
-        block = np.empty((len(idx), mdraws))
+        block = posterior.DrawMatrix(len(idx), mdraws)
         posterior._metropolis_block(
             [pts[i][2] for i in idx], [pts[i][3] for i in idx],
             [math.log(pts[i][1]) for i in idx], tail, mdraws, 2000, 7, idx,
-            block, np.arange(len(idx)))
-        chain_draws.update(zip(idx, block))
+            [block])
+        chain_draws.update(zip(idx, block.draws))
     for i, (tail, sigma, x, n) in enumerate(pts):
         post = quadrature.UnivariatePosterior(x, n, math.log(sigma), tail)
         qm, qv, *_ = quadrature.quadrature_mean_var(post, tol=1e-8)

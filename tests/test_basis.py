@@ -51,7 +51,7 @@ def test_synthesize_stack_and_parseval_scale(b):
     if b.double_indexed:
         assert basis.parseval_scale(b) == 8.0
         assert np.linalg.norm(stack[0]) / 8.0 == pytest.approx(
-            np.sqrt(np.mean(values[0] ** 2)), rel=1e-12)
+            np.sqrt(np.mean(values[0] ** 2)), rel=1e-12, abs=0.0)
     else:
         assert basis.parseval_scale(b) == 1.0
 

@@ -37,7 +37,7 @@ def test_noise_scale():
     for n in (1.0, 1e4):
         d = model.simulate(zero, n, seed=0)
         sd = d.observations.std()
-        assert sd == pytest.approx(1.0 / np.sqrt(n), rel=0.06)
+        assert sd == pytest.approx(1.0 / np.sqrt(n), rel=0.06, abs=0.0)
 
 
 def test_invalid_inputs():

@@ -113,7 +113,8 @@ def test_mixing_density_is_the_tail_as_a_normal_scale_mixture(tail):
         h, _ = integrate.quad(
             lambda u: mixing(u) * stats.norm.pdf(t, scale=math.exp(u)),
             -60.0, 60.0, points=sorted({0.0, math.log(t)}), limit=400)
-        assert h == pytest.approx(math.exp(tail.log_density(t)), rel=1e-9)
+        assert h == pytest.approx(math.exp(tail.log_density(t)), rel=1e-9,
+                                  abs=0.0)
 
 
 def test_gaussian_mixing_density_is_the_point_mass_at_zero():
@@ -125,12 +126,13 @@ def test_gaussian_mixing_density_is_the_point_mass_at_zero():
 def test_horseshoe_frozen_density_values():
     for t, ref in _HS_DENSITY_REFS.items():
         got = math.exp(HORSESHOE.log_density(t))
-        assert got == pytest.approx(ref, rel=1e-8), t
+        assert got == pytest.approx(ref, rel=1e-8, abs=0.0), t
 
 
 def test_horseshoe_frozen_tail_values():
     for x, ref in _HS_TAIL_REFS.items():
-        assert HORSESHOE.tail_mass(x) == pytest.approx(ref, rel=1e-8), x
+        assert HORSESHOE.tail_mass(x) == pytest.approx(ref, rel=1e-8,
+                                                       abs=0.0), x
     assert HORSESHOE.tail_mass(0.0) == 0.5
 
 
@@ -147,7 +149,7 @@ def test_horseshoe_near_zero_log_pole():
     c = (2.0 / math.pi) / math.sqrt(2 * math.pi)
     for u in (-50.0, -300.0):
         h = math.exp(HORSESHOE.log_density_log_abs(u))
-        assert h == pytest.approx(c * (-u), rel=0.05)
+        assert h == pytest.approx(c * (-u), rel=0.05, abs=0.0)
     # deep values keep growing
     assert (HORSESHOE.log_density_log_abs(-500.0)
             > HORSESHOE.log_density_log_abs(-300.0))
@@ -266,7 +268,7 @@ def test_closed_form_identity():
         s = 0.5 * t * t
         ref = k * math.exp(s) * float(special.exp1(s))
         got = math.exp(HORSESHOE.log_density(t))
-        assert got == pytest.approx(ref, rel=1e-12), t
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0), t
 
 
 def test_sandwich_bounds_hold_strictly():

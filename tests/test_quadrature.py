@@ -54,7 +54,7 @@ def test_subnormal_observation_fits_like_zero(tail, x):
     sd = math.sqrt(z_var)
     assert z_mean == 0.0
     assert abs(mean) <= 1e-12 * sd
-    assert var == pytest.approx(z_var, rel=1e-12)
+    assert var == pytest.approx(z_var, rel=1e-12, abs=0.0)
     assert log_norm == pytest.approx(z_log_norm, abs=1e-12)
     for q in _LEVELS:
         assert abs(qs[q] - z_qs[q]) <= 1e-12 * sd, q
@@ -240,7 +240,7 @@ def test_tiny_prior_scale_matches_brute_force_oracle(oracle, tail, x, n,
         UnivariatePosterior(x, n, log_sigma, tail), tol=1e-8)
     ref_mean, ref_var = oracle(x, n, math.exp(log_sigma), tail)
     assert abs(mean - ref_mean) <= 1e-6 * max(abs(ref_mean), 1e-3)
-    assert var == pytest.approx(ref_var, rel=1e-6)
+    assert var == pytest.approx(ref_var, rel=1e-6, abs=0.0)
 
 
 # -- the corners the G7/K15 engine answered wrongly within tol ---------------

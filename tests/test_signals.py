@@ -29,7 +29,7 @@ def test_quartet_snr():
         t = signals.truth_quartet(name, frame)
         samples = wavelets.synthesize(t.coefficients, frame)
         rms = math.sqrt(float(np.mean(samples**2)))
-        assert rms == pytest.approx(7.0, rel=1e-10), name
+        assert rms == pytest.approx(7.0, rel=1e-10, abs=0.0), name
 
 
 def test_quartet_shapes():

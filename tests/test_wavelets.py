@@ -231,7 +231,7 @@ def test_synthesis_scratch_does_not_grow_with_the_stack():
 
 # The block rules the stack loops wrote out for themselves before they took
 # their slices from `row_blocks`, as (lo, hi) per block: the oracle below.
-def _transform_blocks(count, width):  # synthesize, _draw_moments
+def _transform_blocks(count, width):  # synthesize, _draw_quantiles
     step = max(1, wavelets._BLOCK_VALUES // width)
     return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
@@ -242,7 +242,7 @@ def _band_blocks(count, width, tail):  # posterior.credible_band
     return list(zip(starts[:-1], starts[1:]))
 
 
-def _contraction_blocks(count, width):  # metrics.contraction_errors
+def _contraction_blocks(count, width):  # metrics.contraction_norms
     step = max(2, wavelets._BLOCK_VALUES // width)
     starts = list(range(0, max(count - 1, 1), step)) + [count]
     return list(zip(starts[:-1], starts[1:]))
