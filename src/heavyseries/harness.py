@@ -255,8 +255,9 @@ def _cell(args):
     `posterior.DrawMatrix` for a band, a `metrics.ContractionFold` for
     contraction errors.  Fits that draw (the Gibbs baseline) feed those
     sinks themselves; when they received no draws, one `metropolis_draws`
-    call across all n feeds them.  So only a band holds a whole draw
-    matrix.
+    call across all n feeds them.  A `DrawMatrix` keeps only its draws'
+    moves and the bands are built one at a time, so a run holds at most
+    one whole draw matrix, and only while it builds a band.
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)

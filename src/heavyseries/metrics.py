@@ -118,46 +118,55 @@ class ContractionFold:
     """A draw sink that folds `contraction_errors` over the batches it is
     handed, each a (draw, coordinate) block.
 
-    Each batch is copied and held until the next batch of two or more
-    draws arrives while the fold holds two or more; then the held draws go
-    to one `contraction_errors` call.  So no call sees a lone draw unless
-    the whole run is one, and each per-draw norm has the bits a
-    whole-stack call gives it (a lone draw would be summed in another
-    order; `contraction_norms` joins a last single draw to the block
-    before it for the same reason).  `errors()` averages the calls' errors
-    weighted by their draw counts; `count` is how many draws the fold has
-    received.
+    A batch of two or more draws goes to one `contraction_errors` call as
+    it is handed, uncopied.  A lone draw would be summed in another order
+    (`contraction_norms` joins a last single draw to the block before it
+    for the same reason), so the fold keeps a copy of the last draw it
+    received: a later one-draw batch is normed as the second draw of a
+    block after that copy, and only its own norm is added.  A first batch
+    of one draw is held and joins the next batch.  So each per-draw norm
+    has the bits a whole-stack call gives it, and no call sees a lone draw
+    unless the whole run is one.  `errors()` sums the calls' errors
+    weighted by their draw counts and the lone draws' norms, over the
+    draw count; `count` is how many draws the fold has received.
     """
 
     def __init__(self, truth_coeffs, p_primes, basis):
         self._args = (truth_coeffs, tuple(p_primes), basis)
-        self._held = []
         self._sums = dict.fromkeys(self._args[1], 0.0)
-        self._folded = 0
+        self._last = None  # a (1, coordinate) copy of the last draw
+        self._held = None  # a first one-draw batch, not yet folded
         self.count = 0
 
     def __call__(self, block):
-        if len(block) >= 2 and self.count - self._folded >= 2:
-            self._fold()
-        self._held.append(np.array(block, dtype=float))
+        if not len(block):
+            return
         self.count += len(block)
+        if self._held is not None:
+            block = np.concatenate((self._held, block))
+            self._held = None
+        if len(block) >= 2:
+            self._add(contraction_errors(block.T, *self._args), len(block))
+        elif self._last is not None:
+            pair = np.concatenate((self._last, block)).T
+            self._add({p: float(norms[1]) for p, norms in
+                       contraction_norms(pair, *self._args).items()}, 1)
+        else:
+            self._held = np.array(block, dtype=float)
+        self._last = np.array(block[-1:], dtype=float)
 
-    def _fold(self):
-        held = (self._held[0] if len(self._held) == 1
-                else np.concatenate(self._held))
-        self._held = []
-        for p_prime, error in contraction_errors(held.T,
-                                                 *self._args).items():
-            self._sums[p_prime] += error * len(held)
-        self._folded += len(held)
+    def _add(self, errors, count):
+        for p_prime, error in errors.items():
+            self._sums[p_prime] += error * count
 
     def errors(self):
         """{p': mean over every draw received of ||f - f0||_{p'}}."""
-        if self._held:
-            self._fold()
-        if not self._folded:
+        if self._held is not None:  # the whole run is one draw
+            self._add(contraction_errors(self._held.T, *self._args), 1)
+            self._held = None
+        if not self.count:
             raise StateError("the fold has received no draws")
-        return {p: total / self._folded for p, total in self._sums.items()}
+        return {p: total / self.count for p, total in self._sums.items()}
 
 
 def slope_fit(ns, errors):

@@ -9,9 +9,10 @@ one call, one `DrawStack` each.
 Both samplers hand their kept draws on batch by batch to *sinks*:
 callables each given one (draw, coordinate) block per batch, a buffer the
 next batch overwrites, so a sink that keeps draws copies them.  A
-`DrawMatrix` is the sink that does: the (coordinate, draw) matrix that a
-credible band, or a Gibbs fit's quantiles, needs whole.  Credible bands,
-centred on the draws' row means, and text forms live here too.
+`DrawMatrix` is the sink that does: it records each batch's moves and
+rebuilds the (coordinate, draw) matrix that a credible band, or a Gibbs
+fit's quantiles, needs whole.  Credible bands, centred on the draws' row
+means, and text forms live here too.
 """
 
 import math
@@ -56,18 +57,101 @@ def check_chain_lengths(draws, burn_in):
 
 
 class DrawMatrix:
-    """A sink writing each (draw, coordinate) batch it is handed into the
-    next columns of a (coordinate, draw) matrix, `draws`, which starts as
-    zeros; `count` is how many draws it has received."""
+    """A sink recording the (draw, coordinate) batches it is handed as the
+    next columns of a (coordinate, draw) matrix of `draws` columns, which
+    `draws` rebuilds; `count` is how many draws it has received.
+
+    A Metropolis chain repeats its state on every rejection, so a batch is
+    kept as its moves: a packed bit mask of the entries whose uint64 bits
+    differ from the draw before (the first draw's from +0.0, so a flip
+    between +0.0 and -0.0 is a move), and the values of those entries.  A
+    default `sobolev` stack repeats about 60% of its entries, so its
+    record takes about 42% of the matrix's bytes; a Gibbs stack, which
+    never repeats, takes 1/64 more than the matrix.
+    """
 
     def __init__(self, coordinates, draws):
-        self.draws = np.zeros((coordinates, draws))
+        self._shape = (coordinates, draws)
+        self._last = np.zeros(coordinates)
+        self._batches = []  # (draw count, packed move mask, move values)
         self.count = 0
 
     def __call__(self, block):
-        end = self.count + len(block)
-        self.draws[:, self.count:end] = block.T
-        self.count = end
+        block = np.ascontiguousarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self._shape[0]:
+            raise ShapeError("a batch must be (draw, coordinate) with one "
+                             "column per coordinate")
+        if self.count + len(block) > self._shape[1]:
+            raise ShapeError(f"the matrix holds {self._shape[1]} draws")
+        if not len(block):
+            return
+        bits = block.view(np.uint64)
+        moved = np.empty(block.shape, dtype=bool)
+        np.not_equal(bits[0], self._last.view(np.uint64), out=moved[0])
+        np.not_equal(bits[1:], bits[:-1], out=moved[1:])
+        self._batches.append((len(block), np.packbits(moved),
+                              np.compress(moved.ravel(), block.ravel())))
+        self._last = block[-1].copy()
+        self.count += len(block)
+
+    @property
+    def nbytes(self):
+        """Bytes the record's masks and move values hold."""
+        return sum(packed.nbytes + values.nbytes
+                   for _, packed, values in self._batches)
+
+    @property
+    def draws(self):
+        """The (coordinate, draw) matrix, C-ordered, 0 past `count`.
+
+        Each read rebuilds it in chunks of the draws received, the
+        `wavelets.row_blocks` of four values per entry, since a chunk's
+        scratch holds about four: its sources, the values gathered and the
+        moves' positions and values.  In a chunk, an entry's source is its
+        position in the chunk's (state, moves) array: the moves' own, else
+        the coordinate's state before the chunk in the first draw and 0
+        below it; a running maximum down the draws then picks each entry's
+        latest move.  The buffers are made once, and none outgrows a chunk.
+        """
+        coordinates = self._shape[0]
+        out = np.zeros(self._shape)
+        if not (self.count and coordinates):
+            return out
+        chunks = wavelets.row_blocks(self.count, 4 * coordinates)
+        most = chunks[0].stop * coordinates
+        where_buf, values_buf = np.empty(most, dtype=np.intp), np.empty(most)
+        state = np.zeros(coordinates)
+        batches = iter(self._batches)
+        mask = values = None  # what the chunks have not read of a batch
+        for chunk in chunks:
+            masks, parts = [], [state]
+            need = chunk.stop - chunk.start
+            while need:
+                if mask is None or not len(mask):
+                    size, packed, values = next(batches)
+                    mask = np.unpackbits(packed, count=size * coordinates) \
+                        .view(bool).reshape(size, coordinates)
+                take = min(need, len(mask))
+                moves = (len(values) if take == len(mask)
+                         else np.count_nonzero(mask[:take]))
+                masks.append(mask[:take])
+                parts.append(values[:moves])
+                mask, values = mask[take:], values[moves:]
+                need -= take
+            moved = np.flatnonzero(np.concatenate(masks))
+            size = (chunk.stop - chunk.start) * coordinates
+            where = where_buf[:size]
+            where.fill(0)
+            where[:coordinates] = np.arange(coordinates)
+            where[moved] = np.arange(coordinates, coordinates + len(moved))
+            where = where.reshape(-1, coordinates)
+            np.maximum.accumulate(where, axis=0, out=where)
+            # every source is in range: "clip" skips the bounds check
+            gathered = np.take(np.concatenate(parts), where, mode="clip",
+                               out=values_buf[:size].reshape(where.shape))
+            out[:, chunk] = gathered.T
+            state = gathered[-1].copy()
+        return out
 
 
 def _metropolis_block(xs, n, log_scales, tail, draws, burn_in, seed, indices,
@@ -607,9 +691,10 @@ def gibbs_hierarchical_gaussian(data, draws, burn_in, seed, sinks=None):
     if matrix is None:
         return PosteriorSummary(means=means, variances=variances,
                                 quantiles={}, diagnostics=diag)
+    draw_mat = matrix.draws
     return PosteriorSummary(means=means, variances=variances,
-                            quantiles=_draw_quantiles(matrix.draws),
-                            diagnostics=diag, draws=matrix.draws)
+                            quantiles=_draw_quantiles(draw_mat),
+                            diagnostics=diag, draws=draw_mat)
 
 
 # --------------------------------------------------------------------------
@@ -621,8 +706,11 @@ def credible_band(summary, basis, m=256, level=0.95):
     """Pointwise envelope of the level-fraction of draws closest in L2 to
     their mean curve, on an m-point grid (a wavelet frame's own).
 
-    `summary` needs only `draws`: the centre is their row means, each row
-    reduced on its own in `wavelets.row_blocks`, as `mean(axis=1)` does.
+    `summary` needs only `draws`, which is read once: a `DrawMatrix`
+    rebuilds its matrix on each read, so a band holds one matrix beside
+    the records of the others.  The centre is the draws' row means, each
+    row reduced on its own in `wavelets.row_blocks`, as `mean(axis=1)`
+    does.
     The draws are synthesized once, in `wavelets.row_blocks` at fixed
     offsets, the last holding at least `basis.last_slice_floor` draws (512
     for a cosine/sine product) or all of them.  A pool keeps the
@@ -635,11 +723,11 @@ def credible_band(summary, basis, m=256, level=0.95):
     `basis.last_slice_floor`), each distance is its own row's reduction,
     and min and max are exact in any order.
     """
-    if summary.draws is None:
-        raise StateError("summary carries no draws")
     if not 0.0 < level <= 1.0:
         raise InvalidParameterError("level must be in (0, 1]")
     draws = summary.draws
+    if draws is None:
+        raise StateError("summary carries no draws")
     count = draws.shape[1]
     means = np.concatenate([draws[block].mean(axis=1)
                             for block in wavelets.row_blocks(*draws.shape)])

@@ -205,8 +205,9 @@ def kronrod_mean_var(post, tol=1e-8, quantiles=QUANTILES):
     fine-grid oracle (the same panels split 64 times, mid-point nodes,
     centred CDF) the 5%, 50% and 95% quantiles measured at most 1.1e-3
     posterior sd off for every tail over the cases of
-    `test_quantiles_match_fine_grid_oracle` (tol 1e-6), which asserts
-    3e-3 sd.  Levels outside (0, 1), and NaN, raise: interpolation clamps.
+    `test_quantiles_match_fine_grid_oracle` (tol 1e-6); that test now
+    splits the panels 512 times and checks the mixture engine.  Levels
+    outside (0, 1), and NaN, raise: interpolation clamps.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be > 0")

@@ -245,11 +245,11 @@ _QUANTILE_LEVELS = (0.05, 0.5, 0.95)
 
 
 def _fine_grid_quantiles(post):
-    """Quantiles on the G7/K15 oracle's panels (`kronrod`) split 64 times,
-    one mid-point node per piece carrying its piece's mass, the CDF
+    """Quantiles on the G7/K15 oracle's panels (`kronrod`) split 512
+    times, one mid-point node per piece carrying its piece's mass, the CDF
     centred on the nodes.  It integrates over theta with the tails' exact
     log_density, where the engine integrates over the mixing scale."""
-    edges = kronrod._split_edges(kronrod._panel_edges(post), 64)
+    edges = kronrod._split_edges(kronrod._panel_edges(post), 512)
     mid = (edges[:-1] + edges[1:]) / 2.0
     logf = (-0.5 * post.noise_precision * (post.observation - mid) ** 2
             + post.tail.log_density(mid / math.exp(post.log_scale)))
@@ -262,12 +262,15 @@ def _fine_grid_quantiles(post):
 @pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
                          ids=lambda t: t.name)
 def test_quantiles_match_fine_grid_oracle(tail):
-    # measured: at most 1.1e-3 posterior sd over these cases (the oracle
-    # itself moves by about 1.5e-5 sd from 64 to 512 pieces per panel);
-    # the node-CDF interpolation it replaced was 1.8e-2 sd off; the bound
-    # leaves a margin of about 3 over the measurement.  The last case is a
-    # default `sobolev` coordinate (seed 0, student3-ot at n = 1e5) where
-    # the G7/K15 node CDF read 4.0e-3 sd off
+    # The mixture engine's quantiles, measured against this oracle over
+    # these cases, worst per tail: 1.32e-6 posterior sd (Student-3),
+    # 5.7e-7 (Gaussian), 5.4e-7 (horseshoe), 4.5e-7 (Cauchy); against 2048
+    # pieces per panel, at most 6.8e-7.  The oracle's own error dominated
+    # at 64 pieces per panel: it moved by up to 1.18e-4 sd from 64 to 512
+    # pieces, and the engine read 1.19e-4 sd off the 64-piece oracle.  The
+    # bound leaves a margin of about 3 over the measurement.  The last
+    # case is a default `sobolev` coordinate (seed 0, student3-ot at
+    # n = 1e5) where the G7/K15 node CDF read 4.0e-3 sd off
     worst = 0.0
     for x, n, sigma in [(1.5, 1e3, 1e-3), (1.5, 1e3, 0.05), (1.5, 1e3, 1.0),
                         (0.3, 1e4, 0.01), (-2.0, 100.0, 0.1),
@@ -280,7 +283,7 @@ def test_quantiles_match_fine_grid_oracle(tail):
         ref = _fine_grid_quantiles(post)
         worst = max(worst, max(abs(qs[q] - ref[q]) for q in ref)
                     / math.sqrt(var))
-    assert worst < 3e-3
+    assert worst < 4e-6
 
 
 @pytest.mark.parametrize("tail", [CAUCHY, STUDENT3, HORSESHOE, GAUSSIAN],
@@ -456,6 +459,21 @@ def _batch_se(draws):
     k = len(draws) // b
     means = draws[: k * b].reshape(k, b).mean(axis=1)
     return means.std(ddof=1) / math.sqrt(k)
+
+
+class _InPlace:
+    """A sink writing each batch into the next columns of a (coordinate,
+    draw) matrix of zeros made up front, so a sampler's scratch measured
+    with one supplied leaves out the draws it keeps."""
+
+    def __init__(self, coordinates, draws):
+        self.draws = np.zeros((coordinates, draws))
+        self.count = 0
+
+    def __call__(self, block):
+        end = self.count + len(block)
+        self.draws[:, self.count:end] = block.T
+        self.count = end
 
 
 def _block(xs, n, log_scales, tail, draws, burn_in, seed, indices):
@@ -945,7 +963,7 @@ def test_shared_streams_cut_block_memory():
     ns = np.repeat([1.0, 1e3, 1e6], 200)
     peaks = []
     for indices in (np.tile(np.arange(200), 3), np.arange(600)):
-        out = posterior.DrawMatrix(600, 600)
+        out = _InPlace(600, 600)
         tracemalloc.start()
         try:
             posterior._metropolis_block(xs, ns, log_scales, STUDENT3, 600,
@@ -958,16 +976,17 @@ def test_shared_streams_cut_block_memory():
 
 
 def test_block_scratch_does_not_grow_with_chain_length(scratch_peak):
-    # Random inputs are made one refill at a time.  Measured with a draw
-    # matrix supplied, 256 Student-3 chains: 6.45 MB of scratch at 4000 + 2000
-    # steps and 6.39 MB at 800 + 400 (1024-step refills); whole-run input
-    # tables took 30.6 and 7.1 MB.  The bound leaves 10% for allocator noise.
+    # Random inputs are made one refill at a time.  Measured with an
+    # in-place draw matrix supplied, 256 Student-3 chains: 6.45 MB of
+    # scratch at 4000 + 2000 steps and 6.39 MB at 800 + 400 (1024-step
+    # refills); whole-run input tables took 30.6 and 7.1 MB.  The bound
+    # leaves 10% for allocator noise.
     gen = np.random.default_rng(5)
     xs = gen.normal(0.0, 2.0, size=256)
     log_scales = gen.uniform(-12.0, 0.0, size=256)
     peaks = [scratch_peak(posterior._metropolis_block, xs, 1e3, log_scales,
                           STUDENT3, draws, burn_in, 3, np.arange(256),
-                          [posterior.DrawMatrix(256, draws)])
+                          [_InPlace(256, draws)])
              for draws, burn_in in ((4000, 2000), (800, 400))]
     assert peaks[0] < 1.1 * peaks[1], peaks
 
@@ -975,16 +994,16 @@ def test_block_scratch_does_not_grow_with_chain_length(scratch_peak):
 def test_wide_block_scratch_stays_within_budget(scratch_peak):
     # A wide block of distinct streams, as `inhomogeneous` runs 2048: its
     # tables hold 2^18 values each whatever the chain length.  Measured
-    # with a draw matrix supplied, 1024 Cauchy chains: 10.35 MB of scratch
-    # at 4000 + 2000 steps and 10.30 MB at 800 + 400 (500-step refills
-    # into three float tables took 21.4 MB).  The bounds leave 10% for
-    # allocator noise.
+    # with an in-place draw matrix supplied, 1024 Cauchy chains: 10.35 MB
+    # of scratch at 4000 + 2000 steps and 10.30 MB at 800 + 400 (500-step
+    # refills into three float tables took 21.4 MB).  The bounds leave 10%
+    # for allocator noise.
     gen = np.random.default_rng(8)
     xs = gen.normal(0.0, 2.0, size=1024)
     log_scales = gen.uniform(-12.0, 0.0, size=1024)
     peaks = [scratch_peak(posterior._metropolis_block, xs, 1.0, log_scales,
                           CAUCHY, draws, burn_in, 0, np.arange(1024),
-                          [posterior.DrawMatrix(1024, draws)])
+                          [_InPlace(1024, draws)])
              for draws, burn_in in ((4000, 2000), (800, 400))]
     assert peaks[0] < 1.1 * peaks[1], peaks
     assert peaks[0] < 1.1 * 10.35e6, peaks
@@ -1050,10 +1069,12 @@ def test_truncated_chunks_across_the_gap_write_in_place(monkeypatch,
     # with the 100 zero rows between; the run itself is one block of all
     # 500 active chains, each batch scattered into its pair's matrix.
     # Measured with a 2^14-value budget and 600 + 100 steps: 2.88 MB of
-    # draw matrices; 1.95 MB of scratch for the 500-chain block run alone
-    # into a supplied matrix; a run peak of 4.93 MB (4.51 MB when the run
-    # was two blocks, of 256 and 244 chains).  The bound leaves 10% of the
-    # block's scratch for allocator noise and the scatter buffers.
+    # draw matrices; 1.94 MB of scratch for the 500-chain block run alone
+    # into a supplied in-place matrix; a run peak of 3.71 MB, the matrices
+    # rebuilt beside their move records (4.93 MB when each pair's batches
+    # were written into its dense matrix, 4.51 MB when the run was two
+    # blocks, of 256 and 244 chains).  The bound leaves 10% of the block's
+    # scratch for allocator noise and the scatter buffers.
     import tracemalloc
 
     monkeypatch.setattr(wavelets, "_BLOCK_VALUES", 1 << 14)
@@ -1065,7 +1086,7 @@ def test_truncated_chunks_across_the_gap_write_in_place(monkeypatch,
     xs, ns, log_s, streams, _ = _active_chains(pairs)
     block_peak = scratch_peak(posterior._metropolis_block, xs, ns, log_s,
                               HORSESHOE, 600, 100, 5, streams,
-                              [posterior.DrawMatrix(len(xs), 600)])
+                              [_InPlace(len(xs), 600)])
     tracemalloc.start()
     try:
         batched = posterior.metropolis_draws(pairs, draws=600, burn_in=100,
@@ -1342,6 +1363,89 @@ def test_gibbs_sinks_receive_the_matrix_draws():
         assert np.array_equal(whole.quantiles[q], quantiles[q])
 
 
+def _assert_record_matches(record, dense):
+    """The record rebuilds the in-place matrix bit for bit, C-ordered."""
+    got = record.draws
+    assert got.flags.c_contiguous and got.shape == dense.draws.shape
+    assert np.array_equal(got.view(np.uint64), dense.draws.view(np.uint64))
+    assert record.count == dense.count
+
+
+@pytest.mark.parametrize("budget", [None, 7 * 4 * 30],
+                         ids=["one-chunk", "chunks-of-7"])
+def test_draw_record_rebuilds_a_metropolis_stack(monkeypatch, budget):
+    # truncated-hs at n = 10 keeps 10 of 30 rows active, so the others
+    # never move; rebuilt in chunks of 7 draws, most chunks start inside a
+    # batch
+    if budget is not None:
+        monkeypatch.setattr(wavelets, "_BLOCK_VALUES", budget)
+    truth = signals.truth_sobolev_cos(30)
+    pairs = [(model.simulate(truth, 1e3, seed=4), make_prior("horseshoe-ot")),
+             (model.simulate(truth, 10.0, seed=4),
+              make_prior("truncated-hs", n=10.0))]
+    records = [posterior.DrawMatrix(30, 230) for _ in pairs]
+    dense = [_InPlace(30, 230) for _ in pairs]
+    posterior.metropolis_draws(pairs, draws=230, burn_in=60, seed=2,
+                               sinks=[list(pair) for pair in zip(records,
+                                                                 dense)])
+    for record, matrix in zip(records, dense):
+        _assert_record_matches(record, matrix)
+        # a chain repeats its state on each rejection: measured, the
+        # records take 0.35 and 0.17 of the matrices' bytes
+        assert record.nbytes < 0.5 * matrix.draws.nbytes
+    assert np.all(dense[1].draws[10:] == 0.0)
+
+
+def test_draw_record_rebuilds_a_gibbs_stack():
+    # no Gibbs draw repeats an entry, so the record holds every value and
+    # a mask of one bit each
+    _, data = _wavelet_data()
+    record, dense = posterior.DrawMatrix(256, 130), _InPlace(256, 130)
+    gibbs_hierarchical_gaussian(data, draws=130, burn_in=20, seed=5,
+                                sinks=[record, dense])
+    _assert_record_matches(record, dense)
+    assert record.nbytes == dense.draws.nbytes * (1 + 1 / 64)
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 4 * 5],
+                         ids=["one-chunk", "chunks-of-3"])
+def test_draw_record_keeps_every_bit(monkeypatch, budget):
+    # a coordinate frozen at its start, one that stays +0.0, one flipping
+    # between +0.0 and -0.0, one repeating in runs, one always moving; in
+    # one-draw batches and batches of uneven sizes, read after each batch,
+    # so past `count` the matrix reads 0
+    if budget is not None:
+        monkeypatch.setattr(wavelets, "_BLOCK_VALUES", budget)
+    gen = np.random.default_rng(6)
+    draws = np.empty((37, 5))
+    draws[:, 0] = 2.5
+    draws[:, 1] = 0.0
+    draws[:, 2] = np.where(gen.random(37) < 0.5, 0.0, -0.0)
+    draws[:, 3] = np.repeat(gen.normal(size=10), 4)[:37]
+    draws[:, 4] = gen.normal(size=37)
+    record, dense = posterior.DrawMatrix(5, 40), _InPlace(5, 40)
+    _assert_record_matches(record, dense)  # no draws yet: all zeros
+    edges = np.cumsum((0, 1, 1, 7, 3, 1, 20, 4))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        record(draws[lo:hi])
+        dense(draws[lo:hi])
+        _assert_record_matches(record, dense)
+    assert np.signbit(record.draws[2, :37]).tolist() == \
+        np.signbit(draws[:, 2]).tolist()
+
+
+def test_draw_record_rejects_misshapen_batches():
+    from heavyseries.errors import ShapeError
+
+    record = posterior.DrawMatrix(5, 4)
+    with pytest.raises(ShapeError):
+        record(np.zeros((2, 4)))
+    record(np.ones((3, 5)))
+    with pytest.raises(ShapeError):
+        record(np.ones((2, 5)))  # past the matrix's 4 draws
+    assert record.count == 3
+
+
 def test_gibbs_folded_moments_match_numpy():
     # the means and variances are folded batch by batch; np.mean and
     # np.var reduce each coordinate's 4000 draws at once.  Measured on
@@ -1371,20 +1475,31 @@ def test_moment_fold_keeps_variances_non_negative():
                        atol=0.0)
 
 
+_CONTRACTION_NORMS = metrics.contraction_norms
+
+
 def _recorded_norms(monkeypatch):
-    """Patch `metrics.contraction_errors` to record each call's per-draw
-    norms; returns {p': list of arrays}, filled as calls are made."""
+    """Patch `metrics.contraction_norms` to record each call's per-draw
+    norms; returns {p': list of arrays}, filled as calls are made.
+
+    A call whose first draw has the bits of the draw the call before it
+    ended on is how the fold norms a one-draw batch, so only the norms
+    after that first draw are recorded."""
     calls = {}
-    real = metrics.contraction_norms
+    last = []
 
     def recording(draws, *args):
-        norms = real(draws, *args)
+        norms = _CONTRACTION_NORMS(draws, *args)
         assert draws.shape[1] >= 2, "a lone draw is summed in another order"
+        bits = np.asarray(draws, dtype=float).view(np.uint64)
+        new = slice(int(bool(last) and np.array_equal(bits[:, 0], last[0])),
+                    None)
+        last[:] = [bits[:, -1].copy()]
         for p, values in norms.items():
-            calls.setdefault(p, []).append(values)
-        return {p: float(values.mean()) for p, values in norms.items()}
+            calls.setdefault(p, []).append(values[new])
+        return norms
 
-    monkeypatch.setattr(metrics, "contraction_errors", recording)
+    monkeypatch.setattr(metrics, "contraction_norms", recording)
     return calls
 
 
@@ -1392,8 +1507,8 @@ _CONTRACTION_PS = (1.0, 2.0, 3.0, math.inf)
 
 
 def _assert_fold_matches_matrix(calls, fold, matrix, truth):
-    expected = metrics.contraction_norms(matrix, truth.coefficients,
-                                         _CONTRACTION_PS, truth.basis)
+    expected = _CONTRACTION_NORMS(matrix, truth.coefficients,
+                                  _CONTRACTION_PS, truth.basis)
     errors = fold.errors()
     assert fold.count == matrix.shape[1]
     for p in _CONTRACTION_PS:
