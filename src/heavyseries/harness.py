@@ -256,8 +256,8 @@ def _cell(args):
     contraction errors.  Fits that draw (the Gibbs baseline) feed those
     sinks themselves; when they received no draws, one `metropolis_draws`
     call across all n feeds them.  A `DrawMatrix` keeps only its draws'
-    moves and the bands are built one at a time, so a run holds at most
-    one whole draw matrix, and only while it builds a band.
+    moves, and a band reads them in two passes, so a run holds no whole
+    draw matrix.
     """
     config, group, rep = args
     seed = _rep_seed(config.seed, rep)

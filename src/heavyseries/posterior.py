@@ -9,10 +9,12 @@ one call, one `DrawStack` each.
 Both samplers hand their kept draws on batch by batch to *sinks*:
 callables each given one (draw, coordinate) block per batch, a buffer the
 next batch overwrites, so a sink that keeps draws copies them.  A
-`DrawMatrix` is the sink that does: it records each batch's moves and
-rebuilds the (coordinate, draw) matrix that a credible band, or a Gibbs
-fit's quantiles, needs whole.  Credible bands, centred on the draws' row
-means, and text forms live here too.
+`DrawMatrix` is the sink that does: it records the draws' moves and
+decodes any block of the (coordinate, draw) matrix from them.  A credible
+band reads a record in two passes, whole rows for its centre (the draws'
+row means) and then draw slices for its curves, and never holds the
+matrix; a Gibbs fit's quantiles, and a fit called without sinks, take the
+whole matrix it rebuilds.  Text forms live here too.
 """
 
 import math
@@ -56,101 +58,129 @@ def check_chain_lengths(draws, burn_in):
         raise InvalidParameterError("burn_in must be >= 0")
 
 
+# draws per segment of a `DrawMatrix`: each coordinate's mask in a
+# segment is one uint64 word, and its move count fits a byte
+_SEGMENT = 64
+# word j holds the mask bits of a segment's draws 0..j
+_PREFIX = np.packbits(np.tri(_SEGMENT, dtype=bool), axis=1) \
+    .view(np.uint64).ravel()
+
+
 class DrawMatrix:
     """A sink recording the (draw, coordinate) batches it is handed as the
-    next columns of a (coordinate, draw) matrix of `draws` columns, which
-    `draws` rebuilds; `count` is how many draws it has received.
+    next columns of a (coordinate, draw) matrix of `shape`, which `read`
+    decodes block by block and `draws` rebuilds; `count` is how many draws
+    it has received.
 
-    A Metropolis chain repeats its state on every rejection, so a batch is
-    kept as its moves: a packed bit mask of the entries whose uint64 bits
-    differ from the draw before (the first draw's from +0.0, so a flip
-    between +0.0 and -0.0 is a move), and the values of those entries.  A
+    A Metropolis chain repeats its state on every rejection, so the draws
+    are kept as their moves, in segments of `_SEGMENT` draws.  In each
+    segment a coordinate keeps a bit mask of the draws whose uint64 bits
+    differ from the draw before (so a flip between +0.0 and -0.0 is a
+    move), with its first draw always counted, so that a segment decodes
+    on its own; the number of its moves; and their values, coordinate
+    after coordinate.  Batches are copied into the open segment, which is
+    encoded when it fills, when the last draw arrives or when read.  A
     default `sobolev` stack repeats about 60% of its entries, so its
-    record takes about 42% of the matrix's bytes; a Gibbs stack, which
-    never repeats, takes 1/64 more than the matrix.
+    record takes about 43% of the matrix's bytes; a Gibbs stack, which
+    never repeats, takes 1/64 + 1/512 more than the matrix.
     """
 
     def __init__(self, coordinates, draws):
-        self._shape = (coordinates, draws)
-        self._last = np.zeros(coordinates)
-        self._batches = []  # (draw count, packed move mask, move values)
+        self.shape = (coordinates, draws)
+        segments = -(-draws // _SEGMENT)
+        self._mask = np.zeros((segments, coordinates), dtype=np.uint64)
+        self._moves = np.zeros((segments, coordinates), dtype=np.uint8)
+        self._values = [None] * segments
+        self._open = np.empty((min(draws, _SEGMENT), coordinates))
+        self._encoded = 0  # draws whose segment is encoded as it stands
         self.count = 0
 
     def __call__(self, block):
-        block = np.ascontiguousarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[1] != self._shape[0]:
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self.shape[0]:
             raise ShapeError("a batch must be (draw, coordinate) with one "
                              "column per coordinate")
-        if self.count + len(block) > self._shape[1]:
-            raise ShapeError(f"the matrix holds {self._shape[1]} draws")
-        if not len(block):
-            return
-        bits = block.view(np.uint64)
-        moved = np.empty(block.shape, dtype=bool)
-        np.not_equal(bits[0], self._last.view(np.uint64), out=moved[0])
-        np.not_equal(bits[1:], bits[:-1], out=moved[1:])
-        self._batches.append((len(block), np.packbits(moved),
-                              np.compress(moved.ravel(), block.ravel())))
-        self._last = block[-1].copy()
-        self.count += len(block)
+        if self.count + len(block) > self.shape[1]:
+            raise ShapeError(f"the matrix holds {self.shape[1]} draws")
+        done = 0
+        while done < len(block):
+            at = self.count % _SEGMENT
+            take = min(_SEGMENT - at, len(block) - done)
+            self._open[at:at + take] = block[done:done + take]
+            done += take
+            self.count += take
+            if at + take == _SEGMENT or self.count == self.shape[1]:
+                self._encode()
+        if self.count == self.shape[1]:
+            self._open = None  # every segment is encoded
+
+    def _encode(self):
+        """Encode the open segment's draws, replacing what it held."""
+        segment, last = divmod(self.count - 1, _SEGMENT)
+        # (coordinate, draw): a coordinate's draws, mask bits and moves
+        # are contiguous
+        rows = np.ascontiguousarray(self._open[:last + 1].T)
+        bits = rows.view(np.uint64)
+        moved = np.zeros((self.shape[0], _SEGMENT), dtype=bool)
+        moved[:, 0] = True
+        np.not_equal(bits[:, 1:], bits[:, :-1], out=moved[:, 1:last + 1])
+        self._mask[segment] = np.packbits(moved, axis=1).view(np.uint64)[:, 0]
+        self._moves[segment] = np.bitwise_count(self._mask[segment])
+        self._values[segment] = np.compress(moved[:, :last + 1].ravel(),
+                                            rows.ravel())
+        self._encoded = self.count
 
     @property
     def nbytes(self):
-        """Bytes the record's masks and move values hold."""
-        return sum(packed.nbytes + values.nbytes
-                   for _, packed, values in self._batches)
+        """Bytes the record's masks, move counts and move values hold."""
+        return (self._mask.nbytes + self._moves.nbytes
+                + sum(v.nbytes for v in self._values if v is not None))
+
+    def read(self, rows, draws):
+        """matrix[rows, draws], for two slices of step 1 within the
+        coordinates and the draws received: a view of a new array.
+
+        The block's segments are decoded whole, in one pass: the moves of
+        its rows are gathered, segment after segment, and each entry takes
+        the value of its row's latest move, found by counting the bits of
+        its mask word up to the entry's draw.  The scratch holds about
+        three values per entry: the positions, the moves and the result.
+        """
+        r0, r1, _ = rows.indices(self.shape[0])
+        d0, d1, _ = draws.indices(self.count)
+        if r0 >= r1 or d0 >= d1:
+            return np.empty((max(r1 - r0, 0), max(d1 - d0, 0)))
+        if self._encoded < self.count:
+            self._encode()
+        s0, s1 = d0 // _SEGMENT, -(-d1 // _SEGMENT)
+        counts = self._moves[s0:s1].astype(np.intp)
+        before = counts[:, :r0].sum(axis=1).tolist()
+        counts = counts[:, r0:r1]
+        values = np.concatenate([
+            self._values[s][lo:lo + n] for s, lo, n in
+            zip(range(s0, s1), before, counts.sum(axis=1).tolist())])
+        # where each (segment, row)'s moves start in `values`
+        first = np.cumsum(counts).reshape(counts.shape) - counts
+        where = np.empty((r1 - r0, s1 - s0, _SEGMENT), dtype=np.uint64)
+        np.bitwise_and(self._mask[s0:s1, r0:r1].T[:, :, None], _PREFIX,
+                       out=where)
+        np.bitwise_count(where, out=where)
+        where = where.view(np.intp)
+        where += (first - 1).T[:, :, None]
+        # every position is in range: "clip" skips the bounds check
+        block = np.take(values, where.reshape(r1 - r0, -1), mode="clip")
+        return block[:, d0 - s0 * _SEGMENT:d1 - s0 * _SEGMENT]
 
     @property
     def draws(self):
-        """The (coordinate, draw) matrix, C-ordered, 0 past `count`.
-
-        Each read rebuilds it in chunks of the draws received, the
-        `wavelets.row_blocks` of four values per entry, since a chunk's
-        scratch holds about four: its sources, the values gathered and the
-        moves' positions and values.  In a chunk, an entry's source is its
-        position in the chunk's (state, moves) array: the moves' own, else
-        the coordinate's state before the chunk in the first draw and 0
-        below it; a running maximum down the draws then picks each entry's
-        latest move.  The buffers are made once, and none outgrows a chunk.
-        """
-        coordinates = self._shape[0]
-        out = np.zeros(self._shape)
-        if not (self.count and coordinates):
-            return out
-        chunks = wavelets.row_blocks(self.count, 4 * coordinates)
-        most = chunks[0].stop * coordinates
-        where_buf, values_buf = np.empty(most, dtype=np.intp), np.empty(most)
-        state = np.zeros(coordinates)
-        batches = iter(self._batches)
-        mask = values = None  # what the chunks have not read of a batch
-        for chunk in chunks:
-            masks, parts = [], [state]
-            need = chunk.stop - chunk.start
-            while need:
-                if mask is None or not len(mask):
-                    size, packed, values = next(batches)
-                    mask = np.unpackbits(packed, count=size * coordinates) \
-                        .view(bool).reshape(size, coordinates)
-                take = min(need, len(mask))
-                moves = (len(values) if take == len(mask)
-                         else np.count_nonzero(mask[:take]))
-                masks.append(mask[:take])
-                parts.append(values[:moves])
-                mask, values = mask[take:], values[moves:]
-                need -= take
-            moved = np.flatnonzero(np.concatenate(masks))
-            size = (chunk.stop - chunk.start) * coordinates
-            where = where_buf[:size]
-            where.fill(0)
-            where[:coordinates] = np.arange(coordinates)
-            where[moved] = np.arange(coordinates, coordinates + len(moved))
-            where = where.reshape(-1, coordinates)
-            np.maximum.accumulate(where, axis=0, out=where)
-            # every source is in range: "clip" skips the bounds check
-            gathered = np.take(np.concatenate(parts), where, mode="clip",
-                               out=values_buf[:size].reshape(where.shape))
-            out[:, chunk] = gathered.T
-            state = gathered[-1].copy()
+        """The (coordinate, draw) matrix, C-ordered, 0 past `count`: each
+        `wavelets.row_blocks` of four values per entry, a read's scratch
+        and its result, read and copied in."""
+        out = np.zeros(self.shape)
+        if self.count:
+            for block in wavelets.row_blocks(self.shape[0], 4 * self.count):
+                out[block, :self.count] = self.read(block,
+                                                    slice(0, self.count))
         return out
 
 
@@ -706,31 +736,49 @@ def credible_band(summary, basis, m=256, level=0.95):
     """Pointwise envelope of the level-fraction of draws closest in L2 to
     their mean curve, on an m-point grid (a wavelet frame's own).
 
-    `summary` needs only `draws`, which is read once: a `DrawMatrix`
-    rebuilds its matrix on each read, so a band holds one matrix beside
-    the records of the others.  The centre is the draws' row means, each
-    row reduced on its own in `wavelets.row_blocks`, as `mean(axis=1)`
-    does.
-    The draws are synthesized once, in `wavelets.row_blocks` at fixed
-    offsets, the last holding at least `basis.last_slice_floor` draws (512
-    for a cosine/sine product) or all of them.  A pool keeps the
-    count - keep curves farthest from the centre seen so far; a curve it
-    pushes out is certain to be kept, and goes into the running min/max
-    envelope.  At the end the pool holds exactly the excluded draws, and
-    no phase has held more than the draw stack, one slice and the pool.
-    The values equal the whole-stack expression's bit for bit: every curve
-    comes out as one whole-stack synthesis makes it (see
-    `basis.last_slice_floor`), each distance is its own row's reduction,
-    and min and max are exact in any order.
+    The draws are a `DrawMatrix` that has received all its draws, whose
+    `read` decodes each block, or else `summary.draws`, whose blocks are
+    slices of the array.  They are read in two passes, and neither makes
+    the (coordinate, draw) matrix.  The first reads whole rows, in
+    `wavelets.row_blocks` of four values per entry (a read's scratch and
+    its result), for the centre: the draws' row means, each row reduced on
+    its own, as `mean(axis=1)` does.  The second reads draw slices, the
+    `wavelets.row_blocks` of 4m values per draw, the last holding at least
+    `basis.last_slice_floor` draws (512 for a cosine/sine product) or all
+    of them, and synthesizes each slice once.  A draw's 4m values are its
+    curve, its squared distances to the centre, and its coefficients with
+    the read's scratch, about three values each (600 at K = 200, a little
+    over 2m on 256 points).  The squared distances go into one buffer,
+    laid out as each slice's curves are and made again only for a slice
+    that outgrows it (the last, at most).  A pool keeps the count - keep
+    curves farthest from the centre seen so far; a curve it pushes out is
+    certain to be kept, and goes into the running min/max envelope.  At
+    the end the pool holds exactly the excluded draws.  The values equal
+    the whole-stack expression's bit for bit: every curve comes out as one
+    whole-stack synthesis makes it (see `basis.last_slice_floor`), each
+    distance is its own row's reduction in the whole-stack order, and min
+    and max are exact in any order.
     """
     if not 0.0 < level <= 1.0:
         raise InvalidParameterError("level must be in (0, 1]")
-    draws = summary.draws
-    if draws is None:
-        raise StateError("summary carries no draws")
-    count = draws.shape[1]
-    means = np.concatenate([draws[block].mean(axis=1)
-                            for block in wavelets.row_blocks(*draws.shape)])
+    if isinstance(summary, DrawMatrix):
+        coordinates, count = summary.shape
+        if summary.count < count:
+            raise StateError(f"the record has received {summary.count} of "
+                             f"its {count} draws")
+        read = summary.read
+    else:
+        draws = summary.draws
+        if draws is None:
+            raise StateError("summary carries no draws")
+        coordinates, count = draws.shape
+
+        def read(rows, cols):
+            return draws[rows, cols]
+
+    means = np.concatenate([
+        read(block, slice(None)).mean(axis=1)
+        for block in wavelets.row_blocks(coordinates, 4 * count)])
     m = basis_mod.grid_size(basis, m)
     grid = basis_mod.grid(basis, m)
     center = basis_mod.synthesize(means, basis, m)
@@ -738,12 +786,22 @@ def credible_band(summary, basis, m=256, level=0.95):
     lower = np.full(m, np.inf)
     upper = np.full(m, -np.inf)
     pool, pool_dist = np.empty((0, m)), np.empty(0)
-    for block in wavelets.row_blocks(count, m,
-                                     last=basis_mod.last_slice_floor(basis)):
-        curves = basis_mod.synthesize(draws[:, block].T, basis, m)
+    slices = wavelets.row_blocks(count, 4 * m,
+                                 last=basis_mod.last_slice_floor(basis))
+    squares = np.empty(0)
+    for block in slices:
+        curves = basis_mod.synthesize(read(slice(None), block).T, basis, m)
+        if squares.size < curves.size:
+            squares = np.empty(curves.size)
+        # a product's curves come back F-ordered, and a row's mean sums in
+        # the order its layout gives, so the squares take the same layout
+        d = squares[:curves.size]
+        d = (d.reshape(curves.T.shape).T if curves.flags.f_contiguous
+             else d.reshape(curves.shape))
+        np.subtract(curves, center, out=d)
+        np.multiply(d, d, out=d)
         held = len(pool_dist)
-        dist = np.concatenate(
-            (pool_dist, np.mean((curves - center[None, :]) ** 2, axis=1)))
+        dist = np.concatenate((pool_dist, d.mean(axis=1)))
         order = np.argsort(dist)
         cut = max(len(order) - drop, 0)
         # sorted, `stay` lists the pool's rows first, as the new pool does
@@ -758,6 +816,7 @@ def credible_band(summary, basis, m=256, level=0.95):
             # the slice's envelope as it is, without copying the slice
             curves[entering] = curves[kept[0]]
             _fold(lower, upper, curves)
+        del curves  # the next slice's read need not hold this one's curves
     return {"grid": grid, "center": center, "lower": lower, "upper": upper}
 
 

@@ -782,11 +782,11 @@ def test_contraction_only_run_holds_no_draw_matrix(monkeypatch, tmp_path,
 def test_band_run_peaks_below_its_dense_matrices(monkeypatch, tmp_path,
                                                   scratch_peak):
     # A band run keeps each prior's draws as move records, one per n, and
-    # rebuilds one (coordinate x draw) matrix at a time for its band.
-    # Measured with a 2^15-value budget, cauchy-ot on the K = 200 cosine
-    # truth at three n and 2000 + 100 steps, after a short warm-up run: an
-    # 8.22 MB traced peak, against the 9.60 MB of the three dense
-    # matrices; holding those matrices took 12.36 MB.
+    # reads them for its bands.  Measured with a 2^15-value budget,
+    # cauchy-ot on the K = 200 cosine truth at three n and 2000 + 100
+    # steps, after a short warm-up run: a 5.20 MB traced peak, against the
+    # 9.60 MB of the three dense matrices; holding those matrices took
+    # 12.36 MB, and rebuilding one matrix for each band 8.22 MB.
     from dataclasses import replace
 
     from heavyseries import wavelets
@@ -800,3 +800,36 @@ def test_band_run_peaks_below_its_dense_matrices(monkeypatch, tmp_path,
     run_experiment(replace(cfg, draws=10, burn_in=10))
     peak = scratch_peak(run_experiment, cfg)
     assert peak < matrices, (peak, matrices)
+
+
+def test_band_run_peaks_below_its_records_and_one_matrix(monkeypatch,
+                                                          tmp_path,
+                                                          scratch_peak):
+    # A band reads each record in two passes, row means and then draw
+    # slices, and makes no (coordinate x draw) matrix.  Measured at the
+    # sizes of the test above: a 5.20 MB traced peak, against 5.54 MB for
+    # the three records (2.34 MB) and one dense matrix (3.20 MB);
+    # rebuilding a matrix for each band peaked at 8.21 MB, against 5.40.
+    from dataclasses import replace
+
+    from heavyseries import posterior, wavelets
+
+    records = []
+
+    class Recorded(posterior.DrawMatrix):
+        def __init__(self, *args):
+            super().__init__(*args)
+            records.append(self)
+
+    monkeypatch.setattr(posterior, "DrawMatrix", Recorded)
+    monkeypatch.setattr(wavelets, "_BLOCK_VALUES", 1 << 15)
+    cfg = ExperimentConfig("sobolev", priors=("cauchy-ot",),
+                           ns=(1e3, 1e4, 1e5), replications=1, draws=2000,
+                           burn_in=100, out_dir=str(tmp_path))
+    run_experiment(replace(cfg, draws=10, burn_in=10))
+    records.clear()
+    peak = scratch_peak(run_experiment, cfg)
+    held = sum(record.nbytes for record in records)
+    matrix = cfg.truncation * cfg.draws * 8
+    assert len(records) == len(cfg.ns)
+    assert peak < held + matrix, (peak, held, matrix)

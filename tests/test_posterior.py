@@ -1371,12 +1371,11 @@ def _assert_record_matches(record, dense):
     assert record.count == dense.count
 
 
-@pytest.mark.parametrize("budget", [None, 7 * 4 * 30],
+@pytest.mark.parametrize("budget", [None, 7 * 4 * 230],
                          ids=["one-chunk", "chunks-of-7"])
 def test_draw_record_rebuilds_a_metropolis_stack(monkeypatch, budget):
     # truncated-hs at n = 10 keeps 10 of 30 rows active, so the others
-    # never move; rebuilt in chunks of 7 draws, most chunks start inside a
-    # batch
+    # never move; rebuilt in one read, or in reads of 7 coordinates
     if budget is not None:
         monkeypatch.setattr(wavelets, "_BLOCK_VALUES", budget)
     truth = signals.truth_sobolev_cos(30)
@@ -1397,32 +1396,40 @@ def test_draw_record_rebuilds_a_metropolis_stack(monkeypatch, budget):
 
 
 def test_draw_record_rebuilds_a_gibbs_stack():
-    # no Gibbs draw repeats an entry, so the record holds every value and
-    # a mask of one bit each
+    # no Gibbs draw repeats an entry, so the record holds every value
+    # (266,240 bytes) and, per coordinate in each of three 64-draw
+    # segments, one mask word and one move count (6,144 + 768 bytes)
     _, data = _wavelet_data()
     record, dense = posterior.DrawMatrix(256, 130), _InPlace(256, 130)
     gibbs_hierarchical_gaussian(data, draws=130, burn_in=20, seed=5,
                                 sinks=[record, dense])
     _assert_record_matches(record, dense)
-    assert record.nbytes == dense.draws.nbytes * (1 + 1 / 64)
+    assert record.nbytes == 273_152
 
 
-@pytest.mark.parametrize("budget", [None, 3 * 4 * 5],
-                         ids=["one-chunk", "chunks-of-3"])
-def test_draw_record_keeps_every_bit(monkeypatch, budget):
-    # a coordinate frozen at its start, one that stays +0.0, one flipping
-    # between +0.0 and -0.0, one repeating in runs, one always moving; in
-    # one-draw batches and batches of uneven sizes, read after each batch,
-    # so past `count` the matrix reads 0
-    if budget is not None:
-        monkeypatch.setattr(wavelets, "_BLOCK_VALUES", budget)
-    gen = np.random.default_rng(6)
-    draws = np.empty((37, 5))
+def _draw_columns(count, seed):
+    """(count, 5) draws: a coordinate frozen at its start, one that stays
+    +0.0, one flipping between +0.0 and -0.0, one repeating in runs of
+    four, one always moving."""
+    gen = np.random.default_rng(seed)
+    draws = np.empty((count, 5))
     draws[:, 0] = 2.5
     draws[:, 1] = 0.0
-    draws[:, 2] = np.where(gen.random(37) < 0.5, 0.0, -0.0)
-    draws[:, 3] = np.repeat(gen.normal(size=10), 4)[:37]
-    draws[:, 4] = gen.normal(size=37)
+    draws[:, 2] = np.where(gen.random(count) < 0.5, 0.0, -0.0)
+    draws[:, 3] = np.repeat(gen.normal(size=-(-count // 4)), 4)[:count]
+    draws[:, 4] = gen.normal(size=count)
+    return draws
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 4 * 37],
+                         ids=["one-chunk", "chunks-of-3"])
+def test_draw_record_keeps_every_bit(monkeypatch, budget):
+    # in one-draw batches and batches of uneven sizes, read after each
+    # batch, so past `count` the matrix reads 0; rebuilt in one read, or,
+    # once all 37 draws are in, in reads of 3 coordinates
+    if budget is not None:
+        monkeypatch.setattr(wavelets, "_BLOCK_VALUES", budget)
+    draws = _draw_columns(37, seed=6)
     record, dense = posterior.DrawMatrix(5, 40), _InPlace(5, 40)
     _assert_record_matches(record, dense)  # no draws yet: all zeros
     edges = np.cumsum((0, 1, 1, 7, 3, 1, 20, 4))
@@ -1432,6 +1439,32 @@ def test_draw_record_keeps_every_bit(monkeypatch, budget):
         _assert_record_matches(record, dense)
     assert np.signbit(record.draws[2, :37]).tolist() == \
         np.signbit(draws[:, 2]).tolist()
+
+
+@pytest.mark.parametrize("count", [1, 37, 64, 130, 203])
+def test_draw_record_reads_every_block(count):
+    # fed in one-draw and uneven batches; 64 fills one segment, the other
+    # counts are no multiple of it nor of any batch size.  Read as a band
+    # reads (whole rows in coordinate blocks, all coordinates in draw
+    # slices) and in blocks that start and end inside segments
+    draws = _draw_columns(count, seed=count)
+    record, dense = posterior.DrawMatrix(5, count), _InPlace(5, count)
+    edges = np.cumsum((0, *(1, 7, 50, 1, 3, 29) * count))
+    edges = np.append(edges[edges < count], count)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        record(draws[lo:hi])
+        dense(draws[lo:hi])
+    blocks = [(rows, slice(None)) for rows in
+              (slice(0, 1), slice(1, 3), slice(3, 5), slice(None))]
+    blocks += [(slice(None), slice(lo, hi))
+               for lo in range(0, count, 5)
+               for hi in {lo + 1, min(lo + 63, count), count}]
+    blocks += [(slice(1, 4), slice(count // 3, count - count // 4))]
+    for rows, cols in blocks:
+        got, want = record.read(rows, cols), dense.draws[rows, cols]
+        assert got.shape == want.shape, (rows, cols)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+            (rows, cols)
 
 
 def test_draw_record_rejects_misshapen_batches():
@@ -1703,6 +1736,52 @@ def test_band_level_one_is_full_envelope():
     part = credible_band(summary, basis.cosine_basis(), m=16, level=0.5)
     assert np.all(full["upper"] >= part["upper"] - 1e-12)
     assert np.all(full["lower"] <= part["lower"] + 1e-12)
+
+
+def test_band_rejects_a_part_filled_record():
+    # the 60 columns the record has not received would count as draws of
+    # 0: the centre would read 8.53 where the 40 draws give 21.32
+    record = posterior.DrawMatrix(5, 100)
+    record(np.random.default_rng(0).normal(20.0, 1.0, size=(40, 5)))
+    with pytest.raises(StateError, match="40 of its 100 draws"):
+        credible_band(record, basis.cosine_basis(), m=16)
+
+
+def _band_record(draws):
+    """A `DrawMatrix` fed (coordinate, draw) `draws` in 50-draw batches."""
+    record = posterior.DrawMatrix(*draws.shape)
+    for lo in range(0, draws.shape[1], 50):
+        record(draws[:, lo:lo + 50].T)
+    return record
+
+
+# a band's draw slices hold 256 draws on 256 points; a cosine band's last
+# slice holds at least 512, so these counts cross both
+@pytest.mark.parametrize("count", [255, 257, 767, 768, 769, 1061])
+@pytest.mark.parametrize("make", [
+    basis.cosine_basis,
+    lambda: basis.wavelet_basis(wavelets.WaveletFrame("symmlet-8", 256, 3))],
+    ids=["cosine", "symmlet-8"])
+def test_band_of_a_record_matches_its_matrix(count, make):
+    # a record decodes its draws in two passes; the band equals the one
+    # from the whole matrix it rebuilds, bit for bit.  Runs of repeated
+    # draws, as a Metropolis chain makes them
+    b = make()
+    K = 200 if b.kind == basis.COSINE else 256
+    gen = np.random.default_rng(count)
+    steps = gen.standard_cauchy(size=(K, count)) / np.arange(1, K + 1)[:, None]
+    draws = np.cumsum(np.where(gen.random((K, count)) < 0.4, steps, 0.0),
+                      axis=1)
+    record = _band_record(draws)
+    dense = PosteriorSummary(np.zeros(K), np.zeros(K), {},
+                             draws=record.draws)
+    assert np.array_equal(dense.draws, draws)
+    for level in (0.95, 0.5):
+        band = credible_band(record, b, level=level)
+        want = credible_band(dense, b, level=level)
+        for key in ("grid", "center", "lower", "upper"):
+            assert np.array_equal(band[key].view(np.uint64),
+                                  want[key].view(np.uint64)), (key, level)
 
 
 def test_band_wavelet_matches_per_draw_synthesis():
